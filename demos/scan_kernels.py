@@ -1,10 +1,13 @@
-"""The state-space scan three ways: recurrence, parallel scan, convolution.
+"""The state-space scan four ways: fused, recurrence, parallel scan,
+convolution.
 
 A discretized linear state-space layer can be evaluated step by step, as
 an associative parallel scan, or (when its parameters do not vary over
-time) as a causal convolution with an unrolled kernel.  This script checks
-all three against each other on random systems and times the two scan
-evaluators as the sequence grows.
+time) as a causal convolution with an unrolled kernel.  The model itself
+runs the fused selective scan, one tape node that discretizes, scans and
+reads out in numpy blocks; the other three are the oracles it is checked
+against.  This script checks them against each other on random systems and
+times the fused op next to the two tape-built scans as the sequence grows.
 """
 
 import argparse
@@ -16,20 +19,28 @@ from rangeloop import ssm
 from rangeloop import tensor as tt
 
 
+def random_system(rng, m, e, n):
+    delta = rng.uniform(1e-3, 1e-1, size=(1, m, e))
+    a = -rng.uniform(0.2, 2.0, size=(e, n))
+    b = rng.standard_normal((1, m, n))
+    c = rng.standard_normal((1, m, n))
+    d = rng.standard_normal(e)
+    x = rng.standard_normal((1, m, e))
+    return delta, a, b, c, d, x
+
+
 def equivalence_demo(rng):
-    print("selective scan: parallel vs sequential")
+    print("selective scan: parallel and fused vs sequential")
     for m in (4, 64, 900):
-        e, n = 4, 8
-        delta = tt.Tensor(rng.uniform(1e-3, 1e-1, size=(1, m, e)))
-        a = tt.Tensor(-rng.uniform(0.2, 2.0, size=(e, n)))
-        b = rng.standard_normal((1, m, n))
-        c = rng.standard_normal((1, m, n))
-        d = rng.standard_normal(e)
-        x = rng.standard_normal((1, m, e))
-        dssm = ssm.discretize(delta, a, b, mode="zoh")
-        seq = ssm.scan_sequential(dssm, c, d, x).data
-        par = ssm.scan_parallel(dssm, c, d, x).data
-        print(f"  length {m:4d}: max |seq - par| = {np.max(np.abs(seq - par)):.2e}")
+        delta, a, b, c, d, x = random_system(rng, m, 4, 8)
+        zoh = ssm.discretize(tt.Tensor(delta), tt.Tensor(a), b, mode="zoh")
+        seq = ssm.scan_sequential(zoh, c, d, x).data
+        par = ssm.scan_parallel(zoh, c, d, x).data
+        euler = ssm.discretize(tt.Tensor(delta), tt.Tensor(a), b, mode="euler")
+        seq_e = ssm.scan_sequential(euler, c, d, x).data
+        fused = ssm.selective_scan(x, delta, a, b, c, d).data
+        print(f"  length {m:4d}: max |seq - par| = {np.max(np.abs(seq - par)):.2e}, "
+              f"max |seq - fused| (Euler) = {np.max(np.abs(seq_e - fused)):.2e}")
 
 
 def duality_demo(rng):
@@ -54,30 +65,29 @@ def duality_demo(rng):
           f"{np.max(np.abs(y_scan - y_conv)):.2e}")
 
 
+def _median_time(fn, reps):
+    fn()  # warm-up
+    samples = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return sorted(samples)[len(samples) // 2]
+
+
 def timing_demo(rng, reps):
-    print(f"\nwall time per evaluation (median of {reps}):")
-    e, n = 4, 8
-    for m in (64, 256, 900):
-        delta = tt.Tensor(rng.uniform(1e-3, 1e-1, size=(1, m, e)))
-        a = tt.Tensor(-rng.uniform(0.2, 2.0, size=(e, n)))
-        b = rng.standard_normal((1, m, n))
-        c = rng.standard_normal((1, m, n))
-        d = rng.standard_normal(e)
-        x = rng.standard_normal((1, m, e))
-        dssm = ssm.discretize(delta, a, b, mode="zoh")
-        times = {}
-        for name, fn in (("sequential", ssm.scan_sequential),
-                         ("parallel", ssm.scan_parallel)):
-            fn(dssm, c, d, x)  # warm-up
-            samples = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fn(dssm, c, d, x)
-                samples.append(time.perf_counter() - t0)
-            times[name] = sorted(samples)[len(samples) // 2]
-        ratio = times["sequential"] / times["parallel"]
-        print(f"  length {m:4d}: sequential {times['sequential'] * 1e3:7.2f} ms, "
-              f"parallel {times['parallel'] * 1e3:6.2f} ms  ({ratio:.1f}x)")
+    print(f"\nwall time per evaluation, Euler operators (median of {reps}):")
+    # the last row is one branch of the paper-size model
+    for m, e, n in ((64, 4, 8), (256, 4, 8), (900, 4, 8), (900, 512, 16)):
+        delta, a, b, c, d, x = random_system(rng, m, e, n)
+        dssm = ssm.discretize(tt.Tensor(delta), tt.Tensor(a), b, mode="euler")
+        times = {
+            "fused": _median_time(lambda: ssm.selective_scan(x, delta, a, b, c, d), reps),
+            "sequential": _median_time(lambda: ssm.scan_sequential(dssm, c, d, x), reps),
+            "parallel": _median_time(lambda: ssm.scan_parallel(dssm, c, d, x), reps),
+        }
+        print(f"  length {m:4d}, E={e:3d}, N={n:2d}: " + ", ".join(
+            f"{name} {t * 1e3:7.2f} ms" for name, t in times.items()))
 
 
 def main():

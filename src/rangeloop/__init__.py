@@ -22,7 +22,7 @@ heading the sensor had at revisit time.  Pieces:
 """
 
 from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
-from .tensor import Tape, Tensor, backward, set_default_dtype
+from .tensor import Tape, Tensor, backward
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,5 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
-    "set_default_dtype",
     "__version__",
 ]

@@ -9,6 +9,10 @@ evaluation the offset is pinned to 0 so descriptors are deterministic.  Each
 branch applies its own circular convolution and selective state-space scan,
 is re-aligned to forward orientation, and is gated by SiLU(z); the sum is
 projected back and added to the input (residual).
+
+Per branch, the two hot kernels are one tape node each: the convolution is
+a single GEMM (``tensor.conv1d_circular``) and the scan is the fused
+``ssm.selective_scan``, so a branch records a few dozen nodes, not hundreds.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ class OlmConfig:
     l: int = 1  # block count
     conv_kernel: int = 3
     train_mode: bool = False
-    parallel_scan: bool = True
 
     def __post_init__(self):
         if self.l < 1:
@@ -185,7 +188,7 @@ def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
         stream = tt.transpose(xo, (0, 2, 1))
         stream = tt.silu(_bias_cm(tt.conv1d_circular(stream, conv_w), conv_b))
         xp = tt.transpose(stream, (0, 2, 1))
-        yo = ssm.selective_ssm(xp, sp, parallel=cfg.parallel_scan)
+        yo = ssm.selective_ssm(xp, sp)
         if name.startswith("backward"):
             yo = flip(yo)
         if name.endswith("shifted"):

@@ -109,6 +109,8 @@ def load_range_image(path) -> RangeImage:
     with open(path, "rb") as f:
         raw = f.read()
     _expect_magic(raw, MAGIC_RANGE, path)
+    if len(raw) < 16:
+        raise ContractError(f"{path}: truncated header ({len(raw)} of 16 bytes)")
     h, w, r_max = struct.unpack_from("<IIf", raw, 4)
     n = h * w
     if len(raw) != 16 + 4 * n:
@@ -142,6 +144,8 @@ def load_descriptor_db(path) -> Tuple[List[int], np.ndarray]:
     with open(path, "rb") as f:
         raw = f.read()
     _expect_magic(raw, MAGIC_DB, path)
+    if len(raw) < 12:
+        raise ContractError(f"{path}: truncated header ({len(raw)} of 12 bytes)")
     count, dim = struct.unpack_from("<II", raw, 4)
     if len(raw) != 12 + count * (4 + 4 * dim):
         raise ContractError(f"{path}: size does not match {count}x{dim} header")
@@ -195,7 +199,10 @@ def load_poses(path) -> List[Pose]:
             line = line.strip()
             if not line:
                 continue
-            vals = [float(t) for t in line.split()]
+            try:
+                vals = [float(t) for t in line.split()]
+            except ValueError as exc:
+                raise ContractError(f"{path}:{ln}: {exc}") from None
             if len(vals) != 12:
                 raise ContractError(f"{path}:{ln}: expected 12 floats, got {len(vals)}")
             m = np.array(vals).reshape(3, 4)
@@ -219,9 +226,12 @@ def load_labels(path) -> List[OverlapLabel]:
             parts = line.split()
             if len(parts) != 3:
                 raise ContractError(f"{path}:{ln}: expected 'query cand overlap'")
-            labels.append(
-                OverlapLabel(query=int(parts[0]), cand=int(parts[1]), overlap=float(parts[2]))
-            )
+            try:
+                lab = OverlapLabel(query=int(parts[0]), cand=int(parts[1]),
+                                   overlap=float(parts[2]))
+            except ValueError as exc:
+                raise ContractError(f"{path}:{ln}: {exc}") from None
+            labels.append(lab)
     return labels
 
 

@@ -93,9 +93,11 @@ def check_autodiff_gradients() -> str:
 
 
 def check_scan_equivalence() -> str:
+    """The parallel scan and the fused selective scan against the
+    sequential recurrence (zero-order hold and Euler operators)."""
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for m in (1, 7, 64):
+    worst_par = worst_fused = 0.0
+    for m in (1, 7, 70):
         e, n = 3, 4
         delta = tt.Tensor(rng.uniform(1e-3, 1e-1, size=(2, m, e)))
         a = tt.Tensor(-rng.uniform(0.2, 2.0, size=(e, n)))
@@ -106,10 +108,15 @@ def check_scan_equivalence() -> str:
         dssm = ssm.discretize(delta, a, b, mode="zoh")
         seq = ssm.scan_sequential(dssm, c, d, x).data
         par = ssm.scan_parallel(dssm, c, d, x).data
-        worst = max(worst, float(np.max(np.abs(seq - par))))
+        worst_par = max(worst_par, float(np.max(np.abs(seq - par))))
+        euler = ssm.discretize(delta, a, b, mode="euler")
+        seq = ssm.scan_sequential(euler, c, d, x).data
+        fused = ssm.selective_scan(x, delta, a, b, c, d).data
+        worst_fused = max(worst_fused, float(np.max(np.abs(seq - fused))))
+    worst = max(worst_par, worst_fused)
     if worst >= 1e-10:
         raise AssertionError(f"scan mismatch {worst:.3e} >= 1e-10")
-    return f"max |seq - par| {worst:.2e}"
+    return f"max |seq - par| {worst_par:.2e}, max |seq - fused| {worst_fused:.2e}"
 
 
 def check_recurrence_convolution_duality() -> str:

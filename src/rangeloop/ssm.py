@@ -1,11 +1,22 @@
 """State-space sequence transforms.
 
 The continuous system dh/dt = A h + B x, y = C h + D x is discretized per
-step and evaluated either as a left-to-right recurrence, as a work-efficient
-associative scan (same result, O(log M) depth), or, in the time-invariant
-special case, as a causal convolution with an unrolled kernel.  The
-selective form re-derives step size and the B/C projections from the input
-at every position, which is what the sequence encoder trains.
+step.  The selective form re-derives step size and the B/C projections from
+the input at every position, which is what the sequence encoder trains.
+
+Production path: ``selective_ssm`` projects the token stream and calls
+``selective_scan``, which fuses Euler discretization, the recurrence and the
+readout into one tape node with a hand-written reverse-time adjoint that
+recomputes states instead of storing them (the hardware-aware recipe of
+Mamba, Gu & Dao 2023, section 3.3).
+
+Oracles, used by the tests and ``selfcheck`` and kept out of hot paths:
+``discretize`` (Euler or zero-order hold) builds the (B, M, E, N) discrete
+operators; ``scan_sequential`` runs the left-to-right recurrence on them and
+``scan_parallel`` the same as a work-efficient associative scan (O(log M)
+depth, via ``_pair_scan``); ``lti_kernel`` and ``causal_conv`` evaluate the
+time-invariant special case as a causal convolution with an unrolled
+kernel.  All of them record ordinary tape ops.
 
 Shapes: state matrices are diagonal, so A is carried as an (E, N) table of
 per-channel/state scalars.  Discrete operators are (B, M, E, N); token
@@ -254,12 +265,116 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# fused selective scan
+
+# Steps per vectorised block of the fused scan.  Decay factors and input
+# injections are formed for one block at a time, so the largest temporary is
+# (B, _SCAN_CHUNK, E, N) however long the sequence is.
+_SCAN_CHUNK = 64
+
+
+def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
+    """Euler-discretised selective scan as one tape node.
+
+    x, delta: (B, M, E), delta strictly positive.  a: (E, N) diagonal
+    evolution.  b, c: (B, M, N) per-step input and readout maps.  d: (E,)
+    skip gain.  Evaluates, with h_0 = 0,
+
+        h_m = exp(delta_m * a) * h_{m-1} + delta_m * x_m * b_m
+        y_m = sum_n c_m * h_m + d * x_m
+
+    left to right in blocks of ``_SCAN_CHUNK`` steps; no (B, M, E, N) tensor
+    is kept.  While a tape records, only the state at each block boundary
+    is saved.  The backward runs the adjoint recurrence right to left,
+    lambda_m = c_m * gy_m + exp(delta_{m+1} * a) * lambda_{m+1}, recomputing
+    each block's states from its saved boundary state.  Same result as
+    ``discretize(mode="euler")`` followed by ``scan_sequential``.
+    """
+    x, delta, a, b, c, d = (tt.as_tensor(t) for t in (x, delta, a, b, c, d))
+    if x.ndim != 3:
+        raise ShapeError(f"input must be (B, M, E), got {x.shape}")
+    bsz, m, e = x.shape
+    if delta.shape != x.shape:
+        raise ShapeError(f"step sizes {delta.shape} do not match input {x.shape}")
+    if a.ndim != 2 or a.shape[0] != e:
+        raise ShapeError(f"evolution table must be ({e}, N), got {a.shape}")
+    n = a.shape[1]
+    if b.shape != (bsz, m, n) or c.shape != (bsz, m, n):
+        raise ShapeError(
+            f"input/readout maps {b.shape}/{c.shape} do not match (B, M, N)=({bsz}, {m}, {n})")
+    if d.shape != (e,):
+        raise ShapeError(f"skip gain must be ({e},), got {d.shape}")
+    if np.any(delta.data <= 0.0):
+        raise ContractError("step sizes must be strictly positive")
+
+    inputs = (x, delta, a, b, c, d)
+    xd, dd, ad, bd, cd = x.data, delta.data, a.data, b.data, c.data
+    blocks = [slice(s, min(s + _SCAN_CHUNK, m)) for s in range(0, m, _SCAN_CHUNK)]
+    saved = [] if tt._recording(inputs) else None
+    y = xd * d.data
+    h = np.zeros((bsz, e, n))
+    for sl in blocks:
+        if saved is not None:
+            saved.append(h)
+        _, hs = _block_states(h, xd[:, sl], dd[:, sl], ad, bd[:, sl])
+        y[:, sl] += np.einsum("blen,bln->ble", hs, cd[:, sl])
+        h = hs[:, -1].copy()
+
+    def bwd():
+        def fn(gy):
+            gx = gy * d.data
+            gd = np.einsum("bme,bme->e", gy, xd)
+            gdelta = np.empty_like(dd)
+            ga = np.zeros_like(ad)
+            gb = np.empty_like(bd)
+            gc = np.empty_like(cd)
+            carry = np.zeros((bsz, e, n))  # exp(delta_{m+1} a) * lambda_{m+1}
+            for sl, h0 in zip(reversed(blocks), reversed(saved)):
+                xl, dl, bl, gyl = xd[:, sl], dd[:, sl], bd[:, sl], gy[:, sl]
+                decay, hs = _block_states(h0, xl, dl, ad, bl)
+                lam = gyl[..., None] * cd[:, sl, None, :]
+                for i in range(lam.shape[1] - 1, -1, -1):
+                    lam[:, i] += carry
+                    carry = decay[:, i] * lam[:, i]
+                gc[:, sl] = np.einsum("blen,ble->bln", hs, gyl)
+                # hs now holds h_{m-1}: d h_m / d(delta_m a) = exp(delta_m a) * h_{m-1}
+                hs[:, 1:] = hs[:, :-1]
+                hs[:, 0] = h0
+                dlogdecay = lam * decay * hs  # gradient w.r.t. delta_m * a
+                u = dl * xl
+                gu = np.einsum("blen,bln->ble", lam, bl)
+                gb[:, sl] = np.einsum("blen,ble->bln", lam, u)
+                gx[:, sl] += gu * dl
+                gdelta[:, sl] = gu * xl + np.einsum("blen,en->ble", dlogdecay, ad)
+                ga += np.einsum("blen,ble->en", dlogdecay, dl)
+            return gx, gdelta, ga, gb, gc, gd
+
+        return fn
+
+    return tt._make_out(y, inputs, bwd)
+
+
+def _block_states(h0, x, delta, a, b):
+    """Decay factors and states of one block of steps, from the state h0
+    before it: both (B, L, E, N)."""
+    decay = delta[..., None] * a
+    np.exp(decay, out=decay)
+    hs = (delta * x)[..., None] * b[:, :, None, :]
+    prev = h0
+    for i in range(hs.shape[1]):
+        hs[:, i] += decay[:, i] * prev
+        prev = hs[:, i]
+    return decay, hs
+
+
+# --------------------------------------------------------------------------
 # selective form
 
 
-def selective_ssm(xp: tt.Tensor, params: SsmParams, parallel: bool = True) -> tt.Tensor:
+def selective_ssm(xp: tt.Tensor, params: SsmParams) -> tt.Tensor:
     """Input-dependent scan: every position derives its own step size and
-    B/C maps from a shared projection of the token stream.
+    B/C maps from a shared projection of the token stream, then runs the
+    fused ``selective_scan``.
 
     xp: (B, M, E) already convolved and activated.  Output has the same shape
     and includes the d*x skip path.
@@ -278,6 +393,4 @@ def selective_ssm(xp: tt.Tensor, params: SsmParams, parallel: bool = True) -> tt
     c_proj = tt.narrow(s, 2, r + n, n)
     delta = tt.softplus(tt.linear(dt_low, params.proj_dt_w, params.proj_dt_b))
     a = tt.neg(tt.exp(params.a_log))
-    dssm = discretize(delta, a, b_proj, mode="euler")
-    scan = scan_parallel if parallel else scan_sequential
-    return scan(dssm, c_proj, params.d, xp)
+    return selective_scan(xp, delta, a, b_proj, c_proj, params.d)

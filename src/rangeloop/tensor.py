@@ -2,9 +2,8 @@
 
 Design notes:
 
-* Values are numpy arrays, float64 by default (verification builds need the
-  headroom for finite-difference gradient checks); float32 can be switched on
-  globally for benchmark runs via ``set_default_dtype``.
+* Values are float64 numpy arrays (verification builds need the headroom for
+  finite-difference gradient checks).
 * Operations record themselves on the thread-local active ``Tape``.  Recording
   order is execution order, which is already a topological order of the
   computation graph, so ``backward`` is a single reverse sweep over the tape.
@@ -16,6 +15,9 @@ Design notes:
 * Every reduction uses a fixed order, so results are reproducible bit-for-bit
   for a fixed thread count.  ``sum_positions`` additionally sorts its addends,
   making it invariant to permutations of the summed axis at the bit level.
+* Hot kernels are one tape node each with a hand-written adjoint.  The two
+  convolutions unfold their single conv axis (im2col) and make one GEMM;
+  their backward is the transposed product plus a fold.
 
 Tensors are immutable after construction except for the ``grad`` buffer and
 optimizer updates to leaf parameters.  A tape is single-threaded; independent
@@ -30,29 +32,13 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the global value dtype (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ContractError(f"unsupported dtype {dtype}; use float64 or float32")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class Tensor:
     """A dense n-dimensional value, optionally participating in a tape."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -114,15 +100,15 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad)
+    return Tensor(np.zeros(shape), requires_grad)
 
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad)
+    return Tensor(np.ones(shape), requires_grad)
 
 
 # --------------------------------------------------------------------------
@@ -201,13 +187,18 @@ def backward(loss: Tensor, tape: Tape) -> None:
             inp.grad += gi
 
 
+def _recording(inputs) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and grads
+    can flow.  Ops that save extra state for their adjoint ask first."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _make_out(data, inputs, backward_fn):
     """Wrap an op result; record it if a tape is active and grads can flow."""
-    tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = _recording(inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        tape._nodes.append(_Node(out, inputs, backward_fn()))
+        active_tape()._nodes.append(_Node(out, inputs, backward_fn()))
     return out
 
 
@@ -840,7 +831,8 @@ def conv_vertical(x, w, stride_h: int = 1) -> Tensor:
 
     Width extent is untouched and output column j depends only on input
     column j, which is what keeps the backbone exactly shift-equivariant
-    along the width axis.
+    along the width axis.  One GEMM: the strided height taps, unfolded to
+    ``(B*H'*W, C*k)``, times the ``(C*k, O)`` kernel.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -849,29 +841,25 @@ def conv_vertical(x, w, stride_h: int = 1) -> Tensor:
         raise ShapeError(f"conv_vertical kernel width must be 1, got {w.shape}")
     if w.shape[1] != x.shape[1]:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
-    k = w.shape[2]
+    o, c, k = w.shape[:3]
     h = x.shape[2]
     if k > h:
         raise ConfigError(f"kernel height {k} exceeds input height {h}")
     h_out = (h - k) // stride_h + 1
     span = stride_h * (h_out - 1) + 1
-    wk = w.data[:, :, :, 0]
-    data = np.zeros((x.shape[0], w.shape[0], h_out, x.shape[3]))
-    for j in range(k):
-        data += np.einsum(
-            "oc,bchw->bohw", wk[:, :, j], x.data[:, :, j : j + span : stride_h, :]
-        )
+    # taps[j, i]: the input row that tap j reads for output row i
+    taps = np.arange(k)[:, None] + stride_h * np.arange(h_out)[None, :]
+    w2 = w.data.reshape(o, c * k)
+    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], h_out, x.shape[3]))
 
     def bwd():
-        xd = x.data
-
         def fn(g):
-            gw = np.zeros(w.shape)
-            gx = np.zeros(xd.shape)
+            gy = _gemm_rows(g)
+            gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
+            gcols = (gy @ w2).reshape(g.shape[:1] + g.shape[2:] + (c, k))
+            gx = np.zeros(x.shape)
             for j in range(k):
-                sl = slice(j, j + span, stride_h)
-                gw[:, :, j, 0] = np.einsum("bohw,bchw->oc", g, xd[:, :, sl, :])
-                gx[:, :, sl, :] += np.einsum("oc,bohw->bchw", wk[:, :, j], g)
+                gx[:, :, j : j + span : stride_h, :] += np.moveaxis(gcols[..., j], -1, 1)
             return gx, gw
 
         return fn
@@ -884,45 +872,64 @@ def conv1d_circular(x, w) -> Tensor:
 
     True convolution (kernel flipped): y[m] = sum_j w[j] x[(m + r - j) mod M]
     with r = (k-1)/2, so a one-hot kernel at j=0 shifts the signal forward.
+    One GEMM: the wrapped taps, unfolded to ``(B*M, C*k)``, times the
+    ``(C*k, O)`` kernel; the backward folds ``g @ W`` back with the same wrap.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d_circular expects 3-d operands, got {x.shape}, {w.shape}")
     if w.shape[1] != x.shape[1]:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
-    k = w.shape[2]
+    o, c, k = w.shape
     if k % 2 == 0:
         raise ConfigError(f"conv1d_circular kernel length must be odd, got {k}")
     m = x.shape[2]
     r = (k - 1) // 2
-    xpad = _wrap_pad(x.data, r)
-    data = np.zeros((x.shape[0], w.shape[0], m))
-    for j in range(k):
-        data += np.einsum("oc,bcm->bom", w.data[:, :, j], xpad[:, :, 2 * r - j : 2 * r - j + m])
+    # taps[j, i]: the input position that tap j reads for output position i
+    taps = (np.arange(m)[None, :] + r - np.arange(k)[:, None]) % m
+    w2 = w.data.reshape(o, c * k)
+    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], m))
 
     def bwd():
-        wd = w.data
-
         def fn(g):
-            gpad = _wrap_pad(g, r)
-            gw = np.zeros(w.shape)
-            gx = np.zeros(x.shape)
+            gy = _gemm_rows(g)
+            gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
+            gcols = (gy @ w2).reshape(x.shape[0], m, c, k)
+            gx = np.zeros((x.shape[0], m, c))
             for j in range(k):
-                gw[:, :, j] = np.einsum(
-                    "bom,bcm->oc", g, xpad[:, :, 2 * r - j : 2 * r - j + m]
-                )
-                gx += np.einsum("oc,bom->bcm", wd[:, :, j], gpad[:, :, j : j + m])
-            return gx, gw
+                gx += np.roll(gcols[..., j], r - j, axis=1)
+            return gx.transpose(0, 2, 1), gw
 
         return fn
 
     return _make_out(data, (x, w), bwd)
 
 
-def _wrap_pad(x: np.ndarray, r: int) -> np.ndarray:
-    if r == 0:
-        return x
-    return np.concatenate([x[..., -r:], x, x[..., :r]], axis=-1)
+# The unfolded GEMMs put every output position on its own row, as the
+# position-wise ``linear`` layers do.  BLAS varies its summation order across
+# output columns (edge tiles) but not across rows, so a column shift of the
+# input shifts the output bit for bit.  The backward rebuilds the unfold from
+# the input instead of keeping it alive on the tape.
+
+
+def _unfold(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """im2col along axis 2 of a ``(B, C, ...)`` array: gather the ``(k, L)``
+    index table ``taps`` there and lay the result out as rows
+    ``(B, L, ...)`` by columns ``(C, k)``, the order of a reshaped kernel."""
+    g = np.moveaxis(np.take(x, taps, axis=2), (1, 2), (-2, -1))
+    return g.reshape(-1, g.shape[-2] * g.shape[-1])
+
+
+def _conv_gemm(cols: np.ndarray, w2: np.ndarray, lead) -> np.ndarray:
+    """``cols @ w2.T``, whose rows are the positions ``lead = (B, ...)``,
+    laid out as ``(B, O, ...)``."""
+    y = (cols @ w2.T).reshape(tuple(lead) + (w2.shape[0],))
+    return np.ascontiguousarray(np.moveaxis(y, -1, 1))
+
+
+def _gemm_rows(g: np.ndarray) -> np.ndarray:
+    """A ``(B, O, ...)`` output gradient as the ``(B*..., O)`` GEMM rows."""
+    return np.moveaxis(g, 1, -1).reshape(-1, g.shape[1])
 
 
 def maxpool1d_circular(x, k: int) -> Tensor:

@@ -199,6 +199,14 @@ class TestAcceptance:
             wv = rng.standard_normal((4, 3, 3, 1)) * 0.4
             gain = rng.uniform(0.5, 1.5, size=4)
             beta = rng.standard_normal(4)
+            # fused scan over more than one block of steps, every input free
+            m_s = ssm._SCAN_CHUNK + 6
+            scan_in = [rng.standard_normal((2, m_s, 3)),
+                       rng.uniform(0.05, 0.8, size=(2, m_s, 3)),
+                       -rng.uniform(0.2, 2.0, size=(3, 4)),
+                       rng.standard_normal((2, m_s, 4)),
+                       rng.standard_normal((2, m_s, 4)),
+                       rng.standard_normal(3)]
 
             cases = [
                 ("add", lambda a, b: tt.add(a, b), [a2, b2]),
@@ -247,6 +255,7 @@ class TestAcceptance:
                  [x3, gain, beta]),
                 ("softmax", lambda x: tt.softmax(x, axis=-1), [x3]),
                 ("l2_normalize", lambda x: tt.l2_normalize(x, axis=-1), [x3]),
+                ("selective_scan", ssm.selective_scan, scan_in),
             ]
             worst_overall = 0.0
             for name, op, arrays in cases:

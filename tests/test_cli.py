@@ -216,6 +216,55 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestMalformedInputs:
+    """Malformed files end in exit 2 with a one-line message."""
+
+    @staticmethod
+    def _assert_one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("n_bytes", [4, 6, 11])
+    def test_truncated_db_header_is_2(self, tmp_path, capsys, n_bytes):
+        db = tmp_path / "short.omdb"
+        db.write_bytes((b"OMDB" + bytes(8))[:n_bytes])
+        assert main(["search", "--db", str(db), "--query", str(db),
+                     "--k", "1"]) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_truncated_range_header_is_2(self, workspace, tmp_path, capsys):
+        ranges = tmp_path / "ranges"
+        ranges.mkdir()
+        (ranges / "range_0000.omrv").write_bytes(b"OMRV" + bytes(6))
+        assert main(["embed", "--ckpt", str(workspace / "ckpt" / "final.omck"),
+                     "--ranges", str(ranges),
+                     "--out", str(tmp_path / "db.omdb")]) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_non_numeric_label_is_2(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0 4 0.5\n1 five 0.5\n")
+        proto = tmp_path / "loop.kv"
+        proto.write_text("kind=loop_closure\nwindow=3\n")
+        assert main(["eval-loop", "--db", str(workspace / "db.omdb"),
+                     "--poses", str(workspace / "world" / "poses.txt"),
+                     "--labels", str(labels), "--protocol", str(proto)]) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_non_numeric_pose_is_2(self, workspace, tmp_path, capsys):
+        lines = (workspace / "world" / "poses.txt").read_text().splitlines()
+        lines[1] = " ".join(["nope"] + lines[1].split()[1:])
+        poses = tmp_path / "poses.txt"
+        poses.write_text("\n".join(lines) + "\n")
+        proto = tmp_path / "loop.kv"
+        proto.write_text("kind=loop_closure\nwindow=3\n")
+        assert main(["eval-loop", "--db", str(workspace / "db.omdb"),
+                     "--poses", str(poses),
+                     "--labels", str(workspace / "labels.txt"),
+                     "--protocol", str(proto)]) == 2
+        self._assert_one_line_error(capsys)
+
+
 class TestEntryPoint:
     def test_module_invocation_selfcheck(self):
         proc = subprocess.run(

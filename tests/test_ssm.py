@@ -245,12 +245,21 @@ class TestSelectiveSsm:
         assert np.max(np.abs(y.data - want)) < 1e-8
 
     def test_parallel_and_sequential_paths_agree(self):
+        # the fused production path against the oracle chain: Euler
+        # discretization, then either tape-built scan
         rng = np.random.default_rng(42)
         params = ssm.init_ssm_params(rng, e=3, n=2, rank=1)
         x = rng.standard_normal((1, 10, 3))
-        yp = ssm.selective_ssm(T.Tensor(x), params, parallel=True)
-        ys = ssm.selective_ssm(T.Tensor(x), params, parallel=False)
-        assert np.max(np.abs(yp.data - ys.data)) < 1e-10
+        fused = ssm.selective_ssm(T.Tensor(x), params).data
+        r, n = params.rank, params.n
+        s = T.linear(T.Tensor(x), params.proj_bc_w, params.proj_bc_b).data
+        delta = np.logaddexp(
+            0.0, s[..., :r] @ params.proj_dt_w.data + params.proj_dt_b.data)
+        dssm = ssm.discretize(T.Tensor(delta), T.Tensor(-np.exp(params.a_log.data)),
+                              T.Tensor(s[..., r:r + n]), mode="euler")
+        for scan in (ssm.scan_sequential, ssm.scan_parallel):
+            y = scan(dssm, T.Tensor(s[..., r + n:]), params.d, T.Tensor(x))
+            assert np.max(np.abs(fused - y.data)) < 1e-10
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -307,6 +316,57 @@ class TestSelectiveSsm:
             rng.standard_normal((1, 5, 2)),
         ]
         check_grads(op, arrays, rng)
+
+
+def random_scan_inputs(rng, b, m, e, n):
+    """(x, delta, a, b, c, d) for ``selective_scan``."""
+    return [
+        rng.standard_normal((b, m, e)),
+        rng.uniform(0.05, 0.8, size=(b, m, e)),
+        -np.exp(rng.standard_normal((e, n)) * 0.5),
+        rng.standard_normal((b, m, n)),
+        rng.standard_normal((b, m, n)),
+        rng.standard_normal(e),
+    ]
+
+
+class TestSelectiveScan:
+    @pytest.mark.parametrize("m", [1, 7, 64, 900])
+    def test_matches_sequential(self, m):
+        # 900 is not a multiple of the block length, 64 is exactly one block
+        rng = np.random.default_rng(42 + m)
+        x, delta, a, b, c, d = random_scan_inputs(rng, 2, m, 3, 4)
+        dssm = ssm.discretize(T.Tensor(delta), T.Tensor(a), T.Tensor(b), mode="euler")
+        want = ssm.scan_sequential(dssm, T.Tensor(c), T.Tensor(d), T.Tensor(x)).data
+        got = ssm.selective_scan(x, delta, a, b, c, d).data
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("chunk,m", [(3, 10), (ssm._SCAN_CHUNK, ssm._SCAN_CHUNK + 6)])
+    def test_gradients_across_blocks(self, chunk, m, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_CHUNK", chunk)
+        rng = np.random.default_rng(42)
+        check_grads(ssm.selective_scan, random_scan_inputs(rng, 2, m, 2, 3), rng)
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(42)
+        inputs = [T.Tensor(v, requires_grad=True)
+                  for v in random_scan_inputs(rng, 1, 70, 2, 3)]
+        with T.Tape() as tape:
+            ssm.selective_scan(*inputs)
+        assert len(tape) == 1
+
+    def test_nonpositive_step_rejected(self):
+        rng = np.random.default_rng(42)
+        x, delta, a, b, c, d = random_scan_inputs(rng, 1, 4, 2, 3)
+        delta[0, 2, 1] = 0.0
+        with pytest.raises(errors.ContractError):
+            ssm.selective_scan(x, delta, a, b, c, d)
+
+    def test_map_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(42)
+        x, delta, a, b, c, d = random_scan_inputs(rng, 1, 4, 2, 3)
+        with pytest.raises(errors.ShapeError):
+            ssm.selective_scan(x, delta, a, b[:, :, :2], c, d)
 
 
 class TestDtRank:

@@ -517,18 +517,3 @@ class TestDeterminism:
         a, b = run(), run()
         for got, want in zip(a, b):
             np.testing.assert_array_equal(got, want)
-
-
-class TestDtypeSwitch:
-    def test_float32_path_roundtrip(self):
-        T.set_default_dtype(np.float32)
-        try:
-            x = T.Tensor([1.0, 2.0])
-            assert x.data.dtype == np.float32
-        finally:
-            T.set_default_dtype(np.float64)
-        assert T.Tensor([1.0]).data.dtype == np.float64
-
-    def test_rejects_integer_dtype(self):
-        with pytest.raises(errors.ContractError):
-            T.set_default_dtype(np.int32)
