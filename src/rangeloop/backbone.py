@@ -124,16 +124,6 @@ def init_backbone(rng: np.random.Generator, cfg: BackboneConfig) -> BackbonePara
     return BackboneParams(weights, biases, spp_w, spp_b)
 
 
-def _bias_nchw(x: tt.Tensor, b: tt.Tensor) -> tt.Tensor:
-    c = b.shape[0]
-    return tt.add(x, tt.broadcast_to(tt.reshape(b, (1, c, 1, 1)), x.shape))
-
-
-def _bias_ncm(x: tt.Tensor, b: tt.Tensor) -> tt.Tensor:
-    c = b.shape[0]
-    return tt.add(x, tt.broadcast_to(tt.reshape(b, (1, c, 1)), x.shape))
-
-
 def _spp_channels_first(x: tt.Tensor, params: BackboneParams, cfg: SppConfig) -> tt.Tensor:
     """Pyramid pooling on a (B, C, M) stream."""
     levels = [x]
@@ -145,7 +135,7 @@ def _spp_channels_first(x: tt.Tensor, params: BackboneParams, cfg: SppConfig) ->
             out = tt.add(out, lv)
         return out
     cat = tt.concat(levels, axis=1)
-    return _bias_ncm(tt.conv1d_circular(cat, params.spp_w), params.spp_b)
+    return tt.add_channel_bias(tt.conv1d_circular(cat, params.spp_w), params.spp_b)
 
 
 def spp_forward(seq: tt.Tensor, params: BackboneParams, cfg: SppConfig) -> tt.Tensor:
@@ -161,10 +151,8 @@ def backbone_forward(x: tt.Tensor, params: BackboneParams, cfg: BackboneConfig) 
     if x.ndim != 4:
         raise ConfigError(f"backbone input must be (B, C, H, W), got {x.shape}")
     cfg.height_trace(x.shape[2])
-    for (w, b), (_, _, s) in zip(
-        zip(params.stage_weights, params.stage_biases), cfg.stages
-    ):
-        x = tt.silu(_bias_nchw(tt.conv_vertical(x, w, stride_h=s), b))
+    for w, b, (_, _, s) in zip(params.stage_weights, params.stage_biases, cfg.stages):
+        x = tt.silu(tt.add_channel_bias(tt.conv_vertical(x, w, stride_h=s), b))
     bsz, c, _, m = x.shape
     seq = tt.reshape(x, (bsz, c, m))
     seq = _spp_channels_first(seq, params, cfg.spp)

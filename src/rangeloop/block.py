@@ -153,11 +153,6 @@ def flip(x: tt.Tensor) -> tt.Tensor:
     return tt.flip(tt.as_tensor(x), axis=1)
 
 
-def _bias_cm(x: tt.Tensor, b: tt.Tensor) -> tt.Tensor:
-    c = b.shape[0]
-    return tt.add(x, tt.broadcast_to(tt.reshape(b, (1, c, 1)), x.shape))
-
-
 def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
                 rng: np.random.Generator) -> tt.Tensor:
     """One mixing block: (B, M, D) -> (B, M, D).
@@ -186,7 +181,7 @@ def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
         if name.startswith("backward"):
             xo = flip(xo)
         stream = tt.transpose(xo, (0, 2, 1))
-        stream = tt.silu(_bias_cm(tt.conv1d_circular(stream, conv_w), conv_b))
+        stream = tt.silu(tt.add_channel_bias(tt.conv1d_circular(stream, conv_w), conv_b))
         xp = tt.transpose(stream, (0, 2, 1))
         yo = ssm.selective_ssm(xp, sp)
         if name.startswith("backward"):

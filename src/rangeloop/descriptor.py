@@ -1,11 +1,10 @@
 """Global descriptor head: learned-cluster aggregation plus an MLP.
 
-The aggregation sums soft-assigned residuals over sequence positions.  That
-sum is order-free, so the descriptor is exactly invariant to circular shifts
-of the token sequence: the property that makes retrieval insensitive to the
-heading the sensor had when a place was revisited.  Position sums use a
-value-sorted reduction, making the invariance hold bit-for-bit, not just up
-to rounding.
+The aggregation sums soft-assigned residuals over sequence positions, after
+gathering the positions into one canonical row order.  Any permutation of the
+token sequence, so a yaw shift, then leaves the descriptor bit-identical, not
+just equal up to rounding: the property that makes retrieval insensitive to
+the heading the sensor had when a place was revisited.
 """
 
 from __future__ import annotations
@@ -82,20 +81,21 @@ def netvlad_forward(seq: tt.Tensor, centers: tt.Tensor, assign_w: tt.Tensor,
     seq = tt.as_tensor(seq)
     if seq.ndim != 3:
         raise ShapeError(f"token sequence must be (B, M, D), got {seq.shape}")
-    bsz, m, d = seq.shape
+    bsz, _, d = seq.shape
     k = centers.shape[0]
     if centers.shape != (k, d) or assign_w.shape != (d, k):
         raise ShapeError(
             f"cluster table {centers.shape} / assignment {assign_w.shape} do not match D={d}"
         )
+    # canonical order: rows sorted as byte strings, so only bit-identical
+    # (interchangeable) rows tie and any permutation gathers to the same bits
+    rows = np.ascontiguousarray(seq.data).view(np.dtype((np.void, 8 * d)))
+    order = np.argsort(rows, axis=1)  # (B, M, 1)
+    seq = tt.take_along(seq, order, axis=1)
     alpha = tt.softmax(tt.linear(seq, assign_w, assign_b), axis=-1)  # (B, M, K)
-    a4 = tt.broadcast_to(tt.reshape(alpha, (bsz, m, k, 1)), (bsz, m, k, d))
-    x4 = tt.broadcast_to(tt.reshape(seq, (bsz, m, 1, d)), (bsz, m, k, d))
-    weighted = tt.sum_positions(tt.mul(a4, x4), axis=1)  # (B, K, D)
-    counts = tt.sum_positions(alpha, axis=1)  # (B, K)
-    c3 = tt.broadcast_to(tt.reshape(centers, (1, k, d)), (bsz, k, d))
-    n3 = tt.broadcast_to(tt.reshape(counts, (bsz, k, 1)), (bsz, k, d))
-    residuals = tt.sub(weighted, tt.mul(n3, c3))
+    weighted = tt.einsum2("bmk,bmd->bkd", alpha, seq)
+    counts = tt.tsum(alpha, axis=1)  # (B, K)
+    residuals = tt.sub(weighted, tt.einsum2("bk,kd->bkd", counts, centers))
     intra = tt.l2_normalize(residuals, axis=2)
     flat = tt.reshape(intra, (bsz, k * d))
     return tt.l2_normalize(flat, axis=1)

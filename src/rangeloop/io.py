@@ -123,6 +123,13 @@ def load_range_image(path) -> RangeImage:
 # descriptor databases
 
 
+def _db_dtype(path, dim: int) -> np.dtype:
+    """One packed ``.omdb`` entry: a u32 scan id, then ``dim`` f32 values."""
+    if 4 + 4 * dim > np.iinfo(np.intc).max:  # numpy's bound on a record size
+        raise ContractError(f"{path}: descriptor dimension {dim} is too large")
+    return np.dtype([("id", "<u4"), ("v", "<f4", (dim,))])
+
+
 def save_descriptor_db(path, ids: Iterable[int], descriptors: np.ndarray) -> None:
     ids = list(ids)
     desc = np.asarray(descriptors, dtype="<f4")
@@ -132,12 +139,15 @@ def save_descriptor_db(path, ids: Iterable[int], descriptors: np.ndarray) -> Non
         )
     if len(set(ids)) != len(ids):
         raise ContractError("descriptor ids must be unique")
+    if any(not 0 <= i <= 0xFFFFFFFF for i in ids):
+        raise ContractError("descriptor ids must fit in an unsigned 32-bit field")
+    entries = np.empty(len(ids), dtype=_db_dtype(path, desc.shape[1]))
+    entries["id"] = ids
+    entries["v"] = desc
     with open(path, "wb") as f:
         f.write(MAGIC_DB)
         f.write(struct.pack("<II", desc.shape[0], desc.shape[1]))
-        for i, row in zip(ids, desc):
-            f.write(struct.pack("<I", i))
-            f.write(row.tobytes())
+        f.write(entries.tobytes())
 
 
 def load_descriptor_db(path) -> Tuple[List[int], np.ndarray]:
@@ -149,16 +159,8 @@ def load_descriptor_db(path) -> Tuple[List[int], np.ndarray]:
     count, dim = struct.unpack_from("<II", raw, 4)
     if len(raw) != 12 + count * (4 + 4 * dim):
         raise ContractError(f"{path}: size does not match {count}x{dim} header")
-    ids: List[int] = []
-    desc = np.empty((count, dim))
-    off = 12
-    for i in range(count):
-        (scan_id,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        ids.append(scan_id)
-        desc[i] = np.frombuffer(raw, dtype="<f4", count=dim, offset=off)
-        off += 4 * dim
-    return ids, desc
+    entries = np.frombuffer(raw, dtype=_db_dtype(path, dim), count=count, offset=12)
+    return entries["id"].tolist(), entries["v"].astype(np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -244,12 +246,15 @@ def save_place_ids(path, place_ids: Iterable[int]) -> None:
 def load_place_ids(path) -> List[int]:
     pairs = []
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            idx, pid = line.split()
-            pairs.append((int(idx), int(pid)))
+            try:
+                idx, pid = (int(t) for t in line.split())
+            except ValueError as exc:
+                raise ContractError(f"{path}:{ln}: expected 'index place_id': {exc}") from None
+            pairs.append((idx, pid))
     pairs.sort()
     return [pid for _, pid in pairs]
 

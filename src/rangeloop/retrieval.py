@@ -378,7 +378,8 @@ def _time(fn, reps: int) -> List[float]:
 def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
           scan_len: int = 900) -> List[BenchRow]:
     """Wall-time report: descriptor extraction, database search, and the
-    sequential vs parallel scan kernels at sequence length scan_len."""
+    fused scan the model runs next to the sequential and parallel scan
+    oracles, at sequence length scan_len."""
     from . import pipeline as pl
     from . import ssm
     from . import tensor as tt
@@ -406,14 +407,12 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
     d = rng.normal(size=e)
     seq_x = rng.normal(size=(1, scan_len, e))
     dssm = ssm.discretize(delta, a, b, mode="zoh")
-    ssm.scan_sequential(dssm, c, d, seq_x)  # warm-up
-    rows.append(_timing_row(
-        f"scan_sequential_m{scan_len}",
-        _time(lambda: ssm.scan_sequential(dssm, c, d, seq_x), reps)))
-    ssm.scan_parallel(dssm, c, d, seq_x)  # warm-up
-    rows.append(_timing_row(
-        f"scan_parallel_m{scan_len}",
-        _time(lambda: ssm.scan_parallel(dssm, c, d, seq_x), reps)))
+    scans = (("scan_sequential", lambda: ssm.scan_sequential(dssm, c, d, seq_x)),
+             ("scan_parallel", lambda: ssm.scan_parallel(dssm, c, d, seq_x)),
+             ("selective_scan", lambda: ssm.selective_scan(seq_x, delta, a, b, c, d)))
+    for name, run in scans:
+        run()  # warm-up
+        rows.append(_timing_row(f"{name}_m{scan_len}", _time(run, reps)))
     return rows
 
 

@@ -11,10 +11,10 @@ Design notes:
 * Broadcasting is deliberately restricted: elementwise binary ops accept equal
   shapes, a scalar operand, or a trailing bias vector ``(d,)`` against
   ``(..., d)``.  Anything else raises ``ShapeError``.  Wider broadcasts must go
-  through the explicit ``broadcast_to``.
+  through the explicit ``broadcast_to`` (or ``add_channel_bias``).
 * Every reduction uses a fixed order, so results are reproducible bit-for-bit
-  for a fixed thread count.  ``sum_positions`` additionally sorts its addends,
-  making it invariant to permutations of the summed axis at the bit level.
+  for a fixed thread count.  A caller that needs a reduction invariant to
+  permutations at the bit level gathers its input into a canonical order.
 * Hot kernels are one tape node each with a hand-written adjoint.  The two
   convolutions unfold their single conv axis (im2col) and make one GEMM;
   their backward is the transposed product plus a fold.
@@ -576,28 +576,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axis=axes, keepdims=keepdims), 1.0 / count)
 
 
-def sum_positions(a, axis: int = 1) -> Tensor:
-    """Sum along ``axis`` with value-sorted addend order.
-
-    Bit-identical under any permutation of the summed axis: sorting makes the
-    reduction a function of the addend multiset only.  Used where circular
-    shifts of a token sequence must leave an aggregate exactly unchanged.
-    """
-    a = as_tensor(a)
-    ax = axis % a.ndim
-    data = np.sort(a.data, axis=ax).sum(axis=ax)
-
-    def bwd():
-        shape = a.shape
-
-        def fn(g):
-            return (np.broadcast_to(np.expand_dims(g, ax), shape).copy(),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
-
-
 def tmax(a, axis=None) -> Tensor:
     """Max reduction; subgradient routes to the first maximal element."""
     a = as_tensor(a)
@@ -689,6 +667,37 @@ def broadcast_to(a, shape) -> Tensor:
 
         def fn(g):
             return (g.sum(axis=sum_axes).reshape(orig),)
+
+        return fn
+
+    return _make_out(data, (a,), bwd)
+
+
+def add_channel_bias(x, b) -> Tensor:
+    """``x + b`` for a ``(C,)`` bias on axis 1 of a ``(B, C, ...)`` tensor."""
+    x, b = as_tensor(x), as_tensor(b)
+    if b.ndim != 1 or x.ndim < 2 or x.shape[1] != b.shape[0]:
+        raise ShapeError(f"channel bias {b.shape} does not match input {x.shape}")
+    data = x.data + b.data.reshape((1, -1) + (1,) * (x.ndim - 2))
+    others = (0,) + tuple(range(2, x.ndim))
+    return _make_out(data, (x, b), lambda: lambda g: (g, g.sum(axis=others)))
+
+
+def take_along(a, idx, axis: int) -> Tensor:
+    """``np.take_along_axis``; the adjoint scatter-adds each gradient back to
+    the position it was read from, so repeated indices accumulate."""
+    a = as_tensor(a)
+    idx = np.asarray(idx)
+    ax = axis % a.ndim
+    data = np.take_along_axis(a.data, idx, axis=ax)
+
+    def bwd():
+        def fn(g):
+            where = list(np.indices(g.shape, sparse=True))
+            where[ax] = idx
+            gx = np.zeros(a.shape)
+            np.add.at(gx, tuple(where), g)
+            return (gx,)
 
         return fn
 

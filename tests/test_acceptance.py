@@ -189,6 +189,7 @@ class TestAcceptance:
             mask = rng.random((3, 4)) > 0.5
             sep = (rng.permutation(12).astype(float) - 5.5).reshape(3, 4)
             x3 = rng.standard_normal((2, 6, 4))
+            order = np.argsort(x3[:, :, :1], axis=1)  # a row permutation
             w2 = rng.standard_normal((4, 5)) * 0.5
             b1 = rng.standard_normal(5)
             xc = rng.standard_normal((2, 3, 8))
@@ -231,13 +232,15 @@ class TestAcceptance:
                 ("linear", lambda x, w, b: tt.linear(x, w, b), [x3, w2, b1]),
                 ("tsum", lambda a: tt.tsum(a, axis=1), [x3]),
                 ("tmean", lambda a: tt.tmean(a, axis=(0, 2)), [x3]),
-                ("sum_positions", lambda a: tt.sum_positions(a, axis=1), [x3]),
+                ("take_along", lambda a: tt.take_along(a, order, axis=1), [x3]),
                 ("tmax", lambda a: tt.tmax(a, axis=0), [sep]),
                 ("tmin", lambda a: tt.tmin(a, axis=1), [sep]),
                 ("reshape", lambda a: tt.reshape(a, (4, 3)), [a2]),
                 ("transpose", lambda a: tt.transpose(a, (1, 0)), [a2]),
                 ("broadcast_to", lambda a: tt.broadcast_to(a, (3, 4)),
                  [rng.standard_normal((1, 4))]),
+                ("add_channel_bias", lambda x, b: tt.add_channel_bias(x, b),
+                 [xc, b1[:3]]),
                 ("flip", lambda a: tt.flip(a, 1), [a2]),
                 ("roll", lambda a: tt.roll(a, 2, 1), [a2]),
                 ("concat", lambda a, b: tt.concat([a, b], axis=0), [a2, b2]),
@@ -671,7 +674,8 @@ class TestAcceptance:
             by_name = {r.name: r for r in rows}
             assert set(by_name) == {"descriptor_extraction", "db_search_1000",
                                     "scan_sequential_m900",
-                                    "scan_parallel_m900"}
+                                    "scan_parallel_m900",
+                                    "selective_scan_m900"}
             for r in rows:
                 assert r.mean_s > 0.0
                 print(f"     {r.name}: {r.mean_s * 1e3:.2f} ms"
@@ -679,3 +683,6 @@ class TestAcceptance:
             speedup = (by_name["scan_sequential_m900"].mean_s
                        / by_name["scan_parallel_m900"].mean_s)
             print(f"     parallel scan speedup at length 900: {speedup:.1f}x")
+            fused = (by_name["scan_sequential_m900"].mean_s
+                     / by_name["selective_scan_m900"].mean_s)
+            print(f"     fused scan speedup at length 900: {fused:.1f}x")

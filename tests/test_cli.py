@@ -145,7 +145,7 @@ class TestWorkflow:
         assert rows[0][0] == "name"
         assert {r[0] for r in rows[1:]} == {
             "descriptor_extraction", "db_search_1000",
-            "scan_sequential_m900", "scan_parallel_m900",
+            "scan_sequential_m900", "scan_parallel_m900", "selective_scan_m900",
         }
         assert all(r[5] == "1" for r in rows[1:])
 

@@ -37,6 +37,38 @@ class TestNetvlad:
             ).data
             np.testing.assert_array_equal(out, base)
 
+    def test_permutation_invariant_bitwise_with_duplicate_rows(self):
+        # empty range-image columns give identical tokens: rows that tie
+        rng = np.random.default_rng(42)
+        cfg = gd.VladConfig(d=6, k=4, hidden=16, out=8)
+        p = make_params(rng, cfg)
+        seq = rng.standard_normal((2, 12, 6))
+        seq[:, [1, 5, 6, 9], :] = seq[:, [3], :]
+        seq[:, 10, :] = 0.0
+        seq[:, 11, :] = 0.0
+        base = gd.netvlad_forward(
+            T.Tensor(seq), p.centers, p.assign_w, p.assign_b
+        ).data
+        for s in range(4):
+            perm = np.random.default_rng(s).permutation(12)
+            out = gd.netvlad_forward(
+                T.Tensor(seq[:, perm, :]), p.centers, p.assign_w, p.assign_b
+            ).data
+            np.testing.assert_array_equal(out, base)
+
+    def test_records_no_broadcast_copy(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        cfg = gd.VladConfig(d=5, k=3, hidden=8, out=4)
+        p = make_params(rng, cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("netvlad_forward called broadcast_to")
+
+        monkeypatch.setattr(T, "broadcast_to", forbidden)
+        gd.netvlad_forward(
+            T.Tensor(rng.standard_normal((2, 7, 5))), p.centers, p.assign_w, p.assign_b
+        )
+
     def test_residual_cancellation_gives_zero(self):
         c = np.array([[0.7, -0.2]])
         seq = T.Tensor(np.tile(c, (1, 5, 1)))  # every token equals the center
@@ -74,6 +106,19 @@ class TestGdgForward:
         seq = rng.standard_normal((1, m, 6))
         base = gd.gdg_forward(T.Tensor(seq), p, cfg).data
         for s in (1, m // 4, m // 2):
+            out = gd.gdg_forward(T.Tensor(np.roll(seq, s, axis=1)), p, cfg).data
+            np.testing.assert_array_equal(out, base)
+
+    def test_circular_shift_invariance_bitwise_with_duplicate_rows(self):
+        rng = np.random.default_rng(42)
+        cfg = gd.VladConfig(d=6, k=4, hidden=16, out=12)
+        p = make_params(rng, cfg)
+        m = 16
+        seq = rng.standard_normal((1, m, 6))
+        seq[0, 4:9, :] = 0.0  # a run of empty columns
+        seq[0, [2, 13], :] = seq[0, 11, :]
+        base = gd.gdg_forward(T.Tensor(seq), p, cfg).data
+        for s in range(1, m):
             out = gd.gdg_forward(T.Tensor(np.roll(seq, s, axis=1)), p, cfg).data
             np.testing.assert_array_equal(out, base)
 
@@ -124,6 +169,28 @@ class TestGdgForward:
 
         arrays = [
             rng.standard_normal((1, 5, 3)),
+            rng.standard_normal((2, 3)) * 0.3,
+            rng.standard_normal((3, 2)) * 0.5,
+            rng.standard_normal(2) * 0.1,
+            rng.standard_normal((6, 4)) * 0.5,
+            rng.standard_normal(4) * 0.1,
+            rng.standard_normal((4, 3)) * 0.5,
+            rng.standard_normal(3) * 0.1,
+        ]
+        check_grads(op, arrays, rng)
+
+    def test_gradients_match_finite_differences_through_repeated_row(self):
+        rng = np.random.default_rng(7)
+        cfg = gd.VladConfig(d=3, k=2, hidden=4, out=3)
+
+        def op(seq, centers, aw, ab, w1, b1, w2, b2):
+            params = gd.GdgParams(centers, aw, ab, w1, b1, w2, b2)
+            return gd.gdg_forward(seq, params, cfg)
+
+        seq = rng.standard_normal((2, 5, 3))
+        seq[:, 3, :] = seq[:, 0, :]  # a tie in the canonical order
+        arrays = [
+            seq,
             rng.standard_normal((2, 3)) * 0.3,
             rng.standard_normal((3, 2)) * 0.5,
             rng.standard_normal(2) * 0.1,

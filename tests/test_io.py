@@ -1,5 +1,7 @@
 """Round trips and error handling for every on-disk format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,33 @@ class TestDescriptorDbFile:
         with pytest.raises(ContractError):
             io.save_descriptor_db(tmp_path / "d.omdb", [1, 2, 3], np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("ids, dim", [([9, 0, 4294967295], 5), ([], 3)])
+    def test_bytes_match_hand_packed_layout(self, tmp_path, ids, dim):
+        rng = np.random.default_rng(42)
+        desc = rng.standard_normal((len(ids), dim))
+        want = b"OMDB" + struct.pack("<II", len(ids), dim) + b"".join(
+            struct.pack("<I", i) + struct.pack(f"<{dim}f", *row)
+            for i, row in zip(ids, desc)
+        )
+        path = tmp_path / "db.omdb"
+        io.save_descriptor_db(path, ids, desc)
+        assert path.read_bytes() == want
+        got_ids, got = io.load_descriptor_db(path)
+        assert got_ids == ids
+        assert got.shape == (len(ids), dim)
+        np.testing.assert_array_equal(got, desc.astype(np.float32))
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, np.int64(-1)])
+    def test_id_outside_u32_rejected(self, tmp_path, bad):
+        with pytest.raises(ContractError):
+            io.save_descriptor_db(tmp_path / "d.omdb", [bad], np.zeros((1, 4)))
+
+    def test_huge_dimension_in_header_rejected(self, tmp_path):
+        path = tmp_path / "d.omdb"
+        path.write_bytes(b"OMDB" + struct.pack("<II", 0, 0xFFFFFFFF))
+        with pytest.raises(ContractError, match="dimension"):
+            io.load_descriptor_db(path)
+
 
 class TestScanFile:
     def test_roundtrip_four_columns(self, tmp_path):
@@ -173,6 +202,13 @@ class TestPlaceIdFile:
         path = tmp_path / "places.txt"
         io.save_place_ids(path, [5, 5, 7, 7, 7])
         assert io.load_place_ids(path) == [5, 5, 7, 7, 7]
+
+    @pytest.mark.parametrize("line", ["1 x", "1 2 3"])
+    def test_malformed_line_rejected(self, tmp_path, line):
+        path = tmp_path / "places.txt"
+        path.write_text(f"0 4\n{line}\n")
+        with pytest.raises(ContractError, match=r"places\.txt:2: "):
+            io.load_place_ids(path)
 
 
 class TestKeyValueConfig:

@@ -309,7 +309,6 @@ class TestGradientChecks:
         check_grads(lambda t: T.tsum(t, axis=(0, 2)), [x], rng)
         check_grads(lambda t: T.tsum(t, axis=1, keepdims=True), [x], rng)
         check_grads(lambda t: T.tmean(t, axis=2), [x], rng)
-        check_grads(lambda t: T.sum_positions(t, axis=1), [x], rng)
 
     def test_extrema_reductions(self):
         rng = np.random.default_rng(42)
@@ -346,6 +345,16 @@ class TestGradientChecks:
         check_grads(
             lambda a, b: T.interleave2(a, b, axis=1),
             [rng.standard_normal((2, 4)), rng.standard_normal((2, 3))],
+            rng,
+        )
+        order = np.random.default_rng(0).permutation(4)[None, :, None]
+        check_grads(lambda t: T.take_along(t, order, axis=1), [x], rng)
+        repeats = np.array([[[2], [0], [2]]])  # row 2 read twice, row 1 never
+        check_grads(lambda t: T.take_along(t, repeats, axis=1), [x], rng)
+        check_grads(T.add_channel_bias, [x, rng.standard_normal(4)], rng)
+        check_grads(
+            T.add_channel_bias,
+            [rng.standard_normal((2, 3, 4, 5)), rng.standard_normal(3)],
             rng,
         )
 
@@ -418,22 +427,42 @@ class TestL2NormalizeZeroRows:
         np.testing.assert_array_equal(x.grad[1], [0.0, 0.0])
 
 
-class TestSumPositions:
-    def test_invariant_to_axis_permutation_bitwise(self):
-        rng = np.random.default_rng(42)
-        x = rng.standard_normal((3, 17, 5))
-        base = T.sum_positions(T.Tensor(x), axis=1).data
-        for seed in range(5):
-            perm = np.random.default_rng(seed).permutation(17)
-            out = T.sum_positions(T.Tensor(x[:, perm, :]), axis=1).data
-            np.testing.assert_array_equal(out, base)
+class TestTakeAlong:
+    def test_one_node_whose_adjoint_scatters_to_source_rows(self):
+        x = T.Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
+        order = np.array([[[3], [1], [0], [2]]])
+        g = np.arange(100.0, 112.0).reshape(1, 4, 3)
+        with T.Tape() as tape:
+            y = T.take_along(x, order, axis=1)
+            nodes = len(tape)
+            loss = T.tsum(T.mul(y, T.Tensor(g)))
+        T.backward(loss, tape)
+        assert nodes == 1
+        np.testing.assert_array_equal(y.data[0], x.data[0, [3, 1, 0, 2]])
+        # output row i was read from source row order[i]
+        np.testing.assert_array_equal(x.grad[0, [3, 1, 0, 2]], g[0])
 
-    def test_matches_plain_sum(self):
+    def test_repeated_index_accumulates(self):
+        x = T.Tensor(np.zeros((1, 3, 2)), requires_grad=True)
+        with T.Tape() as tape:
+            y = T.take_along(x, np.array([[[1], [1], [0]]]), axis=1)
+            loss = T.tsum(y)
+        T.backward(loss, tape)
+        np.testing.assert_array_equal(x.grad[0], [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+class TestAddChannelBias:
+    def test_matches_explicit_broadcast_bitwise(self):
         rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 9, 3))
-        np.testing.assert_allclose(
-            T.sum_positions(T.Tensor(x), axis=1).data, x.sum(axis=1), atol=1e-12
-        )
+        for shape in ((2, 3, 5), (2, 3, 4, 5)):
+            x = rng.standard_normal(shape)
+            b = rng.standard_normal(3)
+            want = x + np.broadcast_to(b.reshape((1, 3) + (1,) * (len(shape) - 2)), shape)
+            np.testing.assert_array_equal(T.add_channel_bias(x, b).data, want)
+
+    def test_rejects_mismatched_channels(self):
+        with pytest.raises(errors.ShapeError):
+            T.add_channel_bias(np.zeros((2, 3, 5)), np.zeros(5))
 
 
 class TestLayerNorm:
