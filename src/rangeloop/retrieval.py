@@ -1,10 +1,14 @@
 """Descriptor database, nearest-neighbor search, and evaluation protocols.
 
-Retrieval is deliberately plain: exact Euclidean distances, full sort, no
-index structure.  Two protocols are provided: loop closure (query against
-strictly older scans of the same trajectory, scored by overlap ground truth)
-and place recognition (query session against a database session, scored by
-pose distance).
+Retrieval is exact k-NN without an index structure.  One kernel,
+`_nearest`, serves search and both protocols: it ranks every row by one
+matrix-vector product, keeps the rows within a proven rounding bound of the
+k-th value, and recomputes those with the direct distance formula, so the
+ids, distances and tie order it returns are exactly those of a full sort of
+the direct distances by (distance, id).  Two protocols are provided: loop
+closure (query against strictly older scans of the same trajectory, scored
+by overlap ground truth) and place recognition (query session against a
+database session, scored by pose distance).
 """
 
 from __future__ import annotations
@@ -22,11 +26,20 @@ from . import io
 from .errors import ConfigError, ContractError
 
 
+_I64 = np.iinfo(np.int64)
+_EPS = float(np.finfo(np.float64).eps)
+_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+
 class DescriptorDb:
-    """Ordered unit descriptors with unique integer scan ids."""
+    """Ordered unit descriptors with unique integer scan ids.
+
+    The matrix is an owned, read-only float64 copy; its squared row norms
+    and an int64 id array are computed once here for `_nearest`.
+    """
 
     def __init__(self, ids: Sequence[int], descriptors: np.ndarray):
-        descriptors = np.asarray(descriptors, dtype=np.float64)
+        descriptors = np.array(descriptors, dtype=np.float64)
         ids = [int(i) for i in ids]
         if descriptors.ndim != 2:
             raise ContractError(f"descriptor matrix must be 2-d, got {descriptors.shape}")
@@ -36,8 +49,15 @@ class DescriptorDb:
             )
         if len(set(ids)) != len(ids):
             raise ContractError("descriptor ids must be unique")
+        if not np.isfinite(descriptors).all():
+            raise ContractError("descriptor matrix has a non-finite entry")
+        if ids and not _I64.min <= min(ids) <= max(ids) <= _I64.max:
+            raise ContractError("descriptor ids must fit in 64-bit signed integers")
+        descriptors.flags.writeable = False
         self.ids = ids
         self.descriptors = descriptors
+        self._sqnorms = np.einsum("ij,ij->i", descriptors, descriptors)
+        self._id_array = np.asarray(ids, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -55,6 +75,50 @@ class DescriptorDb:
         return cls(ids, descriptors)
 
 
+def _nearest(mat: np.ndarray, sqnorms: np.ndarray, ids: np.ndarray,
+             q: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(ids, distances) of the k rows of mat nearest to q, ascending by the
+    direct distance sqrt(sum((x - q)**2)), equal distances by lower id:
+    exactly the first k of a full sort.  mat (n >= 1 finite rows), its
+    squared row norms and ids are parallel; q is finite.
+
+    Filter: every row is ranked by f = |x|^2 - 2 x.q, one GEMV, which is
+    |x - q|^2 - |q|^2 up to rounding.  Let u = eps/2, M = max|x| + |q| and
+    gamma_m = m u / (1 - m u).  Any summation order (BLAS may reorder or
+    fuse) gives |fl(x.q) - x.q| <= gamma_D |x||q| and |fl(|x|^2) - |x|^2|
+    <= gamma_D |x|^2, and the subtraction adds u |f|, so the GEMV form is
+    off by at most e_f = gamma_{D+2} M^2.  The direct form sums D
+    non-negative terms, each a rounded square of a rounded difference, so
+    its squared distance S^ is off from the exact S by at most e_d =
+    gamma_{D+2} S <= gamma_{D+2} M^2.  Let f_k be the k-th smallest f.
+    Those k rows have S^ <= B = f_k + |q|^2 + e_f + e_d, so the k-th
+    smallest direct distance is at most fl(sqrt(B)).  fl(sqrt(.)) is
+    monotone and within u of sqrt, so a row can rank in the top k, ties at
+    the boundary included, only if S^ <= B (1 + u)^2 / (1 - u)^2, hence only
+    if f <= f_k + 2 e_f + 2 e_d + 5 u B.  The bound is applied on both
+    sides: the kept row's f may be low by e_f and the k-th row's high by
+    e_f, and likewise e_d for the direct values.  tau =
+    4 (D + 4) eps M^2 is twice that sum, which covers the rounding of M,
+    tau and f_k + tau themselves; the smallest-subnormal term covers
+    underflow of the products.  A NaN from overflow keeps its row
+    (the test is not f > bound), so the filter never drops a candidate.
+
+    Refine: the kept rows are recomputed with the direct formula, so each
+    distance is bit-identical to a full computation, and ordered by
+    np.lexsort((ids, d)).
+    """
+    n, dim = mat.shape
+    k = min(k, n)
+    f = sqnorms - 2.0 * (mat @ q)
+    f_k = np.partition(f, k - 1)[k - 1]
+    scale = math.sqrt(sqnorms.max()) + math.sqrt(q @ q)
+    tau = 4 * (dim + 4) * (_EPS * scale * scale + _SUBNORMAL)
+    sel = np.flatnonzero(~(f > f_k + tau))
+    d = np.sqrt(np.sum((mat[sel] - q) ** 2, axis=1))
+    order = np.lexsort((ids[sel], d))[:k]
+    return ids[sel[order]], d[order]
+
+
 def db_search(db: DescriptorDb, query: np.ndarray, k: int) -> List[Tuple[int, float]]:
     """Exact k nearest descriptors by Euclidean distance, ascending; equal
     distances rank by lower id."""
@@ -65,10 +129,10 @@ def db_search(db: DescriptorDb, query: np.ndarray, k: int) -> List[Tuple[int, fl
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != db.dim:
         raise ContractError(f"query dim {query.shape[0]} != db dim {db.dim}")
-    dists = np.sqrt(np.sum((db.descriptors - query) ** 2, axis=1))
-    ids = np.asarray(db.ids)
-    order = np.lexsort((ids, dists))[: min(k, len(db))]
-    return [(int(ids[i]), float(dists[i])) for i in order]
+    if not np.isfinite(query).all():
+        raise ContractError("query descriptor has a non-finite entry")
+    ids, dists = _nearest(db.descriptors, db._sqnorms, db._id_array, query, k)
+    return list(zip(ids.tolist(), dists.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -81,7 +145,9 @@ def pr_metrics(scores: Sequence[Tuple[float, bool]]) -> Tuple[float, float]:
     Every distinct similarity value is used as an acceptance threshold
     (accept iff similarity >= threshold).  The precision-recall points walk
     from the strictest threshold to the loosest; the curve is anchored at
-    recall 0 with the first precision and integrated by trapezoid.
+    recall 0 with the first precision and integrated by trapezoid.  One
+    descending sort gives every threshold's counts: the accepted pairs are a
+    prefix, read at the last index of each run of equal similarities.
     """
     if not scores:
         raise ContractError("metrics require at least one scored pair")
@@ -93,13 +159,16 @@ def pr_metrics(scores: Sequence[Tuple[float, bool]]) -> Tuple[float, float]:
             f"metrics require both label kinds, got {n_pos} true / {n_neg} false"
         )
     sims = np.asarray([float(s) for s, _ in scores])
-    truth = np.asarray(labels)
+    if np.isnan(sims).any():
+        raise ContractError("metrics require similarities that are not NaN")
+    order = np.argsort(-sims, kind="stable")
+    desc = sims[order]
+    last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
+    true_counts = np.cumsum(np.asarray(labels)[order])[last]
     f1max = 0.0
     points = []  # (recall, precision), strictest threshold first
-    for t in sorted(set(sims.tolist()), reverse=True):
-        accept = sims >= t
-        tp = int(np.sum(accept & truth))
-        fp = int(np.sum(accept & ~truth))
+    for i, tp in zip(last.tolist(), true_counts.tolist()):
+        fp = i + 1 - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / n_pos
         f1 = (2 * precision * recall / (precision + recall)
@@ -113,19 +182,18 @@ def pr_metrics(scores: Sequence[Tuple[float, bool]]) -> Tuple[float, float]:
     return float(auc), float(f1max)
 
 
-def recall_at(rankings: Sequence[Sequence[int]], truths: Sequence[set], n: int,
-              percent: bool = False) -> Tuple[float, int]:
-    """Fraction of queries whose top entries contain a true positive.
+def recall_at(rankings: Sequence[Sequence[int]], truths: Sequence[set],
+              n: int) -> Tuple[float, int]:
+    """Fraction of queries whose top n entries contain a true positive.
 
-    rankings[i] is query i's ranked candidate ids (best first, assumed to
-    cover its whole candidate set); truths[i] its true-positive ids.  In
-    percent mode the cutoff is ceil(0.01 * |candidates_i|) per query instead
-    of n.  Queries with no true positive are excluded; the count of
-    exclusions is returned alongside the fraction.
+    rankings[i] is query i's ranked candidate ids, best first (at least its
+    top n); truths[i] its true-positive ids.  Queries with no true positive
+    are excluded; the count of exclusions is returned alongside the
+    fraction.
     """
     if len(rankings) != len(truths):
         raise ContractError(f"{len(rankings)} rankings for {len(truths)} truth sets")
-    if not percent and n < 1:
+    if n < 1:
         raise ContractError(f"cutoff must be >= 1, got {n}")
     hits = 0
     considered = 0
@@ -135,8 +203,7 @@ def recall_at(rankings: Sequence[Sequence[int]], truths: Sequence[set], n: int,
             excluded += 1
             continue
         considered += 1
-        cut = math.ceil(0.01 * len(ranked)) if percent else n
-        if any(c in truth for c in list(ranked)[:cut]):
+        if any(c in truth for c in list(ranked)[:n]):
             hits += 1
     fraction = hits / considered if considered else float("nan")
     return fraction, excluded
@@ -232,31 +299,38 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     """Single-trajectory protocol: each query scan searches only scans at
     least `window` frames older.  The rank-1 neighbor's similarity (negative
     distance) and its truth (overlap above threshold) feed the PR metrics;
-    recall@1 and recall@1% count queries whose true loops are found."""
-    table = overlap_lookup(overlaps)
-    id_to_row = {sid: i for i, sid in enumerate(db.ids)}
-    order = sorted(db.ids)
+    recall@1 and recall@1% count queries whose true loops are found.
+
+    The matrix is put in id order once, so each query's candidates are a
+    prefix of it; only the top ceil(0.01 * candidates) are ranked, which is
+    all that recall@1 and recall@1% read."""
+    loops: Dict[int, List[int]] = {}
+    for (a, b), overlap in overlap_lookup(overlaps).items():
+        if overlap > protocol.overlap_threshold:
+            loops.setdefault(a, []).append(b)
+    known = set(db.ids)
+    perm = np.argsort(db._id_array)
+    ids = db._id_array[perm]
+    mat = db.descriptors[perm]
+    sqnorms = db._sqnorms[perm]
+    queries = range(0, len(ids), protocol.query_step)
     scores = []
     rankings: List[List[int]] = []
     truths: List[set] = []
     n_scored = 0
     n_positive = 0
-    for q in order[:: protocol.query_step]:
-        cand = [c for c in order if c < q - protocol.window]
-        if not cand:
+    for qi in queries:
+        q = int(ids[qi])
+        limit = q - protocol.window  # candidates are ids < limit
+        m = int(np.searchsorted(ids, max(limit, ids[0])))
+        if m == 0:
             continue
         n_scored += 1
-        qv = db.descriptors[id_to_row[q]]
-        mat = db.descriptors[[id_to_row[c] for c in cand]]
-        dists = np.sqrt(np.sum((mat - qv) ** 2, axis=1))
-        ranked_idx = np.lexsort((np.asarray(cand), dists))
-        ranked = [cand[i] for i in ranked_idx]
-        top = ranked[0]
-        top_dist = float(dists[ranked_idx[0]])
-        is_true = table.get((q, top), 0.0) > protocol.overlap_threshold
-        scores.append((-top_dist, bool(is_true)))
-        truth = {c for c in cand
-                 if table.get((q, c), 0.0) > protocol.overlap_threshold}
+        top, top_dists = _nearest(mat[:m], sqnorms[:m], ids[:m], mat[qi],
+                                  math.ceil(0.01 * m))
+        ranked = top.tolist()
+        truth = {c for c in loops.get(q, ()) if c < limit and c in known}
+        scores.append((-float(top_dists[0]), ranked[0] in truth))
         if truth:
             n_positive += 1
         rankings.append(ranked)
@@ -265,7 +339,7 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     excl = n_scored - n_positive
     if n_positive > 0:
         recall1, excl = recall_at(rankings, truths, 1)
-        recall1pct, _ = recall_at(rankings, truths, 1, percent=True)
+        recall1pct, _ = recall_at(rankings, truths, max(map(len, rankings)))
     labels = [t for _, t in scores]
     if labels and all(labels):
         # every scored query retrieved a true loop at rank 1: the PR curve
@@ -274,7 +348,7 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     elif labels and any(labels):
         auc, f1max = pr_metrics(scores)
     return LoopClosureReport(
-        n_queries=len(order[:: protocol.query_step]), n_scored=n_scored,
+        n_queries=len(queries), n_scored=n_scored,
         n_positive_queries=n_positive, auc=auc, f1max=f1max,
         recall1=recall1, recall1pct=recall1pct, excluded=excl,
     )
@@ -316,21 +390,22 @@ def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,
         raise ContractError(
             f"{query_positions.shape[0]} query positions for {len(query_db)} descriptors"
         )
-    db_rows = list(range(0, len(db), protocol.db_step))
-    q_rows = list(range(0, len(query_db), protocol.query_step))
-    sub_ids = [db.ids[i] for i in db_rows]
-    sub_mat = db.descriptors[db_rows]
-    sub_pos = db_positions[db_rows]
+    ids = db._id_array[:: protocol.db_step]
+    mat = db.descriptors[:: protocol.db_step]
+    sqnorms = db._sqnorms[:: protocol.db_step]
+    sub_pos = db_positions[:: protocol.db_step]
+    q_rows = range(0, len(query_db), protocol.query_step)
     rankings: List[List[int]] = []
     truths: List[set] = []
     for qi in q_rows:
-        qv = query_db.descriptors[qi]
-        dists = np.sqrt(np.sum((sub_mat - qv) ** 2, axis=1))
-        ranked_idx = np.lexsort((np.asarray(sub_ids), dists))
-        rankings.append([sub_ids[i] for i in ranked_idx])
         pose_d = np.sqrt(np.sum((sub_pos - query_positions[qi]) ** 2, axis=1))
-        truths.append({sid for sid, d in zip(sub_ids, pose_d)
-                       if d < protocol.distance_threshold})
+        truth = set(ids[pose_d < protocol.distance_threshold].tolist())
+        ranked: List[int] = []
+        if truth:  # recall_at reads no ranking without a true positive
+            ranked = _nearest(mat, sqnorms, ids, query_db.descriptors[qi],
+                              20)[0].tolist()
+        rankings.append(ranked)
+        truths.append(truth)
     ar1, excluded = recall_at(rankings, truths, 1)
     ar5, _ = recall_at(rankings, truths, 5)
     ar20, _ = recall_at(rankings, truths, 20)
@@ -379,7 +454,8 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
           scan_len: int = 900) -> List[BenchRow]:
     """Wall-time report: descriptor extraction, database search, and the
     fused scan the model runs next to the sequential and parallel scan
-    oracles, at sequence length scan_len."""
+    oracles, at sequence length scan_len and the model's widened width and
+    state size."""
     from . import pipeline as pl
     from . import ssm
     from . import tensor as tt
@@ -399,7 +475,8 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
     rows.append(_timing_row(f"db_search_{db_size}",
                             _time(lambda: db_search(db, q, 20), reps)))
 
-    e, n = 4, 4
+    olm = model_cfg.olm_config()
+    e, n = olm.e_eff, olm.n
     delta = tt.Tensor(rng.uniform(1e-3, 1e-1, size=(1, scan_len, e)))
     a = tt.Tensor(-rng.uniform(0.5, 2.0, size=(e, n)))
     b = tt.Tensor(rng.normal(size=(1, scan_len, n)))

@@ -265,16 +265,17 @@ def check_metric_hand_values() -> str:
 
 def check_search_sort_oracle() -> str:
     rng = np.random.default_rng(42)
-    mat = rng.standard_normal((200, 5))
     ids = rng.permutation(1000)[:200].tolist()
-    db = rt.DescriptorDb(ids, mat)
-    q = rng.standard_normal(5)
-    got = rt.db_search(db, q, k=10)
-    dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
-    want = [(i, d) for d, i in sorted(zip(dists, ids))[:10]]
-    if got != want:
-        raise AssertionError("search disagrees with full sort")
-    return "top-10 exact"
+    # real-valued rows, then integer rows with many exact ties at the k-th
+    # distance
+    for mat, q in ((rng.standard_normal((200, 5)), rng.standard_normal(5)),
+                   (rng.integers(-1, 2, size=(200, 3)).astype(float), np.zeros(3))):
+        got = rt.db_search(rt.DescriptorDb(ids, mat), q, k=10)
+        dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
+        want = [(i, d) for d, i in sorted(zip(dists, ids))[:10]]
+        if got != want:
+            raise AssertionError("search disagrees with full sort")
+    return "top-10 exact, with ties"
 
 
 def check_overlap_identity() -> str:

@@ -264,6 +264,22 @@ class TestMalformedInputs:
                      "--protocol", str(proto)]) == 2
         self._assert_one_line_error(capsys)
 
+    def test_non_finite_descriptor_is_2(self, workspace, tmp_path, capsys):
+        ids, desc = io.load_descriptor_db(workspace / "db.omdb")
+        desc[3, 1] = np.nan
+        db = tmp_path / "nan.omdb"
+        io.save_descriptor_db(db, ids, desc)
+        assert main(["search", "--db", str(db),
+                     "--query", str(workspace / "db.omdb"), "--k", "2"]) == 2
+        self._assert_one_line_error(capsys)
+        proto = tmp_path / "loop.kv"
+        proto.write_text("kind=loop_closure\nwindow=3\n")
+        assert main(["eval-loop", "--db", str(db),
+                     "--poses", str(workspace / "world" / "poses.txt"),
+                     "--labels", str(workspace / "labels.txt"),
+                     "--protocol", str(proto)]) == 2
+        self._assert_one_line_error(capsys)
+
 
 class TestEntryPoint:
     def test_module_invocation_selfcheck(self):

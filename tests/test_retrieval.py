@@ -23,6 +23,21 @@ class TestDescriptorDb:
         with pytest.raises(ContractError):
             rv.DescriptorDb([1, 2, 3], np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = bad
+        with pytest.raises(ContractError):
+            rv.DescriptorDb(range(3), mat)
+
+    def test_matrix_is_an_owned_read_only_copy(self):
+        mat = np.eye(3)
+        db = rv.DescriptorDb(range(3), mat)
+        mat[0, 0] = 5.0
+        assert db.descriptors[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            db.descriptors[0, 0] = 2.0
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(42)
         db = rv.DescriptorDb([5, 9, 2], rng.normal(size=(3, 8)).astype(np.float32))
@@ -57,6 +72,8 @@ class TestDbSearch:
             rv.db_search(db, np.zeros(2), k=0)
         with pytest.raises(ContractError):
             rv.db_search(db, np.zeros(3), k=1)
+        with pytest.raises(ContractError):
+            rv.db_search(db, np.array([0.0, np.nan]), k=1)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(42)
@@ -68,6 +85,65 @@ class TestDbSearch:
         dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
         want = sorted(zip(dists, ids))[:25]
         assert [(i, d) for d, i in want] == [(i, d) for i, d in got]
+
+
+def _full_sort(mat, ids, q, k):
+    """Reference top k: the direct distances of every row, fully sorted by
+    (distance, id)."""
+    dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
+    return [(i, d) for d, i in sorted(zip(dists, ids))[:k]]
+
+
+class TestNearestKernel:
+    """The filter-and-refine kernel returns exactly the first k of a full
+    sort, ids, distance bits and tie order included."""
+
+    @staticmethod
+    def _check(mat, ids, queries, ks):
+        db = rv.DescriptorDb(ids, mat)
+        for q in queries:
+            for k in ks:
+                assert rv.db_search(db, q, k) == _full_sort(db.descriptors, ids, q, k)
+
+    def test_integer_matrix_with_ties_at_the_kth_distance(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            rows = int(rng.integers(1, 80))
+            dim = int(rng.integers(1, 5))
+            mat = rng.integers(-2, 3, size=(rows, dim)).astype(float)
+            ids = rng.permutation(1000)[:rows].tolist()
+            queries = rng.integers(-2, 3, size=(3, dim)).astype(float)
+            self._check(mat, ids, queries, range(1, rows + 2))
+
+    def test_duplicated_rows_and_rows_one_ulp_apart(self):
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(4, 16))
+        rows = [base, base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
+        nudged = base.copy()
+        nudged[:, 3] = np.nextafter(nudged[:, 3], np.inf)
+        mat = np.concatenate(rows + [nudged], axis=0)
+        ids = rng.permutation(mat.shape[0]).tolist()
+        queries = [base[0], base[1] + 1e-9, rng.normal(size=16), 100.0 * base[2]]
+        self._check(mat, ids, queries, range(1, mat.shape[0] + 2))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_k_at_the_edges_and_row_norm_scale(self, scale):
+        rng = np.random.default_rng(3)
+        mat = rng.normal(size=(300, 32))
+        mat *= scale / np.linalg.norm(mat, axis=1, keepdims=True)
+        ids = rng.permutation(300).tolist()
+        queries = [mat[5], scale * rng.normal(size=32), np.zeros(32)]
+        self._check(mat, ids, queries, [1, 2, 17, 299, 300, 301, 1000])
+
+    def test_prefix_of_an_id_sorted_matrix(self):
+        rng = np.random.default_rng(11)
+        mat = np.round(rng.normal(size=(200, 8)) * 2) / 2
+        db = rv.DescriptorDb(range(200), mat)
+        for m in (1, 2, 50, 199):
+            got_ids, got_d = rv._nearest(db.descriptors[:m], db._sqnorms[:m],
+                                         db._id_array[:m], mat[199], 3)
+            want = _full_sort(mat[:m], list(range(m)), mat[199], 3)
+            assert list(zip(got_ids.tolist(), got_d.tolist())) == want
 
 
 def _bruteforce_pr(scores):
@@ -117,6 +193,20 @@ class TestPrMetrics:
                 scores[-1] = (scores[-1][0], False)
             assert rv.pr_metrics(scores) == _bruteforce_pr(scores)
 
+    def test_matches_bruteforce_oracle_with_tied_scores(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            scores = [(float(rng.integers(-3, 4)) * 0.5, bool(rng.random() < 0.5))
+                      for _ in range(n)]
+            scores.append((-0.0, True))
+            scores.append((0.0, False))
+            assert rv.pr_metrics(scores) == _bruteforce_pr(scores)
+
+    def test_nan_similarity_rejected(self):
+        with pytest.raises(ContractError):
+            rv.pr_metrics([(0.5, True), (float("nan"), False)])
+
 
 class TestRecallAt:
     def test_hand_table(self):
@@ -134,12 +224,6 @@ class TestRecallAt:
     def test_exclusions_counted(self):
         frac, excluded = rv.recall_at([[1], [2]], [{1}, set()], 1)
         assert frac == 1.0 and excluded == 1
-
-    def test_percent_mode_ceils(self):
-        # 150 candidates -> ceil(1.5) = 2 checked
-        ranking = [list(range(150))]
-        assert rv.recall_at(ranking, [{1}], 1, percent=True)[0] == 1.0
-        assert rv.recall_at(ranking, [{2}], 1, percent=True)[0] == 0.0
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(42)
@@ -222,6 +306,170 @@ class TestLoopClosure:
         protocol = rv.EvalProtocol(kind="loop_closure", window=5)
         assert rv.eval_loop_closure(db, labels, protocol) == \
             rv.eval_loop_closure(db, labels, protocol)
+
+    def test_recall1pct_cut_ceils(self):
+        # query 150 has 150 older candidates, ranked by id: the 1% cut is
+        # ceil(1.5) = 2, so a true loop at rank 2 counts and one at rank 3
+        # does not
+        mat = np.zeros((151, 2))
+        mat[:150, 0] = np.arange(1.0, 151.0)
+        db = rv.DescriptorDb(range(151), mat)
+        for true_rank, hit in ((2, 1.0), (3, 0.0)):
+            labels = [OverlapLabel(query=150, cand=true_rank - 1, overlap=0.9)]
+            report = rv.eval_loop_closure(db, labels, rv.EvalProtocol(window=0))
+            assert report.n_positive_queries == 1
+            assert report.recall1 == 0.0
+            assert report.recall1pct == hit
+
+
+def _recall_oracle(rankings, truths, cut):
+    """(fraction, exclusions) with a per-query cutoff function of the
+    candidate count."""
+    hits = considered = 0
+    for ranked, truth in zip(rankings, truths):
+        if truth:
+            considered += 1
+            hits += any(c in truth for c in ranked[:cut(len(ranked))])
+    frac = hits / considered if considered else float("nan")
+    return frac, len(truths) - considered
+
+
+def _loop_closure_oracle(db, overlaps, protocol):
+    """Loop-based loop-closure protocol: every query fully ranks its
+    candidates and looks up every candidate's overlap."""
+    table = rv.overlap_lookup(overlaps)
+    id_to_row = {sid: i for i, sid in enumerate(db.ids)}
+    order = sorted(db.ids)
+    scores, rankings, truths = [], [], []
+    for q in order[:: protocol.query_step]:
+        cand = [c for c in order if c < q - protocol.window]
+        if not cand:
+            continue
+        mat = db.descriptors[[id_to_row[c] for c in cand]]
+        dists = np.sqrt(np.sum((mat - db.descriptors[id_to_row[q]]) ** 2, axis=1))
+        ranked = [c for _, c in sorted(zip(dists, cand))]
+        top_dist = min(dists)
+        scores.append((-float(top_dist),
+                       table.get((q, ranked[0]), 0.0) > protocol.overlap_threshold))
+        rankings.append(ranked)
+        truths.append({c for c in cand
+                       if table.get((q, c), 0.0) > protocol.overlap_threshold})
+    n_positive = sum(1 for t in truths if t)
+    auc = f1max = recall1 = recall1pct = float("nan")
+    if n_positive:
+        recall1, _ = _recall_oracle(rankings, truths, lambda m: 1)
+        recall1pct, _ = _recall_oracle(rankings, truths,
+                                       lambda m: math.ceil(0.01 * m))
+    labels = [t for _, t in scores]
+    if labels and all(labels):
+        auc = f1max = 1.0
+    elif any(labels):
+        auc, f1max = _bruteforce_pr(scores)
+    return rv.LoopClosureReport(
+        n_queries=len(order[:: protocol.query_step]), n_scored=len(scores),
+        n_positive_queries=n_positive, auc=auc, f1max=f1max, recall1=recall1,
+        recall1pct=recall1pct, excluded=len(scores) - n_positive)
+
+
+def _place_recognition_oracle(db, query_db, db_positions, query_positions,
+                              protocol):
+    """Loop-based place-recognition protocol: full rankings and a pose
+    distance per database scan."""
+    db_rows = list(range(0, len(db), protocol.db_step))
+    q_rows = list(range(0, len(query_db), protocol.query_step))
+    sub_ids = [db.ids[i] for i in db_rows]
+    rankings, truths = [], []
+    for qi in q_rows:
+        dists = np.sqrt(np.sum((db.descriptors[db_rows]
+                                - query_db.descriptors[qi]) ** 2, axis=1))
+        rankings.append([c for _, c in sorted(zip(dists, sub_ids))])
+        pose_d = np.sqrt(np.sum((db_positions[db_rows] - query_positions[qi]) ** 2,
+                                axis=1))
+        truths.append({c for c, d in zip(sub_ids, pose_d)
+                       if d < protocol.distance_threshold})
+    ar1, excluded = _recall_oracle(rankings, truths, lambda m: 1)
+    ar5, _ = _recall_oracle(rankings, truths, lambda m: 5)
+    ar20, _ = _recall_oracle(rankings, truths, lambda m: 20)
+    return rv.PlaceRecognitionReport(
+        n_queries=len(q_rows), n_evaluated=len(q_rows) - excluded,
+        excluded=excluded, ar1=ar1, ar5=ar5, ar20=ar20)
+
+
+def _aliased_trajectory(seed, n_places=40, visits=4, dim=16, quantize=False):
+    """Round-major revisits of n_places places with a quarter of the visits
+    aliased onto another place; ids are frame index * 3 + 1 and the rows
+    are shuffled.  Overlap labels cover revisits (both directions, with
+    disagreeing values) and some random pairs, on both sides of the
+    threshold, plus one pair with an id missing from the database.
+    quantize rounds descriptors to a coarse grid, which makes exact
+    distance ties and duplicate rows common."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(n_places, dim))
+    place = np.tile(np.arange(n_places), visits)
+    n = place.shape[0]
+    source = np.where(rng.random(n) < 0.25, rng.integers(0, n_places, n), place)
+    desc = centers[source] + 0.3 * rng.normal(size=(n, dim))
+    if quantize:
+        desc = np.round(desc)
+    ids = np.arange(n) * 3 + 1
+    labels = []
+    for a in range(n):
+        for b in range(a + n_places, n, n_places):
+            labels.append(OverlapLabel(query=int(ids[a]), cand=int(ids[b]),
+                                       overlap=float(rng.uniform(0.1, 0.9))))
+            if rng.random() < 0.3:
+                labels.append(OverlapLabel(query=int(ids[b]), cand=int(ids[a]),
+                                           overlap=float(rng.uniform(0.1, 0.9))))
+    for a, b in rng.integers(0, n, size=(50, 2)):
+        labels.append(OverlapLabel(query=int(ids[a]), cand=int(ids[b]),
+                                   overlap=float(rng.uniform(0.0, 0.6))))
+    # a true pair with an id that is not in the database (ids are 1 mod 3)
+    labels.append(OverlapLabel(query=int(ids[n_places - 1]), cand=2, overlap=0.9))
+    positions = (np.stack([place % 7, place // 7], axis=1) * 15.0
+                 + rng.uniform(-2.0, 2.0, size=(n, 2)))
+    rows = rng.permutation(n)
+    db = rv.DescriptorDb(ids[rows].tolist(), desc[rows])
+    return db, labels, positions[rows]
+
+
+class TestProtocolsMatchLoopOracles:
+    """Both protocols give reports equal, row for row, to loop-based
+    reimplementations that rank every candidate."""
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("window, query_step", [(0, 1), (9, 1), (60, 3)])
+    def test_loop_closure(self, quantize, window, query_step):
+        db, labels, _ = _aliased_trajectory(42, quantize=quantize)
+        for threshold in (0.3, 0.5):
+            protocol = rv.EvalProtocol(window=window, query_step=query_step,
+                                       overlap_threshold=threshold)
+            got = rv.eval_loop_closure(db, labels, protocol)
+            want = _loop_closure_oracle(db, labels, protocol)
+            assert got.rows() == want.rows()
+            assert got.n_positive_queries > 0
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("query_step, db_step", [(1, 1), (2, 3)])
+    def test_place_recognition(self, quantize, query_step, db_step):
+        db, _, pos = _aliased_trajectory(7, quantize=quantize)
+        p = len(db) // 2
+        ref = rv.DescriptorDb(db.ids[:p], db.descriptors[:p])
+        query = rv.DescriptorDb(db.ids[p:], db.descriptors[p:])
+        for threshold in (0.0, 3.0, 20.0):
+            protocol = rv.EvalProtocol(kind="place_recognition", query_step=query_step,
+                                       db_step=db_step, distance_threshold=threshold)
+            got = rv.eval_place_recognition(ref, query, pos[:p], pos[p:], protocol)
+            want = _place_recognition_oracle(ref, query, pos[:p], pos[p:], protocol)
+            assert got.rows() == want.rows()
+
+    def test_place_recognition_empty_database(self):
+        empty = rv.DescriptorDb([], np.zeros((0, 3)))
+        query = rv.DescriptorDb([0, 1], np.eye(2, 3))
+        protocol = rv.EvalProtocol(kind="place_recognition")
+        got = rv.eval_place_recognition(empty, query, np.zeros((0, 2)),
+                                        np.zeros((2, 2)), protocol)
+        assert got.rows() == _place_recognition_oracle(
+            empty, query, np.zeros((0, 2)), np.zeros((2, 2)), protocol).rows()
 
 
 class TestPlaceRecognition:
