@@ -15,6 +15,9 @@ Text formats:
 * pose files: one scan per line, 12 floats, row-major 3x4 [R|t].
 * overlap labels: lines "query_idx cand_idx overlap".
 * configs: "key=value" lines, "#" comments.
+
+Pose, label, place-id and config files are read as UTF-8; bytes that do not
+decode are a contract violation.
 """
 
 from __future__ import annotations
@@ -38,6 +41,23 @@ def _expect_magic(raw: bytes, magic: bytes, path) -> None:
         raise ContractError(
             f"{path}: expected magic {magic.decode()!r}, found {raw[:4]!r}"
         )
+
+
+def _read_text(path) -> str:
+    """A text file's contents with "\r\n" and "\r" read as "\n", as a
+    text-mode read gives them; bytes that are not UTF-8 are a contract
+    violation, not a crash.  Split lines on "\n" only: `str.splitlines`
+    also breaks at form feeds and other separators that `str.split` treats
+    as blanks inside a line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(
+            f"{path}: not a UTF-8 text file (byte {exc.start}: {exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # --------------------------------------------------------------------------
@@ -196,19 +216,21 @@ def save_poses(path, poses: Iterable[Pose]) -> None:
 
 def load_poses(path) -> List[Pose]:
     poses = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals = [float(t) for t in line.split()]
-            except ValueError as exc:
-                raise ContractError(f"{path}:{ln}: {exc}") from None
-            if len(vals) != 12:
-                raise ContractError(f"{path}:{ln}: expected 12 floats, got {len(vals)}")
-            m = np.array(vals).reshape(3, 4)
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            vals = [float(t) for t in line.split()]
+        except ValueError as exc:
+            raise ContractError(f"{path}:{ln}: {exc}") from None
+        if len(vals) != 12:
+            raise ContractError(f"{path}:{ln}: expected 12 floats, got {len(vals)}")
+        m = np.array(vals).reshape(3, 4)
+        try:
             poses.append(Pose(rotation=m[:, :3], translation=m[:, 3]))
+        except ContractError as exc:
+            raise ContractError(f"{path}:{ln}: {exc}") from None
     return poses
 
 
@@ -220,20 +242,19 @@ def save_labels(path, labels: Iterable[OverlapLabel]) -> None:
 
 def load_labels(path) -> List[OverlapLabel]:
     labels = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ContractError(f"{path}:{ln}: expected 'query cand overlap'")
-            try:
-                lab = OverlapLabel(query=int(parts[0]), cand=int(parts[1]),
-                                   overlap=float(parts[2]))
-            except ValueError as exc:
-                raise ContractError(f"{path}:{ln}: {exc}") from None
-            labels.append(lab)
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ContractError(f"{path}:{ln}: expected 'query cand overlap'")
+        try:
+            lab = OverlapLabel(query=int(parts[0]), cand=int(parts[1]),
+                               overlap=float(parts[2]))
+        except ValueError as exc:
+            raise ContractError(f"{path}:{ln}: {exc}") from None
+        labels.append(lab)
     return labels
 
 
@@ -245,16 +266,15 @@ def save_place_ids(path, place_ids: Iterable[int]) -> None:
 
 def load_place_ids(path) -> List[int]:
     pairs = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                idx, pid = (int(t) for t in line.split())
-            except ValueError as exc:
-                raise ContractError(f"{path}:{ln}: expected 'index place_id': {exc}") from None
-            pairs.append((idx, pid))
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            idx, pid = (int(t) for t in line.split())
+        except ValueError as exc:
+            raise ContractError(f"{path}:{ln}: expected 'index place_id': {exc}") from None
+        pairs.append((idx, pid))
     pairs.sort()
     return [pid for _, pid in pairs]
 
@@ -282,8 +302,7 @@ def parse_kv(text: str) -> Dict[str, str]:
 
 
 def load_kv_pairs(path) -> List[Tuple[str, str]]:
-    with open(path) as f:
-        return parse_kv_pairs(f.read())
+    return parse_kv_pairs(_read_text(path))
 
 
 def load_kv(path) -> Dict[str, str]:

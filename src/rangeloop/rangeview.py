@@ -4,10 +4,16 @@ truth between scan pairs, and training-tuple mining.
 A point cloud is an (N, 3) or (N, 4) float array in the sensor frame
 (columns x, y, z[, intensity]).  Pixels of a range image hold the nearest
 return in meters, or the sentinel -1.0 where no point landed.
+
+Overlap labelling is all-pairs, but on a trajectory almost every pair is two
+sensors too far apart to share a return.  `compute_overlap` settles those
+pairs from the sensor gap and the candidate cloud's radius alone, returning
+the exact 0.0 the reprojection would, and reprojects only the rest.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
@@ -112,6 +118,8 @@ class Pose:
             raise ContractError(
                 f"pose needs a 3x3 rotation and 3-vector, got {r.shape} and {t.shape}"
             )
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ContractError("pose has a non-finite entry")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
             raise ContractError("pose rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
@@ -162,7 +170,9 @@ def project_points(points: np.ndarray, cfg: ProjectionConfig):
 
     Returns (u, v, r, valid): pixel columns, pixel rows, ranges, and the mask
     of points that land inside the image within the range cap.  Column u wraps
-    at the azimuth seam; row v is rejected outside [0, h).
+    at the azimuth seam; row v is rejected outside [0, h).  Only hit points
+    (0 < r <= r_max) feed u and v, so a NaN or inf coordinate never reaches
+    the integer casts; u and v are meaningful where valid is set.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
@@ -171,6 +181,8 @@ def project_points(points: np.ndarray, cfg: ProjectionConfig):
     x, y, zc = pts[:, 0], pts[:, 1], pts[:, 2]
     r = np.sqrt(x * x + y * y + zc * zc)
     hit = (r > 0.0) & (r <= cfg.r_max)
+    # a miss is read as the forward ray (1, 0, 0); hits keep their values
+    x, y, zc = np.where(hit, x, 1.0), np.where(hit, y, 0.0), np.where(hit, zc, 0.0)
     safe_r = np.where(hit, r, 1.0)
 
     u = np.floor(0.5 * (1.0 - np.arctan2(y, x) / np.pi) * cfg.w).astype(np.int64)
@@ -213,18 +225,60 @@ def compute_overlap(
     a's sensor geometry; a pixel of a counts as overlapping when b's image
     holds a return there within a relative range tolerance.  Anchored on the
     query: overlap(a, b) and overlap(b, a) may differ.
+
+    Range-gap cull.  Let gap = ||t_a - t_b|| and R_b = max ||p[:3]|| over
+    cloud b.  Rotations preserve norms, so every point of b lies at least
+    gap - R_b from a's sensor, and `project_points` keeps only r <= r_max.
+    When gap - R_b > r_max + slack the result is therefore 0.0, and it is
+    returned before anything is transformed, projected or counted.  R_b is
+    the cloud's own radius, not r_max: a scan file may hold points beyond
+    the range cap.  The slack covers what separates the exact argument from
+    the computed one.  With S = 1 + r_max + R_b + ||t_a|| + ||t_b|| meters
+    and u = 2**-53:
+
+    * Rotations are orthonormal only to `Pose`'s tolerance, |R^T R - I| <=
+      1e-9 entrywise (plus a few u from evaluating the check).  Then
+      ||R^T R - I||_2 <= 3e-9, so every singular value of R lies within
+      delta = 1.6e-9 of 1, and the exact local range of a point of b is at
+      least (1 - delta)(gap - (1 + delta) R_b) >= gap - R_b - delta * gap.
+      Since delta > 1e-9, a slack of 1e-9 (1 + gap + R_b) would be too
+      small.
+    * Rounding.  `to_world` and `to_local` are two length-3 products (at
+      most gamma_3 * sqrt(3) ~ 5.2u of the vector norm each) and two
+      additions (u each), and the range in `project_points` adds about 2.5u,
+      so a computed range is within 15u * S of the exact one.  Computing
+      gap, R_b and the test itself adds at most 10u * S.
+
+    slack = 1e-8 * S exceeds delta * gap + 25u * S ~ (1.6e-9 + 2.8e-15) * S
+    six times over, so on a culled pair every point of b computes
+    r > r_max and the full path would count nothing.  The 1 in S absorbs
+    underflow.  A NaN or inf in cloud b makes R_b non-finite, the test is
+    False, and the full path runs.  Every early exit returns 0.0, so their
+    order does not change any result.
     """
-    if ri_a.config is None:
+    cfg = ri_a.config
+    if cfg is None:
         raise ContractError("overlap needs the query image's projection config")
+    pts = np.asarray(points_b, dtype=np.float64)
+    if pts.size == 0:
+        return 0.0
+    xyz = pts[:, :3]
+    radius = math.sqrt(np.einsum("ij,ij->i", xyz, xyz).max())
+    t_a, t_b = pose_a.translation, pose_b.translation
+    d = t_a - t_b
+    gap = math.sqrt(d @ d)
+    slack = 1e-8 * (1.0 + cfg.r_max + radius + math.sqrt(t_a @ t_a) + math.sqrt(t_b @ t_b))
+    if gap - radius > cfg.r_max + slack:
+        return 0.0
     valid_a = ri_a.valid
     n_valid = int(valid_a.sum())
     if n_valid == 0:
         return 0.0
-    pts = np.asarray(points_b, dtype=np.float64)
-    if pts.size == 0:
-        return 0.0
-    local_a = pose_a.to_local(pose_b.to_world(pts))
-    proj = build_range_image(local_a, ri_a.config)
+    # an inf coordinate meets inf * 0 in the products; the projection drops
+    # that row, so the invalid-value warning would be noise
+    with np.errstate(invalid="ignore"):
+        local_a = pose_a.to_local(pose_b.to_world(pts))
+    proj = build_range_image(local_a, cfg)
     close = np.abs(proj.ranges - ri_a.ranges) <= eps_rel * ri_a.ranges
     agree = valid_a & proj.valid & close
     return float(agree.sum()) / n_valid

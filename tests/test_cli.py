@@ -280,6 +280,37 @@ class TestMalformedInputs:
                      "--protocol", str(proto)]) == 2
         self._assert_one_line_error(capsys)
 
+    def _overlaps(self, workspace, tmp_path, poses=None, config=None):
+        world = workspace / "world"
+        return main(["overlaps", "--scans", str(world),
+                     "--poses", str(poses or world / "poses.txt"),
+                     "--config", str(config or world / "sensor.kv"),
+                     "--out", str(tmp_path / "labels.txt")])
+
+    @pytest.mark.parametrize("field, token", [(3, "nan"), (7, "inf"), (0, "nan")])
+    def test_non_finite_pose_is_2(self, workspace, tmp_path, capsys, field, token):
+        lines = (workspace / "world" / "poses.txt").read_text().splitlines()
+        vals = lines[2].split()
+        vals[field] = token  # fields 3 and 7 are translations, 0 a rotation entry
+        lines[2] = " ".join(vals)
+        poses = tmp_path / "poses.txt"
+        poses.write_text("\n".join(lines) + "\n")
+        assert self._overlaps(workspace, tmp_path, poses=poses) == 2
+        self._assert_one_line_error(capsys)
+        assert not (tmp_path / "labels.txt").exists()
+
+    def test_binary_config_is_2(self, workspace, tmp_path, capsys):
+        config = tmp_path / "sensor.kv"
+        config.write_bytes(bytes(range(256)))
+        assert self._overlaps(workspace, tmp_path, config=config) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_binary_pose_file_is_2(self, workspace, tmp_path, capsys):
+        poses = tmp_path / "poses.txt"
+        poses.write_bytes(b"\xff\xfe" + bytes(range(256)))
+        assert self._overlaps(workspace, tmp_path, poses=poses) == 2
+        self._assert_one_line_error(capsys)
+
 
 class TestEntryPoint:
     def test_module_invocation_selfcheck(self):

@@ -211,6 +211,33 @@ class TestPlaceIdFile:
             io.load_place_ids(path)
 
 
+@pytest.mark.parametrize("load", [io.load_kv_pairs, io.load_poses,
+                                  io.load_labels, io.load_place_ids])
+def test_text_loader_rejects_undecodable_bytes(tmp_path, load):
+    path = tmp_path / "file.txt"
+    path.write_bytes(b"0 1 0.5\n\xff\xfe\x00\x80\n")
+    with pytest.raises(ContractError, match="not a UTF-8 text file"):
+        load(path)
+
+
+def test_text_loaders_break_lines_only_at_newlines(tmp_path):
+    # \r\n and \r end a line, as in a text-mode read; a form feed or a
+    # vertical tab inside a line is a blank between tokens
+    path = tmp_path / "labels.txt"
+    path.write_bytes(b"0 1\x0c0.5\r\n2 3\x0b0.25\r")
+    assert io.load_labels(path) == [OverlapLabel(0, 1, 0.5), OverlapLabel(2, 3, 0.25)]
+    path.write_bytes(b"0 1\x0c0.5\r\n2 3\x0b0.25\r4 5 x\n")
+    with pytest.raises(ContractError, match=r"labels\.txt:3: "):
+        io.load_labels(path)
+    path = tmp_path / "places.txt"
+    path.write_bytes(b"1\x0c8\r\n0\x1c7\n")
+    assert io.load_place_ids(path) == [7, 8]
+    path = tmp_path / "poses.txt"
+    path.write_bytes(b"1 0 0 5\x0c0 1 0 6\xc2\x850 0 1 7\r\n")
+    (pose,) = io.load_poses(path)
+    assert pose.translation.tolist() == [5.0, 6.0, 7.0]
+
+
 class TestKeyValueConfig:
     def test_parse_basics(self):
         text = "# comment\nloss=imtrihard\nalpha=0.25\n\nlr = 5e-6\n"

@@ -1,9 +1,13 @@
 """Projection geometry, overlap ground truth, and tuple mining."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from rangeloop import errors
+from rangeloop import errors, rangeview
+from rangeloop import synthworld as sw
 from rangeloop.rangeview import (
     OverlapLabel,
     Pose,
@@ -63,6 +67,29 @@ class TestProjectPoint:
         assert valid.any()
         assert u[valid].min() >= 0 and u[valid].max() < cfg.w
         assert v[valid].min() >= 0 and v[valid].max() < cfg.h
+
+    def test_non_finite_rows_project_silently_like_the_cloud_alone(self):
+        rng = np.random.default_rng(7)
+        cfg = default_cfg()
+        cloud = rng.uniform(-40.0, 40.0, size=(500, 3))
+        nan, inf = np.nan, np.inf
+        bad = np.array([[nan, 1.0, 1.0], [1.0, nan, 1.0], [1.0, 1.0, nan],
+                        [inf, 0.0, 0.0], [0.0, -inf, 0.0], [0.0, 0.0, inf],
+                        [nan, inf, -inf]])
+        mixed = np.concatenate([cloud[:250], bad, cloud[250:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = build_range_image(mixed, cfg)
+            u, v, r, valid = project_points(mixed, cfg)
+        want = build_range_image(cloud, cfg)
+        assert got.ranges.tobytes() == want.ranges.tobytes()
+        assert not valid[250:257].any()
+        wu, wv, wr, wvalid = project_points(cloud, cfg)
+        keep = np.r_[0:250, 257:len(mixed)]
+        np.testing.assert_array_equal(valid[keep], wvalid)
+        np.testing.assert_array_equal(u[keep][wvalid], wu[wvalid])
+        np.testing.assert_array_equal(v[keep][wvalid], wv[wvalid])
+        np.testing.assert_array_equal(r[keep], wr)
 
 
 class TestConfigValidation:
@@ -144,6 +171,16 @@ class TestPose:
         with pytest.raises(errors.ContractError):
             Pose(rotation=r, translation=np.zeros(3))
 
+    @pytest.mark.parametrize("where, value", [
+        ("rotation", np.nan), ("rotation", np.inf),
+        ("translation", np.nan), ("translation", np.inf), ("translation", -np.inf),
+    ])
+    def test_rejects_non_finite_entries(self, where, value):
+        fields = {"rotation": np.eye(3), "translation": np.array([1.0, 2.0, 3.0])}
+        fields[where].flat[1] = value
+        with pytest.raises(errors.ContractError, match="non-finite"):
+            Pose(**fields)
+
     def test_world_local_roundtrip(self):
         rng = np.random.default_rng(42)
         ang = 0.7
@@ -202,6 +239,142 @@ class TestComputeOverlap:
         ri_a = build_range_image(a, cfg)
         ov = compute_overlap(ri_a, identity_pose(), b, identity_pose())
         assert ov == 0.0
+
+
+def _rot_z(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _near_orthonormal(along, stretch):
+    """Symmetric R whose singular value along the unit vector ``along`` is
+    sqrt(1 + stretch); across it, sqrt(1 - stretch / 8).  At |stretch| =
+    0.99 * 8e-9 / 3, R^T R - I reaches 0.99e-9 off the diagonal and det R
+    is 1 -/+ 0.99e-9: just inside both of `Pose`'s checks, and R scales
+    vectors along ``along`` by 1 +/- 1.32e-9."""
+    p = np.outer(along, along)
+    return math.sqrt(1.0 + stretch) * p + math.sqrt(1.0 - stretch / 8.0) * (np.eye(3) - p)
+
+
+class TestRangeGapCull:
+    """Pairs whose sensors are more than r_max plus cloud b's radius apart
+    return 0.0 without reprojecting; every result equals the oracle."""
+
+    @staticmethod
+    def _count_reprojections(monkeypatch):
+        calls = []
+        real = rangeview.build_range_image
+
+        def counted(points, cfg):
+            calls.append(len(points))
+            return real(points, cfg)
+
+        monkeypatch.setattr(rangeview, "build_range_image", counted)
+        return calls
+
+    @staticmethod
+    def _wall_pair():
+        """A wall just inside r_max of a's sensor, scanned by b from 120 m
+        away: b's cloud reaches past its own range cap back to a."""
+        cfg = default_cfg()
+        ys, zs = np.meshgrid(np.linspace(-5.0, 5.0, 60), np.linspace(-2.0, 2.0, 16))
+        wall = np.stack([np.full(ys.size, 49.5), ys.reshape(-1), zs.reshape(-1)], axis=1)
+        assert np.linalg.norm(wall, axis=1).max() < cfg.r_max
+        pose_a = identity_pose()
+        pose_b = Pose(rotation=_rot_z(0.3), translation=np.array([120.0, 0.0, 0.0]))
+        pts_b = pose_b.to_local(wall)
+        return cfg, build_range_image(wall, cfg), pose_a, pts_b, pose_b
+
+    def test_far_pair_reaching_back_is_not_culled(self, monkeypatch):
+        cfg, ri_a, pose_a, pts_b, pose_b = self._wall_pair()
+        assert np.linalg.norm(pose_b.translation) > 2 * cfg.r_max
+        calls = self._count_reprojections(monkeypatch)
+        got = compute_overlap(ri_a, pose_a, pts_b, pose_b)
+        assert calls == [len(pts_b)]
+        assert got > 0.0
+        assert got == _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, pose_b, 0.05)
+
+    @pytest.mark.parametrize("past, culled", [(1e-5, True), (-1e-5, False)])
+    def test_pair_moved_to_the_reach_boundary(self, monkeypatch, past, culled):
+        cfg, ri_a, pose_a, pts_b, pose_b = self._wall_pair()
+        radius = np.linalg.norm(pts_b, axis=1).max()
+        moved = Pose(rotation=pose_b.rotation,
+                     translation=np.array([cfg.r_max + radius + past, 0.0, 0.0]))
+        calls = self._count_reprojections(monkeypatch)
+        got = compute_overlap(ri_a, pose_a, pts_b, moved)
+        assert len(calls) == (0 if culled else 1)
+        assert got == _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, moved, 0.05)
+        if culled:
+            assert got == 0.0
+
+    def test_tolerance_edge_rotations_with_a_point_ulps_inside_r_max(self, monkeypatch):
+        # a's rotation shrinks and b's stretches along `along` as far as
+        # Pose allows, so b's point lands 1.32e-9 * gap nearer to a than
+        # gap - R_b: more than a slack of 1e-9 * (1 + gap + R_b) covers
+        cfg = default_cfg(fov=1.4)
+        along = np.ones(3) / math.sqrt(3.0)
+        edge = 0.99 * 8e-9 / 3.0
+        pose_a = Pose(rotation=_near_orthonormal(along, -edge), translation=np.zeros(3))
+        rot_b = _near_orthonormal(along, edge)
+        rho = 1.0
+        pts_b = -rho * along[None, :]
+        gap0 = cfg.r_max / math.sqrt(1.0 - edge) + math.sqrt(1.0 + edge) * rho
+
+        def local_range(gap):
+            pose_b = Pose(rotation=rot_b, translation=gap * along)
+            local = pose_a.to_local(pose_b.to_world(pts_b))
+            return pose_b, local, project_points(local, cfg)[2][0]
+
+        steps = [gap0 + k * np.spacing(gap0) for k in range(-8, 9)]
+        inside = [g for g in steps if local_range(g)[2] <= cfg.r_max]
+        gap = max(inside)
+        pose_b, local, r = local_range(gap)
+        assert cfg.r_max - r <= 4 * np.spacing(cfg.r_max)
+        assert gap - rho - cfg.r_max > 1e-9 * (1.0 + gap + rho)
+
+        ri_a = build_range_image(local, cfg)
+        calls = self._count_reprojections(monkeypatch)
+        got = compute_overlap(ri_a, pose_a, pts_b, pose_b)
+        assert calls == [1]
+        assert got == 1.0
+        assert got == _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, pose_b, 0.05)
+
+        beyond = min(g for g in steps if g > gap)
+        pose_far = local_range(beyond)[0]
+        assert local_range(beyond)[2] > cfg.r_max
+        got = compute_overlap(ri_a, pose_a, pts_b, pose_far)
+        assert got == 0.0
+        assert got == _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, pose_far, 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_fall_through_to_the_full_path(self, monkeypatch, bad):
+        cfg, ri_a, pose_a, pts_b, pose_b = self._wall_pair()
+        far = Pose(rotation=pose_b.rotation, translation=np.array([400.0, 0.0, 0.0]))
+        dirty = np.concatenate([pts_b[:100], [[bad, 0.0, 0.0], [1.0, 2.0, bad]], pts_b[100:]])
+        calls = self._count_reprojections(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = compute_overlap(ri_a, pose_a, dirty, pose_b)
+            away = compute_overlap(ri_a, pose_a, dirty, far)
+            clean_away = compute_overlap(ri_a, pose_a, pts_b, far)
+        assert len(calls) == 2  # both dirty calls reproject; the clean far pair is culled
+        assert near > 0.0
+        assert near == _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, pose_b, 0.05)
+        assert away == clean_away == 0.0
+
+    def test_cull_fires_for_exactly_the_cross_place_pairs(self, monkeypatch):
+        spec = sw.WorldSpec(seed=3, n_places=5)
+        world = sw.generate_world(spec)
+        cfg = spec.projection_config()
+        images = [build_range_image(s, cfg) for s in world.scans]
+        calls = self._count_reprojections(monkeypatch)
+        n = len(world.scans)
+        for a in range(n):
+            for b in range(n):
+                before = len(calls)
+                compute_overlap(images[a], world.poses[a], world.scans[b], world.poses[b])
+                culled = len(calls) == before
+                assert culled == (world.place_ids[a] != world.place_ids[b]), (a, b)
 
 
 def _bruteforce_overlap(ranges, cfg, pose_a, pts_b, pose_b, eps_rel):
