@@ -57,17 +57,19 @@ def _load_images(dir_path: str) -> Tuple[List[int], List[rvw.RangeImage]]:
     return ids, [io.load_range_image(p) for _, p in files]
 
 
+def _load_config(cls, path: str):
+    return io.config_from_pairs(cls, io.load_kv_pairs(path))
+
+
 def _split_config(path: str):
     """One config file holds both the model geometry and the training
     schedule; keys are disjoint, so they partition cleanly."""
-    model_pairs, train_entries = [], {}
-    for key, val in io.load_kv_pairs(path):
-        if key in tr.TRAIN_KEYS:
-            train_entries[key] = val
-        else:
-            model_pairs.append((key, val))
-    return pl.model_config_from_pairs(model_pairs), \
-        tr.train_config_from_kv(train_entries)
+    train_keys = {key for key, _ in io.config_pairs(tr.TrainConfig())}
+    pairs = io.load_kv_pairs(path)
+    return (
+        io.config_from_pairs(pl.ModelConfig, [p for p in pairs if p[0] not in train_keys]),
+        io.config_from_pairs(tr.TrainConfig, [p for p in pairs if p[0] in train_keys]),
+    )
 
 
 def _model_config_near(ckpt: str, explicit: str | None) -> pl.ModelConfig:
@@ -91,18 +93,18 @@ def _csv_out(rows) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = sw.spec_from_kv(io.load_kv(args.spec))
+    spec = _load_config(sw.WorldSpec, args.spec)
     world = sw.generate_world(spec)
     sw.save_world(args.out, world)
     io.save_kv(os.path.join(args.out, "sensor.kv"),
-               rvw.projection_pairs(spec.projection_config()))
+               io.config_pairs(spec.projection_config()))
     print(f"wrote {len(world.scans)} scans "
           f"({spec.n_places} places x {spec.visits_per_place} visits) to {args.out}")
     return 0
 
 
 def cmd_project(args) -> int:
-    cfg = rvw.projection_from_kv(io.load_kv(args.config))
+    cfg = _load_config(rvw.ProjectionConfig, args.config)
     os.makedirs(args.out, exist_ok=True)
     files = _indexed_files(args.scans, ".bin")
     for idx, path in files:
@@ -113,7 +115,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_overlaps(args) -> int:
-    cfg = rvw.projection_from_kv(io.load_kv(args.config))
+    cfg = _load_config(rvw.ProjectionConfig, args.config)
     files = _indexed_files(args.scans, ".bin")
     poses = io.load_poses(args.poses)
     if len(poses) != len(files):
@@ -177,7 +179,7 @@ def cmd_eval_loop(args) -> int:
     if len(poses) != len(db):
         raise ContractError(f"{len(poses)} poses for {len(db)} descriptors")
     labels = io.load_labels(args.labels)
-    protocol = rt.protocol_from_kv(io.load_kv(args.protocol))
+    protocol = _load_config(rt.EvalProtocol, args.protocol)
     if protocol.kind != "loop_closure":
         raise ContractError(f"protocol kind {protocol.kind!r} is not loop_closure")
     report = rt.eval_loop_closure(db, labels, protocol)
@@ -190,7 +192,7 @@ def cmd_eval_place(args) -> int:
     query_db = rt.DescriptorDb.load(args.query_db)
     pos_a = np.stack([p.translation[:2] for p in io.load_poses(args.poses_a)])
     pos_b = np.stack([p.translation[:2] for p in io.load_poses(args.poses_b)])
-    protocol = rt.protocol_from_kv(io.load_kv(args.protocol))
+    protocol = _load_config(rt.EvalProtocol, args.protocol)
     if protocol.kind != "place_recognition":
         raise ContractError(
             f"protocol kind {protocol.kind!r} is not place_recognition"

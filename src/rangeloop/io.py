@@ -14,7 +14,13 @@ Text formats:
 * scan files: raw f32 quadruples (x, y, z, intensity), no header.
 * pose files: one scan per line, 12 floats, row-major 3x4 [R|t].
 * overlap labels: lines "query_idx cand_idx overlap".
-* configs: "key=value" lines, "#" comments.
+* configs: "key=value" lines, "#" comments.  One codec serves every config
+  dataclass (sensor geometry, world spec, model and training schedule,
+  evaluation protocol): its keys and value types are the dataclass fields,
+  so a new field is in the file format with no second edit.  A key may
+  appear once, except a tuple field's (``stage``), which takes one
+  comma-separated tuple per line; unknown keys, repeated keys, values that
+  do not parse and non-finite floats are contract violations.
 
 Pose, label, place-id and config files are read as UTF-8; bytes that do not
 decode are a contract violation.
@@ -22,7 +28,10 @@ decode are a contract violation.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
+import typing
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -297,16 +306,8 @@ def parse_kv_pairs(text: str) -> List[Tuple[str, str]]:
     return out
 
 
-def parse_kv(text: str) -> Dict[str, str]:
-    return dict(parse_kv_pairs(text))
-
-
 def load_kv_pairs(path) -> List[Tuple[str, str]]:
     return parse_kv_pairs(_read_text(path))
-
-
-def load_kv(path) -> Dict[str, str]:
-    return dict(load_kv_pairs(path))
 
 
 def save_kv(path, entries) -> None:
@@ -315,3 +316,63 @@ def save_kv(path, entries) -> None:
     with open(path, "w") as f:
         for key, val in pairs:
             f.write(f"{key}={val}\n")
+
+
+def _config_keys(cls):
+    """(key, field, type) for each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return [(f.metadata.get("key", f.name), f, hints[f.name])
+            for f in dataclasses.fields(cls)]
+
+
+def _parse_scalar(typ, key: str, val: str):
+    try:
+        out = typ(val)
+    except ValueError:
+        raise ContractError(f"bad value for {key}: {val!r}") from None
+    if typ is float and not math.isfinite(out):
+        raise ContractError(f"{key} must be finite, got {val!r}")
+    return out
+
+
+def config_from_pairs(cls, pairs):
+    """Build config dataclass `cls` from (key, value) string pairs.
+
+    A field's key is its name, or ``metadata["key"]`` when set.  A ``tuple``
+    field takes one comma-separated int tuple per line of its key; any other
+    field takes exactly one line, parsed by its annotated type.  Unknown,
+    repeated, unparsable and non-finite values are contract violations, as
+    is a missing field that has no default.
+    """
+    fields = {key: (f, typ) for key, f, typ in _config_keys(cls)}
+    values = {}
+    for key, val in pairs:
+        if key not in fields:
+            raise ContractError(f"unknown {cls.__name__} key {key!r}")
+        f, typ = fields[key]
+        if typ is tuple:
+            item = tuple(_parse_scalar(int, key, p) for p in val.split(","))
+            values[f.name] = values.get(f.name, ()) + (item,)
+        elif f.name in values:
+            raise ContractError(f"repeated {cls.__name__} key {key!r}")
+        else:
+            values[f.name] = _parse_scalar(typ, key, val)
+    missing = sorted(key for key, (f, _) in fields.items() if f.name not in values
+                     and f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+    if missing:
+        raise ContractError(f"{cls.__name__} is missing keys: {missing}")
+    return cls(**values)
+
+
+def config_pairs(cfg) -> List[Tuple[str, str]]:
+    """(key, value) string pairs of a config dataclass, in field order; the
+    inverse of `config_from_pairs`."""
+    out = []
+    for key, f, typ in _config_keys(type(cfg)):
+        value = getattr(cfg, f.name)
+        if typ is tuple:
+            out += [(key, ",".join(str(v) for v in item)) for item in value]
+        else:
+            out.append((key, str(value)))
+    return out

@@ -10,7 +10,7 @@ what "the model" is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .errors import ConfigError, ContractError
 class ModelConfig:
     h: int = 64  # range image rows
     w: int = 900  # range image columns
-    stages: tuple = ()  # backbone plan; empty means the default halving plan
+    # backbone plan, one (C, k, s) per stage; empty means the default halving plan
+    stages: tuple = field(default=(), metadata={"key": "stage"})
     spp_kernel: int = 5
     spp_depth: int = 3
     spp_mode: str = "concat"
@@ -41,6 +42,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.h < 2 or self.w < 2:
             raise ConfigError(f"sensor grid must be at least 2x2, got {self.h}x{self.w}")
+        for stage in self.stages:
+            if len(stage) != 3:
+                raise ConfigError(f"a stage must be (C, k, s), got {stage!r}")
 
     def backbone_config(self) -> bb.BackboneConfig:
         stages = tuple(tuple(s) for s in self.stages) or bb.default_stages(self.h)
@@ -98,8 +102,6 @@ def model_forward(x, params: ModelParams, cfg: ModelConfig,
     """
     if train and rng is None:
         raise ContractError("training forward requires a random generator")
-    if rng is None:
-        rng = np.random.default_rng(0)
     tokens = bb.backbone_forward(x, params.backbone, cfg.backbone_config())
     if not bypass_olm:
         tokens = bk.olm_stack(tokens, params.olm, cfg.olm_config(train_mode=train), rng)
@@ -155,58 +157,12 @@ def load_model(path, cfg: ModelConfig) -> ModelParams:
 # config files
 
 
-def model_config_pairs(cfg: ModelConfig):
-    stages = tuple(tuple(s) for s in cfg.stages) or bb.default_stages(cfg.h)
-    pairs = [("h", cfg.h), ("w", cfg.w)]
-    pairs += [("stage", f"{c},{k},{s}") for c, k, s in stages]
-    pairs += [
-        ("spp_kernel", cfg.spp_kernel),
-        ("spp_depth", cfg.spp_depth),
-        ("spp_mode", cfg.spp_mode),
-        ("olm_blocks", cfg.olm_blocks),
-        ("olm_e", cfg.olm_e),
-        ("olm_n", cfg.olm_n),
-        ("olm_conv_kernel", cfg.olm_conv_kernel),
-        ("vlad_k", cfg.vlad_k),
-        ("mlp_hidden", cfg.mlp_hidden),
-        ("out_dim", cfg.out_dim),
-    ]
-    return pairs
-
-
 def save_model_config(path, cfg: ModelConfig) -> None:
-    io.save_kv(path, model_config_pairs(cfg))
-
-
-_INT_KEYS = {"h", "w", "spp_kernel", "spp_depth", "olm_blocks", "olm_e",
-             "olm_n", "olm_conv_kernel", "vlad_k", "mlp_hidden", "out_dim"}
-
-
-def model_config_from_pairs(pairs) -> ModelConfig:
-    stages = []
-    fields = {}
-    for key, val in pairs:
-        if key == "stage":
-            parts = val.split(",")
-            if len(parts) != 3:
-                raise ContractError(f"stage line must be C,k,s, got {val!r}")
-            try:
-                stages.append(tuple(int(p) for p in parts))
-            except ValueError:
-                raise ContractError(f"stage line must be integers, got {val!r}")
-        elif key in _INT_KEYS:
-            try:
-                fields[key] = int(val)
-            except ValueError:
-                raise ContractError(f"{key} must be an integer, got {val!r}")
-        elif key == "spp_mode":
-            fields[key] = val
-        else:
-            raise ContractError(f"unknown model config key {key!r}")
-    if stages:
-        fields["stages"] = tuple(stages)
-    return ModelConfig(**fields)
+    """Write `cfg` with its stage plan resolved, so an empty plan is stored
+    as the default halving plan it stands for."""
+    resolved = replace(cfg, stages=cfg.backbone_config().stages)
+    io.save_kv(path, io.config_pairs(resolved))
 
 
 def load_model_config(path) -> ModelConfig:
-    return model_config_from_pairs(io.load_kv_pairs(path))
+    return io.config_from_pairs(ModelConfig, io.load_kv_pairs(path))

@@ -51,30 +51,6 @@ class ProjectionConfig:
         return self.f_up + self.f_down
 
 
-_PROJECTION_KEYS = {
-    "w": int, "h": int, "f_up": float, "f_down": float, "r_max": float,
-}
-
-
-def projection_from_kv(entries) -> ProjectionConfig:
-    fields = {}
-    for key, val in entries.items():
-        if key not in _PROJECTION_KEYS:
-            raise ContractError(f"unknown projection key {key!r}")
-        try:
-            fields[key] = _PROJECTION_KEYS[key](val)
-        except ValueError:
-            raise ContractError(f"bad value for {key}: {val!r}")
-    missing = sorted(set(_PROJECTION_KEYS) - set(fields))
-    if missing:
-        raise ContractError(f"projection config is missing keys: {missing}")
-    return ProjectionConfig(**fields)
-
-
-def projection_pairs(cfg: ProjectionConfig):
-    return [(key, getattr(cfg, key)) for key in _PROJECTION_KEYS]
-
-
 @dataclass
 class RangeImage:
     ranges: np.ndarray  # (h, w), meters, SENTINEL where no return

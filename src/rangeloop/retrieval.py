@@ -239,24 +239,6 @@ class EvalProtocol:
             )
 
 
-_PROTOCOL_KEYS = {
-    "kind": str, "window": int, "distance_threshold": float,
-    "overlap_threshold": float, "query_step": int, "db_step": int,
-}
-
-
-def protocol_from_kv(entries: Dict[str, str]) -> EvalProtocol:
-    fields = {}
-    for key, val in entries.items():
-        if key not in _PROTOCOL_KEYS:
-            raise ContractError(f"unknown protocol key {key!r}")
-        try:
-            fields[key] = _PROTOCOL_KEYS[key](val)
-        except ValueError:
-            raise ContractError(f"bad value for {key}: {val!r}")
-    return EvalProtocol(**fields)
-
-
 def overlap_lookup(labels) -> Dict[Tuple[int, int], float]:
     """Symmetric (a, b) -> overlap map from labeled pairs."""
     table: Dict[Tuple[int, int], float] = {}

@@ -19,7 +19,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from . import io
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .rangeview import Pose, ProjectionConfig
 
 
@@ -39,6 +39,8 @@ class WorldSpec:
     r_max: float = 50.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_places < 2:
             raise ConfigError(f"need at least 2 places, got {self.n_places}")
         if self.visits_per_place < 1:
@@ -239,26 +241,3 @@ def save_world(out_dir, world: WorldData) -> None:
     io.save_poses(os.path.join(out_dir, "poses.txt"), world.poses)
     io.save_place_ids(os.path.join(out_dir, "places.txt"), world.place_ids)
 
-
-_SPEC_KEYS = {
-    "seed": int, "n_places": int, "visits_per_place": int,
-    "yaw_jitter": float, "translation_jitter": float, "n_obstacles": int,
-    "place_spacing": float, "h": int, "w": int, "f_up": float,
-    "f_down": float, "r_max": float,
-}
-
-
-def spec_from_kv(entries) -> WorldSpec:
-    fields = {}
-    for key, val in entries.items():
-        if key not in _SPEC_KEYS:
-            raise ContractError(f"unknown world spec key {key!r}")
-        try:
-            fields[key] = _SPEC_KEYS[key](val)
-        except ValueError:
-            raise ContractError(f"bad value for {key}: {val!r}")
-    return WorldSpec(**fields)
-
-
-def spec_pairs(spec: WorldSpec):
-    return [(key, getattr(spec, key)) for key in _SPEC_KEYS]

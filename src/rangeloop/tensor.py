@@ -385,12 +385,7 @@ def sqrt(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # 1/(1+e^-x), stable on both tails
-    data = np.empty_like(a.data)
-    pos = a.data >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    data = _sigmoid_np(a.data)
 
     def bwd():
         def fn(g):
@@ -448,18 +443,8 @@ def relu(a) -> Tensor:
     return _make_out(data, (a,), bwd)
 
 
-_ACTIVATIONS = {"silu": silu, "softplus": softplus, "sigmoid": sigmoid, "relu": relu}
-
-
-def activation(a, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ContractError(f"unknown activation {kind!r}") from None
-    return fn(a)
-
-
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x), stable on both tails."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def tuple_loss(g_q, positives, negatives, cfg: LossConfig,
 class TrainConfig:
     loss: str = "imtrihard"
     alpha: float = 0.25
-    lam: float = 1e-4
+    lam: float = field(default=1e-4, metadata={"key": "lambda"})
     lr: float = 5e-6
     epochs: int = 20
     k_p: int = 6
@@ -139,6 +139,8 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
         if self.k_p < 1 or self.k_n < 1:
             raise ConfigError("k_p and k_n must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.overlap_threshold < 1.0:
             raise ConfigError(
                 f"overlap threshold must lie in (0, 1), got {self.overlap_threshold}"
@@ -146,34 +148,6 @@ class TrainConfig:
 
     def loss_config(self) -> LossConfig:
         return LossConfig(alpha=self.alpha, lam=self.lam, kind=self.loss)
-
-
-TRAIN_KEYS = {
-    "loss": str, "alpha": float, "lambda": float, "lr": float, "epochs": int,
-    "k_p": int, "k_n": int, "seed": int, "overlap_threshold": float,
-}
-
-
-def train_config_from_kv(entries: dict) -> TrainConfig:
-    fields = {}
-    for key, val in entries.items():
-        if key not in TRAIN_KEYS:
-            raise ContractError(f"unknown training config key {key!r}")
-        try:
-            parsed = TRAIN_KEYS[key](val)
-        except ValueError:
-            raise ContractError(f"bad value for {key}: {val!r}")
-        fields["lam" if key == "lambda" else key] = parsed
-    return TrainConfig(**fields)
-
-
-def train_config_pairs(cfg: TrainConfig):
-    return [
-        ("loss", cfg.loss), ("alpha", cfg.alpha), ("lambda", cfg.lam),
-        ("lr", cfg.lr), ("epochs", cfg.epochs), ("k_p", cfg.k_p),
-        ("k_n", cfg.k_n), ("seed", cfg.seed),
-        ("overlap_threshold", cfg.overlap_threshold),
-    ]
 
 
 @dataclass(frozen=True)

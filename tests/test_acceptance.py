@@ -224,7 +224,6 @@ class TestAcceptance:
                 ("silu", lambda a: tt.silu(a), [a2]),
                 ("softplus", lambda a: tt.softplus(a), [a2]),
                 ("relu", lambda a: tt.relu(a), [sep]),
-                ("activation", lambda a: tt.activation(a, "silu"), [a2]),
                 ("matmul", lambda a, b: tt.matmul(a, b),
                  [rng.standard_normal((3, 4)), rng.standard_normal((4, 5))]),
                 ("einsum2", lambda a, b: tt.einsum2("bme,en->bmn", a, b),

@@ -39,6 +39,12 @@ seed=42
 """
 
 
+def _set_key(text, key, value):
+    """Config text with the line for key replaced, or appended, by key=value."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key}=")]
+    return "\n".join(lines + [f"{key}={value}"]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One synthetic dataset shared by the CLI tests: world, range images,
@@ -309,6 +315,63 @@ class TestMalformedInputs:
         poses = tmp_path / "poses.txt"
         poses.write_bytes(b"\xff\xfe" + bytes(range(256)))
         assert self._overlaps(workspace, tmp_path, poses=poses) == 2
+        self._assert_one_line_error(capsys)
+
+    def _nan_sensor(self, workspace, tmp_path):
+        config = tmp_path / "sensor.kv"
+        text = (workspace / "world" / "sensor.kv").read_text()
+        config.write_text(_set_key(text, "r_max", "nan"))
+        return config
+
+    def test_non_finite_sensor_config_project_is_2(self, workspace, tmp_path, capsys):
+        config = self._nan_sensor(workspace, tmp_path)
+        assert main(["project", "--scans", str(workspace / "world"),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "ranges")]) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_non_finite_sensor_config_overlaps_is_2(self, workspace, tmp_path, capsys):
+        config = self._nan_sensor(workspace, tmp_path)
+        assert self._overlaps(workspace, tmp_path, config=config) == 2
+        self._assert_one_line_error(capsys)
+        assert not (tmp_path / "labels.txt").exists()
+
+    @pytest.mark.parametrize("key, value", [("r_max", "nan"), ("seed", "-1")])
+    def test_bad_world_spec_is_2(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "world.kv"
+        spec.write_text(_set_key(WORLD_KV, key, value))
+        assert main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "world")]) == 2
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("key, value", [("lr", "nan"), ("alpha", "nan"),
+                                            ("seed", "-3")])
+    def test_bad_train_config_is_2(self, workspace, tmp_path, capsys, key, value):
+        config = tmp_path / "config.kv"
+        config.write_text(_set_key(CONFIG_KV, key, value))
+        assert main(["train", "--config", str(config),
+                     "--data", str(workspace / "ranges"),
+                     "--labels", str(workspace / "labels.txt"),
+                     "--out", str(tmp_path / "ckpt")]) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_non_finite_distance_threshold_is_2(self, workspace, tmp_path, capsys):
+        proto = tmp_path / "place.kv"
+        proto.write_text("kind=place_recognition\ndistance_threshold=nan\n")
+        poses = str(workspace / "world" / "poses.txt")
+        assert main(["eval-place", "--db", str(workspace / "db.omdb"),
+                     "--query-db", str(workspace / "db.omdb"),
+                     "--poses-a", poses, "--poses-b", poses,
+                     "--protocol", str(proto)]) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_repeated_protocol_key_is_2(self, workspace, tmp_path, capsys):
+        proto = tmp_path / "loop.kv"
+        proto.write_text("kind=loop_closure\nwindow=1\nwindow=2\n")
+        assert main(["eval-loop", "--db", str(workspace / "db.omdb"),
+                     "--poses", str(workspace / "world" / "poses.txt"),
+                     "--labels", str(workspace / "labels.txt"),
+                     "--protocol", str(proto)]) == 2
         self._assert_one_line_error(capsys)
 
 

@@ -7,8 +7,12 @@ import pytest
 
 from rangeloop import io
 from rangeloop.errors import ContractError
-from rangeloop.rangeview import OverlapLabel, Pose, RangeImage
+from rangeloop.pipeline import ModelConfig
+from rangeloop.rangeview import OverlapLabel, Pose, ProjectionConfig, RangeImage
+from rangeloop.retrieval import EvalProtocol
+from rangeloop.synthworld import WorldSpec
 from rangeloop.tensor import Tensor
+from rangeloop.training import TrainConfig
 
 
 class TestCheckpoint:
@@ -241,18 +245,77 @@ def test_text_loaders_break_lines_only_at_newlines(tmp_path):
 class TestKeyValueConfig:
     def test_parse_basics(self):
         text = "# comment\nloss=imtrihard\nalpha=0.25\n\nlr = 5e-6\n"
-        kv = io.parse_kv(text)
-        assert kv == {"loss": "imtrihard", "alpha": "0.25", "lr": "5e-6"}
+        kv = io.parse_kv_pairs(text)
+        assert kv == [("loss", "imtrihard"), ("alpha", "0.25"), ("lr", "5e-6")]
 
     def test_value_may_contain_equals(self):
-        assert io.parse_kv("stage=16,2,2")["stage"] == "16,2,2"
-        assert io.parse_kv("note=a=b")["note"] == "a=b"
+        assert io.parse_kv_pairs("stage=16,2,2") == [("stage", "16,2,2")]
+        assert io.parse_kv_pairs("note=a=b") == [("note", "a=b")]
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ContractError):
-            io.parse_kv("just a line\n")
+            io.parse_kv_pairs("just a line\n")
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
         io.save_kv(path, {"loss": "triplet", "alpha": 0.25})
-        assert io.load_kv(path) == {"loss": "triplet", "alpha": "0.25"}
+        assert io.load_kv_pairs(path) == [("loss", "triplet"), ("alpha", "0.25")]
+
+
+class TestConfigCodec:
+    @pytest.mark.parametrize("cfg", [
+        WorldSpec().projection_config(),
+        ProjectionConfig(w=900, h=64, f_up=0.05, f_down=0.4, r_max=80.0),
+        WorldSpec(),
+        WorldSpec(seed=7, n_places=5, r_max=30.0, place_spacing=70.0, f_up=0.125),
+        ModelConfig(),
+        ModelConfig(h=8, w=32, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2)),
+                    spp_mode="add", olm_n=2, vlad_k=4, mlp_hidden=16, out_dim=8),
+        TrainConfig(),
+        TrainConfig(loss="triplet", alpha=0.3, lam=1e-3, lr=1e-4, epochs=5,
+                    k_p=2, k_n=3, seed=9, overlap_threshold=0.4),
+        EvalProtocol(),
+        EvalProtocol(kind="place_recognition", window=0, distance_threshold=7.5,
+                     query_step=5, db_step=2),
+    ], ids=lambda cfg: type(cfg).__name__)
+    def test_roundtrip(self, tmp_path, cfg):
+        path = tmp_path / "cfg.kv"
+        io.save_kv(path, io.config_pairs(cfg))
+        assert io.config_from_pairs(type(cfg), io.load_kv_pairs(path)) == cfg
+
+    def test_keys_follow_field_metadata(self):
+        keys = [key for key, _ in io.config_pairs(TrainConfig())]
+        assert "lambda" in keys and "lam" not in keys
+        with pytest.raises(ContractError, match="unknown TrainConfig key 'lam'"):
+            io.config_from_pairs(TrainConfig, [("lam", "0.1")])
+        pairs = io.config_pairs(ModelConfig(h=4, stages=((4, 2, 2), (8, 2, 2))))
+        assert [p for p in pairs if p[0] == "stage"] == [("stage", "4,2,2"),
+                                                         ("stage", "8,2,2")]
+
+    def test_missing_required_keys(self):
+        with pytest.raises(ContractError, match=r"missing keys: \['f_down', 'r_max'\]"):
+            io.config_from_pairs(ProjectionConfig,
+                                 [("w", "32"), ("h", "8"), ("f_up", "0.3")])
+
+    @pytest.mark.parametrize("cls, key", [(EvalProtocol, "window"),
+                                          (TrainConfig, "lambda"),
+                                          (WorldSpec, "seed")])
+    def test_repeated_key_rejected(self, cls, key):
+        with pytest.raises(ContractError, match=f"repeated {cls.__name__} key '{key}'"):
+            io.config_from_pairs(cls, [(key, "1"), (key, "2")])
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected(self, token):
+        with pytest.raises(ContractError, match="must be finite"):
+            io.config_from_pairs(EvalProtocol, [("distance_threshold", token)])
+
+    @pytest.mark.parametrize("key, val", [("window", "1.5"), ("window", ""),
+                                          ("distance_threshold", "far")])
+    def test_unparsable_value_rejected(self, key, val):
+        with pytest.raises(ContractError, match=f"bad value for {key}"):
+            io.config_from_pairs(EvalProtocol, [(key, val)])
+
+    @pytest.mark.parametrize("val", ["16,2,x", "16,,2", "nan,2,2"])
+    def test_unparsable_stage_rejected(self, val):
+        with pytest.raises(ContractError, match="bad value for stage"):
+            io.config_from_pairs(ModelConfig, [("stage", val)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rangeloop import io
 from rangeloop import pipeline as pl
 from rangeloop import tensor as tt
 from rangeloop.errors import ConfigError, ContractError
@@ -54,11 +55,17 @@ class TestConfig:
 
     def test_config_rejects_unknown_key(self):
         with pytest.raises(ContractError):
-            pl.model_config_from_pairs([("h", "16"), ("w", "40"), ("bogus", "1")])
+            io.config_from_pairs(pl.ModelConfig,
+                                 [("h", "16"), ("w", "40"), ("bogus", "1")])
 
     def test_config_rejects_bad_stage(self):
         with pytest.raises(ContractError):
-            pl.model_config_from_pairs([("stage", "16,2")])
+            io.config_from_pairs(pl.ModelConfig, [("stage", "16,2")])
+
+    @pytest.mark.parametrize("stages", [((16, 2),), ((8, 2, 2), (16, 2, 2, 2))])
+    def test_stage_needs_three_values(self, stages):
+        with pytest.raises(ConfigError, match=r"a stage must be \(C, k, s\)"):
+            pl.ModelConfig(h=4, stages=stages)
 
 
 class TestForward:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rangeloop import io
 from rangeloop import retrieval as rv
 from rangeloop.errors import ConfigError, ContractError
 from rangeloop.rangeview import OverlapLabel
@@ -530,11 +531,12 @@ class TestProtocolConfig:
             rv.EvalProtocol(overlap_threshold=0.0)
 
     def test_kv_parsing(self):
-        proto = rv.protocol_from_kv({"kind": "place_recognition",
-                                     "query_step": "5", "distance_threshold": "7.5"})
+        proto = io.config_from_pairs(rv.EvalProtocol, [
+            ("kind", "place_recognition"), ("query_step", "5"),
+            ("distance_threshold", "7.5")])
         assert proto.query_step == 5 and proto.distance_threshold == 7.5
         with pytest.raises(ContractError):
-            rv.protocol_from_kv({"speed": "fast"})
+            io.config_from_pairs(rv.EvalProtocol, [("speed", "fast")])
 
 
 class TestBench:

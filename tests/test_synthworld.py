@@ -25,17 +25,19 @@ class TestWorldSpec:
             sw.WorldSpec(yaw_jitter=-0.1)
         with pytest.raises(ConfigError):
             sw.WorldSpec(visits_per_place=0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            sw.WorldSpec(seed=-1)
 
     def test_kv_roundtrip(self):
         spec = sw.WorldSpec(n_places=5, r_max=30.0, place_spacing=70.0)
-        back = sw.spec_from_kv({k: str(v) for k, v in sw.spec_pairs(spec)})
+        back = io.config_from_pairs(sw.WorldSpec, io.config_pairs(spec))
         assert back == spec
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ContractError):
-            sw.spec_from_kv({"gravity": "9.81"})
+            io.config_from_pairs(sw.WorldSpec, [("gravity", "9.81")])
         with pytest.raises(ContractError):
-            sw.spec_from_kv({"n_places": "many"})
+            io.config_from_pairs(sw.WorldSpec, [("n_places", "many")])
 
 
 class TestBeamDirections:

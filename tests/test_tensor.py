@@ -163,14 +163,6 @@ class TestActivations:
         out = T.relu(T.Tensor([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
 
-    def test_dispatch_by_name(self):
-        x = T.Tensor([1.0])
-        np.testing.assert_array_equal(
-            T.activation(x, "silu").data, T.silu(x).data
-        )
-        with pytest.raises(errors.ContractError):
-            T.activation(x, "tanh")
-
 
 class TestBackward:
     def test_sum_gives_ones(self):

@@ -8,6 +8,7 @@ import pytest
 
 from fdcheck import check_grads
 
+from rangeloop import io
 from rangeloop import pipeline as pl
 from rangeloop import tensor as tt
 from rangeloop import training as tr
@@ -223,12 +224,12 @@ class TestTrainConfig:
     def test_kv_roundtrip(self):
         cfg = tr.TrainConfig(loss="triplet", alpha=0.3, lam=1e-3, lr=1e-4,
                              epochs=5, k_p=2, k_n=3, seed=9, overlap_threshold=0.4)
-        back = tr.train_config_from_kv(dict(tr.train_config_pairs(cfg)))
+        back = io.config_from_pairs(tr.TrainConfig, io.config_pairs(cfg))
         assert back == cfg
 
     def test_kv_rejects_unknown(self):
         with pytest.raises(ContractError):
-            tr.train_config_from_kv({"momentum": "0.9"})
+            io.config_from_pairs(tr.TrainConfig, [("momentum", "0.9")])
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -237,6 +238,8 @@ class TestTrainConfig:
             tr.TrainConfig(lr=-1.0)
         with pytest.raises(ConfigError):
             tr.TrainConfig(overlap_threshold=1.5)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            tr.TrainConfig(seed=-3)
 
 
 class TestSplit:
