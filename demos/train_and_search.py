@@ -32,13 +32,8 @@ def main():
               for i, s in enumerate(world.scans)}
     print(f"world: {len(world.scans)} scans over {spec.n_places} places")
 
-    labels = []
-    for a in range(len(world.scans)):
-        for b in range(a + 1, len(world.scans)):
-            labels.append(rvw.OverlapLabel(
-                query=a, cand=b,
-                overlap=rvw.compute_overlap(images[a], world.poses[a],
-                                            world.scans[b], world.poses[b])))
+    labels = rvw.label_pairs(images, world.poses, world.scans,
+                             range(len(world.scans)))
     tuples = rvw.build_tuples(labels, threshold=0.3, k_p=2, k_n=2,
                               seed=args.seed)
     print(f"labels: {len(labels)} pairs, tuples: {len(tuples)}")

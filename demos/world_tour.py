@@ -52,13 +52,7 @@ def main():
             row.append(f"{ov:5.2f} ")
         print(f"scan {i:2d} place {world.place_ids[i]}: " + "".join(row))
 
-    labels = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            labels.append(rvw.OverlapLabel(
-                query=a, cand=b,
-                overlap=rvw.compute_overlap(images[a], world.poses[a],
-                                            world.scans[b], world.poses[b])))
+    labels = rvw.label_pairs(images, world.poses, world.scans, range(n))
     tuples = rvw.build_tuples(labels, threshold=0.3, k_p=2, k_n=2, seed=args.seed)
     print(f"\nmined {len(tuples)} training tuples at threshold 0.3")
     t = tuples[0]

@@ -5,8 +5,8 @@ dataset, project scans to range images, label overlaps, train, embed, search,
 evaluate, benchmark, and run the built-in invariant suite.
 
 Exit codes: 0 success, 1 failed selfcheck, 2 contract violation (bad
-arguments, malformed files, mismatched shapes), 3 degenerate input detected
-during processing.
+arguments, malformed files, mismatched shapes) or out of memory, 3 degenerate
+input detected during processing.
 """
 
 from __future__ import annotations
@@ -122,12 +122,7 @@ def cmd_overlaps(args) -> int:
         raise ContractError(f"{len(poses)} poses for {len(files)} scans")
     scans = [io.load_scan(p) for _, p in files]
     images = [rvw.build_range_image(s, cfg) for s in scans]
-    ids = [i for i, _ in files]
-    labels = []
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            ov = rvw.compute_overlap(images[a], poses[a], scans[b], poses[b])
-            labels.append(rvw.OverlapLabel(query=ids[a], cand=ids[b], overlap=ov))
+    labels = rvw.label_pairs(images, poses, scans, [i for i, _ in files])
     io.save_labels(args.out, labels)
     print(f"labeled {len(labels)} pairs to {args.out}")
     return 0
@@ -310,6 +305,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

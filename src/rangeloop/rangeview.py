@@ -39,12 +39,15 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.w < 2 or self.h < 2:
             raise ConfigError(f"image extents must be >= 2, got {self.w}x{self.h}")
-        if self.f_up < 0 or self.f_down < 0 or self.f_up + self.f_down <= 0:
+        # chained comparisons: NaN fails every one of them
+        if (not (0 <= self.f_up < math.inf and 0 <= self.f_down < math.inf)
+                or self.f_up + self.f_down <= 0):
             raise ConfigError(
-                f"vertical field of view must be positive, got up={self.f_up} down={self.f_down}"
+                f"vertical field of view must be finite and positive, "
+                f"got up={self.f_up} down={self.f_down}"
             )
-        if self.r_max <= 0:
-            raise ConfigError(f"r_max must be positive, got {self.r_max}")
+        if not 0 < self.r_max < math.inf:
+            raise ConfigError(f"r_max must be finite and positive, got {self.r_max}")
 
     @property
     def f(self) -> float:
@@ -258,6 +261,19 @@ def compute_overlap(
     close = np.abs(proj.ranges - ri_a.ranges) <= eps_rel * ri_a.ranges
     agree = valid_a & proj.valid & close
     return float(agree.sum()) / n_valid
+
+
+def label_pairs(images, poses, scans, ids):
+    """Overlap labels for every pair a < b of a scan sequence: the query is
+    scan a (``images[a]``, ``poses[a]``), the candidate scan b
+    (``scans[b]``, ``poses[b]``), and ``ids`` names them in the labels."""
+    n = len(ids)
+    return [
+        OverlapLabel(query=ids[a], cand=ids[b],
+                     overlap=compute_overlap(images[a], poses[a], scans[b], poses[b]))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
 
 
 def build_tuples(labels, threshold: float, k_p: int, k_n: int, seed: int):

@@ -229,9 +229,9 @@ class EvalProtocol:
             raise ConfigError("steps must be >= 1")
         if self.window < 0:
             raise ConfigError(f"exclusion window must be >= 0, got {self.window}")
-        if self.distance_threshold < 0:
+        if not 0 <= self.distance_threshold < math.inf:  # NaN fails too
             raise ConfigError(
-                f"distance threshold must be >= 0, got {self.distance_threshold}"
+                f"distance threshold must be finite and >= 0, got {self.distance_threshold}"
             )
         if not 0.0 < self.overlap_threshold < 1.0:
             raise ConfigError(
@@ -486,18 +486,3 @@ def bench_to_csv(rows: List[BenchRow]) -> str:
         w.writerow([r.name, repr(r.mean_s), repr(r.median_s), repr(r.p95_s),
                     r.reps, int(r.low_confidence)])
     return buf.getvalue()
-
-
-def bench_from_csv(text: str) -> List[BenchRow]:
-    reader = csv.reader(_stdio.StringIO(text))
-    header = next(reader, None)
-    if header != BENCH_HEADER:
-        raise ContractError(f"bad benchmark header: {header}")
-    out = []
-    for row in reader:
-        if len(row) != len(BENCH_HEADER):
-            raise ContractError(f"bad benchmark row: {row}")
-        out.append(BenchRow(name=row[0], mean_s=float(row[1]),
-                            median_s=float(row[2]), p95_s=float(row[3]),
-                            reps=int(row[4]), low_confidence=bool(int(row[5]))))
-    return out

@@ -320,38 +320,35 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
         y[:, sl] += np.einsum("blen,bln->ble", hs, cd[:, sl])
         h = hs[:, -1].copy()
 
-    def bwd():
-        def fn(gy):
-            gx = gy * d.data
-            gd = np.einsum("bme,bme->e", gy, xd)
-            gdelta = np.empty_like(dd)
-            ga = np.zeros_like(ad)
-            gb = np.empty_like(bd)
-            gc = np.empty_like(cd)
-            carry = np.zeros((bsz, e, n))  # exp(delta_{m+1} a) * lambda_{m+1}
-            for sl, h0 in zip(reversed(blocks), reversed(saved)):
-                xl, dl, bl, gyl = xd[:, sl], dd[:, sl], bd[:, sl], gy[:, sl]
-                decay, hs = _block_states(h0, xl, dl, ad, bl)
-                lam = gyl[..., None] * cd[:, sl, None, :]
-                for i in range(lam.shape[1] - 1, -1, -1):
-                    lam[:, i] += carry
-                    carry = decay[:, i] * lam[:, i]
-                gc[:, sl] = np.einsum("blen,ble->bln", hs, gyl)
-                # hs now holds h_{m-1}: d h_m / d(delta_m a) = exp(delta_m a) * h_{m-1}
-                hs[:, 1:] = hs[:, :-1]
-                hs[:, 0] = h0
-                dlogdecay = lam * decay * hs  # gradient w.r.t. delta_m * a
-                u = dl * xl
-                gu = np.einsum("blen,bln->ble", lam, bl)
-                gb[:, sl] = np.einsum("blen,ble->bln", lam, u)
-                gx[:, sl] += gu * dl
-                gdelta[:, sl] = gu * xl + np.einsum("blen,en->ble", dlogdecay, ad)
-                ga += np.einsum("blen,ble->en", dlogdecay, dl)
-            return gx, gdelta, ga, gb, gc, gd
+    def fn(gy):
+        gx = gy * d.data
+        gd = np.einsum("bme,bme->e", gy, xd)
+        gdelta = np.empty_like(dd)
+        ga = np.zeros_like(ad)
+        gb = np.empty_like(bd)
+        gc = np.empty_like(cd)
+        carry = np.zeros((bsz, e, n))  # exp(delta_{m+1} a) * lambda_{m+1}
+        for sl, h0 in zip(reversed(blocks), reversed(saved)):
+            xl, dl, bl, gyl = xd[:, sl], dd[:, sl], bd[:, sl], gy[:, sl]
+            decay, hs = _block_states(h0, xl, dl, ad, bl)
+            lam = gyl[..., None] * cd[:, sl, None, :]
+            for i in range(lam.shape[1] - 1, -1, -1):
+                lam[:, i] += carry
+                carry = decay[:, i] * lam[:, i]
+            gc[:, sl] = np.einsum("blen,ble->bln", hs, gyl)
+            # hs now holds h_{m-1}: d h_m / d(delta_m a) = exp(delta_m a) * h_{m-1}
+            hs[:, 1:] = hs[:, :-1]
+            hs[:, 0] = h0
+            dlogdecay = lam * decay * hs  # gradient w.r.t. delta_m * a
+            u = dl * xl
+            gu = np.einsum("blen,bln->ble", lam, bl)
+            gb[:, sl] = np.einsum("blen,ble->bln", lam, u)
+            gx[:, sl] += gu * dl
+            gdelta[:, sl] = gu * xl + np.einsum("blen,en->ble", dlogdecay, ad)
+            ga += np.einsum("blen,ble->en", dlogdecay, dl)
+        return gx, gdelta, ga, gb, gc, gd
 
-        return fn
-
-    return tt._make_out(y, inputs, bwd)
+    return tt._make_out(y, inputs, fn)
 
 
 def _block_states(h0, x, delta, a, b):

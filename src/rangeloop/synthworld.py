@@ -45,16 +45,16 @@ class WorldSpec:
             raise ConfigError(f"need at least 2 places, got {self.n_places}")
         if self.visits_per_place < 1:
             raise ConfigError(f"visits per place must be >= 1, got {self.visits_per_place}")
-        if self.yaw_jitter < 0 or self.translation_jitter < 0:
-            raise ConfigError("jitters must be >= 0")
+        if not (0 <= self.yaw_jitter < math.inf and 0 <= self.translation_jitter < math.inf):
+            raise ConfigError("jitters must be finite and >= 0")
         if self.n_obstacles < 1:
             raise ConfigError("a place needs at least one obstacle")
-        if self.place_spacing <= 2 * self.r_max:
-            raise ConfigError(
-                f"place spacing {self.place_spacing} must exceed twice the "
-                f"range cap {self.r_max} so places stay mutually invisible"
-            )
         self.projection_config()  # sensor validation
+        if not 2 * self.r_max < self.place_spacing < math.inf:
+            raise ConfigError(
+                f"place spacing {self.place_spacing} must be finite and exceed "
+                f"twice the range cap {self.r_max} so places stay mutually invisible"
+            )
 
     def projection_config(self) -> ProjectionConfig:
         return ProjectionConfig(w=self.w, h=self.h, f_up=self.f_up,

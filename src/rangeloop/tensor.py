@@ -18,6 +18,14 @@ Design notes:
 * Hot kernels are one tape node each with a hand-written adjoint.  The two
   convolutions unfold their single conv axis (im2col) and make one GEMM;
   their backward is the transposed product plus a fold.
+* Op protocol: an op computes its output and passes it, its inputs and its
+  adjoint ``g -> (grad per input)`` to ``_make_out``, which records the node
+  only while a tape records and grads can flow.  State only the adjoint needs
+  is computed inside the adjoint from the inputs' ``.data``, so a forward with
+  no tape never pays for it; state that only the forward has cheaply (the
+  argmax of ``maxpool1d_circular``, the block states of the selective scan) is
+  saved only under ``_recording``.  This is exact because no tensor is mutated
+  between a forward and its backward: optimizers update after ``backward``.
 
 Tensors are immutable after construction except for the ``grad`` buffer and
 optimizer updates to leaf parameters.  A tape is single-threaded; independent
@@ -26,6 +34,7 @@ tapes may live on different threads.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -193,12 +202,13 @@ def _recording(inputs) -> bool:
     return active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
-def _make_out(data, inputs, backward_fn):
-    """Wrap an op result; record it if a tape is active and grads can flow."""
+def _make_out(data, inputs, adjoint):
+    """Wrap an op result; record it with its ``adjoint`` (output gradient ->
+    one gradient per input) if a tape is active and grads can flow."""
     track = _recording(inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        active_tape()._nodes.append(_Node(out, inputs, backward_fn()))
+        active_tape()._nodes.append(_Node(out, inputs, adjoint))
     return out
 
 
@@ -206,120 +216,85 @@ def _make_out(data, inputs, backward_fn):
 # elementwise binary ops with restricted broadcasting
 
 
-def _pattern(a: Tensor, b: Tensor) -> str:
-    if a.shape == b.shape:
-        return "same"
-    if b.ndim == 0 or (b.ndim == 1 and b.size == 1 and a.ndim != 1):
-        return "b_scalar"
-    if a.ndim == 0 or (a.ndim == 1 and a.size == 1 and b.ndim != 1):
-        return "a_scalar"
-    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        return "b_bias"
-    if a.ndim == 1 and b.ndim >= 2 and b.shape[-1] == a.shape[0]:
-        return "a_bias"
+def _check_broadcast(a: Tensor, b: Tensor) -> None:
+    """Raise ``ShapeError`` unless the shapes are equal, one operand is a
+    scalar, or one is a trailing bias vector of the other."""
+    if (
+        a.shape == b.shape
+        or b.ndim == 0 or (b.ndim == 1 and b.size == 1 and a.ndim != 1)
+        or a.ndim == 0 or (a.ndim == 1 and a.size == 1 and b.ndim != 1)
+        or (b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0])
+        or (a.ndim == 1 and b.ndim >= 2 and b.shape[-1] == a.shape[0])
+    ):
+        return
     raise ShapeError(
         f"elementwise op on incompatible shapes {a.shape} and {b.shape} "
         "(allowed: equal shapes, scalar, trailing bias vector)"
     )
 
 
-def _reduce_like(g: np.ndarray, pattern: str, side: str, shape) -> np.ndarray:
-    """Collapse an output-shaped gradient back to an operand's shape."""
-    if pattern == "same":
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Collapse an output-shaped gradient back to an operand's ``shape``:
+    the operand is output-shaped, a scalar, or a trailing bias vector."""
+    if g.shape == shape:
         return g
-    if pattern == f"{side}_scalar":
+    if math.prod(shape) == 1:
         return g.sum().reshape(shape)
-    if pattern == f"{side}_bias":
-        lead = tuple(range(g.ndim - 1))
-        return g.sum(axis=lead)
-    return g
+    return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    p = _pattern(a, b)
-    data = a.data + b.data
+    _check_broadcast(a, b)
 
-    def bwd():
-        def fn(g):
-            return _reduce_like(g, p, "a", a.shape), _reduce_like(g, p, "b", b.shape)
+    def fn(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-        return fn
-
-    return _make_out(data, (a, b), bwd)
+    return _make_out(a.data + b.data, (a, b), fn)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    p = _pattern(a, b)
-    data = a.data - b.data
+    _check_broadcast(a, b)
 
-    def bwd():
-        def fn(g):
-            return _reduce_like(g, p, "a", a.shape), _reduce_like(-g, p, "b", b.shape)
+    def fn(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-        return fn
-
-    return _make_out(data, (a, b), bwd)
+    return _make_out(a.data - b.data, (a, b), fn)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    p = _pattern(a, b)
-    data = a.data * b.data
+    _check_broadcast(a, b)
 
-    def bwd():
-        ad, bd = a.data, b.data
+    def fn(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-        def fn(g):
-            return (
-                _reduce_like(g * bd, p, "a", a.shape),
-                _reduce_like(g * ad, p, "b", b.shape),
-            )
-
-        return fn
-
-    return _make_out(data, (a, b), bwd)
+    return _make_out(a.data * b.data, (a, b), fn)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    p = _pattern(a, b)
-    data = a.data / b.data
+    _check_broadcast(a, b)
 
-    def bwd():
-        ad, bd = a.data, b.data
+    def fn(g):
+        return (
+            _unbroadcast(g / b.data, a.shape),
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+        )
 
-        def fn(g):
-            return (
-                _reduce_like(g / bd, p, "a", a.shape),
-                _reduce_like(-g * ad / (bd * bd), p, "b", b.shape),
-            )
-
-        return fn
-
-    return _make_out(data, (a, b), bwd)
+    return _make_out(a.data / b.data, (a, b), fn)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _make_out(-a.data, (a,), lambda: lambda g: (-g,))
+    return _make_out(-a.data, (a,), lambda g: (-g,))
 
 
 def pow_scalar(a, p) -> Tensor:
     a = as_tensor(a)
     p = float(p)
-    data = a.data**p
-
-    def bwd():
-        ad = a.data
-
-        def fn(g):
-            return (g * p * ad ** (p - 1),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(a.data**p, (a,), lambda g: (g * p * a.data ** (p - 1),))
 
 
 def where_mask(mask: np.ndarray, a, b) -> Tensor:
@@ -330,13 +305,10 @@ def where_mask(mask: np.ndarray, a, b) -> Tensor:
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     data = np.where(mask, a.data, b.data)
 
-    def bwd():
-        def fn(g):
-            return np.where(mask, g, 0.0), np.where(mask, 0.0, g)
+    def fn(g):
+        return np.where(mask, g, 0.0), np.where(mask, 0.0, g)
 
-        return fn
-
-    return _make_out(data, (a, b), bwd)
+    return _make_out(data, (a, b), fn)
 
 
 # --------------------------------------------------------------------------
@@ -346,101 +318,42 @@ def where_mask(mask: np.ndarray, a, b) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
-
-    def bwd():
-        def fn(g):
-            return (g * data,)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), lambda g: (g * data,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-
-    def bwd():
-        ad = a.data
-
-        def fn(g):
-            return (g / ad,)
-
-        return fn
-
-    return _make_out(np.log(a.data), (a,), bwd)
+    return _make_out(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     data = np.sqrt(a.data)
-
-    def bwd():
-        def fn(g):
-            return (g * 0.5 / data,)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), lambda g: (g * 0.5 / data,))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     data = _sigmoid_np(a.data)
-
-    def bwd():
-        def fn(g):
-            return (g * data * (1.0 - data),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def silu(a) -> Tensor:
     a = as_tensor(a)
     s = _sigmoid_np(a.data)
-    data = a.data * s
-
-    def bwd():
-        ad = a.data
-
-        def fn(g):
-            return (g * (s + ad * s * (1.0 - s)),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(a.data * s, (a,), lambda g: (g * (s + a.data * s * (1.0 - s)),))
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     # log(1+e^x) == logaddexp(0, x); exact asymptote for large x, no overflow
     data = np.logaddexp(0.0, a.data)
-
-    def bwd():
-        s = _sigmoid_np(a.data)
-
-        def fn(g):
-            return (g * s,)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), lambda g: (g * _sigmoid_np(a.data),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def bwd():
-        mask = a.data > 0
-
-        def fn(g):
-            return (g * mask,)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -463,17 +376,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
-
-    def bwd():
-        ad, bd = a.data, b.data
-
-        def fn(g):
-            return g @ bd.T, ad.T @ g
-
-        return fn
-
-    return _make_out(data, (a, b), bwd)
+    return _make_out(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def einsum2(subscripts: str, a, b) -> Tensor:
@@ -494,17 +397,12 @@ def einsum2(subscripts: str, a, b) -> Tensor:
             )
     data = np.einsum(subscripts, a.data, b.data)
 
-    def bwd():
-        ad, bd = a.data, b.data
+    def fn(g):
+        ga = np.einsum(f"{out_sub},{sb}->{sa}", g, b.data)
+        gb = np.einsum(f"{out_sub},{sa}->{sb}", g, a.data)
+        return ga, gb
 
-        def fn(g):
-            ga = np.einsum(f"{out_sub},{sb}->{sa}", g, bd)
-            gb = np.einsum(f"{out_sub},{sa}->{sb}", g, ad)
-            return ga, gb
-
-        return fn
-
-    return _make_out(data, (a, b), bwd)
+    return _make_out(data, (a, b), fn)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -537,19 +435,12 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     data = a.data.sum(axis=axes, keepdims=keepdims)
 
-    def bwd():
-        shape = a.shape
+    def fn(g):
+        if not keepdims:
+            g = np.expand_dims(g, sorted(axes))
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-        def fn(g):
-            gg = g
-            if not keepdims:
-                for ax in sorted(axes):
-                    gg = np.expand_dims(gg, ax)
-            return (np.broadcast_to(gg, shape).copy(),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), fn)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -562,41 +453,18 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmax(a, axis=None) -> Tensor:
-    """Max reduction; subgradient routes to the first maximal element."""
+    """Max reduction; subgradient routes to the first maximal element.
+    ``axis=None`` reduces the flattened array."""
     a = as_tensor(a)
-    if axis is None:
-        data = a.data.max()
-        flat_idx = int(np.argmax(a.data))
+    src, ax = (a.data.reshape(-1), 0) if axis is None else (a.data, axis % a.ndim)
 
-        def bwd():
-            shape = a.shape
+    def fn(g):
+        idx = np.expand_dims(np.argmax(src, axis=ax), ax)
+        out = np.zeros(src.shape)
+        np.put_along_axis(out, idx, np.expand_dims(g, ax), axis=ax)
+        return (out.reshape(a.shape),)
 
-            def fn(g):
-                out = np.zeros(shape)
-                out.flat[flat_idx] = g
-                return (out,)
-
-            return fn
-
-        return _make_out(data, (a,), bwd)
-
-    ax = axis % a.ndim
-    data = a.data.max(axis=ax)
-    idx = np.argmax(a.data, axis=ax)
-
-    def bwd():
-        shape = a.shape
-
-        def fn(g):
-            out = np.zeros(shape)
-            np.put_along_axis(
-                out, np.expand_dims(idx, ax), np.expand_dims(g, ax), axis=ax
-            )
-            return (out,)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(src.max(axis=ax), (a,), fn)
 
 
 def tmin(a, axis=None) -> Tensor:
@@ -610,32 +478,14 @@ def tmin(a, axis=None) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bwd():
-        orig = a.shape
-
-        def fn(g):
-            return (g.reshape(orig),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     data = a.data.transpose(axes)
-
-    def bwd():
-        def fn(g):
-            return (g.transpose(inv),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -643,19 +493,14 @@ def broadcast_to(a, shape) -> Tensor:
     shape = tuple(shape)
     data = np.broadcast_to(a.data, shape).copy()
 
-    def bwd():
-        orig = a.shape
-        extra = len(shape) - len(orig)
+    def fn(g):
+        extra = len(shape) - a.ndim
         sum_axes = tuple(range(extra)) + tuple(
-            i + extra for i, d in enumerate(orig) if d == 1 and shape[i + extra] != 1
+            i + extra for i, d in enumerate(a.shape) if d == 1 and shape[i + extra] != 1
         )
+        return (g.sum(axis=sum_axes).reshape(a.shape),)
 
-        def fn(g):
-            return (g.sum(axis=sum_axes).reshape(orig),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), fn)
 
 
 def add_channel_bias(x, b) -> Tensor:
@@ -665,7 +510,7 @@ def add_channel_bias(x, b) -> Tensor:
         raise ShapeError(f"channel bias {b.shape} does not match input {x.shape}")
     data = x.data + b.data.reshape((1, -1) + (1,) * (x.ndim - 2))
     others = (0,) + tuple(range(2, x.ndim))
-    return _make_out(data, (x, b), lambda: lambda g: (g, g.sum(axis=others)))
+    return _make_out(data, (x, b), lambda g: (g, g.sum(axis=others)))
 
 
 def take_along(a, idx, axis: int) -> Tensor:
@@ -676,74 +521,47 @@ def take_along(a, idx, axis: int) -> Tensor:
     ax = axis % a.ndim
     data = np.take_along_axis(a.data, idx, axis=ax)
 
-    def bwd():
-        def fn(g):
-            where = list(np.indices(g.shape, sparse=True))
-            where[ax] = idx
-            gx = np.zeros(a.shape)
-            np.add.at(gx, tuple(where), g)
-            return (gx,)
+    def fn(g):
+        where = list(np.indices(g.shape, sparse=True))
+        where[ax] = idx
+        gx = np.zeros(a.shape)
+        np.add.at(gx, tuple(where), g)
+        return (gx,)
 
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), fn)
 
 
 def flip(a, axis: int) -> Tensor:
     a = as_tensor(a)
     data = np.flip(a.data, axis=axis).copy()
-
-    def bwd():
-        def fn(g):
-            return (np.flip(g, axis=axis),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), lambda g: (np.flip(g, axis=axis),))
 
 
 def roll(a, shift: int, axis: int) -> Tensor:
     a = as_tensor(a)
     data = np.roll(a.data, shift, axis=axis)
-
-    def bwd():
-        def fn(g):
-            return (np.roll(g, -shift, axis=axis),)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _make_out(data, (a,), lambda g: (np.roll(g, -shift, axis=axis),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def bwd():
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
+    def fn(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+        return tuple(np.split(g, splits, axis=axis))
 
-        def fn(g):
-            return tuple(np.split(g, splits, axis=axis))
-
-        return fn
-
-    return _make_out(data, tuple(tensors), bwd)
+    return _make_out(data, tuple(tensors), fn)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
 
-    def bwd():
-        n = len(tensors)
+    def fn(g):
+        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
-        def fn(g):
-            return tuple(np.take(g, i, axis=axis) for i in range(n))
-
-        return fn
-
-    return _make_out(data, tuple(tensors), bwd)
+    return _make_out(data, tuple(tensors), fn)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -751,20 +569,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     ax = axis % a.ndim
     sl = [slice(None)] * a.ndim
     sl[ax] = slice(start, start + length)
-    sl = tuple(sl)
-    data = a.data[sl].copy()
-
-    def bwd():
-        shape = a.shape
-
-        def fn(g):
-            out = np.zeros(shape)
-            out[sl] = g
-            return (out,)
-
-        return fn
-
-    return _make_out(data, (a,), bwd)
+    return _slice(a, tuple(sl))
 
 
 def stride2(a, axis: int, start: int) -> Tensor:
@@ -773,20 +578,18 @@ def stride2(a, axis: int, start: int) -> Tensor:
     ax = axis % a.ndim
     sl = [slice(None)] * a.ndim
     sl[ax] = slice(start, None, 2)
-    sl = tuple(sl)
-    data = a.data[sl].copy()
+    return _slice(a, tuple(sl))
 
-    def bwd():
-        shape = a.shape
 
-        def fn(g):
-            out = np.zeros(shape)
-            out[sl] = g
-            return (out,)
+def _slice(a: Tensor, sl: tuple) -> Tensor:
+    """``a[sl]`` for a tuple of basic slices; the adjoint scatters into zeros."""
 
-        return fn
+    def fn(g):
+        out = np.zeros(a.shape)
+        out[sl] = g
+        return (out,)
 
-    return _make_out(data, (a,), bwd)
+    return _make_out(a.data[sl].copy(), (a,), fn)
 
 
 def interleave2(even, odd, axis: int) -> Tensor:
@@ -806,14 +609,7 @@ def interleave2(even, odd, axis: int) -> Tensor:
     data = np.empty(shape)
     data[sl_e] = even.data
     data[sl_o] = odd.data
-
-    def bwd():
-        def fn(g):
-            return g[sl_e].copy(), g[sl_o].copy()
-
-        return fn
-
-    return _make_out(data, (even, odd), bwd)
+    return _make_out(data, (even, odd), lambda g: (g[sl_e].copy(), g[sl_o].copy()))
 
 
 # --------------------------------------------------------------------------
@@ -846,19 +642,16 @@ def conv_vertical(x, w, stride_h: int = 1) -> Tensor:
     w2 = w.data.reshape(o, c * k)
     data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], h_out, x.shape[3]))
 
-    def bwd():
-        def fn(g):
-            gy = _gemm_rows(g)
-            gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
-            gcols = (gy @ w2).reshape(g.shape[:1] + g.shape[2:] + (c, k))
-            gx = np.zeros(x.shape)
-            for j in range(k):
-                gx[:, :, j : j + span : stride_h, :] += np.moveaxis(gcols[..., j], -1, 1)
-            return gx, gw
+    def fn(g):
+        gy = _gemm_rows(g)
+        gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
+        gcols = (gy @ w2).reshape(g.shape[:1] + g.shape[2:] + (c, k))
+        gx = np.zeros(x.shape)
+        for j in range(k):
+            gx[:, :, j : j + span : stride_h, :] += np.moveaxis(gcols[..., j], -1, 1)
+        return gx, gw
 
-        return fn
-
-    return _make_out(data, (x, w), bwd)
+    return _make_out(data, (x, w), fn)
 
 
 def conv1d_circular(x, w) -> Tensor:
@@ -884,19 +677,16 @@ def conv1d_circular(x, w) -> Tensor:
     w2 = w.data.reshape(o, c * k)
     data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], m))
 
-    def bwd():
-        def fn(g):
-            gy = _gemm_rows(g)
-            gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
-            gcols = (gy @ w2).reshape(x.shape[0], m, c, k)
-            gx = np.zeros((x.shape[0], m, c))
-            for j in range(k):
-                gx += np.roll(gcols[..., j], r - j, axis=1)
-            return gx.transpose(0, 2, 1), gw
+    def fn(g):
+        gy = _gemm_rows(g)
+        gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
+        gcols = (gy @ w2).reshape(x.shape[0], m, c, k)
+        gx = np.zeros((x.shape[0], m, c))
+        for j in range(k):
+            gx += np.roll(gcols[..., j], r - j, axis=1)
+        return gx.transpose(0, 2, 1), gw
 
-        return fn
-
-    return _make_out(data, (x, w), bwd)
+    return _make_out(data, (x, w), fn)
 
 
 # The unfolded GEMMs put every output position on its own row, as the
@@ -937,19 +727,15 @@ def maxpool1d_circular(x, k: int) -> Tensor:
     r = (k - 1) // 2
     shifted = np.stack([np.roll(x.data, -d, axis=-1) for d in range(-r, r + 1)])
     data = shifted.max(axis=0)
+    winner = np.argmax(shifted, axis=0) if _recording((x,)) else None
 
-    def bwd():
-        winner = np.argmax(shifted, axis=0)
+    def fn(g):
+        gx = np.zeros(x.shape)
+        for i, d in enumerate(range(-r, r + 1)):
+            gx += np.roll(np.where(winner == i, g, 0.0), d, axis=-1)
+        return (gx,)
 
-        def fn(g):
-            gx = np.zeros(x.shape)
-            for i, d in enumerate(range(-r, r + 1)):
-                gx += np.roll(np.where(winner == i, g, 0.0), d, axis=-1)
-            return (gx,)
-
-        return fn
-
-    return _make_out(data, (x,), bwd)
+    return _make_out(data, (x,), fn)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
@@ -964,24 +750,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
 
-    def bwd():
-        gd = gain.data
+    def fn(g):
+        lead = tuple(range(g.ndim - 1))
+        gbias = g.sum(axis=lead)
+        ggain = (g * xhat).sum(axis=lead)
+        gxh = g * gain.data
+        gx = inv * (
+            gxh
+            - gxh.mean(axis=-1, keepdims=True)
+            - xhat * (gxh * xhat).mean(axis=-1, keepdims=True)
+        )
+        return gx, ggain, gbias
 
-        def fn(g):
-            lead = tuple(range(g.ndim - 1))
-            gbias = g.sum(axis=lead)
-            ggain = (g * xhat).sum(axis=lead)
-            gxh = g * gd
-            gx = inv * (
-                gxh
-                - gxh.mean(axis=-1, keepdims=True)
-                - xhat * (gxh * xhat).mean(axis=-1, keepdims=True)
-            )
-            return gx, ggain, gbias
-
-        return fn
-
-    return _make_out(data, (x, gain, bias), bwd)
+    return _make_out(data, (x, gain, bias), fn)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -990,14 +771,11 @@ def softmax(x, axis: int = -1) -> Tensor:
     e = np.exp(z)
     data = e / e.sum(axis=axis, keepdims=True)
 
-    def bwd():
-        def fn(g):
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            return (data * (g - dot),)
+    def fn(g):
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        return (data * (g - dot),)
 
-        return fn
-
-    return _make_out(data, (x,), bwd)
+    return _make_out(data, (x,), fn)
 
 
 def l2_normalize(x, axis: int = -1) -> Tensor:
@@ -1008,12 +786,8 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
     safe = np.where(nonzero, norm, 1.0)
     data = np.where(nonzero, x.data / safe, 0.0)
 
-    def bwd():
-        def fn(g):
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            gx = np.where(nonzero, (g - data * dot) / safe, 0.0)
-            return (gx,)
+    def fn(g):
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        return (np.where(nonzero, (g - data * dot) / safe, 0.0),)
 
-        return fn
-
-    return _make_out(data, (x,), bwd)
+    return _make_out(data, (x,), fn)

@@ -11,6 +11,7 @@ epochs on the same data.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -32,10 +33,11 @@ class LossConfig:
     clamp_at_zero: bool = True
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError(f"margin must be positive, got {self.alpha}")
-        if self.lam < 0:
-            raise ConfigError(f"compression weight must be >= 0, got {self.lam}")
+        # chained comparisons: NaN fails every one of them
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"margin must be finite and positive, got {self.alpha}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"compression weight must be finite and >= 0, got {self.lam}")
         if self.kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}, expected {LOSS_KINDS}")
 
@@ -135,8 +137,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.k_p < 1 or self.k_n < 1:
             raise ConfigError("k_p and k_n must be >= 1")
         if self.seed < 0:
@@ -145,6 +147,7 @@ class TrainConfig:
             raise ConfigError(
                 f"overlap threshold must lie in (0, 1), got {self.overlap_threshold}"
             )
+        self.loss_config()  # loss validation
 
     def loss_config(self) -> LossConfig:
         return LossConfig(alpha=self.alpha, lam=self.lam, kind=self.loss)

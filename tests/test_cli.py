@@ -2,8 +2,11 @@
 
 import csv
 import io as stdio
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,7 +348,7 @@ class TestMalformedInputs:
         self._assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("key, value", [("lr", "nan"), ("alpha", "nan"),
-                                            ("seed", "-3")])
+                                            ("seed", "-3"), ("loss", "bogus")])
     def test_bad_train_config_is_2(self, workspace, tmp_path, capsys, key, value):
         config = tmp_path / "config.kv"
         config.write_text(_set_key(CONFIG_KV, key, value))
@@ -354,6 +357,7 @@ class TestMalformedInputs:
                      "--labels", str(workspace / "labels.txt"),
                      "--out", str(tmp_path / "ckpt")]) == 2
         self._assert_one_line_error(capsys)
+        assert not (tmp_path / "ckpt").exists()
 
     def test_non_finite_distance_threshold_is_2(self, workspace, tmp_path, capsys):
         proto = tmp_path / "place.kv"
@@ -373,6 +377,27 @@ class TestMalformedInputs:
                      "--labels", str(workspace / "labels.txt"),
                      "--protocol", str(proto)]) == 2
         self._assert_one_line_error(capsys)
+
+    def test_out_of_memory_is_2(self, workspace, tmp_path):
+        # A child process under a 2 GiB address-space cap, so the image
+        # allocation fails at once instead of being overcommitted; one BLAS
+        # thread keeps numpy's own buffers well under the cap.
+        config = tmp_path / "sensor.kv"
+        text = (workspace / "world" / "sensor.kv").read_text()
+        config.write_text(_set_key(text, "w", "1000000000000"))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        cap = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "rangeloop.cli", "project",
+             "--scans", str(workspace / "world"), "--config", str(config),
+             "--out", str(tmp_path / "ranges")],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory:"), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:

@@ -1,18 +1,19 @@
 """Round trips and error handling for every on-disk format."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from rangeloop import io
-from rangeloop.errors import ContractError
+from rangeloop.errors import ConfigError, ContractError
 from rangeloop.pipeline import ModelConfig
 from rangeloop.rangeview import OverlapLabel, Pose, ProjectionConfig, RangeImage
 from rangeloop.retrieval import EvalProtocol
 from rangeloop.synthworld import WorldSpec
 from rangeloop.tensor import Tensor
-from rangeloop.training import TrainConfig
+from rangeloop.training import LossConfig, TrainConfig
 
 
 class TestCheckpoint:
@@ -319,3 +320,26 @@ class TestConfigCodec:
     def test_unparsable_stage_rejected(self, val):
         with pytest.raises(ContractError, match="bad value for stage"):
             io.config_from_pairs(ModelConfig, [("stage", val)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cfg, field", [
+    (WorldSpec().projection_config(), "f_up"),
+    (WorldSpec().projection_config(), "f_down"),
+    (WorldSpec().projection_config(), "r_max"),
+    (WorldSpec(), "yaw_jitter"),
+    (WorldSpec(), "translation_jitter"),
+    (WorldSpec(), "place_spacing"),
+    (WorldSpec(), "f_down"),
+    (WorldSpec(), "r_max"),
+    (TrainConfig(), "lr"),
+    (TrainConfig(), "alpha"),
+    (TrainConfig(), "lam"),
+    (LossConfig(), "alpha"),
+    (LossConfig(), "lam"),
+    (EvalProtocol(), "distance_threshold"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_config_built_in_code_rejects_non_finite_float(cfg, field, value):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, **{field: value})

@@ -411,6 +411,22 @@ def _bruteforce_overlap(ranges, cfg, pose_a, pts_b, pose_b, eps_rel):
     return hits / valid
 
 
+def test_label_pairs_equals_pair_loop():
+    spec = sw.WorldSpec(seed=5, n_places=3, visits_per_place=2, h=8, w=32,
+                        n_obstacles=4)
+    world = sw.generate_world(spec)
+    images = [build_range_image(s, spec.projection_config()) for s in world.scans]
+    ids = [10 + 3 * i for i in range(len(images))]
+    expected = []
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            ov = compute_overlap(images[a], world.poses[a], world.scans[b], world.poses[b])
+            expected.append(OverlapLabel(query=ids[a], cand=ids[b], overlap=ov))
+    got = rangeview.label_pairs(images, world.poses, world.scans, ids)
+    assert got == expected
+    assert any(lab.overlap > 0.0 for lab in got)
+
+
 class TestBuildTuples:
     def test_threshold_splits_candidates(self):
         labels = [OverlapLabel(0, 1, 0.9), OverlapLabel(0, 2, 0.1)]

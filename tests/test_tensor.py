@@ -237,6 +237,12 @@ class TestGradientChecks:
         check_grads(T.mul, [a, scalar], rng)
         check_grads(T.sub, [scalar, a], rng)
 
+    def test_scalar_against_one_element_vector(self):
+        # the output is (1,); each operand's gradient keeps its own shape
+        rng = np.random.default_rng(42)
+        check_grads(T.mul, [np.array(0.7), np.array([1.3])], rng)
+        check_grads(T.div, [np.array([1.3]), np.array(0.7)], rng)
+
     def test_unary(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((4, 5))

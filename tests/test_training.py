@@ -241,6 +241,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             tr.TrainConfig(seed=-3)
 
+    @pytest.mark.parametrize("kwargs", [{"loss": "bogus"}, {"alpha": -1.0}, {"lam": -1.0}],
+                             ids=lambda kwargs: next(iter(kwargs)))
+    def test_loss_fields_validated_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            tr.TrainConfig(**kwargs)
+
 
 class TestSplit:
     def test_small_sets_keep_everything(self):
