@@ -5,9 +5,10 @@ A discretized linear state-space layer can be evaluated step by step, as
 an associative parallel scan, or (when its parameters do not vary over
 time) as a causal convolution with an unrolled kernel.  The model itself
 runs the fused selective scan, one tape node that discretizes, scans and
-reads out in numpy blocks; the other three are the oracles it is checked
-against.  This script checks them against each other on random systems and
-times the fused op next to the two tape-built scans as the sequence grows.
+reads out in numpy blocks; the other three are plain-numpy oracles it is
+checked against.  This script checks them against each other on random
+systems and times the fused op next to the two oracle scans as the sequence
+grows.
 """
 
 import argparse
@@ -16,7 +17,6 @@ import time
 import numpy as np
 
 from rangeloop import ssm
-from rangeloop import tensor as tt
 
 
 def random_system(rng, m, e, n):
@@ -33,11 +33,11 @@ def equivalence_demo(rng):
     print("selective scan: parallel and fused vs sequential")
     for m in (4, 64, 900):
         delta, a, b, c, d, x = random_system(rng, m, 4, 8)
-        zoh = ssm.discretize(tt.Tensor(delta), tt.Tensor(a), b, mode="zoh")
-        seq = ssm.scan_sequential(zoh, c, d, x).data
-        par = ssm.scan_parallel(zoh, c, d, x).data
-        euler = ssm.discretize(tt.Tensor(delta), tt.Tensor(a), b, mode="euler")
-        seq_e = ssm.scan_sequential(euler, c, d, x).data
+        zoh = ssm.discretize(delta, a, b, mode="zoh")
+        seq = ssm.scan_sequential(zoh, c, d, x)
+        par = ssm.scan_parallel(zoh, c, d, x)
+        euler = ssm.discretize(delta, a, b, mode="euler")
+        seq_e = ssm.scan_sequential(euler, c, d, x)
         fused = ssm.selective_scan(x, delta, a, b, c, d).data
         print(f"  length {m:4d}: max |seq - par| = {np.max(np.abs(seq - par)):.2e}, "
               f"max |seq - fused| (Euler) = {np.max(np.abs(seq_e - fused)):.2e}")
@@ -58,9 +58,8 @@ def duality_demo(rng):
     kern = ssm.lti_kernel(abar, bbar, c, m)
     y_conv = ssm.causal_conv(x, kern) + d * x
 
-    dssm = ssm.discretize(tt.Tensor(np.broadcast_to(delta, (1, m, e)).copy()),
-                          tt.Tensor(a), tt.Tensor(b), mode="euler")
-    y_scan = ssm.scan_sequential(dssm, tt.Tensor(c), tt.Tensor(d), tt.Tensor(x)).data
+    dssm = ssm.discretize(np.broadcast_to(delta, (1, m, e)), a, b, mode="euler")
+    y_scan = ssm.scan_sequential(dssm, c, d, x)
     print(f"  kernel shape {kern.shape}, max |scan - conv| = "
           f"{np.max(np.abs(y_scan - y_conv)):.2e}")
 
@@ -80,7 +79,7 @@ def timing_demo(rng, reps):
     # the last row is one branch of the paper-size model
     for m, e, n in ((64, 4, 8), (256, 4, 8), (900, 4, 8), (900, 512, 16)):
         delta, a, b, c, d, x = random_system(rng, m, e, n)
-        dssm = ssm.discretize(tt.Tensor(delta), tt.Tensor(a), b, mode="euler")
+        dssm = ssm.discretize(delta, a, b, mode="euler")
         times = {
             "fused": _median_time(lambda: ssm.selective_scan(x, delta, a, b, c, d), reps),
             "sequential": _median_time(lambda: ssm.scan_sequential(dssm, c, d, x), reps),

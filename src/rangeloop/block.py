@@ -35,7 +35,6 @@ class OlmConfig:
     n: int = 16  # state dimension per channel
     l: int = 1  # block count
     conv_kernel: int = 3
-    train_mode: bool = False
 
     def __post_init__(self):
         if self.l < 1:
@@ -157,8 +156,9 @@ def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
                 rng: np.random.Generator) -> tt.Tensor:
     """One mixing block: (B, M, D) -> (B, M, D).
 
-    Consumes exactly one integer from rng in train mode (the start offset,
-    shared by both rotated branches); eval mode consumes nothing and uses 0.
+    A generator makes it a training forward: exactly one integer is drawn
+    from rng (the start offset, shared by both rotated branches).  With rng
+    None (eval) nothing is drawn and the offset is 0.
     """
     t_prev = tt.as_tensor(t_prev)
     if t_prev.ndim != 3 or t_prev.shape[2] != cfg.d:
@@ -169,7 +169,7 @@ def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
     tp = tt.layer_norm(t_prev, params.norm_gain, params.norm_bias)
     x = tt.linear(tp, params.lin_x_w, params.lin_x_b)
     z = tt.linear(tp, params.lin_z_w, params.lin_z_b)
-    a = int(rng.integers(0, m)) if cfg.train_mode else 0
+    a = int(rng.integers(0, m)) if rng is not None else 0
     gate = tt.silu(z)
 
     total = None

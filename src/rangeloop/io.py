@@ -5,7 +5,8 @@ Binary formats are little-endian with a 4-byte ASCII magic:
 * checkpoint ("OMCK"): u32 tensor count, then per tensor a u16 name byte
   length, the UTF-8 name, u8 ndim, u32 dims, and the f32 payload.
 * range image ("OMRV"): u32 h, u32 w, f32 r_max, then h*w f32 ranges in
-  row-major order with -1.0 marking pixels without a return.
+  row-major order with -1.0 marking pixels without a return.  r_max must be
+  finite and positive and every pixel finite.
 * descriptor database ("OMDB"): u32 count, u32 dim, then per entry a u32
   scan id and dim f32 values.
 
@@ -141,10 +142,14 @@ def load_range_image(path) -> RangeImage:
     if len(raw) < 16:
         raise ContractError(f"{path}: truncated header ({len(raw)} of 16 bytes)")
     h, w, r_max = struct.unpack_from("<IIf", raw, 4)
+    if not 0.0 < r_max < math.inf:
+        raise ContractError(f"{path}: r_max must be finite and > 0, got {r_max!r}")
     n = h * w
     if len(raw) != 16 + 4 * n:
         raise ContractError(f"{path}: size does not match {h}x{w} header")
     ranges = np.frombuffer(raw, dtype="<f4", count=n, offset=16).reshape(h, w)
+    if not np.isfinite(ranges).all():
+        raise ContractError(f"{path}: a range pixel is not finite")
     return RangeImage(ranges=ranges.astype(np.float64), r_max=float(r_max))
 
 

@@ -57,10 +57,9 @@ class ModelConfig:
     def token_dim(self) -> int:
         return self.backbone_config().out_channels
 
-    def olm_config(self, train_mode: bool = False) -> bk.OlmConfig:
+    def olm_config(self) -> bk.OlmConfig:
         return bk.OlmConfig(d=self.token_dim, e=self.olm_e, n=self.olm_n,
-                            l=self.olm_blocks, conv_kernel=self.olm_conv_kernel,
-                            train_mode=train_mode)
+                            l=self.olm_blocks, conv_kernel=self.olm_conv_kernel)
 
     def vlad_config(self) -> dsc.VladConfig:
         return dsc.VladConfig(d=self.token_dim, k=self.vlad_k,
@@ -92,19 +91,18 @@ def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
 
 
 def model_forward(x, params: ModelParams, cfg: ModelConfig,
-                  rng: np.random.Generator = None, train: bool = False,
+                  rng: np.random.Generator = None,
                   bypass_olm: bool = False) -> tt.Tensor:
     """(B, 1, H, W) scaled range images -> (B, out_dim) unit descriptors.
 
-    train=True draws the per-block start offsets from rng (required then);
-    eval needs no rng.  bypass_olm skips the mixing stack entirely, leaving
-    the exactly shift-invariant backbone+aggregation path.
+    A generator makes it a training forward: each mixing block draws its
+    start offset from rng.  rng None is the eval forward, offset 0.
+    bypass_olm skips the mixing stack entirely, leaving the exactly
+    shift-invariant backbone+aggregation path.
     """
-    if train and rng is None:
-        raise ContractError("training forward requires a random generator")
     tokens = bb.backbone_forward(x, params.backbone, cfg.backbone_config())
     if not bypass_olm:
-        tokens = bk.olm_stack(tokens, params.olm, cfg.olm_config(train_mode=train), rng)
+        tokens = bk.olm_stack(tokens, params.olm, cfg.olm_config(), rng)
     return dsc.gdg_forward(tokens, params.gdg, cfg.vlad_config())
 
 

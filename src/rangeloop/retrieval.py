@@ -459,9 +459,9 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
 
     olm = model_cfg.olm_config()
     e, n = olm.e_eff, olm.n
-    delta = tt.Tensor(rng.uniform(1e-3, 1e-1, size=(1, scan_len, e)))
-    a = tt.Tensor(-rng.uniform(0.5, 2.0, size=(e, n)))
-    b = tt.Tensor(rng.normal(size=(1, scan_len, n)))
+    delta = rng.uniform(1e-3, 1e-1, size=(1, scan_len, e))
+    a = -rng.uniform(0.5, 2.0, size=(e, n))
+    b = rng.normal(size=(1, scan_len, n))
     c = rng.normal(size=(1, scan_len, n))
     d = rng.normal(size=e)
     seq_x = rng.normal(size=(1, scan_len, e))

@@ -16,7 +16,8 @@ operators; ``scan_sequential`` runs the left-to-right recurrence on them and
 ``scan_parallel`` the same as a work-efficient associative scan (O(log M)
 depth, via ``_pair_scan``); ``lti_kernel`` and ``causal_conv`` evaluate the
 time-invariant special case as a causal convolution with an unrolled
-kernel.  All of them record ordinary tape ops.
+kernel.  All of them are plain numpy on arrays and record nothing on a
+tape.
 
 Shapes: state matrices are diagonal, so A is carried as an (E, N) table of
 per-channel/state scalars.  Discrete operators are (B, M, E, N); token
@@ -35,8 +36,8 @@ from .errors import ConfigError, ContractError, ShapeError
 
 
 class DiscreteSsm(NamedTuple):
-    abar: tt.Tensor  # (B, M, E, N)
-    bbar: tt.Tensor  # (B, M, E, N)
+    abar: np.ndarray  # (B, M, E, N)
+    bbar: np.ndarray  # (B, M, E, N)
 
 
 @dataclass
@@ -107,37 +108,34 @@ def discretize(delta, a, b, mode: str = "euler") -> DiscreteSsm:
     delta*b where |a| vanishes); euler keeps the exact decay factor but takes
     bbar = delta*b.
     """
-    delta, a, b = tt.as_tensor(delta), tt.as_tensor(a), tt.as_tensor(b)
+    delta, a, b = (np.asarray(v, dtype=np.float64) for v in (delta, a, b))
     if delta.ndim != 3:
         raise ShapeError(f"step sizes must be (B, M, E), got {delta.shape}")
     if a.ndim != 2:
         raise ShapeError(f"evolution table must be (E, N), got {a.shape}")
-    if np.any(delta.data <= 0.0):
+    if np.any(delta <= 0.0):
         raise ContractError("step sizes must be strictly positive")
     bb, m, e = delta.shape
     n = a.shape[1]
     if a.shape[0] != e:
         raise ShapeError(f"evolution table {a.shape} does not match E={e}")
-
-    d4 = tt.broadcast_to(tt.reshape(delta, (bb, m, e, 1)), (bb, m, e, n))
-    a4 = tt.broadcast_to(tt.reshape(a, (1, 1, e, n)), (bb, m, e, n))
     if b.ndim == 1:
         if b.shape[0] != n:
             raise ShapeError(f"input map {b.shape} does not match N={n}")
-        b4 = tt.broadcast_to(tt.reshape(b, (1, 1, 1, n)), (bb, m, e, n))
+        b4 = b
     else:
         if b.shape != (bb, m, n):
             raise ShapeError(f"input map {b.shape} does not match (B, M, N)=({bb}, {m}, {n})")
-        b4 = tt.broadcast_to(tt.reshape(b, (bb, m, 1, n)), (bb, m, e, n))
+        b4 = b[:, :, None, :]
 
-    abar = tt.exp(tt.mul(d4, a4))
+    d4 = delta[..., None]
+    abar = np.exp(d4 * a)
     if mode == "euler":
-        bbar = tt.mul(d4, b4)
+        bbar = d4 * b4
     elif mode == "zoh":
-        near_zero = np.broadcast_to(np.abs(a.data) < 1e-12, (bb, m, e, n))
-        safe_a = tt.where_mask(near_zero, tt.broadcast_to(tt.ones(()), (bb, m, e, n)), a4)
-        ratio = tt.div(tt.sub(abar, 1.0), safe_a)
-        bbar = tt.mul(tt.where_mask(near_zero, d4, ratio), b4)
+        near_zero = np.abs(a) < 1e-12
+        ratio = (abar - 1.0) / np.where(near_zero, 1.0, a)
+        bbar = np.where(near_zero, d4, ratio) * b4
     else:
         raise ConfigError(f"unknown discretization mode {mode!r}")
     return DiscreteSsm(abar=abar, bbar=bbar)
@@ -147,26 +145,23 @@ def discretize(delta, a, b, mode: str = "euler") -> DiscreteSsm:
 # scans
 
 
-def scan_sequential(dssm: DiscreteSsm, c, d, x) -> tt.Tensor:
+def scan_sequential(dssm: DiscreteSsm, c, d, x) -> np.ndarray:
     """Exact left-to-right recurrence h_m = abar_m*h_{m-1} + bbar_m*x_m,
     read out as y_m = sum_n c*h + d*x.  h_0 = 0."""
     abar, bbar = dssm
-    bb, m, e, n = abar.shape
     bx = _input_injection(bbar, x)
-    h = tt.zeros((bb, e, n))
-    steps = []
-    for i in range(m):
-        am = tt.reshape(tt.narrow(abar, 1, i, 1), (bb, e, n))
-        bm = tt.reshape(tt.narrow(bx, 1, i, 1), (bb, e, n))
-        h = tt.add(tt.mul(am, h), bm)
-        steps.append(h)
-    return _readout(tt.stack(steps, axis=1), c, d, x)
+    hs = np.empty(bx.shape)
+    h = np.zeros(hs[:, 0].shape)
+    for i in range(hs.shape[1]):
+        h = abar[:, i] * h + bx[:, i]
+        hs[:, i] = h
+    return _readout(hs, c, d, x)
 
 
 def combine(a2, b2, a1, b1):
     """Associative composition of affine recurrence steps, later o earlier:
     (a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2)."""
-    return tt.mul(a2, a1), tt.add(tt.mul(a2, b1), b2)
+    return a2 * a1, a2 * b1 + b2
 
 
 def _pair_scan(a, b, axis: int):
@@ -180,30 +175,20 @@ def _pair_scan(a, b, axis: int):
     m = a.shape[axis]
     if m == 1:
         return a, b
-    a_even, a_odd = tt.stride2(a, axis, 0), tt.stride2(a, axis, 1)
-    b_even, b_odd = tt.stride2(b, axis, 0), tt.stride2(b, axis, 1)
-    n_even = a_even.shape[axis]
-    n_odd = a_odd.shape[axis]
-    ca, cb = combine(a_odd, b_odd, tt.narrow(a_even, axis, 0, n_odd),
-                     tt.narrow(b_even, axis, 0, n_odd))
-    sa, sb = _pair_scan(ca, cb, axis)
-    head_a = tt.narrow(a_even, axis, 0, 1)
-    head_b = tt.narrow(b_even, axis, 0, 1)
-    if n_even > 1:
-        ea, eb = combine(
-            tt.narrow(a_even, axis, 1, n_even - 1),
-            tt.narrow(b_even, axis, 1, n_even - 1),
-            tt.narrow(sa, axis, 0, n_even - 1),
-            tt.narrow(sb, axis, 0, n_even - 1),
-        )
-        even_a = tt.concat([head_a, ea], axis=axis)
-        even_b = tt.concat([head_b, eb], axis=axis)
-    else:
-        even_a, even_b = head_a, head_b
-    return tt.interleave2(even_a, sa, axis), tt.interleave2(even_b, sb, axis)
+    lead = (slice(None),) * axis
+    odd = lead + (slice(1, None, 2),)
+    pairs = lead + (slice(0, 2 * (m // 2), 2),)  # the even step before each odd one
+    sa, sb = _pair_scan(*combine(a[odd], b[odd], a[pairs], b[pairs]), axis)
+    head, later = lead + (slice(0, 1),), lead + (slice(2, None, 2),)
+    before = lead + (slice(0, (m - 1) // 2),)  # the odd result before each later even
+    out_a, out_b = np.empty(a.shape), np.empty(b.shape)
+    out_a[odd], out_b[odd] = sa, sb
+    out_a[head], out_b[head] = a[head], b[head]
+    out_a[later], out_b[later] = combine(a[later], b[later], sa[before], sb[before])
+    return out_a, out_b
 
 
-def scan_parallel(dssm: DiscreteSsm, c, d, x) -> tt.Tensor:
+def scan_parallel(dssm: DiscreteSsm, c, d, x) -> np.ndarray:
     """Same contract as scan_sequential, evaluated as an associative scan."""
     abar, bbar = dssm
     bx = _input_injection(bbar, x)
@@ -211,24 +196,23 @@ def scan_parallel(dssm: DiscreteSsm, c, d, x) -> tt.Tensor:
     return _readout(h, c, d, x)
 
 
-def _input_injection(bbar: tt.Tensor, x) -> tt.Tensor:
-    x = tt.as_tensor(x)
+def _input_injection(bbar: np.ndarray, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     bb, m, e, n = bbar.shape
     if x.shape != (bb, m, e):
         raise ShapeError(f"input {x.shape} does not match operators {bbar.shape}")
-    x4 = tt.broadcast_to(tt.reshape(x, (bb, m, e, 1)), (bb, m, e, n))
-    return tt.mul(bbar, x4)
+    return bbar * x[..., None]
 
 
-def _readout(h: tt.Tensor, c, d, x) -> tt.Tensor:
-    c, d, x = tt.as_tensor(c), tt.as_tensor(d), tt.as_tensor(x)
+def _readout(h: np.ndarray, c, d, x) -> np.ndarray:
+    c, d, x = (np.asarray(v, dtype=np.float64) for v in (c, d, x))
     if c.ndim == 1:
-        y = tt.einsum2("bmen,n->bme", h, c)
+        y = np.einsum("bmen,n->bme", h, c)
     elif c.ndim == 3:
-        y = tt.einsum2("bmen,bmn->bme", h, c)
+        y = np.einsum("bmen,bmn->bme", h, c)
     else:
         raise ShapeError(f"readout map must be (N,) or (B, M, N), got {c.shape}")
-    return tt.add(y, tt.mul(x, d))
+    return y + x * d
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Design notes:
   Gradients accumulate additively across fan-out and are never overwritten.
 * Broadcasting is deliberately restricted: elementwise binary ops accept equal
   shapes, a scalar operand, or a trailing bias vector ``(d,)`` against
-  ``(..., d)``.  Anything else raises ``ShapeError``.  Wider broadcasts must go
-  through the explicit ``broadcast_to`` (or ``add_channel_bias``).
+  ``(..., d)``.  Anything else raises ``ShapeError``; a per-channel bias on
+  axis 1 goes through ``add_channel_bias``.
 * Every reduction uses a fixed order, so results are reproducible bit-for-bit
   for a fixed thread count.  A caller that needs a reduction invariant to
   permutations at the bit level gathers its input into a canonical order.
@@ -66,58 +66,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Treat as read-only."""
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all semantics live in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad)
 
 
 # --------------------------------------------------------------------------
@@ -168,9 +125,6 @@ class Tape:
 
     def __len__(self):
         return len(self._nodes)
-
-    def backward(self, loss: Tensor) -> None:
-        backward(loss, self)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -273,42 +227,9 @@ def mul(a, b) -> Tensor:
     return _make_out(a.data * b.data, (a, b), fn)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b)
-
-    def fn(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        )
-
-    return _make_out(a.data / b.data, (a, b), fn)
-
-
 def neg(a) -> Tensor:
     a = as_tensor(a)
     return _make_out(-a.data, (a,), lambda g: (-g,))
-
-
-def pow_scalar(a, p) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    return _make_out(a.data**p, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
-
-def where_mask(mask: np.ndarray, a, b) -> Tensor:
-    """Elementwise select with a constant boolean mask (same-shape operands)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"where_mask operands differ: {a.shape} vs {b.shape}")
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    data = np.where(mask, a.data, b.data)
-
-    def fn(g):
-        return np.where(mask, g, 0.0), np.where(mask, 0.0, g)
-
-    return _make_out(data, (a, b), fn)
 
 
 # --------------------------------------------------------------------------
@@ -319,23 +240,6 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
     return _make_out(data, (a,), lambda g: (g * data,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make_out(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-    return _make_out(data, (a,), lambda g: (g * 0.5 / data,))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    data = _sigmoid_np(a.data)
-    return _make_out(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def silu(a) -> Tensor:
@@ -488,21 +392,6 @@ def transpose(a, axes) -> Tensor:
     return _make_out(data, (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    shape = tuple(shape)
-    data = np.broadcast_to(a.data, shape).copy()
-
-    def fn(g):
-        extra = len(shape) - a.ndim
-        sum_axes = tuple(range(extra)) + tuple(
-            i + extra for i, d in enumerate(a.shape) if d == 1 and shape[i + extra] != 1
-        )
-        return (g.sum(axis=sum_axes).reshape(a.shape),)
-
-    return _make_out(data, (a,), fn)
-
-
 def add_channel_bias(x, b) -> Tensor:
     """``x + b`` for a ``(C,)`` bias on axis 1 of a ``(B, C, ...)`` tensor."""
     x, b = as_tensor(x), as_tensor(b)
@@ -565,24 +454,12 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
+    """``length`` elements along ``axis`` from ``start``; the adjoint
+    scatters into zeros."""
     a = as_tensor(a)
-    ax = axis % a.ndim
     sl = [slice(None)] * a.ndim
-    sl[ax] = slice(start, start + length)
-    return _slice(a, tuple(sl))
-
-
-def stride2(a, axis: int, start: int) -> Tensor:
-    """Every second element along ``axis`` beginning at ``start`` (0 or 1)."""
-    a = as_tensor(a)
-    ax = axis % a.ndim
-    sl = [slice(None)] * a.ndim
-    sl[ax] = slice(start, None, 2)
-    return _slice(a, tuple(sl))
-
-
-def _slice(a: Tensor, sl: tuple) -> Tensor:
-    """``a[sl]`` for a tuple of basic slices; the adjoint scatters into zeros."""
+    sl[axis % a.ndim] = slice(start, start + length)
+    sl = tuple(sl)
 
     def fn(g):
         out = np.zeros(a.shape)
@@ -590,26 +467,6 @@ def _slice(a: Tensor, sl: tuple) -> Tensor:
         return (out,)
 
     return _make_out(a.data[sl].copy(), (a,), fn)
-
-
-def interleave2(even, odd, axis: int) -> Tensor:
-    """Inverse of the stride-2 split: out[0::2]=even, out[1::2]=odd."""
-    even, odd = as_tensor(even), as_tensor(odd)
-    ax = axis % even.ndim
-    ne, no = even.shape[ax], odd.shape[ax]
-    if ne - no not in (0, 1):
-        raise ShapeError(f"interleave2: incompatible lengths {ne} and {no}")
-    shape = list(even.shape)
-    shape[ax] = ne + no
-    sl_e = [slice(None)] * even.ndim
-    sl_e[ax] = slice(0, None, 2)
-    sl_o = [slice(None)] * even.ndim
-    sl_o[ax] = slice(1, None, 2)
-    sl_e, sl_o = tuple(sl_e), tuple(sl_o)
-    data = np.empty(shape)
-    data[sl_e] = even.data
-    data[sl_o] = odd.data
-    return _make_out(data, (even, odd), lambda g: (g[sl_e].copy(), g[sl_o].copy()))
 
 
 # --------------------------------------------------------------------------

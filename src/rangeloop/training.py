@@ -174,10 +174,10 @@ def _descriptor_rows(out: tt.Tensor):
 
 
 def _forward_tuple(tup, images, params, cfg: pl.ModelConfig,
-                   rng: np.random.Generator, train: bool):
+                   rng: np.random.Generator):
     ids = [tup.query, *tup.positives, *tup.negatives]
     batch = pl.prepare_batch([images[i] for i in ids])
-    out = pl.model_forward(batch, params, cfg, rng=rng, train=train)
+    out = pl.model_forward(batch, params, cfg, rng=rng)
     rows = _descriptor_rows(out)
     n_p = len(tup.positives)
     return rows[0], rows[1:1 + n_p], rows[1 + n_p:]
@@ -191,8 +191,7 @@ def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
 
     scores = []
     for tup in val_tuples:
-        g_q, g_ps, g_ns = _forward_tuple(tup, images, params, cfg,
-                                         rng=None, train=False)
+        g_q, g_ps, g_ns = _forward_tuple(tup, images, params, cfg, rng=None)
         q = g_q.data
         for g in g_ps:
             scores.append((-float(np.sum((q - g.data) ** 2)), True))
@@ -228,7 +227,7 @@ def train(tuples, images, params: pl.ModelParams, model_cfg: pl.ModelConfig,
             try:
                 with tt.Tape() as tape:
                     g_q, g_ps, g_ns = _forward_tuple(tup, images, params,
-                                                     model_cfg, rng, train=True)
+                                                     model_cfg, rng)
                     loss = tuple_loss(g_q, g_ps, g_ns, loss_cfg, rng)
             except (DegenerateInputError, ContractError) as exc:
                 # A value contract tripped by an optimizer update (for

@@ -8,6 +8,7 @@ geometric identities.  Criterion 10 is informational: it reports timings
 and asserts only that the report is well formed.
 """
 
+import inspect
 import math
 import tempfile
 import time
@@ -53,46 +54,6 @@ def default_world():
     cfg = spec.projection_config()
     images = {i: rvw.build_range_image(s, cfg) for i, s in enumerate(world.scans)}
     return spec, world, cfg, images
-
-
-# --------------------------------------------------------------------------
-# gradient checking
-
-
-def _fd_scalar(op, arrays, tol, probes=5):
-    """Max relative error between tape gradients and central differences of
-    a random scalar projection of ``op``'s output."""
-    rng = np.random.default_rng(7)
-    proj = None
-
-    def scalar(ts):
-        nonlocal proj
-        out = op(*ts)
-        if proj is None:
-            proj = rng.standard_normal(out.shape)
-        return tt.tsum(tt.mul(out, tt.Tensor(proj)))
-
-    tensors = [tt.Tensor(a, requires_grad=True) for a in arrays]
-    with tt.Tape() as tape:
-        loss = scalar(tensors)
-    tape.backward(loss)
-    worst = 0.0
-    h = 1e-6
-    for k, a in enumerate(arrays):
-        flat = a.reshape(-1)
-        idxs = rng.choice(flat.size, size=min(probes, flat.size), replace=False)
-        for i in idxs:
-            bumped = [x.copy() for x in arrays]
-            bumped[k].reshape(-1)[i] += h
-            up = float(scalar([tt.Tensor(x) for x in bumped]).data)
-            bumped[k].reshape(-1)[i] -= 2 * h
-            dn = float(scalar([tt.Tensor(x) for x in bumped]).data)
-            numeric = (up - dn) / (2 * h)
-            analytic = tensors[k].grad.reshape(-1)[i]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    assert worst < tol, f"gradient error {worst:.3e} >= {tol}"
-    return worst
 
 
 # --------------------------------------------------------------------------
@@ -150,12 +111,10 @@ class TestAcceptance:
                 kern = ssm.lti_kernel(abar, bbar, c, m)
                 y_conv = ssm.causal_conv(x, kern) + d * x
 
-                dssm = ssm.discretize(
-                    tt.Tensor(np.broadcast_to(delta, (1, m, e)).copy()),
-                    tt.Tensor(a), tt.Tensor(b), mode="euler")
-                y_scan = ssm.scan_sequential(dssm, tt.Tensor(c), tt.Tensor(d),
-                                             tt.Tensor(x))
-                worst = max(worst, float(np.max(np.abs(y_scan.data - y_conv))))
+                dssm = ssm.discretize(np.broadcast_to(delta, (1, m, e)), a, b,
+                                      mode="euler")
+                y_scan = ssm.scan_sequential(dssm, c, d, x)
+                worst = max(worst, float(np.max(np.abs(y_scan - y_conv))))
             assert worst < 1e-10, f"duality gap {worst:.3e}"
             assert time.time() - t0 < 5.0
 
@@ -166,15 +125,15 @@ class TestAcceptance:
             worst = 0.0
             for m in (1, 7, 64, 900):
                 e, n = 3, 4
-                delta = tt.Tensor(rng.uniform(1e-3, 1e-1, size=(1, m, e)))
-                a = tt.Tensor(-rng.uniform(0.2, 2.0, size=(e, n)))
+                delta = rng.uniform(1e-3, 1e-1, size=(1, m, e))
+                a = -rng.uniform(0.2, 2.0, size=(e, n))
                 b = rng.standard_normal((1, m, n))
                 c = rng.standard_normal((1, m, n))
                 d = rng.standard_normal(e)
                 x = rng.standard_normal((1, m, e))
                 dssm = ssm.discretize(delta, a, b, mode="zoh")
-                seq = ssm.scan_sequential(dssm, c, d, x).data
-                par = ssm.scan_parallel(dssm, c, d, x).data
+                seq = ssm.scan_sequential(dssm, c, d, x)
+                par = ssm.scan_parallel(dssm, c, d, x)
                 worst = max(worst, float(np.max(np.abs(seq - par))))
             assert worst < 1e-10, f"scan mismatch {worst:.3e}"
             assert time.time() - t0 < 5.0
@@ -185,15 +144,18 @@ class TestAcceptance:
             rng = np.random.default_rng(42)
             a2 = rng.standard_normal((3, 4))
             b2 = rng.standard_normal((3, 4))
-            pos = rng.uniform(0.5, 2.0, size=(3, 4))
-            mask = rng.random((3, 4)) > 0.5
+            # The draws marked "kept" fed cases of ops that are gone; they
+            # stay so that every later input, the mixing block's included,
+            # is drawn as before.
+            rng.uniform(0.5, 2.0, size=(3, 4))  # kept
+            rng.random((3, 4))  # kept
             sep = (rng.permutation(12).astype(float) - 5.5).reshape(3, 4)
             x3 = rng.standard_normal((2, 6, 4))
             order = np.argsort(x3[:, :, :1], axis=1)  # a row permutation
             w2 = rng.standard_normal((4, 5)) * 0.5
             b1 = rng.standard_normal(5)
             xc = rng.standard_normal((2, 3, 8))
-            xc2 = rng.standard_normal((2, 3, 8))
+            rng.standard_normal((2, 3, 8))  # kept
             wc = rng.standard_normal((5, 3, 3)) * 0.4
             sepc = (rng.permutation(48).astype(float) - 23.5).reshape(2, 3, 8)
             xv = rng.standard_normal((2, 3, 6, 5))
@@ -208,26 +170,22 @@ class TestAcceptance:
                        rng.standard_normal((2, m_s, 4)),
                        rng.standard_normal((2, m_s, 4)),
                        rng.standard_normal(3)]
+            mm_a, mm_b = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
+            es_b = rng.standard_normal((4, 5))
+            rng.standard_normal((1, 4))  # kept
 
             cases = [
                 ("add", lambda a, b: tt.add(a, b), [a2, b2]),
                 ("sub", lambda a, b: tt.sub(a, b), [a2, b2]),
                 ("mul", lambda a, b: tt.mul(a, b), [a2, b2]),
-                ("div", lambda a, b: tt.div(a, b), [a2, pos]),
                 ("neg", lambda a: tt.neg(a), [a2]),
-                ("pow_scalar", lambda a: tt.pow_scalar(a, 3.0), [pos]),
-                ("where_mask", lambda a, b: tt.where_mask(mask, a, b), [a2, b2]),
                 ("exp", lambda a: tt.exp(a), [a2]),
-                ("log", lambda a: tt.log(a), [pos]),
-                ("sqrt", lambda a: tt.sqrt(a), [pos]),
-                ("sigmoid", lambda a: tt.sigmoid(a), [a2]),
                 ("silu", lambda a: tt.silu(a), [a2]),
                 ("softplus", lambda a: tt.softplus(a), [a2]),
                 ("relu", lambda a: tt.relu(a), [sep]),
-                ("matmul", lambda a, b: tt.matmul(a, b),
-                 [rng.standard_normal((3, 4)), rng.standard_normal((4, 5))]),
+                ("matmul", lambda a, b: tt.matmul(a, b), [mm_a, mm_b]),
                 ("einsum2", lambda a, b: tt.einsum2("bme,en->bmn", a, b),
-                 [x3, rng.standard_normal((4, 5))]),
+                 [x3, es_b]),
                 ("linear", lambda x, w, b: tt.linear(x, w, b), [x3, w2, b1]),
                 ("tsum", lambda a: tt.tsum(a, axis=1), [x3]),
                 ("tmean", lambda a: tt.tmean(a, axis=(0, 2)), [x3]),
@@ -236,8 +194,6 @@ class TestAcceptance:
                 ("tmin", lambda a: tt.tmin(a, axis=1), [sep]),
                 ("reshape", lambda a: tt.reshape(a, (4, 3)), [a2]),
                 ("transpose", lambda a: tt.transpose(a, (1, 0)), [a2]),
-                ("broadcast_to", lambda a: tt.broadcast_to(a, (3, 4)),
-                 [rng.standard_normal((1, 4))]),
                 ("add_channel_bias", lambda x, b: tt.add_channel_bias(x, b),
                  [xc, b1[:3]]),
                 ("flip", lambda a: tt.flip(a, 1), [a2]),
@@ -245,8 +201,6 @@ class TestAcceptance:
                 ("concat", lambda a, b: tt.concat([a, b], axis=0), [a2, b2]),
                 ("stack", lambda a, b: tt.stack([a, b], axis=1), [a2, b2]),
                 ("narrow", lambda a: tt.narrow(a, 1, 1, 2), [a2]),
-                ("stride2", lambda a: tt.stride2(a, 2, 1), [xc]),
-                ("interleave2", lambda a, b: tt.interleave2(a, b, 2), [xc, xc2]),
                 ("conv_vertical", lambda x, w: tt.conv_vertical(x, w, stride_h=2),
                  [xv, wv]),
                 ("conv1d_circular", lambda x, w: tt.conv1d_circular(x, w),
@@ -259,9 +213,16 @@ class TestAcceptance:
                 ("l2_normalize", lambda x: tt.l2_normalize(x, axis=-1), [x3]),
                 ("selective_scan", ssm.selective_scan, scan_in),
             ]
+            # one case per public differentiable op, so a new op without a
+            # finite-difference case fails here
+            ops = {name for name, fn in vars(tt).items()
+                   if inspect.isfunction(fn) and fn.__module__ == tt.__name__
+                   and not name.startswith("_")}
+            ops -= {"as_tensor", "active_tape", "backward"}
+            assert {name for name, _, _ in cases} == ops | {"selective_scan"}
             worst_overall = 0.0
             for name, op, arrays in cases:
-                worst = _fd_scalar(op, [a.copy() for a in arrays], tol=1e-4)
+                worst = sc._fd_scalar(op, [a.copy() for a in arrays], tol=1e-4)
                 worst_overall = max(worst_overall, worst)
 
             # full mixing block on a (1, 8, 4) toy: gradient w.r.t. the input
@@ -280,7 +241,7 @@ class TestAcceptance:
 
             with tt.Tape() as tape:
                 loss = forward()
-            tape.backward(loss)
+            tt.backward(loss, tape)
             h = 1e-6
             for tensor in [x_t] + [named[k] for k in names]:
                 flat = tensor.data.reshape(-1)

@@ -4,8 +4,10 @@ import csv
 import io as stdio
 import os
 import resource
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +251,37 @@ class TestMalformedInputs:
                      "--ranges", str(ranges),
                      "--out", str(tmp_path / "db.omdb")]) == 2
         self._assert_one_line_error(capsys)
+
+    # (byte offset, f32 value): the header's r_max, or one range pixel
+    MALFORMED_OMRV = {"r_max-zero": (12, 0.0), "r_max-nan": (12, float("nan")),
+                      "r_max-negative": (12, -5.0), "pixel-inf": (36, float("inf")),
+                      "pixel-nan": (36, float("nan"))}
+
+    @pytest.mark.parametrize("command", ["embed", "train"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_OMRV))
+    def test_malformed_range_image_is_2(self, workspace, tmp_path, capsys,
+                                        command, case):
+        ranges = tmp_path / "ranges"
+        ranges.mkdir()
+        for src in sorted((workspace / "ranges").iterdir()):
+            (ranges / src.name).write_bytes(src.read_bytes())
+        bad = sorted(ranges.iterdir())[1]
+        raw = bytearray(bad.read_bytes())
+        struct.pack_into("<f", raw, *self.MALFORMED_OMRV[case])
+        bad.write_bytes(bytes(raw))
+        args = {"embed": ["embed", "--ckpt", str(workspace / "ckpt" / "final.omck"),
+                          "--ranges", str(ranges), "--out", str(tmp_path / "db.omdb")],
+                "train": ["train", "--config", str(workspace / "config.kv"),
+                          "--data", str(ranges),
+                          "--labels", str(workspace / "labels.txt"),
+                          "--out", str(tmp_path / "ckpt")]}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 2
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert bad.name in err
 
     def test_non_numeric_label_is_2(self, workspace, tmp_path, capsys):
         labels = tmp_path / "labels.txt"

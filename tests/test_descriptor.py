@@ -56,19 +56,6 @@ class TestNetvlad:
             ).data
             np.testing.assert_array_equal(out, base)
 
-    def test_records_no_broadcast_copy(self, monkeypatch):
-        rng = np.random.default_rng(42)
-        cfg = gd.VladConfig(d=5, k=3, hidden=8, out=4)
-        p = make_params(rng, cfg)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("netvlad_forward called broadcast_to")
-
-        monkeypatch.setattr(T, "broadcast_to", forbidden)
-        gd.netvlad_forward(
-            T.Tensor(rng.standard_normal((2, 7, 5))), p.centers, p.assign_w, p.assign_b
-        )
-
     def test_residual_cancellation_gives_zero(self):
         c = np.array([[0.7, -0.2]])
         seq = T.Tensor(np.tile(c, (1, 5, 1)))  # every token equals the center

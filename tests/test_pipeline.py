@@ -84,11 +84,17 @@ class TestForward:
         b = pl.model_forward(x, params, TOY).data
         np.testing.assert_array_equal(a, b)
 
-    def test_train_requires_rng(self):
+    def test_generator_selects_train_forward(self):
+        # a generator draws one start offset per mixing block over the W
+        # tokens; no generator is the eval forward, which draws nothing
         params = pl.init_model(TOY, seed=42)
         x = pl.prepare_batch(_toy_images(1, np.random.default_rng(1)))
-        with pytest.raises(ContractError):
-            pl.model_forward(x, params, TOY, train=True)
+        rng = np.random.default_rng(3)
+        pl.model_forward(x, params, TOY, rng=rng)
+        ref = np.random.default_rng(3)
+        for _ in range(TOY.olm_blocks):
+            ref.integers(0, TOY.w)
+        assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
 
     def test_bypass_olm_differs_from_full(self):
         params = pl.init_model(TOY, seed=42)
@@ -120,7 +126,7 @@ class TestForward:
         params = pl.init_model(TOY, seed=42)
         x = pl.prepare_batch(_toy_images(1, np.random.default_rng(1)))
         with tt.Tape() as tape:
-            out = pl.model_forward(x, params, TOY, rng=np.random.default_rng(3), train=True)
+            out = pl.model_forward(x, params, TOY, rng=np.random.default_rng(3))
             loss = tt.tsum(tt.mul(out, out))
         tt.backward(loss, tape)
         missing = [n for n, t in params.named().items() if t.grad is None]

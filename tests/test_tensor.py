@@ -155,8 +155,8 @@ class TestActivations:
     def test_sigmoid_symmetry(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal(50) * 20.0
-        s = T.sigmoid(T.Tensor(x)).data
-        s_neg = T.sigmoid(T.Tensor(-x)).data
+        s = T._sigmoid_np(x)
+        s_neg = T._sigmoid_np(-x)
         np.testing.assert_allclose(s + s_neg, np.ones(50), atol=1e-12)
 
     def test_relu_halves_plane(self):
@@ -221,11 +221,9 @@ class TestGradientChecks:
         rng = np.random.default_rng(42)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((3, 4))
-        pos = np.abs(rng.standard_normal((3, 4))) + 0.5
         check_grads(T.add, [a, b], rng)
         check_grads(T.sub, [a, b], rng)
         check_grads(T.mul, [a, b], rng)
-        check_grads(T.div, [a, pos], rng)
 
     def test_bias_and_scalar_broadcast(self):
         rng = np.random.default_rng(42)
@@ -241,24 +239,18 @@ class TestGradientChecks:
         # the output is (1,); each operand's gradient keeps its own shape
         rng = np.random.default_rng(42)
         check_grads(T.mul, [np.array(0.7), np.array([1.3])], rng)
-        check_grads(T.div, [np.array([1.3]), np.array(0.7)], rng)
+        check_grads(T.sub, [np.array([1.3]), np.array(0.7)], rng)
 
     def test_unary(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((4, 5))
-        pos = np.abs(x) + 0.5
         check_grads(T.neg, [x], rng)
         check_grads(T.exp, [x], rng)
-        check_grads(T.log, [pos], rng)
-        check_grads(T.sqrt, [pos], rng)
-        check_grads(lambda t: T.pow_scalar(t, 1.7), [pos], rng)
-        check_grads(lambda t: T.pow_scalar(t, 2.0), [x], rng)
 
     def test_activations(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((4, 5)) * 2.0
         away_from_kink = np.where(np.abs(x) < 0.1, x + 0.3, x)
-        check_grads(T.sigmoid, [x], rng)
         check_grads(T.silu, [x], rng)
         check_grads(T.softplus, [x], rng)
         check_grads(T.relu, [away_from_kink], rng)
@@ -332,19 +324,8 @@ class TestGradientChecks:
         check_grads(lambda t: T.flip(t, axis=1), [x], rng)
         check_grads(lambda t: T.roll(t, 2, axis=2), [x], rng)
         check_grads(lambda t: T.narrow(t, 1, 1, 2), [x], rng)
-        check_grads(lambda t: T.stride2(t, 2, 0), [x], rng)
-        check_grads(lambda t: T.stride2(t, 2, 1), [x], rng)
-        check_grads(lambda t: T.broadcast_to(t, (2, 3, 4, 5)), [x], rng)
-        check_grads(
-            lambda t: T.broadcast_to(t, (3, 4, 5)), [rng.standard_normal((3, 1, 5))], rng
-        )
         check_grads(lambda a, b: T.concat([a, b], axis=1), [x, x + 1.0], rng)
         check_grads(lambda a, b: T.stack([a, b], axis=0), [x, x + 1.0], rng)
-        check_grads(
-            lambda a, b: T.interleave2(a, b, axis=1),
-            [rng.standard_normal((2, 4)), rng.standard_normal((2, 3))],
-            rng,
-        )
         order = np.random.default_rng(0).permutation(4)[None, :, None]
         check_grads(lambda t: T.take_along(t, order, axis=1), [x], rng)
         repeats = np.array([[[2], [0], [2]]])  # row 2 read twice, row 1 never
@@ -355,15 +336,6 @@ class TestGradientChecks:
             [rng.standard_normal((2, 3, 4, 5)), rng.standard_normal(3)],
             rng,
         )
-
-    def test_interleave2_inverts_stride2(self):
-        rng = np.random.default_rng(42)
-        for m in (4, 5, 7):
-            x = rng.standard_normal((2, m))
-            even = T.stride2(T.Tensor(x), 1, 0)
-            odd = T.stride2(T.Tensor(x), 1, 1)
-            back = T.interleave2(even, odd, axis=1)
-            np.testing.assert_array_equal(back.data, x)
 
     def test_structured_kernels(self):
         rng = np.random.default_rng(42)
@@ -402,15 +374,6 @@ class TestGradientChecks:
         check_grads(lambda t: T.softmax(t, axis=1), [x], rng)
         check_grads(T.l2_normalize, [x], rng)
         check_grads(lambda t: T.l2_normalize(t, axis=1), [x], rng)
-
-    def test_where_mask(self):
-        rng = np.random.default_rng(42)
-        mask = rng.random((3, 4)) > 0.5
-        check_grads(
-            lambda a, b: T.where_mask(mask, a, b),
-            [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))],
-            rng,
-        )
 
 
 class TestL2NormalizeZeroRows:
@@ -468,7 +431,7 @@ class TestLayerNorm:
         rng = np.random.default_rng(42)
         x = rng.standard_normal((4, 8)) * 3.0 + 1.0
         out = T.layer_norm(
-            T.Tensor(x), T.ones(8), T.zeros(8), eps=0.0
+            T.Tensor(x), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)), eps=0.0
         ).data
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(out.std(axis=-1), np.ones(4), atol=1e-9)
