@@ -37,7 +37,6 @@ class SppConfig:
 @dataclass(frozen=True)
 class BackboneConfig:
     stages: Tuple[Tuple[int, int, int], ...]  # (out_channels, kernel_h, stride_h)
-    in_channels: int = 1
     spp: SppConfig = field(default_factory=SppConfig)
 
     def __post_init__(self):
@@ -106,7 +105,7 @@ class BackboneParams:
 
 def init_backbone(rng: np.random.Generator, cfg: BackboneConfig) -> BackboneParams:
     weights, biases = [], []
-    c_in = cfg.in_channels
+    c_in = 1  # the range channel
     for c_out, k, _ in cfg.stages:
         bound = 1.0 / np.sqrt(c_in * k)
         weights.append(

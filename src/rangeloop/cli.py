@@ -185,8 +185,13 @@ def cmd_eval_loop(args) -> int:
 def cmd_eval_place(args) -> int:
     db = rt.DescriptorDb.load(args.db)
     query_db = rt.DescriptorDb.load(args.query_db)
-    pos_a = np.stack([p.translation[:2] for p in io.load_poses(args.poses_a)])
-    pos_b = np.stack([p.translation[:2] for p in io.load_poses(args.poses_b)])
+    positions = []
+    for path, session in ((args.poses_a, db), (args.poses_b, query_db)):
+        poses = io.load_poses(path)
+        if len(poses) != len(session):
+            raise ContractError(f"{len(poses)} poses for {len(session)} descriptors")
+        positions.append(np.array([p.translation[:2] for p in poses]).reshape(-1, 2))
+    pos_a, pos_b = positions
     protocol = _load_config(rt.EvalProtocol, args.protocol)
     if protocol.kind != "place_recognition":
         raise ContractError(

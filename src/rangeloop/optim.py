@@ -7,6 +7,8 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays and denominator guard
+
 
 class Adam:
     """Adam with bias-corrected moment estimates.
@@ -16,8 +18,7 @@ class Adam:
     optimizer state association.
     """
 
-    def __init__(self, params, lr: float = 5e-6, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 5e-6):
         if lr < 0.0:
             raise ContractError(f"learning rate must be >= 0, got {lr}")
         self.params = dict(params)
@@ -25,9 +26,6 @@ class Adam:
             if not isinstance(p, Tensor) or not p.requires_grad:
                 raise ContractError(f"parameter {name!r} is not a trainable tensor")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -38,20 +36,20 @@ class Adam:
         if missing:
             raise ContractError(f"adam step with no gradient for parameter {missing[0]!r}")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             mhat = m / c1
             vhat = v / c2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + EPS)
         self.zero_grad()
 
     def zero_grad(self) -> None:

@@ -49,7 +49,7 @@ class ModelConfig:
     def backbone_config(self) -> bb.BackboneConfig:
         stages = tuple(tuple(s) for s in self.stages) or bb.default_stages(self.h)
         spp = bb.SppConfig(kernel=self.spp_kernel, depth=self.spp_depth, mode=self.spp_mode)
-        cfg = bb.BackboneConfig(stages=stages, in_channels=1, spp=spp)
+        cfg = bb.BackboneConfig(stages=stages, spp=spp)
         cfg.height_trace(self.h)  # fail fast if the plan cannot flatten h rows
         return cfg
 

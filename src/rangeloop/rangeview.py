@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 
 SENTINEL = -1.0
+EPS_REL = 0.05  # overlap: |r_b - r_a| <= EPS_REL * r_a counts as the same return
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,11 @@ class RangeImage:
     def valid(self) -> np.ndarray:
         return self.ranges > 0.0
 
-    def network_input(self, scale: bool = True) -> np.ndarray:
+    def network_input(self) -> np.ndarray:
         """(1, h, w) array for the model: sentinel pixels become 0, and
-        ranges are divided by r_max when scaling is on."""
+        ranges are divided by r_max."""
         x = np.where(self.ranges > 0.0, self.ranges, 0.0)
-        if scale:
-            x = x / self.r_max
-        return x[None, :, :]
+        return (x / self.r_max)[None, :, :]
 
 
 @dataclass(frozen=True)
@@ -196,13 +195,12 @@ def compute_overlap(
     pose_a: Pose,
     points_b: np.ndarray,
     pose_b: Pose,
-    eps_rel: float = 0.05,
 ) -> float:
     """Fraction of scan a's returns that scan b re-observes.
 
     Cloud b is moved into a's frame through the two poses and projected with
     a's sensor geometry; a pixel of a counts as overlapping when b's image
-    holds a return there within a relative range tolerance.  Anchored on the
+    holds a return there within the relative range tolerance ``EPS_REL``.  Anchored on the
     query: overlap(a, b) and overlap(b, a) may differ.
 
     Range-gap cull.  Let gap = ||t_a - t_b|| and R_b = max ||p[:3]|| over
@@ -258,7 +256,7 @@ def compute_overlap(
     with np.errstate(invalid="ignore"):
         local_a = pose_a.to_local(pose_b.to_world(pts))
     proj = build_range_image(local_a, cfg)
-    close = np.abs(proj.ranges - ri_a.ranges) <= eps_rel * ri_a.ranges
+    close = np.abs(proj.ranges - ri_a.ranges) <= EPS_REL * ri_a.ranges
     agree = valid_a & proj.valid & close
     return float(agree.sum()) / n_valid
 

@@ -9,7 +9,6 @@ registry and reports per-check pass/fail; the command-line entry point exits
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -217,19 +216,16 @@ def check_bypassed_pipeline_shift_invariance() -> str:
 
 
 def check_loss_hand_values() -> str:
-    def unit(d2, dim=8):
-        v = np.zeros(dim)
-        v[0] = math.sqrt(d2)
-        return tt.Tensor(v)
+    def rows(*d2, dim=8):
+        """Query at zero, then one row at squared distance d for each d."""
+        out = np.zeros((1 + len(d2), dim))
+        out[1:, 0] = np.sqrt(d2)
+        return out
 
-    q = tt.Tensor(np.zeros(8))
-    cfg = tr.LossConfig(alpha=0.25, lam=1e-4, kind="imtrihard")
-    loss = tr.imtrihard_loss(q, [unit(1.0), unit(4.0)], [unit(2.0), unit(3.0)], cfg)
+    loss = tr.imtrihard_loss(rows(1.0, 4.0, 2.0, 3.0), 2, alpha=0.25, lam=1e-4)
     if abs(float(loss.data) - 4.50025) >= 1e-12:
         raise AssertionError(f"hard-mining loss {float(loss.data)!r} != 4.50025")
-    tl = tr.triplet_loss(q, [unit(1.0)], [unit(2.0)],
-                         tr.LossConfig(alpha=0.25, kind="triplet"),
-                         np.random.default_rng(42))
+    tl = tr.triplet_loss(rows(1.0, 2.0), 1, alpha=0.25, rng=np.random.default_rng(42))
     want = max(1.0 - 2.0 + 0.25, 0.0)
     if abs(float(tl.data) - want) >= 1e-12:
         raise AssertionError(f"paired hinge {float(tl.data)!r} != {want}")
@@ -321,11 +317,11 @@ def check_descriptor_determinism() -> str:
     return "bit-identical repeats"
 
 
-def check_checkpoint_roundtrip(tmp_dir: Optional[str] = None) -> str:
+def check_checkpoint_roundtrip() -> str:
     import tempfile
     import os
     params, cfg = _toy_model()
-    with tempfile.TemporaryDirectory(dir=tmp_dir) as d:
+    with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "model.omck")
         save_checkpoint(path, params.named())
         back = load_checkpoint(path)

@@ -334,26 +334,23 @@ def _axis_tuple(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     axes = _axis_tuple(axis, a.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
 
     def fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, sorted(axes))
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, sorted(axes)), a.shape).copy(),)
 
-    return _make_out(data, (a,), fn)
+    return _make_out(a.data.sum(axis=axes), (a,), fn)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     axes = _axis_tuple(axis, a.ndim)
     count = 1
     for ax in axes:
         count *= a.shape[ax]
-    return mul(tsum(a, axis=axes, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(a, axis=axes), 1.0 / count)
 
 
 def tmax(a, axis=None) -> Tensor:
@@ -439,16 +436,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def fn(g):
         splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, splits, axis=axis))
-
-    return _make_out(data, tuple(tensors), fn)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def fn(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
     return _make_out(data, tuple(tensors), fn)
 

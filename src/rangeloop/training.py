@@ -2,10 +2,14 @@
 
 Each training step takes one tuple (query scan, its positives, its
 negatives), pushes every member through the full model in a single batch,
-and updates all parameters with Adam.  Two losses are provided: a paired
-hinge over (positive, negative) couples, and a hard-mining variant that
-weights the worst positive and the best negative, which converges in fewer
-epochs on the same data.
+and updates all parameters with Adam.  The model returns the tuple as one
+(1+P+N, D) descriptor matrix: row 0 is the query, the next P rows are the
+positives and the remaining N rows the negatives.  The losses read that
+matrix directly: one subtract, square and row sum give every candidate's
+squared distance to the query.  Two losses are provided: a paired hinge over
+(positive, negative) couples, and a hard-mining variant that weights the
+worst positive and the best negative, which converges in fewer epochs on the
+same data.
 """
 
 from __future__ import annotations
@@ -25,55 +29,37 @@ from .optim import Adam
 LOSS_KINDS = ("triplet", "imtrihard")
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    alpha: float = 0.25  # hinge margin
-    lam: float = 1e-4  # weight of the mean-positive-distance term
-    kind: str = "imtrihard"
-    clamp_at_zero: bool = True
-
-    def __post_init__(self):
-        # chained comparisons: NaN fails every one of them
-        if not 0 < self.alpha < math.inf:
-            raise ConfigError(f"margin must be finite and positive, got {self.alpha}")
-        if not 0 <= self.lam < math.inf:
-            raise ConfigError(f"compression weight must be finite and >= 0, got {self.lam}")
-        if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}, expected {LOSS_KINDS}")
-
-
-def sq_dist(g_a, g_b) -> tt.Tensor:
-    """Squared Euclidean distance between two descriptors (differentiable)."""
-    g_a, g_b = tt.as_tensor(g_a), tt.as_tensor(g_b)
-    if g_a.shape != g_b.shape:
-        raise ContractError(f"descriptor dims differ: {g_a.shape} vs {g_b.shape}")
-    diff = tt.sub(g_a, g_b)
-    return tt.tsum(tt.mul(diff, diff))
+def _split_distances(desc, n_p: int):
+    """Squared Euclidean distances from row 0 of ``desc`` to the positives
+    (the next ``n_p`` rows) and to the negatives (the remaining rows), as two
+    differentiable vectors."""
+    desc = tt.as_tensor(desc)
+    if desc.ndim != 2:
+        raise ContractError(f"descriptors must be a (1+P+N, D) matrix, got shape {desc.shape}")
+    n_c = desc.shape[0] - 1
+    if not 1 <= n_p < n_c:
+        raise ContractError("loss requires at least one positive and one negative")
+    q = tt.reshape(tt.narrow(desc, 0, 0, 1), (desc.shape[1],))
+    diff = tt.sub(tt.narrow(desc, 0, 1, n_c), q)
+    d = tt.tsum(tt.mul(diff, diff), axis=1)
+    return tt.narrow(d, 0, 0, n_p), tt.narrow(d, 0, n_p, n_c - n_p)
 
 
-def _distances(g_q, group) -> tt.Tensor:
-    return tt.stack([sq_dist(g_q, g) for g in group], axis=0)
-
-
-def triplet_loss(g_q, positives, negatives, cfg: LossConfig,
-                 rng: np.random.Generator) -> tt.Tensor:
+def triplet_loss(desc, n_p: int, alpha: float, rng: np.random.Generator) -> tt.Tensor:
     """Paired hinge: sum over (p, n) couples of max(d(q,p) - d(q,n) + alpha, 0).
 
-    Couples are formed positionwise over min(|P|, |N|) members after an
-    rng-driven shuffle of each side, so no fixed positive always meets the
-    same negative.
+    ``desc`` is the (1+P+N, D) tuple matrix: row 0 the query, the next
+    ``n_p`` rows the positives, the rest the negatives.  Couples are formed
+    positionwise over min(P, N) members after an rng-driven shuffle of each
+    side, so no fixed positive always meets the same negative.
     """
-    if not positives or not negatives:
-        raise ContractError("triplet loss requires at least one positive and one negative")
-    p_order = rng.permutation(len(positives))
-    n_order = rng.permutation(len(negatives))
-    pairs = min(len(positives), len(negatives))
-    terms = []
-    for i in range(pairs):
-        d_p = sq_dist(g_q, positives[int(p_order[i])])
-        d_n = sq_dist(g_q, negatives[int(n_order[i])])
-        terms.append(tt.relu(tt.add(tt.sub(d_p, d_n), cfg.alpha)))
-    return tt.tsum(tt.stack(terms, axis=0))
+    d_p, d_n = _split_distances(desc, n_p)
+    p_order = rng.permutation(d_p.shape[0])
+    n_order = rng.permutation(d_n.shape[0])
+    pairs = min(len(p_order), len(n_order))
+    d_p = tt.take_along(d_p, p_order[:pairs], axis=0)
+    d_n = tt.take_along(d_n, n_order[:pairs], axis=0)
+    return tt.tsum(tt.relu(tt.add(tt.sub(d_p, d_n), alpha)))
 
 
 def mine_hardest(g_q, positives, negatives):
@@ -87,35 +73,31 @@ def mine_hardest(g_q, positives, negatives):
     return int(np.argmax(d_p)), int(np.argmin(d_n))
 
 
-def imtrihard_loss(g_q, positives, negatives, cfg: LossConfig) -> tt.Tensor:
-    """Hard-mining loss: lam * mean_p d(q,p) + k_p*(alpha + max_p d(q,p))
-    - k_n * min_n d(q,n), clamped at zero when configured.
+def imtrihard_loss(desc, n_p: int, alpha: float, lam: float) -> tt.Tensor:
+    """Hard-mining loss: max(lam * mean_p d(q,p) + k_p*(alpha + max_p d(q,p))
+    - k_n * min_n d(q,n), 0), on the (1+P+N, D) tuple matrix laid out as for
+    ``triplet_loss``.
 
     Gradients flow through every positive via the mean term and through the
     selected hardest positive / hardest negative via the max/min subgradient.
     """
-    if not positives or not negatives:
-        raise ContractError("loss requires at least one positive and one negative")
-    k_p, k_n = len(positives), len(negatives)
-    d_p = _distances(g_q, positives)
-    d_n = _distances(g_q, negatives)
+    d_p, d_n = _split_distances(desc, n_p)
+    k_p, k_n = d_p.shape[0], d_n.shape[0]
     loss = tt.add(
-        tt.mul(tt.tmean(d_p), cfg.lam),
+        tt.mul(tt.tmean(d_p), lam),
         tt.sub(
-            tt.mul(tt.add(tt.tmax(d_p), cfg.alpha), float(k_p)),
+            tt.mul(tt.add(tt.tmax(d_p), alpha), float(k_p)),
             tt.mul(tt.tmin(d_n), float(k_n)),
         ),
     )
-    if cfg.clamp_at_zero:
-        loss = tt.relu(loss)
-    return loss
+    return tt.relu(loss)
 
 
-def tuple_loss(g_q, positives, negatives, cfg: LossConfig,
-               rng: np.random.Generator) -> tt.Tensor:
-    if cfg.kind == "triplet":
-        return triplet_loss(g_q, positives, negatives, cfg, rng)
-    return imtrihard_loss(g_q, positives, negatives, cfg)
+def tuple_loss(desc, n_p: int, cfg: TrainConfig, rng: np.random.Generator) -> tt.Tensor:
+    """The configured loss of one tuple's (1+P+N, D) descriptor matrix."""
+    if cfg.loss == "triplet":
+        return triplet_loss(desc, n_p, cfg.alpha, rng)
+    return imtrihard_loss(desc, n_p, cfg.alpha, cfg.lam)
 
 
 # --------------------------------------------------------------------------
@@ -147,10 +129,13 @@ class TrainConfig:
             raise ConfigError(
                 f"overlap threshold must lie in (0, 1), got {self.overlap_threshold}"
             )
-        self.loss_config()  # loss validation
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(alpha=self.alpha, lam=self.lam, kind=self.loss)
+        # chained comparisons: NaN fails every one of them
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"margin must be finite and positive, got {self.alpha}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"compression weight must be finite and >= 0, got {self.lam}")
+        if self.loss not in LOSS_KINDS:
+            raise ConfigError(f"unknown loss kind {self.loss!r}, expected {LOSS_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -168,19 +153,13 @@ def split_validation(tuples):
     return list(tuples[:-n_val]), list(tuples[-n_val:])
 
 
-def _descriptor_rows(out: tt.Tensor):
-    dim = out.shape[1]
-    return [tt.reshape(tt.narrow(out, 0, i, 1), (dim,)) for i in range(out.shape[0])]
-
-
 def _forward_tuple(tup, images, params, cfg: pl.ModelConfig,
-                   rng: np.random.Generator):
+                   rng: np.random.Generator) -> tt.Tensor:
+    """The model's (1+P+N, D) descriptor matrix of a tuple: the query, then
+    its positives, then its negatives."""
     ids = [tup.query, *tup.positives, *tup.negatives]
-    batch = pl.prepare_batch([images[i] for i in ids])
-    out = pl.model_forward(batch, params, cfg, rng=rng)
-    rows = _descriptor_rows(out)
-    n_p = len(tup.positives)
-    return rows[0], rows[1:1 + n_p], rows[1 + n_p:]
+    return pl.model_forward(pl.prepare_batch([images[i] for i in ids]), params,
+                            cfg, rng=rng)
 
 
 def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
@@ -191,12 +170,10 @@ def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
 
     scores = []
     for tup in val_tuples:
-        g_q, g_ps, g_ns = _forward_tuple(tup, images, params, cfg, rng=None)
-        q = g_q.data
-        for g in g_ps:
-            scores.append((-float(np.sum((q - g.data) ** 2)), True))
-        for g in g_ns:
-            scores.append((-float(np.sum((q - g.data) ** 2)), False))
+        desc = _forward_tuple(tup, images, params, cfg, rng=None).data
+        d = np.sum((desc[1:] - desc[0]) ** 2, axis=1)
+        n_p = len(tup.positives)
+        scores.extend((-float(v), i < n_p) for i, v in enumerate(d))
     _, f1max = pr_metrics(scores)
     return f1max
 
@@ -212,9 +189,14 @@ def train(tuples, images, params: pl.ModelParams, model_cfg: pl.ModelConfig,
     """
     if not tuples:
         raise ContractError("training requires at least one tuple")
+    for tup in tuples:
+        for i in (tup.query, *tup.positives, *tup.negatives):
+            if i not in images:
+                raise ContractError(
+                    f"tuple with query {tup.query} names scan {i}, which has no range image"
+                )
     os.makedirs(out_dir, exist_ok=True)
     train_tuples, val_tuples = split_validation(tuples)
-    loss_cfg = cfg.loss_config()
     adam = Adam(params.named(), lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     reports = []
@@ -226,9 +208,8 @@ def train(tuples, images, params: pl.ModelParams, model_cfg: pl.ModelConfig,
             tup = train_tuples[int(idx)]
             try:
                 with tt.Tape() as tape:
-                    g_q, g_ps, g_ns = _forward_tuple(tup, images, params,
-                                                     model_cfg, rng)
-                    loss = tuple_loss(g_q, g_ps, g_ns, loss_cfg, rng)
+                    desc = _forward_tuple(tup, images, params, model_cfg, rng)
+                    loss = tuple_loss(desc, len(tup.positives), cfg, rng)
             except (DegenerateInputError, ContractError) as exc:
                 # A value contract tripped by an optimizer update (for
                 # example step sizes driven out of their domain) is a

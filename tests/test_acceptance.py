@@ -199,7 +199,6 @@ class TestAcceptance:
                 ("flip", lambda a: tt.flip(a, 1), [a2]),
                 ("roll", lambda a: tt.roll(a, 2, 1), [a2]),
                 ("concat", lambda a, b: tt.concat([a, b], axis=0), [a2, b2]),
-                ("stack", lambda a, b: tt.stack([a, b], axis=1), [a2, b2]),
                 ("narrow", lambda a: tt.narrow(a, 1, 1, 2), [a2]),
                 ("conv_vertical", lambda x, w: tt.conv_vertical(x, w, stride_h=2),
                  [xv, wv]),
@@ -308,18 +307,19 @@ class TestAcceptance:
             # hard-mining loss on integer-coordinate descriptors:
             # pos d^2 {1, 4}, neg d^2 {2, 3}, alpha=0.25, lam=1e-4,
             # k_p = k_n = 2  ->  1e-4*2.5 + 2*(0.25+4) - 2*2 = 4.50025
-            q = tt.Tensor(np.zeros(3))
-            p1 = tt.Tensor(np.array([1.0, 0.0, 0.0]))
-            p2 = tt.Tensor(np.array([2.0, 0.0, 0.0]))
-            n1 = tt.Tensor(np.array([1.0, 1.0, 0.0]))
-            n2 = tt.Tensor(np.array([1.0, 1.0, 1.0]))
-            cfg = tr.LossConfig(alpha=0.25, lam=1e-4)
-            loss = tr.imtrihard_loss(q, [p1, p2], [n1, n2], cfg)
+            q = np.zeros(3)
+            p1 = np.array([1.0, 0.0, 0.0])
+            p2 = np.array([2.0, 0.0, 0.0])
+            n1 = np.array([1.0, 1.0, 0.0])
+            n2 = np.array([1.0, 1.0, 1.0])
+            cfg = tr.TrainConfig(alpha=0.25, lam=1e-4)
+            loss = tr.imtrihard_loss(np.stack([q, p1, p2, n1, n2]), 2, cfg.alpha, cfg.lam)
             assert abs(float(loss.data) - 4.50025) < 1e-12
 
             # far negatives push the pre-clamp value negative; hinge floors it
-            far = tt.Tensor(np.array([100.0, 0.0, 0.0]))
-            assert float(tr.imtrihard_loss(q, [p1], [far], cfg).data) == 0.0
+            far = np.array([100.0, 0.0, 0.0])
+            assert float(tr.imtrihard_loss(np.stack([q, p1, far]), 1,
+                                           cfg.alpha, cfg.lam).data) == 0.0
 
             # singleton closed form: lam*d_p + (alpha + d_p) - d_n, clamped
             for _ in range(20):
@@ -329,22 +329,23 @@ class TestAcceptance:
                 d_p = float(np.sum((gq - gp) ** 2))
                 d_n = float(np.sum((gq - gn) ** 2))
                 want = max(cfg.lam * d_p + (cfg.alpha + d_p) - d_n, 0.0)
-                got = float(tr.imtrihard_loss(tt.Tensor(gq), [tt.Tensor(gp)],
-                                              [tt.Tensor(gn)], cfg).data)
+                got = float(tr.imtrihard_loss(np.stack([gq, gp, gn]), 1,
+                                              cfg.alpha, cfg.lam).data)
                 assert abs(got - want) < 1e-12
 
             # paired hinge on singleton sets: d^2(q,p)=1, d^2(q,n)=4 -> 0;
             # swapped -> 3.3; equal distances -> alpha
-            tcfg = tr.LossConfig(alpha=0.3, kind="triplet")
-            e1 = tt.Tensor(np.array([1.0, 0.0]))
-            e2 = tt.Tensor(np.array([2.0, 0.0]))
-            zero = tt.Tensor(np.zeros(2))
+            tcfg = tr.TrainConfig(alpha=0.3, loss="triplet")
+            e1 = np.array([1.0, 0.0])
+            e2 = np.array([2.0, 0.0])
+            zero = np.zeros(2)
             r = np.random.default_rng(0)
-            assert float(tr.triplet_loss(zero, [e1], [e2], tcfg, r).data) == 0.0
-            got = float(tr.triplet_loss(zero, [e2], [e1], tcfg, r).data)
+            assert float(tr.triplet_loss(np.stack([zero, e1, e2]), 1, tcfg.alpha,
+                                         r).data) == 0.0
+            got = float(tr.triplet_loss(np.stack([zero, e2, e1]), 1, tcfg.alpha, r).data)
             assert abs(got - 3.3) < 1e-12
-            got = float(tr.triplet_loss(zero, [e1], [tt.Tensor(np.array([-1.0, 0.0]))],
-                                        tcfg, r).data)
+            got = float(tr.triplet_loss(np.stack([zero, e1, np.array([-1.0, 0.0])]), 1,
+                                        tcfg.alpha, r).data)
             assert abs(got - 0.3) < 1e-12
 
             # mining equals an exhaustive argmax/argmin with ties to the

@@ -161,6 +161,20 @@ class TestWorkflow:
         assert all(r[5] == "1" for r in rows[1:])
 
 
+    def test_eval_place_empty_sessions(self, tmp_path, capsys):
+        db = tmp_path / "empty.omdb"
+        io.save_descriptor_db(db, [], np.zeros((0, 8)))
+        poses = tmp_path / "poses.txt"
+        poses.write_text("")
+        proto = tmp_path / "place.kv"
+        proto.write_text("kind=place_recognition\n")
+        assert main(["eval-place", "--db", str(db), "--query-db", str(db),
+                     "--poses-a", str(poses), "--poses-b", str(poses),
+                     "--protocol", str(proto)]) == 0
+        report = dict(_stdout_csv(capsys)[1:])
+        assert report["n_queries"] == "0"
+
+
 class TestDeterminism:
     def test_train_embed_bit_identical(self, workspace, tmp_path):
         outs = []
@@ -391,6 +405,35 @@ class TestMalformedInputs:
                      "--out", str(tmp_path / "ckpt")]) == 2
         self._assert_one_line_error(capsys)
         assert not (tmp_path / "ckpt").exists()
+
+    def test_label_naming_scan_without_image_is_2(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text((workspace / "labels.txt").read_text() + "0 99 0.9\n")
+        assert main(["train", "--config", str(workspace / "config.kv"),
+                     "--data", str(workspace / "ranges"),
+                     "--labels", str(labels),
+                     "--out", str(tmp_path / "ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "query 0" in err and "scan 99" in err
+        assert not (tmp_path / "ckpt" / "final.omck").exists()
+
+    @pytest.mark.parametrize("which, keep", [("a", 0), ("b", 5)])
+    def test_pose_count_mismatch_eval_place_is_2(self, workspace, tmp_path, capsys,
+                                                 which, keep):
+        proto = tmp_path / "place.kv"
+        proto.write_text("kind=place_recognition\ndistance_threshold=10.0\n")
+        poses = str(workspace / "world" / "poses.txt")
+        lines = (workspace / "world" / "poses.txt").read_text().splitlines()
+        short = tmp_path / "short.txt"
+        short.write_text("".join(line + "\n" for line in lines[:keep]))
+        paths = {"a": poses, "b": poses, which: str(short)}
+        assert main(["eval-place", "--db", str(workspace / "db.omdb"),
+                     "--query-db", str(workspace / "db.omdb"),
+                     "--poses-a", paths["a"], "--poses-b", paths["b"],
+                     "--protocol", str(proto)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {keep} poses for {len(lines)} descriptors\n", err
 
     def test_non_finite_distance_threshold_is_2(self, workspace, tmp_path, capsys):
         proto = tmp_path / "place.kv"

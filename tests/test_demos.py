@@ -1,4 +1,4 @@
-"""Smoke test for the Python demos: each runs to completion and prints."""
+"""Smoke tests for the demos: each runs to completion and prints."""
 
 import os
 import subprocess
@@ -22,3 +22,21 @@ def test_demo_runs(script, args):
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip()
+
+
+def test_cli_workflow_script(tmp_path):
+    """demos/cli_workflow.sh, unedited, end to end: a ``rangeloop`` shim first
+    on PATH runs the CLI module from this checkout."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "rangeloop"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m rangeloop.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    proc = subprocess.run(["sh", str(ROOT / "demos" / "cli_workflow.sh"),
+                           str(tmp_path / "work")],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "workflow complete" in proc.stdout
+    assert (tmp_path / "work" / "ckpt" / "final.omck").is_file()

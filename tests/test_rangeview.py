@@ -120,7 +120,7 @@ class TestBuildRangeImage:
     def test_network_input_zeroes_sentinel_and_scales(self):
         cfg = default_cfg(r_max=50.0)
         ri = build_range_image(np.array([[10.0, 0.0, 0.0]]), cfg)
-        x = ri.network_input(scale=True)
+        x = ri.network_input()
         assert x.shape == (1, 64, 900)
         assert x[0, 32, 450] == pytest.approx(0.2)
         assert x.min() == 0.0
@@ -228,7 +228,7 @@ class TestComputeOverlap:
         pts_b = wall - pose_b.translation
         ri_a = build_range_image(wall, cfg)
 
-        got = compute_overlap(ri_a, pose_a, pts_b, pose_b, eps_rel=0.05)
+        got = compute_overlap(ri_a, pose_a, pts_b, pose_b)
         want = _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, pose_b, 0.05)
         assert got == want
 

@@ -16,48 +16,43 @@ from rangeloop.errors import ConfigError, ContractError, DegenerateInputError
 from rangeloop.rangeview import RangeImage, TrainingTuple
 
 
-def _vec(*vals):
-    return tt.Tensor(np.asarray(vals, dtype=np.float64))
-
-
 def _unit(i, dim=4):
     v = np.zeros(dim)
     v[i] = 1.0
-    return tt.Tensor(v)
+    return v
 
 
 class TestSqDist:
+    """The squared distances from row 0 of a tuple matrix to its other rows."""
+
     def test_identical_is_zero(self):
-        a = _vec(0.3, -0.2, 0.9)
-        assert float(tr.sq_dist(a, a).data) == 0.0
+        desc = np.tile([0.3, -0.2, 0.9], (4, 1))
+        d_p, d_n = tr._split_distances(desc, 2)
+        assert d_p.data.tolist() == [0.0, 0.0] and d_n.data.tolist() == [0.0]
 
     def test_unit_vectors(self):
-        assert float(tr.sq_dist(_unit(0), _unit(1)).data) == 2.0
+        d_p, d_n = tr._split_distances(np.stack([_unit(0), _unit(1), _unit(2)]), 1)
+        assert d_p.data.tolist() == [2.0] and d_n.data.tolist() == [2.0]
 
     def test_symmetry(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            a, b = tt.Tensor(rng.normal(size=6)), tt.Tensor(rng.normal(size=6))
-            assert float(tr.sq_dist(a, b).data) == float(tr.sq_dist(b, a).data)
+            a, b, c = rng.normal(size=(3, 6))
+            ab = tr._split_distances(np.stack([a, b, c]), 1)[0]
+            ba = tr._split_distances(np.stack([b, a, c]), 1)[0]
+            assert float(ab.data[0]) == float(ba.data[0])
 
     def test_dim_mismatch(self):
-        with pytest.raises(ContractError):
-            tr.sq_dist(_vec(1.0, 2.0), _vec(1.0, 2.0, 3.0))
+        with pytest.raises(ContractError, match="matrix"):
+            tr._split_distances(np.zeros(5), 1)
+        for n_p in (0, 3):  # no positive, or no negative, among 3 candidates
+            with pytest.raises(ContractError, match="one positive and one negative"):
+                tr._split_distances(np.zeros((4, 2)), n_p)
 
     def test_gradient(self):
         rng = np.random.default_rng(42)
-        check_grads(lambda a, b: tr.sq_dist(a, b),
-                    [rng.normal(size=5), rng.normal(size=5)], rng)
-
-
-class TestLossConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            tr.LossConfig(alpha=0.0)
-        with pytest.raises(ConfigError):
-            tr.LossConfig(lam=-1.0)
-        with pytest.raises(ConfigError):
-            tr.LossConfig(kind="contrastive")
+        check_grads(lambda d: tt.concat(tr._split_distances(d, 2), axis=0),
+                    [rng.normal(size=(5, 3))], rng)
 
 
 def _fixed_distance_sets(d_pos, d_neg, dim=8):
@@ -78,58 +73,50 @@ def _fixed_distance_sets(d_pos, d_neg, dim=8):
     return q, pos, neg
 
 
+def _fixed_distance_matrix(d_pos, d_neg, dim=8):
+    """The tuple matrix of ``_fixed_distance_sets`` and its positive count."""
+    q, pos, neg = _fixed_distance_sets(d_pos, d_neg, dim)
+    return np.stack([g.data for g in [q, *pos, *neg]]), len(pos)
+
+
 class TestTripletLoss:
     def test_hinge_inactive(self):
-        q, pos, neg = _fixed_distance_sets([1.0], [4.0])
-        cfg = tr.LossConfig(alpha=0.3, kind="triplet")
-        loss = tr.triplet_loss(q, pos, neg, cfg, np.random.default_rng(0))
+        desc, n_p = _fixed_distance_matrix([1.0], [4.0])
+        loss = tr.triplet_loss(desc, n_p, 0.3, np.random.default_rng(0))
         assert float(loss.data) == 0.0
 
     def test_hinge_active(self):
-        q, pos, neg = _fixed_distance_sets([4.0], [1.0])
-        cfg = tr.LossConfig(alpha=0.3, kind="triplet")
-        loss = tr.triplet_loss(q, pos, neg, cfg, np.random.default_rng(0))
+        desc, n_p = _fixed_distance_matrix([4.0], [1.0])
+        loss = tr.triplet_loss(desc, n_p, 0.3, np.random.default_rng(0))
         np.testing.assert_allclose(float(loss.data), 3.3, atol=1e-12)
 
     def test_equal_distances_give_margin_per_pair(self):
-        q, pos, neg = _fixed_distance_sets([2.0, 2.0], [2.0, 2.0])
-        cfg = tr.LossConfig(alpha=0.25, kind="triplet")
-        loss = tr.triplet_loss(q, pos, neg, cfg, np.random.default_rng(0))
+        desc, n_p = _fixed_distance_matrix([2.0, 2.0], [2.0, 2.0])
+        loss = tr.triplet_loss(desc, n_p, 0.25, np.random.default_rng(0))
         np.testing.assert_allclose(float(loss.data), 0.5, atol=1e-12)
 
     def test_pairs_use_min_set_size(self):
-        q, pos, neg = _fixed_distance_sets([2.0, 2.0, 2.0], [2.0])
-        cfg = tr.LossConfig(alpha=0.25, kind="triplet")
-        loss = tr.triplet_loss(q, pos, neg, cfg, np.random.default_rng(0))
+        desc, n_p = _fixed_distance_matrix([2.0, 2.0, 2.0], [2.0])
+        loss = tr.triplet_loss(desc, n_p, 0.25, np.random.default_rng(0))
         np.testing.assert_allclose(float(loss.data), 0.25, atol=1e-12)
 
     def test_empty_sets_rejected(self):
-        q, pos, neg = _fixed_distance_sets([1.0], [1.0])
-        cfg = tr.LossConfig(kind="triplet")
+        desc, _ = _fixed_distance_matrix([1.0], [1.0])
         with pytest.raises(ContractError):
-            tr.triplet_loss(q, [], neg, cfg, np.random.default_rng(0))
+            tr.triplet_loss(desc, 0, 0.25, np.random.default_rng(0))
         with pytest.raises(ContractError):
-            tr.triplet_loss(q, pos, [], cfg, np.random.default_rng(0))
+            tr.triplet_loss(desc, 2, 0.25, np.random.default_rng(0))
 
     def test_shuffle_is_seeded(self):
-        rng = np.random.default_rng(42)
-        q = tt.Tensor(rng.normal(size=6))
-        pos = [tt.Tensor(rng.normal(size=6)) for _ in range(4)]
-        neg = [tt.Tensor(rng.normal(size=6)) for _ in range(4)]
-        cfg = tr.LossConfig(kind="triplet")
-        a = float(tr.triplet_loss(q, pos, neg, cfg, np.random.default_rng(3)).data)
-        b = float(tr.triplet_loss(q, pos, neg, cfg, np.random.default_rng(3)).data)
+        desc = np.random.default_rng(42).normal(size=(9, 6))
+        a = float(tr.triplet_loss(desc, 4, 0.25, np.random.default_rng(3)).data)
+        b = float(tr.triplet_loss(desc, 4, 0.25, np.random.default_rng(3)).data)
         assert a == b
 
     def test_gradient(self):
         rng = np.random.default_rng(42)
-        cfg = tr.LossConfig(alpha=0.5, kind="triplet")
-
-        def op(q, p0, p1, n0, n1):
-            return tr.triplet_loss(q, [p0, p1], [n0, n1], cfg,
-                                   np.random.default_rng(5))
-
-        check_grads(op, [rng.normal(size=4) for _ in range(5)], rng)
+        check_grads(lambda d: tr.triplet_loss(d, 2, 0.5, np.random.default_rng(5)),
+                    [rng.normal(size=(5, 4))], rng)
 
 
 class TestMining:
@@ -157,67 +144,94 @@ class TestMining:
             assert got == want
 
     def test_empty_rejected(self):
-        q = _vec(0.0, 0.0)
+        q = tt.Tensor(np.zeros(2))
         with pytest.raises(ContractError):
             tr.mine_hardest(q, [], [q])
 
 
 class TestImTrihard:
     def test_hand_value(self):
-        q, pos, neg = _fixed_distance_sets([1.0, 4.0], [2.0, 3.0])
-        cfg = tr.LossConfig(alpha=0.25, lam=1e-4)
-        loss = tr.imtrihard_loss(q, pos, neg, cfg)
+        desc, n_p = _fixed_distance_matrix([1.0, 4.0], [2.0, 3.0])
+        loss = tr.imtrihard_loss(desc, n_p, 0.25, 1e-4)
         np.testing.assert_allclose(float(loss.data), 4.50025, atol=1e-12)
 
     def test_far_negatives_clamp_to_zero(self):
-        q, pos, neg = _fixed_distance_sets([0.1], [100.0])
-        cfg = tr.LossConfig(alpha=0.25, lam=1e-4)
-        assert float(tr.imtrihard_loss(q, pos, neg, cfg).data) == 0.0
-
-    def test_clamp_can_be_disabled(self):
-        q, pos, neg = _fixed_distance_sets([0.1], [100.0])
-        cfg = tr.LossConfig(alpha=0.25, lam=1e-4, clamp_at_zero=False)
-        assert float(tr.imtrihard_loss(q, pos, neg, cfg).data) < 0.0
+        desc, n_p = _fixed_distance_matrix([0.1], [100.0])
+        assert float(tr.imtrihard_loss(desc, n_p, 0.25, 1e-4).data) == 0.0
 
     def test_singleton_closed_form(self):
-        q, pos, neg = _fixed_distance_sets([1.7], [0.9])
-        cfg = tr.LossConfig(alpha=0.25, lam=1e-4)
+        desc, n_p = _fixed_distance_matrix([1.7], [0.9])
         want = max(1e-4 * 1.7 + 1.0 * (0.25 + 1.7) - 1.0 * 0.9, 0.0)
-        np.testing.assert_allclose(float(tr.imtrihard_loss(q, pos, neg, cfg).data),
+        np.testing.assert_allclose(float(tr.imtrihard_loss(desc, n_p, 0.25, 1e-4).data),
                                    want, atol=1e-12)
 
     def test_monotone_in_hardest_negative(self):
-        cfg = tr.LossConfig(alpha=0.25, lam=1e-4, clamp_at_zero=False)
+        # positives far enough that the loss stays above its clamp at zero
         prev = np.inf
         for d_min in [0.5, 1.0, 2.0, 4.0]:
-            q, pos, neg = _fixed_distance_sets([1.0, 2.0], [d_min, d_min + 1.0])
-            val = float(tr.imtrihard_loss(q, pos, neg, cfg).data)
-            assert val < prev
+            desc, n_p = _fixed_distance_matrix([1.0, 5.0], [d_min, d_min + 1.0])
+            val = float(tr.imtrihard_loss(desc, n_p, 0.25, 1e-4).data)
+            assert 0.0 < val < prev
             prev = val
 
     def test_gradient_routes_through_selected_members(self):
         rng = np.random.default_rng(42)
-        cfg = tr.LossConfig(alpha=0.25, lam=0.0)  # silence the mean term
         q = np.zeros(4)
         pos = [rng.normal(size=4), rng.normal(size=4) * 3.0]  # index 1 farthest
         neg = [rng.normal(size=4) * 2.0, rng.normal(size=4) * 0.1]  # index 1 closest
-        tensors = [tt.Tensor(a, requires_grad=True) for a in [q] + pos + neg]
+        desc = tt.Tensor(np.stack([q, *pos, *neg]), requires_grad=True)
         with tt.Tape() as tape:
-            loss = tr.imtrihard_loss(tensors[0], tensors[1:3], tensors[3:5], cfg)
+            loss = tr.imtrihard_loss(desc, 2, 0.25, 0.0)  # lam 0 silences the mean term
         tt.backward(loss, tape)
-        assert tensors[1].grad is None or not np.any(tensors[1].grad)
-        assert np.any(tensors[2].grad)
-        assert tensors[3].grad is None or not np.any(tensors[3].grad)
-        assert np.any(tensors[4].grad)
+        moved = np.any(desc.grad != 0.0, axis=1)
+        assert moved.tolist() == [True, False, True, False, True]
 
     def test_gradient(self):
         rng = np.random.default_rng(42)
-        cfg = tr.LossConfig(alpha=0.25, lam=1e-2, clamp_at_zero=False)
+        desc = rng.normal(size=(5, 4))
+        # a loss above its clamp at zero, so the hinge does not cut the check
+        assert float(tr.imtrihard_loss(desc, 2, 0.25, 1e-2).data) > 0.0
+        check_grads(lambda d: tr.imtrihard_loss(d, 2, 0.25, 1e-2), [desc], rng)
 
-        def op(q, p0, p1, n0, n1):
-            return tr.imtrihard_loss(q, [p0, p1], [n0, n1], cfg)
 
-        check_grads(op, [rng.normal(size=4) for _ in range(5)], rng)
+def _numpy_losses(desc, n_p, alpha, lam, rng):
+    """Both losses by a plain loop over the rows of a tuple matrix."""
+    d = [float(np.sum((desc[0] - g) ** 2)) for g in desc[1:]]
+    d_p, d_n = d[:n_p], d[n_p:]
+    hard = max(lam * sum(d_p) / len(d_p) + len(d_p) * (alpha + max(d_p))
+               - len(d_n) * min(d_n), 0.0)
+    p_order, n_order = rng.permutation(len(d_p)), rng.permutation(len(d_n))
+    triplet = sum(max(d_p[p_order[i]] - d_n[n_order[i]] + alpha, 0.0)
+                  for i in range(min(len(d_p), len(d_n))))
+    return hard, triplet
+
+
+class TestMatrixLoss:
+    def test_matches_numpy_loop(self):
+        rng = np.random.default_rng(42)
+        for n_p in range(1, 7):
+            for n_n in range(1, 7):
+                desc = rng.normal(size=(1 + n_p + n_n, 8))
+                seed = int(rng.integers(1 << 31))
+                hard, triplet = _numpy_losses(desc, n_p, 0.25, 1e-4,
+                                              np.random.default_rng(seed))
+                got_hard = float(tr.imtrihard_loss(desc, n_p, 0.25, 1e-4).data)
+                got_triplet = float(tr.triplet_loss(desc, n_p, 0.25,
+                                                    np.random.default_rng(seed)).data)
+                np.testing.assert_allclose(got_hard, hard, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(got_triplet, triplet, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", tr.LOSS_KINDS)
+    def test_tape_size_independent_of_tuple_size(self, kind):
+        cfg = tr.TrainConfig(loss=kind)
+        nodes = []
+        for k in (1, 6):
+            desc = tt.Tensor(np.random.default_rng(0).normal(size=(1 + 2 * k, 8)),
+                             requires_grad=True)
+            with tt.Tape() as tape:
+                tr.tuple_loss(desc, k, cfg, np.random.default_rng(0))
+            nodes.append(len(tape))
+        assert nodes[0] == nodes[1]
 
 
 class TestTrainConfig:
@@ -240,6 +254,14 @@ class TestTrainConfig:
             tr.TrainConfig(overlap_threshold=1.5)
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             tr.TrainConfig(seed=-3)
+
+    def test_loss_validation_messages(self):
+        with pytest.raises(ConfigError, match="margin must be finite and positive"):
+            tr.TrainConfig(alpha=0.0)
+        with pytest.raises(ConfigError, match="compression weight"):
+            tr.TrainConfig(lam=-1.0)
+        with pytest.raises(ConfigError, match="unknown loss kind 'contrastive'"):
+            tr.TrainConfig(loss="contrastive")
 
     @pytest.mark.parametrize("kwargs", [{"loss": "bogus"}, {"alpha": -1.0}, {"lam": -1.0}],
                              ids=lambda kwargs: next(iter(kwargs)))
@@ -343,6 +365,15 @@ class TestTrainLoop:
         cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=1, seed=3)
         with pytest.raises(DegenerateInputError, match=r"epoch 0"):
             tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
+
+    def test_missing_image_rejected_before_first_step(self, tmp_path):
+        tuples, images = _toy_dataset()
+        tuples[1] = TrainingTuple(query=1, positives=(0, 99), negatives=(4,))
+        params = pl.init_model(TOY, seed=42)
+        cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=1, seed=3)
+        with pytest.raises(ContractError, match="query 1 names scan 99"):
+            tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_empty_dataset_rejected(self, tmp_path):
         params = pl.init_model(TOY, seed=42)
