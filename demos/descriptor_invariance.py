@@ -38,20 +38,20 @@ def main():
           f"-> {cfg.out_dim}-dim descriptor\n")
 
     bcfg = cfg.backbone_config()
-    tokens = bb.backbone_forward(tt.Tensor(x), params.backbone, bcfg).data
+    tokens = bb.backbone_forward(tt.Tensor(x), params, bcfg).data
     print("backbone equivariance: shift input columns, compare shifted tokens")
     for s in shifts:
         moved = bb.backbone_forward(tt.Tensor(np.roll(x, s, axis=3)),
-                                    params.backbone, bcfg).data
+                                    params, bcfg).data
         gap = np.max(np.abs(moved - np.roll(tokens, s, axis=1)))
         print(f"  shift {s:3d}: max gap {gap:.2e}")
 
     print("\naggregation invariance: shift the token sequence itself")
     seq = rng.standard_normal((1, cfg.w, cfg.token_dim))
-    base = dsc.gdg_forward(tt.Tensor(seq), params.gdg, cfg.vlad_config()).data
+    base = dsc.gdg_forward(tt.Tensor(seq), params, cfg.vlad_config()).data
     for s in shifts:
         moved = dsc.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)),
-                                params.gdg, cfg.vlad_config()).data
+                                params, cfg.vlad_config()).data
         same = np.array_equal(base, moved)
         print(f"  shift {s:3d}: descriptor bit-identical = {same}")
 

@@ -13,7 +13,9 @@ heading the sensor had at revisit time.  Pieces:
 * ``block``        the multi-direction sequence mixing block built on the SSM
 * ``descriptor``   feature-cluster aggregation head producing the final
                    rotation-insensitive descriptor
-* ``pipeline``     full model assembly plus parameter (de)serialization
+* ``pipeline``     full model assembly plus parameter (de)serialization;
+                   the parameters are one name -> Tensor dict keyed by the
+                   checkpoint names
 * ``training``     overlap-supervised metric losses and the fit loop
 * ``retrieval``    descriptor databases, search, and evaluation protocols
 * ``synthworld``   analytic scene generator used by the self-contained demos

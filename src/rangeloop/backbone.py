@@ -83,47 +83,28 @@ def default_stages(h: int, c_final: int = 256) -> Tuple[Tuple[int, int, int], ..
     return tuple(stages)
 
 
-class BackboneParams:
-    """Learned tensors for the stage convolutions and the SPP compressor."""
-
-    def __init__(self, stage_weights, stage_biases, spp_w=None, spp_b=None):
-        self.stage_weights = list(stage_weights)
-        self.stage_biases = list(stage_biases)
-        self.spp_w = spp_w
-        self.spp_b = spp_b
-
-    def named(self, prefix: str = "backbone") -> dict:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.stage_weights, self.stage_biases)):
-            out[f"{prefix}.s{i}.weight"] = w
-            out[f"{prefix}.s{i}.bias"] = b
-        if self.spp_w is not None:
-            out[f"{prefix}.spp.weight"] = self.spp_w
-            out[f"{prefix}.spp.bias"] = self.spp_b
-        return out
-
-
-def init_backbone(rng: np.random.Generator, cfg: BackboneConfig) -> BackboneParams:
-    weights, biases = [], []
+def init_backbone(rng: np.random.Generator, cfg: BackboneConfig) -> dict:
+    """Stage i's convolution as "backbone.s<i>.weight"/".bias", then the SPP
+    compressor as "backbone.spp.weight"/".bias" (concat mode only)."""
+    params = {}
     c_in = 1  # the range channel
-    for c_out, k, _ in cfg.stages:
+    for i, (c_out, k, _) in enumerate(cfg.stages):
         bound = 1.0 / np.sqrt(c_in * k)
-        weights.append(
-            tt.Tensor(rng.uniform(-bound, bound, size=(c_out, c_in, k, 1)), requires_grad=True)
-        )
-        biases.append(tt.Tensor(np.zeros(c_out), requires_grad=True))
+        params[f"backbone.s{i}.weight"] = tt.Tensor(
+            rng.uniform(-bound, bound, size=(c_out, c_in, k, 1)), requires_grad=True)
+        params[f"backbone.s{i}.bias"] = tt.Tensor(np.zeros(c_out), requires_grad=True)
         c_in = c_out
-    spp_w = spp_b = None
     if cfg.spp.mode == "concat":
         c = cfg.out_channels
         c_cat = (cfg.spp.depth + 1) * c
         bound = 1.0 / np.sqrt(c_cat)
-        spp_w = tt.Tensor(rng.uniform(-bound, bound, size=(c, c_cat, 1)), requires_grad=True)
-        spp_b = tt.Tensor(np.zeros(c), requires_grad=True)
-    return BackboneParams(weights, biases, spp_w, spp_b)
+        params["backbone.spp.weight"] = tt.Tensor(
+            rng.uniform(-bound, bound, size=(c, c_cat, 1)), requires_grad=True)
+        params["backbone.spp.bias"] = tt.Tensor(np.zeros(c), requires_grad=True)
+    return params
 
 
-def _spp_channels_first(x: tt.Tensor, params: BackboneParams, cfg: SppConfig) -> tt.Tensor:
+def _spp_channels_first(x: tt.Tensor, params: dict, cfg: SppConfig) -> tt.Tensor:
     """Pyramid pooling on a (B, C, M) stream."""
     levels = [x]
     for _ in range(cfg.depth):
@@ -134,24 +115,26 @@ def _spp_channels_first(x: tt.Tensor, params: BackboneParams, cfg: SppConfig) ->
             out = tt.add(out, lv)
         return out
     cat = tt.concat(levels, axis=1)
-    return tt.add_channel_bias(tt.conv1d_circular(cat, params.spp_w), params.spp_b)
+    return tt.add_channel_bias(tt.conv1d_circular(cat, params["backbone.spp.weight"]),
+                               params["backbone.spp.bias"])
 
 
-def spp_forward(seq: tt.Tensor, params: BackboneParams, cfg: SppConfig) -> tt.Tensor:
+def spp_forward(seq: tt.Tensor, params: dict, cfg: SppConfig) -> tt.Tensor:
     """Pyramid pooling on a (B, M, D) token sequence."""
     x = tt.transpose(seq, (0, 2, 1))
     out = _spp_channels_first(x, params, cfg)
     return tt.transpose(out, (0, 2, 1))
 
 
-def backbone_forward(x: tt.Tensor, params: BackboneParams, cfg: BackboneConfig) -> tt.Tensor:
+def backbone_forward(x: tt.Tensor, params: dict, cfg: BackboneConfig) -> tt.Tensor:
     """(B, C_in, H, W) image batch -> (B, W, C) token sequence."""
     x = tt.as_tensor(x)
     if x.ndim != 4:
         raise ConfigError(f"backbone input must be (B, C, H, W), got {x.shape}")
     cfg.height_trace(x.shape[2])
-    for w, b, (_, _, s) in zip(params.stage_weights, params.stage_biases, cfg.stages):
-        x = tt.silu(tt.add_channel_bias(tt.conv_vertical(x, w, stride_h=s), b))
+    for i, (_, _, s) in enumerate(cfg.stages):
+        x = tt.conv_vertical(x, params[f"backbone.s{i}.weight"], stride_h=s)
+        x = tt.silu(tt.add_channel_bias(x, params[f"backbone.s{i}.bias"]))
     bsz, c, _, m = x.shape
     seq = tt.reshape(x, (bsz, c, m))
     seq = _spp_channels_first(seq, params, cfg.spp)

@@ -10,6 +10,11 @@ branch applies its own circular convolution and selective state-space scan,
 is re-aligned to forward orientation, and is gated by SiLU(z); the sum is
 projected back and added to the input (residual).
 
+Parameters live in the model's name -> Tensor dict: block i's tensors under
+"olm.L<i>" (e.g. "olm.L0.lin_x.weight"), each branch's convolution and scan
+tensors under "olm.L<i>.<direction>", and the final normalization under
+"olm.final_norm".
+
 Per branch, the two hot kernels are one tape node each: the convolution is
 a single GEMM (``tensor.conv1d_circular``) and the scan is the fused
 ``ssm.selective_scan``, so a branch records a few dozen nodes, not hundreds.
@@ -55,85 +60,46 @@ class OlmConfig:
         return ssm.dt_rank_for(self.d)
 
 
-class OlmBlockParams:
-    def __init__(self, norm_gain, norm_bias, lin_x_w, lin_x_b, lin_z_w, lin_z_b,
-                 directions, lin_t_w, lin_t_b):
-        self.norm_gain = norm_gain
-        self.norm_bias = norm_bias
-        self.lin_x_w = lin_x_w
-        self.lin_x_b = lin_x_b
-        self.lin_z_w = lin_z_w
-        self.lin_z_b = lin_z_b
-        self.directions = directions  # name -> (conv_w, conv_b, SsmParams)
-        self.lin_t_w = lin_t_w
-        self.lin_t_b = lin_t_b
-
-    def named(self, prefix: str) -> dict:
-        out = {
-            f"{prefix}.norm.gain": self.norm_gain,
-            f"{prefix}.norm.bias": self.norm_bias,
-            f"{prefix}.lin_x.weight": self.lin_x_w,
-            f"{prefix}.lin_x.bias": self.lin_x_b,
-            f"{prefix}.lin_z.weight": self.lin_z_w,
-            f"{prefix}.lin_z.bias": self.lin_z_b,
-            f"{prefix}.lin_T.weight": self.lin_t_w,
-            f"{prefix}.lin_T.bias": self.lin_t_b,
-        }
-        for name in DIRECTIONS:
-            conv_w, conv_b, sp = self.directions[name]
-            out[f"{prefix}.{name}.conv1d.weight"] = conv_w
-            out[f"{prefix}.{name}.conv1d.bias"] = conv_b
-            out.update(sp.named(f"{prefix}.{name}"))
-        return out
-
-
-class OlmParams:
-    def __init__(self, blocks, final_gain, final_bias):
-        self.blocks = list(blocks)
-        self.final_gain = final_gain
-        self.final_bias = final_bias
-
-    def named(self, prefix: str = "olm") -> dict:
-        out = {}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named(f"{prefix}.L{i}"))
-        out[f"{prefix}.final_norm.gain"] = self.final_gain
-        out[f"{prefix}.final_norm.bias"] = self.final_bias
-        return out
-
-
 def _uniform(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
-    return tt.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def init_block(rng: np.random.Generator, cfg: OlmConfig) -> OlmBlockParams:
+def _trainable(prefix: str, arrays: dict) -> dict:
+    return {f"{prefix}.{k}": tt.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+
+
+def init_block(rng: np.random.Generator, cfg: OlmConfig, prefix: str = "olm.L0") -> dict:
+    """One block's tensors, named "<prefix>.<name>"; each branch's convolution
+    and scan tensors are under "<prefix>.<direction>"."""
     d, e, k = cfg.d, cfg.e_eff, cfg.conv_kernel
-    directions = {}
+    params = {}
     for name in DIRECTIONS:
-        conv_w = _uniform(rng, (e, e, k), e * k)
-        conv_b = tt.Tensor(np.zeros(e), requires_grad=True)
-        directions[name] = (conv_w, conv_b, ssm.init_ssm_params(rng, e, cfg.n, cfg.rank))
-    return OlmBlockParams(
-        norm_gain=tt.Tensor(np.ones(d), requires_grad=True),
-        norm_bias=tt.Tensor(np.zeros(d), requires_grad=True),
-        lin_x_w=_uniform(rng, (d, e), d),
-        lin_x_b=tt.Tensor(np.zeros(e), requires_grad=True),
-        lin_z_w=_uniform(rng, (d, e), d),
-        lin_z_b=tt.Tensor(np.zeros(e), requires_grad=True),
-        directions=directions,
-        lin_t_w=_uniform(rng, (e, d), e),
-        lin_t_b=tt.Tensor(np.zeros(d), requires_grad=True),
-    )
+        branch = f"{prefix}.{name}"
+        params.update(_trainable(branch, {"conv1d.weight": _uniform(rng, (e, e, k), e * k),
+                                          "conv1d.bias": np.zeros(e)}))
+        params.update(ssm.init_ssm_params(rng, e, cfg.n, cfg.rank, branch))
+    params.update(_trainable(prefix, {
+        "norm.gain": np.ones(d),
+        "norm.bias": np.zeros(d),
+        "lin_x.weight": _uniform(rng, (d, e), d),
+        "lin_x.bias": np.zeros(e),
+        "lin_z.weight": _uniform(rng, (d, e), d),
+        "lin_z.bias": np.zeros(e),
+        "lin_T.weight": _uniform(rng, (e, d), e),
+        "lin_T.bias": np.zeros(d),
+    }))
+    return params
 
 
-def init_olm(rng: np.random.Generator, cfg: OlmConfig) -> OlmParams:
-    blocks = [init_block(rng, cfg) for _ in range(cfg.l)]
-    return OlmParams(
-        blocks=blocks,
-        final_gain=tt.Tensor(np.ones(cfg.d), requires_grad=True),
-        final_bias=tt.Tensor(np.zeros(cfg.d), requires_grad=True),
-    )
+def init_olm(rng: np.random.Generator, cfg: OlmConfig) -> dict:
+    """The stack's tensors: block i under "olm.L<i>", then "olm.final_norm"."""
+    params = {}
+    for i in range(cfg.l):
+        params.update(init_block(rng, cfg, f"olm.L{i}"))
+    params.update(_trainable("olm.final_norm", {"gain": np.ones(cfg.d),
+                                                "bias": np.zeros(cfg.d)}))
+    return params
 
 
 def shift(x: tt.Tensor, a: int) -> tt.Tensor:
@@ -152,9 +118,10 @@ def flip(x: tt.Tensor) -> tt.Tensor:
     return tt.flip(tt.as_tensor(x), axis=1)
 
 
-def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
-                rng: np.random.Generator) -> tt.Tensor:
-    """One mixing block: (B, M, D) -> (B, M, D).
+def olm_forward(t_prev: tt.Tensor, params: dict, cfg: OlmConfig,
+                rng: np.random.Generator, prefix: str = "olm.L0") -> tt.Tensor:
+    """One mixing block, its tensors read from params under prefix:
+    (B, M, D) -> (B, M, D).
 
     A generator makes it a training forward: exactly one integer is drawn
     from rng (the start offset, shared by both rotated branches).  With rng
@@ -165,25 +132,29 @@ def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
         raise ShapeError(
             f"block input must be (B, M, {cfg.d}), got {t_prev.shape} (token projection)"
         )
+
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
     m = t_prev.shape[1]
-    tp = tt.layer_norm(t_prev, params.norm_gain, params.norm_bias)
-    x = tt.linear(tp, params.lin_x_w, params.lin_x_b)
-    z = tt.linear(tp, params.lin_z_w, params.lin_z_b)
+    tp = tt.layer_norm(t_prev, p("norm.gain"), p("norm.bias"))
+    x = tt.linear(tp, p("lin_x.weight"), p("lin_x.bias"))
+    z = tt.linear(tp, p("lin_z.weight"), p("lin_z.bias"))
     a = int(rng.integers(0, m)) if rng is not None else 0
     gate = tt.silu(z)
 
     total = None
     for name in DIRECTIONS:
-        conv_w, conv_b, sp = params.directions[name]
         xo = x
         if name.endswith("shifted"):
             xo = shift(xo, a)
         if name.startswith("backward"):
             xo = flip(xo)
         stream = tt.transpose(xo, (0, 2, 1))
-        stream = tt.silu(tt.add_channel_bias(tt.conv1d_circular(stream, conv_w), conv_b))
+        stream = tt.conv1d_circular(stream, p(f"{name}.conv1d.weight"))
+        stream = tt.silu(tt.add_channel_bias(stream, p(f"{name}.conv1d.bias")))
         xp = tt.transpose(stream, (0, 2, 1))
-        yo = ssm.selective_ssm(xp, sp)
+        yo = ssm.selective_ssm(xp, params, f"{prefix}.{name}")
         if name.startswith("backward"):
             yo = flip(yo)
         if name.endswith("shifted"):
@@ -191,13 +162,13 @@ def olm_forward(t_prev: tt.Tensor, params: OlmBlockParams, cfg: OlmConfig,
         gated = tt.mul(yo, gate)
         total = gated if total is None else tt.add(total, gated)
 
-    return tt.add(tt.linear(total, params.lin_t_w, params.lin_t_b), t_prev)
+    return tt.add(tt.linear(total, p("lin_T.weight"), p("lin_T.bias")), t_prev)
 
 
-def olm_stack(t0: tt.Tensor, params: OlmParams, cfg: OlmConfig,
+def olm_stack(t0: tt.Tensor, params: dict, cfg: OlmConfig,
               rng: np.random.Generator) -> tt.Tensor:
     """All blocks in order, then a final per-position normalization."""
     x = t0
-    for blk in params.blocks:
-        x = olm_forward(x, blk, cfg, rng)
-    return tt.layer_norm(x, params.final_gain, params.final_bias)
+    for i in range(cfg.l):
+        x = olm_forward(x, params, cfg, rng, f"olm.L{i}")
+    return tt.layer_norm(x, params["olm.final_norm.gain"], params["olm.final_norm.bias"])

@@ -31,42 +31,22 @@ class VladConfig:
             raise ConfigError(f"invalid dims d={self.d} hidden={self.hidden} out={self.out}")
 
 
-class GdgParams:
-    def __init__(self, centers, assign_w, assign_b, mlp_w1, mlp_b1, mlp_w2, mlp_b2):
-        self.centers = centers  # (K, D)
-        self.assign_w = assign_w  # (D, K)
-        self.assign_b = assign_b  # (K,)
-        self.mlp_w1 = mlp_w1  # (K*D, hidden)
-        self.mlp_b1 = mlp_b1
-        self.mlp_w2 = mlp_w2  # (hidden, out)
-        self.mlp_b2 = mlp_b2
-
-    def named(self, prefix: str = "gdg") -> dict:
-        return {
-            f"{prefix}.centers": self.centers,
-            f"{prefix}.assign.weight": self.assign_w,
-            f"{prefix}.assign.bias": self.assign_b,
-            f"{prefix}.mlp1.weight": self.mlp_w1,
-            f"{prefix}.mlp1.bias": self.mlp_b1,
-            f"{prefix}.mlp2.weight": self.mlp_w2,
-            f"{prefix}.mlp2.bias": self.mlp_b2,
-        }
-
-
-def init_gdg(rng: np.random.Generator, cfg: VladConfig) -> GdgParams:
+def init_gdg(rng: np.random.Generator, cfg: VladConfig) -> dict:
+    """The head's tensors, named "gdg.<name>"."""
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
-        return tt.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+        return rng.uniform(-bound, bound, size=shape)
 
-    return GdgParams(
-        centers=tt.Tensor(rng.standard_normal((cfg.k, cfg.d)) * 0.1, requires_grad=True),
-        assign_w=uniform((cfg.d, cfg.k), cfg.d),
-        assign_b=tt.Tensor(np.zeros(cfg.k), requires_grad=True),
-        mlp_w1=uniform((cfg.k * cfg.d, cfg.hidden), cfg.k * cfg.d),
-        mlp_b1=tt.Tensor(np.zeros(cfg.hidden), requires_grad=True),
-        mlp_w2=uniform((cfg.hidden, cfg.out), cfg.hidden),
-        mlp_b2=tt.Tensor(np.zeros(cfg.out), requires_grad=True),
-    )
+    arrays = {
+        "centers": rng.standard_normal((cfg.k, cfg.d)) * 0.1,  # (K, D)
+        "assign.weight": uniform((cfg.d, cfg.k), cfg.d),  # (D, K)
+        "assign.bias": np.zeros(cfg.k),
+        "mlp1.weight": uniform((cfg.k * cfg.d, cfg.hidden), cfg.k * cfg.d),
+        "mlp1.bias": np.zeros(cfg.hidden),
+        "mlp2.weight": uniform((cfg.hidden, cfg.out), cfg.hidden),
+        "mlp2.bias": np.zeros(cfg.out),
+    }
+    return {f"gdg.{k}": tt.Tensor(v, requires_grad=True) for k, v in arrays.items()}
 
 
 def netvlad_forward(seq: tt.Tensor, centers: tt.Tensor, assign_w: tt.Tensor,
@@ -101,11 +81,12 @@ def netvlad_forward(seq: tt.Tensor, centers: tt.Tensor, assign_w: tt.Tensor,
     return tt.l2_normalize(flat, axis=1)
 
 
-def gdg_forward(seq: tt.Tensor, params: GdgParams, cfg: VladConfig) -> tt.Tensor:
+def gdg_forward(seq: tt.Tensor, params: dict, cfg: VladConfig) -> tt.Tensor:
     """Token sequence -> unit-norm (B, out) descriptor batch."""
-    v = netvlad_forward(seq, params.centers, params.assign_w, params.assign_b)
-    h = tt.silu(tt.linear(v, params.mlp_w1, params.mlp_b1))
-    g = tt.linear(h, params.mlp_w2, params.mlp_b2)
+    v = netvlad_forward(seq, params["gdg.centers"], params["gdg.assign.weight"],
+                        params["gdg.assign.bias"])
+    h = tt.silu(tt.linear(v, params["gdg.mlp1.weight"], params["gdg.mlp1.bias"]))
+    g = tt.linear(h, params["gdg.mlp2.weight"], params["gdg.mlp2.bias"])
     if not np.all(np.isfinite(g.data)):
         rows = np.nonzero(~np.isfinite(g.data).all(axis=1))[0].tolist()
         raise DegenerateInputError(

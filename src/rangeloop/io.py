@@ -109,6 +109,8 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             off += 2
             name = raw[off : off + name_len].decode("utf-8")
             off += name_len
+            if name in out:
+                raise ContractError(f"{path}: tensor {name!r} appears more than once")
             (ndim,) = struct.unpack_from("<B", raw, off)
             off += 1
             shape = struct.unpack_from(f"<{ndim}I", raw, off)
@@ -117,6 +119,8 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(shape)
             off += 4 * n
             out[name] = arr.astype(np.float64)
+    except ContractError:
+        raise
     except (struct.error, ValueError) as exc:
         raise ContractError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
     if off != len(raw):

@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter collections."""
+"""Adam optimizer over the model's name -> Tensor parameter dict."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays and denominator guard
 class Adam:
     """Adam with bias-corrected moment estimates.
 
-    Parameters are a name -> Tensor mapping; moments are kept per name so a
-    checkpoint round trip (which rebuilds Tensor objects) does not disturb
-    optimizer state association.
+    Parameters are a name -> Tensor mapping, such as ``pl.init_model``
+    returns; moments are kept per name so a checkpoint round trip (which
+    rebuilds Tensor objects) does not disturb optimizer state association.
     """
 
     def __init__(self, params, lr: float = 5e-6):

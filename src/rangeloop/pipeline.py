@@ -3,9 +3,14 @@
 A scan's range image (1, H, W) runs through the vertical-conv backbone to a
 (W, C) token sequence, through the stack of multi-direction mixing blocks,
 and into the aggregation head, yielding one unit-norm descriptor per scan.
-This module owns model configuration, initialization, checkpoint round-trips,
+This module owns model configuration, initialization, checkpoint loading,
 and the config-file encoding, so the trainer, embedder, and CLI all agree on
 what "the model" is.
+
+The parameters are one dict from checkpoint name to Tensor
+("backbone.s0.weight", "olm.L0.backward_shifted.proj_Δ.weight", "gdg.centers",
+...); each layer's forward reads its tensors from it by name, and
+``io.save_checkpoint`` writes it as it is.
 """
 
 from __future__ import annotations
@@ -66,31 +71,16 @@ class ModelConfig:
                               hidden=self.mlp_hidden, out=self.out_dim)
 
 
-class ModelParams:
-    def __init__(self, backbone: bb.BackboneParams, olm: bk.OlmParams,
-                 gdg: dsc.GdgParams):
-        self.backbone = backbone
-        self.olm = olm
-        self.gdg = gdg
-
-    def named(self) -> dict:
-        out = {}
-        out.update(self.backbone.named("backbone"))
-        out.update(self.olm.named("olm"))
-        out.update(self.gdg.named("gdg"))
-        return out
-
-
-def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
+def init_model(cfg: ModelConfig, seed: int) -> dict:
+    """The model's parameters: one name -> Tensor dict, keyed by the
+    checkpoint names ("backbone.*", then "olm.*", then "gdg.*")."""
     rng = np.random.default_rng(seed)
-    return ModelParams(
-        backbone=bb.init_backbone(rng, cfg.backbone_config()),
-        olm=bk.init_olm(rng, cfg.olm_config()),
-        gdg=dsc.init_gdg(rng, cfg.vlad_config()),
-    )
+    return {**bb.init_backbone(rng, cfg.backbone_config()),
+            **bk.init_olm(rng, cfg.olm_config()),
+            **dsc.init_gdg(rng, cfg.vlad_config())}
 
 
-def model_forward(x, params: ModelParams, cfg: ModelConfig,
+def model_forward(x, params: dict, cfg: ModelConfig,
                   rng: np.random.Generator = None,
                   bypass_olm: bool = False) -> tt.Tensor:
     """(B, 1, H, W) scaled range images -> (B, out_dim) unit descriptors.
@@ -100,10 +90,10 @@ def model_forward(x, params: ModelParams, cfg: ModelConfig,
     bypass_olm skips the mixing stack entirely, leaving the exactly
     shift-invariant backbone+aggregation path.
     """
-    tokens = bb.backbone_forward(x, params.backbone, cfg.backbone_config())
+    tokens = bb.backbone_forward(x, params, cfg.backbone_config())
     if not bypass_olm:
-        tokens = bk.olm_stack(tokens, params.olm, cfg.olm_config(), rng)
-    return dsc.gdg_forward(tokens, params.gdg, cfg.vlad_config())
+        tokens = bk.olm_stack(tokens, params, cfg.olm_config(), rng)
+    return dsc.gdg_forward(tokens, params, cfg.vlad_config())
 
 
 def prepare_batch(images) -> tt.Tensor:
@@ -112,7 +102,7 @@ def prepare_batch(images) -> tt.Tensor:
     return tt.Tensor(np.stack(arrays, axis=0))
 
 
-def describe_images(images, params: ModelParams, cfg: ModelConfig,
+def describe_images(images, params: dict, cfg: ModelConfig,
                     bypass_olm: bool = False) -> np.ndarray:
     """Eval-mode descriptors for a list of RangeImage, one forward per scan."""
     rows = []
@@ -126,22 +116,19 @@ def describe_images(images, params: ModelParams, cfg: ModelConfig,
 # checkpoints
 
 
-def save_model(path, params: ModelParams) -> None:
-    io.save_checkpoint(path, {name: t.data for name, t in params.named().items()})
-
-
-def load_model(path, cfg: ModelConfig) -> ModelParams:
+def load_model(path, cfg: ModelConfig) -> dict:
+    """The parameters of ``cfg``'s model with the values a checkpoint (as
+    ``io.save_checkpoint`` writes the dict) holds for them."""
     arrays = io.load_checkpoint(path)
     params = init_model(cfg, seed=0)
-    named = params.named()
-    missing = sorted(set(named) - set(arrays))
-    extra = sorted(set(arrays) - set(named))
+    missing = sorted(set(params) - set(arrays))
+    extra = sorted(set(arrays) - set(params))
     if missing or extra:
         raise ContractError(
             f"{path}: checkpoint does not match the model configuration"
             f" (missing {missing[:3]}, unexpected {extra[:3]})"
         )
-    for name, t in named.items():
+    for name, t in params.items():
         if arrays[name].shape != t.data.shape:
             raise ContractError(
                 f"{path}: tensor {name!r} has shape {arrays[name].shape}, "

@@ -30,7 +30,7 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _toy_model() -> Tuple[pl.ModelParams, pl.ModelConfig]:
+def _toy_model() -> Tuple[dict, pl.ModelConfig]:
     cfg = pl.ModelConfig(h=8, w=24, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2)),
                          olm_n=2, vlad_k=4, mlp_hidden=16, out_dim=8)
     return pl.init_model(cfg, seed=42), cfg
@@ -150,7 +150,7 @@ def check_shift_flip_index_identity() -> str:
 def check_zero_block_passthrough() -> str:
     cfg = ob.OlmConfig(d=4, n=2)
     params = ob.init_block(np.random.default_rng(42), cfg)
-    for value in params.named("olm.L0").values():
+    for value in params.values():
         value.data[...] = 0.0
     x = tt.Tensor(np.random.default_rng(7).standard_normal((2, 6, 4)))
     out = ob.olm_forward(x, params, cfg, None)  # eval mode consumes no rng
@@ -165,11 +165,11 @@ def check_backbone_shift_equivariance() -> str:
     bcfg = cfg.backbone_config()
     rng = np.random.default_rng(42)
     x = rng.random((1, 1, cfg.h, cfg.w))
-    base = bb.backbone_forward(tt.Tensor(x), params.backbone, bcfg).data
+    base = bb.backbone_forward(tt.Tensor(x), params, bcfg).data
     worst = 0.0
     for s in (1, cfg.w // 4, cfg.w // 2):
         out = bb.backbone_forward(tt.Tensor(np.roll(x, s, axis=3)),
-                                  params.backbone, bcfg).data
+                                  params, bcfg).data
         worst = max(worst, float(np.max(np.abs(out - np.roll(base, s, axis=1)))))
     if worst >= 1e-12:
         raise AssertionError(f"equivariance error {worst:.3e} >= 1e-12")
@@ -232,17 +232,41 @@ def check_loss_hand_values() -> str:
     return "closed-form values match"
 
 
+def _loss_selection(desc, n_p: int) -> Tuple[int, int]:
+    """(positive, negative) that ``imtrihard_loss`` selects from a (1+P+N, D)
+    tuple matrix, read from the gradient it sends to each candidate row.
+
+    With lam 0 and a margin far above every distance, the hinge is active and
+    only the max/min terms remain, so exactly the selected positive and the
+    selected negative receive gradient.  One more coordinate, 0 for the query
+    and 1 for every candidate, adds exactly 1 to the squared distances of
+    integer-valued rows (order and ties unchanged) and keeps a candidate that
+    sits on the query from hiding its gradient.
+    """
+    desc = np.asarray(desc, dtype=np.float64)
+    lifted = np.concatenate([desc, np.ones((len(desc), 1))], axis=1)
+    lifted[0, -1] = 0.0
+    x = tt.Tensor(lifted, requires_grad=True)
+    with tt.Tape() as tape:
+        loss = tr.imtrihard_loss(x, n_p, alpha=1e6, lam=0.0)
+    tt.backward(loss, tape)
+    hit = np.flatnonzero(np.any(x.grad[1:] != 0.0, axis=1))
+    if float(loss.data) <= 0.0 or len(hit) != 2 or not hit[0] < n_p <= hit[1]:
+        raise AssertionError(f"loss selects rows {hit.tolist()} of a {n_p}-positive tuple")
+    return int(hit[0]), int(hit[1]) - n_p
+
+
 def check_hard_mining_brute_force() -> str:
     rng = np.random.default_rng(42)
     for _ in range(20):
         q = rng.standard_normal(6)
         pos = [rng.standard_normal(6) for _ in range(int(rng.integers(1, 6)))]
         neg = [rng.standard_normal(6) for _ in range(int(rng.integers(1, 6)))]
-        ip, jn = tr.mine_hardest(q, pos, neg)
+        ip, jn = _loss_selection(np.stack([q, *pos, *neg]), len(pos))
         d_p = [np.sum((q - p) ** 2) for p in pos]
         d_n = [np.sum((q - n) ** 2) for n in neg]
         if ip != d_p.index(max(d_p)) or jn != d_n.index(min(d_n)):
-            raise AssertionError("mining disagrees with exhaustive search")
+            raise AssertionError("loss selection disagrees with exhaustive search")
     return "20 random sets exact"
 
 
@@ -323,16 +347,15 @@ def check_checkpoint_roundtrip() -> str:
     params, cfg = _toy_model()
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "model.omck")
-        save_checkpoint(path, params.named())
+        save_checkpoint(path, params)
         back = load_checkpoint(path)
-    named = params.named()
-    if set(back) != set(named):
+    if set(back) != set(params):
         raise AssertionError("checkpoint name set changed in roundtrip")
-    for name, value in named.items():
+    for name, value in params.items():
         want = value.data.astype(np.float32).astype(np.float64)
         if not np.array_equal(back[name], want):
             raise AssertionError(f"checkpoint value drifted for {name}")
-    return f"{len(named)} arrays exact"
+    return f"{len(params)} arrays exact"
 
 
 CHECKS: Tuple[Tuple[str, Callable[[], str]], ...] = (

@@ -19,6 +19,10 @@ time-invariant special case as a causal convolution with an unrolled
 kernel.  All of them are plain numpy on arrays and record nothing on a
 tape.
 
+A branch's learned tensors are entries of the model's name -> Tensor dict,
+"<prefix>.<name>" for each name of ``PARAM_NAMES``; ``selective_ssm`` takes
+the dict and the branch prefix.
+
 Shapes: state matrices are diagonal, so A is carried as an (E, N) table of
 per-channel/state scalars.  Discrete operators are (B, M, E, N); token
 streams are (B, M, E).
@@ -26,7 +30,6 @@ streams are (B, M, E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,41 +43,19 @@ class DiscreteSsm(NamedTuple):
     bbar: np.ndarray  # (B, M, E, N)
 
 
-@dataclass
-class SsmParams:
-    """Learned parameters of one selective-scan branch."""
-
-    a_log: tt.Tensor  # (E, N); evolution is A = -exp(a_log)
-    d: tt.Tensor  # (E,) skip gain
-    proj_bc_w: tt.Tensor  # (E, R + 2N): per-step [dt | B | C] projection
-    proj_bc_b: tt.Tensor  # (R + 2N,)
-    proj_dt_w: tt.Tensor  # (R, E): low-rank step-size head
-    proj_dt_b: tt.Tensor  # (E,)
-
-    @property
-    def n(self) -> int:
-        return self.a_log.shape[1]
-
-    @property
-    def rank(self) -> int:
-        return self.proj_dt_w.shape[0]
-
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.A_log": self.a_log,
-            f"{prefix}.D": self.d,
-            f"{prefix}.proj_BC.weight": self.proj_bc_w,
-            f"{prefix}.proj_BC.bias": self.proj_bc_b,
-            f"{prefix}.proj_Δ.weight": self.proj_dt_w,
-            f"{prefix}.proj_Δ.bias": self.proj_dt_b,
-        }
+# A branch's tensors, each named "<prefix>.<name>": A_log (E, N), with the
+# evolution A = -exp(A_log); D (E,) skip gain; proj_BC (E, R + 2N) + bias, the
+# per-step [dt | B | C] projection; proj_Δ (R, E) + bias (E,), the low-rank
+# step-size head.
+PARAM_NAMES = ("A_log", "D", "proj_BC.weight", "proj_BC.bias", "proj_Δ.weight", "proj_Δ.bias")
 
 
 def dt_rank_for(d_model: int) -> int:
     return max(1, -(-d_model // 16))
 
 
-def init_ssm_params(rng: np.random.Generator, e: int, n: int, rank: int) -> SsmParams:
+def init_ssm_params(rng: np.random.Generator, e: int, n: int, rank: int,
+                    prefix: str) -> dict:
     """Stable starting point: slow decaying states (A_n = -n), unit skip,
     small projections, and step sizes softplus-landed in [1e-3, 1e-1]."""
     a_log = np.log(np.tile(np.arange(1, n + 1, dtype=np.float64), (e, 1)))
@@ -84,14 +65,9 @@ def init_ssm_params(rng: np.random.Generator, e: int, n: int, rank: int) -> SsmP
     proj_dt_w = rng.uniform(-scale_dt, scale_dt, size=(rank, e))
     dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=e))
     proj_dt_b = np.log(np.expm1(dt))
-    return SsmParams(
-        a_log=tt.Tensor(a_log, requires_grad=True),
-        d=tt.Tensor(np.ones(e), requires_grad=True),
-        proj_bc_w=tt.Tensor(proj_bc_w, requires_grad=True),
-        proj_bc_b=tt.Tensor(np.zeros(rank + 2 * n), requires_grad=True),
-        proj_dt_w=tt.Tensor(proj_dt_w, requires_grad=True),
-        proj_dt_b=tt.Tensor(proj_dt_b, requires_grad=True),
-    )
+    arrays = (a_log, np.ones(e), proj_bc_w, np.zeros(rank + 2 * n), proj_dt_w, proj_dt_b)
+    return {f"{prefix}.{k}": tt.Tensor(v, requires_grad=True)
+            for k, v in zip(PARAM_NAMES, arrays)}
 
 
 # --------------------------------------------------------------------------
@@ -352,26 +328,29 @@ def _block_states(h0, x, delta, a, b):
 # selective form
 
 
-def selective_ssm(xp: tt.Tensor, params: SsmParams) -> tt.Tensor:
+def selective_ssm(xp: tt.Tensor, params: dict, prefix: str) -> tt.Tensor:
     """Input-dependent scan: every position derives its own step size and
     B/C maps from a shared projection of the token stream, then runs the
     fused ``selective_scan``.
 
-    xp: (B, M, E) already convolved and activated.  Output has the same shape
-    and includes the d*x skip path.
+    xp: (B, M, E) already convolved and activated.  params maps
+    "<prefix>.<name>" to the branch's tensors for every name of
+    ``PARAM_NAMES``; the step-size rank R is the ``proj_Δ.weight`` row count.
+    Output has the same shape as xp and includes the d*x skip path.
     """
     xp = tt.as_tensor(xp)
     if xp.ndim != 3:
         raise ShapeError(f"token stream must be (B, M, E), got {xp.shape}")
-    e, n = params.a_log.shape
-    r = params.rank
+    a_log, d, bc_w, bc_b, dt_w, dt_b = (params[f"{prefix}.{k}"] for k in PARAM_NAMES)
+    e, n = a_log.shape
+    r = dt_w.shape[0]
     if xp.shape[2] != e:
         raise ShapeError(f"token stream {xp.shape} does not match E={e}")
 
-    s = tt.linear(xp, params.proj_bc_w, params.proj_bc_b)  # (B, M, R + 2N)
+    s = tt.linear(xp, bc_w, bc_b)  # (B, M, R + 2N)
     dt_low = tt.narrow(s, 2, 0, r)
     b_proj = tt.narrow(s, 2, r, n)
     c_proj = tt.narrow(s, 2, r + n, n)
-    delta = tt.softplus(tt.linear(dt_low, params.proj_dt_w, params.proj_dt_b))
-    a = tt.neg(tt.exp(params.a_log))
-    return selective_scan(xp, delta, a, b_proj, c_proj, params.d)
+    delta = tt.softplus(tt.linear(dt_low, dt_w, dt_b))
+    a = tt.neg(tt.exp(a_log))
+    return selective_scan(xp, delta, a, b_proj, c_proj, d)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io
 from . import pipeline as pl
 from . import tensor as tt
 from .errors import ConfigError, ContractError, DegenerateInputError
@@ -60,17 +61,6 @@ def triplet_loss(desc, n_p: int, alpha: float, rng: np.random.Generator) -> tt.T
     d_p = tt.take_along(d_p, p_order[:pairs], axis=0)
     d_n = tt.take_along(d_n, n_order[:pairs], axis=0)
     return tt.tsum(tt.relu(tt.add(tt.sub(d_p, d_n), alpha)))
-
-
-def mine_hardest(g_q, positives, negatives):
-    """(index of farthest positive, index of closest negative); ties to the
-    lowest index."""
-    if not positives or not negatives:
-        raise ContractError("mining requires at least one positive and one negative")
-    q = tt.as_tensor(g_q).data
-    d_p = [float(np.sum((q - tt.as_tensor(g).data) ** 2)) for g in positives]
-    d_n = [float(np.sum((q - tt.as_tensor(g).data) ** 2)) for g in negatives]
-    return int(np.argmax(d_p)), int(np.argmin(d_n))
 
 
 def imtrihard_loss(desc, n_p: int, alpha: float, lam: float) -> tt.Tensor:
@@ -178,7 +168,7 @@ def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
     return f1max
 
 
-def train(tuples, images, params: pl.ModelParams, model_cfg: pl.ModelConfig,
+def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
           cfg: TrainConfig, out_dir, max_steps: int = 0, log=None):
     """Run the optimization and checkpoint every epoch.
 
@@ -197,7 +187,7 @@ def train(tuples, images, params: pl.ModelParams, model_cfg: pl.ModelConfig,
                 )
     os.makedirs(out_dir, exist_ok=True)
     train_tuples, val_tuples = split_validation(tuples)
-    adam = Adam(params.named(), lr=cfg.lr)
+    adam = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     reports = []
     steps = 0
@@ -234,12 +224,12 @@ def train(tuples, images, params: pl.ModelParams, model_cfg: pl.ModelConfig,
         f1 = (validation_f1max(val_tuples, images, params, model_cfg)
               if val_tuples else float("nan"))
         reports.append(EpochReport(epoch=epoch, mean_loss=mean_loss, val_f1max=f1))
-        pl.save_model(os.path.join(out_dir, f"epoch_{epoch:03d}.omck"), params)
+        io.save_checkpoint(os.path.join(out_dir, f"epoch_{epoch:03d}.omck"), params)
         if log:
             log(f"epoch {epoch}: mean_loss={mean_loss:.6f} val_f1max={f1:.4f}")
         if max_steps and steps >= max_steps:
             break
-    pl.save_model(os.path.join(out_dir, "final.omck"), params)
+    io.save_checkpoint(os.path.join(out_dir, "final.omck"), params)
     write_report(os.path.join(out_dir, "report.csv"), reports)
     return reports
 

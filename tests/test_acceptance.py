@@ -228,8 +228,7 @@ class TestAcceptance:
             # and every parameter array, against central differences
             cfg = ob.OlmConfig(d=4, n=2, conv_kernel=3)
             params = ob.init_block(np.random.default_rng(42), cfg)
-            named = params.named("olm.L0")
-            names = sorted(named)
+            names = sorted(params)
             x_t = tt.Tensor(rng.standard_normal((1, 8, 4)) * 0.5,
                             requires_grad=True)
             proj = rng.standard_normal((1, 8, 4))
@@ -242,7 +241,7 @@ class TestAcceptance:
                 loss = forward()
             tt.backward(loss, tape)
             h = 1e-6
-            for tensor in [x_t] + [named[k] for k in names]:
+            for tensor in [x_t] + [params[k] for k in names]:
                 flat = tensor.data.reshape(-1)
                 gflat = tensor.grad.reshape(-1)
                 idxs = rng.choice(flat.size, size=min(3, flat.size),
@@ -275,20 +274,20 @@ class TestAcceptance:
             # token sequence identically
             bcfg = cfg.backbone_config()
             x = rng.random((2, 1, cfg.h, cfg.w))
-            tokens = bb.backbone_forward(tt.Tensor(x), params.backbone, bcfg).data
+            tokens = bb.backbone_forward(tt.Tensor(x), params, bcfg).data
             for s in shifts:
                 shifted = bb.backbone_forward(
-                    tt.Tensor(np.roll(x, s, axis=3)), params.backbone, bcfg).data
+                    tt.Tensor(np.roll(x, s, axis=3)), params, bcfg).data
                 gap = float(np.max(np.abs(shifted - np.roll(tokens, s, axis=1))))
                 assert gap < 1e-12, f"backbone equivariance gap {gap:.3e} at shift {s}"
 
             # (b) descriptor aggregation: shifting the token sequence leaves
             # the descriptor bit-identical
             seq = rng.standard_normal((1, cfg.w, cfg.token_dim))
-            base = dsc.gdg_forward(tt.Tensor(seq), params.gdg, cfg.vlad_config()).data
+            base = dsc.gdg_forward(tt.Tensor(seq), params, cfg.vlad_config()).data
             for s in shifts:
                 rolled = dsc.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)),
-                                         params.gdg, cfg.vlad_config()).data
+                                         params, cfg.vlad_config()).data
                 assert np.array_equal(base, rolled), f"aggregation differs at shift {s}"
 
             # (c) full pipeline with the mixing stack bypassed
@@ -348,8 +347,9 @@ class TestAcceptance:
                                         tcfg.alpha, r).data)
             assert abs(got - 0.3) < 1e-12
 
-            # mining equals an exhaustive argmax/argmin with ties to the
-            # lowest index, on 100 random sets with quantized coordinates
+            # the hard-mining loss selects the exhaustive argmax/argmin with
+            # ties to the lowest index, on 100 random sets with quantized
+            # coordinates
             for _ in range(100):
                 dim = int(rng.integers(1, 4))
                 n_p = int(rng.integers(1, 7))
@@ -357,9 +357,7 @@ class TestAcceptance:
                 gq = rng.integers(0, 3, size=dim).astype(float)
                 pos = [rng.integers(0, 3, size=dim).astype(float) for _ in range(n_p)]
                 neg = [rng.integers(0, 3, size=dim).astype(float) for _ in range(n_n)]
-                hp, hn = tr.mine_hardest(tt.Tensor(gq),
-                                         [tt.Tensor(g) for g in pos],
-                                         [tt.Tensor(g) for g in neg])
+                hp, hn = sc._loss_selection(np.stack([gq, *pos, *neg]), n_p)
                 best_p, best_pd = 0, -1.0
                 for i, g in enumerate(pos):
                     d = float(np.sum((gq - g) ** 2))

@@ -91,7 +91,7 @@ class TestBackboneForward:
             out = bb.backbone_forward(x, params, cfg)
             loss = T.tsum(T.mul(out, out))
         T.backward(loss, tape)
-        for name, p in params.named().items():
+        for name, p in params.items():
             assert p.grad is not None, name
         assert x.grad is not None
 
@@ -100,7 +100,7 @@ class TestSppForward:
     def test_single_pool_window_example(self):
         x = T.Tensor(np.array([1.0, 0, 0, 0, 0, 0]).reshape(1, 6, 1))
         cfg = bb.SppConfig(kernel=5, depth=1, mode="add")
-        pooled = bb.spp_forward(x, bb.BackboneParams([], []), cfg)
+        pooled = bb.spp_forward(x, {}, cfg)
         # add mode with depth 1: x + maxpool(x)
         want = np.array([1.0, 0, 0, 0, 0, 0]) + np.array([1.0, 1, 1, 0, 1, 1])
         np.testing.assert_array_equal(pooled.data.reshape(-1), want)
@@ -108,7 +108,7 @@ class TestSppForward:
     def test_constant_sequence_add_mode(self):
         x = T.Tensor(np.full((1, 9, 3), 2.5))
         cfg = bb.SppConfig(kernel=5, depth=3, mode="add")
-        out = bb.spp_forward(x, bb.BackboneParams([], []), cfg)
+        out = bb.spp_forward(x, {}, cfg)
         np.testing.assert_array_equal(out.data, np.full((1, 9, 3), 10.0))
 
     def test_shift_commutes_both_modes(self):
@@ -143,9 +143,11 @@ class TestBackboneGradients:
             stages=((2, 2, 2), (3, 2, 2)), spp=bb.SppConfig(kernel=3, depth=2)
         )
 
-        def op(x, w0, b0, w1, b1, sw, sb):
-            params = bb.BackboneParams([w0, w1], [b0, b1], sw, sb)
-            return bb.backbone_forward(x, params, cfg)
+        names = ("backbone.s0.weight", "backbone.s0.bias", "backbone.s1.weight",
+                 "backbone.s1.bias", "backbone.spp.weight", "backbone.spp.bias")
+
+        def op(x, *weights):
+            return bb.backbone_forward(x, dict(zip(names, weights)), cfg)
 
         arrays = [
             rng.random((1, 1, 4, 5)),

@@ -11,14 +11,11 @@ from rangeloop import tensor as tt
 from rangeloop.errors import ConfigError, ContractError, ShapeError
 
 
-def _zero_block(params):
-    for t in params.named("b").values():
-        t.data[...] = 0.0
+def _zero_block(params, prefix="olm.L0"):
+    for name, t in params.items():
+        if name.startswith(prefix + "."):
+            t.data[...] = 0.0
     return params
-
-
-def _flat(params, prefix="olm.L0"):
-    return params.named(prefix)
 
 
 class TestShiftFlip:
@@ -166,18 +163,19 @@ class TestBlockForward:
         cfg = bk.OlmConfig(d=4, n=2)
         rng = np.random.default_rng(42)
         params = bk.init_block(rng, cfg)
-        params.lin_z_w.data[...] = 0.0
-        params.lin_z_b.data[...] = -60.0
+        params["olm.L0.lin_z.weight"].data[...] = 0.0
+        params["olm.L0.lin_z.bias"].data[...] = -60.0
         x = tt.Tensor(rng.normal(size=(1, 8, 4)))
         out = bk.olm_forward(x, params, cfg, None)
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def _single_branch_reference(self, x, params, name, a):
         """Independently composed one-branch block from public primitives."""
-        tp = tt.layer_norm(tt.Tensor(x), params.norm_gain, params.norm_bias)
-        xs = tt.linear(tp, params.lin_x_w, params.lin_x_b)
-        z = tt.linear(tp, params.lin_z_w, params.lin_z_b)
-        conv_w, conv_b, sp = params.directions[name]
+        p = {k.removeprefix("olm.L0."): t for k, t in params.items()}
+        tp = tt.layer_norm(tt.Tensor(x), p["norm.gain"], p["norm.bias"])
+        xs = tt.linear(tp, p["lin_x.weight"], p["lin_x.bias"])
+        z = tt.linear(tp, p["lin_z.weight"], p["lin_z.bias"])
+        conv_w, conv_b = p[f"{name}.conv1d.weight"], p[f"{name}.conv1d.bias"]
         xo = xs
         if name.endswith("shifted"):
             xo = bk.shift(xo, a)
@@ -187,13 +185,13 @@ class TestBlockForward:
         stream = tt.transpose(xo, (0, 2, 1))
         conv = tt.conv1d_circular(stream, conv_w).data + conv_b.data[None, :, None]
         xp = tt.transpose(tt.silu(conv), (0, 2, 1))
-        yo = ssm.selective_ssm(xp, sp)
+        yo = ssm.selective_ssm(xp, params, f"olm.L0.{name}")
         if name.startswith("backward"):
             yo = bk.flip(yo)
         if name.endswith("shifted"):
             yo = bk.shift(yo, (m - a) % m)
         mixed = tt.mul(yo, tt.silu(z))
-        return tt.add(tt.linear(mixed, params.lin_t_w, params.lin_t_b), tt.Tensor(x)).data
+        return tt.add(tt.linear(mixed, p["lin_T.weight"], p["lin_T.bias"]), tt.Tensor(x)).data
 
     @pytest.mark.parametrize("keep", bk.DIRECTIONS)
     def test_direction_isolation(self, keep):
@@ -204,9 +202,8 @@ class TestBlockForward:
         params = bk.init_block(rng, cfg)
         for name in bk.DIRECTIONS:
             if name != keep:
-                conv_w, conv_b, _ = params.directions[name]
-                conv_w.data[...] = 0.0
-                conv_b.data[...] = 0.0
+                params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
+                params[f"olm.L0.{name}.conv1d.bias"].data[...] = 0.0
         x = np.random.default_rng(3).normal(size=(1, 7, 4))
         got = bk.olm_forward(tt.Tensor(x), params, cfg, None).data
         want = self._single_branch_reference(x, params, keep, a=0)
@@ -220,9 +217,8 @@ class TestBlockForward:
         params = bk.init_block(rng, cfg)
         for name in bk.DIRECTIONS:
             if name != "forward_shifted":
-                conv_w, conv_b, _ = params.directions[name]
-                conv_w.data[...] = 0.0
-                conv_b.data[...] = 0.0
+                params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
+                params[f"olm.L0.{name}.conv1d.bias"].data[...] = 0.0
         x = np.random.default_rng(3).normal(size=(1, 11, 4))
         seed = 12345
         a = int(np.random.default_rng(seed).integers(0, 11))
@@ -233,37 +229,14 @@ class TestBlockForward:
 
     def test_gradients(self):
         cfg = bk.OlmConfig(d=4, n=2, conv_kernel=3)
-        init = bk.init_block(np.random.default_rng(42), cfg)
-        names = sorted(init.named("b"))
+        init = bk.init_block(np.random.default_rng(42), cfg, "b")
+        names = sorted(init)
         arrays = [np.random.default_rng(1).normal(size=(1, 8, 4))]
-        arrays += [init.named("b")[n].data.copy() for n in names]
-
-        def rebuild(tensors):
-            d = dict(zip(names, tensors))
-            directions = {}
-            for dname in bk.DIRECTIONS:
-                directions[dname] = (
-                    d[f"b.{dname}.conv1d.weight"],
-                    d[f"b.{dname}.conv1d.bias"],
-                    ssm.SsmParams(
-                        a_log=d[f"b.{dname}.A_log"],
-                        d=d[f"b.{dname}.D"],
-                        proj_bc_w=d[f"b.{dname}.proj_BC.weight"],
-                        proj_bc_b=d[f"b.{dname}.proj_BC.bias"],
-                        proj_dt_w=d[f"b.{dname}.proj_Δ.weight"],
-                        proj_dt_b=d[f"b.{dname}.proj_Δ.bias"],
-                    ),
-                )
-            return bk.OlmBlockParams(
-                norm_gain=d["b.norm.gain"], norm_bias=d["b.norm.bias"],
-                lin_x_w=d["b.lin_x.weight"], lin_x_b=d["b.lin_x.bias"],
-                lin_z_w=d["b.lin_z.weight"], lin_z_b=d["b.lin_z.bias"],
-                directions=directions,
-                lin_t_w=d["b.lin_T.weight"], lin_t_b=d["b.lin_T.bias"],
-            )
+        arrays += [init[n].data.copy() for n in names]
 
         def op(x, *weights):
-            return bk.olm_forward(x, rebuild(weights), cfg, np.random.default_rng(9))
+            return bk.olm_forward(x, dict(zip(names, weights)), cfg,
+                                  np.random.default_rng(9), "b")
 
         check_grads(op, arrays, np.random.default_rng(11))
 
@@ -274,7 +247,7 @@ class TestStack:
         cfg = bk.OlmConfig(d=4, n=2, l=l)
         rng = np.random.default_rng(42)
         params = bk.init_olm(rng, cfg)
-        assert len(params.blocks) == l
+        assert {n.split(".")[1] for n in params} == {f"L{i}" for i in range(l)} | {"final_norm"}
         x = tt.Tensor(rng.normal(size=(2, 6, 4)))
         out = bk.olm_stack(x, params, cfg, None)
         assert out.shape == (2, 6, 4)
@@ -283,11 +256,12 @@ class TestStack:
         cfg = bk.OlmConfig(d=3, n=2, l=2)
         rng = np.random.default_rng(42)
         params = bk.init_olm(rng, cfg)
-        for blk in params.blocks:
-            _zero_block(blk)
+        for i in range(cfg.l):
+            _zero_block(params, f"olm.L{i}")
         x = tt.Tensor(rng.normal(size=(1, 5, 3)))
         out = bk.olm_stack(x, params, cfg, None)
-        want = tt.layer_norm(x, params.final_gain, params.final_bias).data
+        want = tt.layer_norm(x, params["olm.final_norm.gain"],
+                             params["olm.final_norm.bias"]).data
         np.testing.assert_array_equal(out.data, want)
 
     def test_stack_eval_reruns_bit_identical(self):
@@ -315,7 +289,7 @@ class TestNaming:
     def test_checkpoint_names(self):
         cfg = bk.OlmConfig(d=4, n=2, l=2)
         params = bk.init_olm(np.random.default_rng(42), cfg)
-        names = set(params.named())
+        names = set(params)
         for i in range(2):
             for stem in ["norm.gain", "norm.bias", "lin_x.weight", "lin_x.bias",
                          "lin_z.weight", "lin_z.bias", "lin_T.weight", "lin_T.bias"]:

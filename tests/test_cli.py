@@ -266,6 +266,23 @@ class TestMalformedInputs:
                      "--out", str(tmp_path / "db.omdb")]) == 2
         self._assert_one_line_error(capsys)
 
+    def test_repeated_checkpoint_tensor_is_2(self, workspace, tmp_path, capsys):
+        # the checkpoint's first tensor record, appended a second time
+        raw = (workspace / "ckpt" / "final.omck").read_bytes()
+        (count,) = struct.unpack_from("<I", raw, 4)
+        (name_len,) = struct.unpack_from("<H", raw, 8)
+        ndim = raw[10 + name_len]
+        shape = struct.unpack_from(f"<{ndim}I", raw, 11 + name_len)
+        end = 11 + name_len + 4 * ndim + 4 * int(np.prod(shape))
+        ckpt = tmp_path / "repeated.omck"
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", count + 1) + raw[8:] + raw[8:end])
+        (tmp_path / "model.kv").write_bytes((workspace / "ckpt" / "model.kv").read_bytes())
+        assert main(["embed", "--ckpt", str(ckpt), "--ranges", str(workspace / "ranges"),
+                     "--out", str(tmp_path / "db.omdb")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "repeated.omck" in err and "appears more than once" in err
+
     # (byte offset, f32 value): the header's r_max, or one range pixel
     MALFORMED_OMRV = {"r_max-zero": (12, 0.0), "r_max-nan": (12, float("nan")),
                       "r_max-negative": (12, -5.0), "pixel-inf": (36, float("inf")),

@@ -9,8 +9,17 @@ from rangeloop import tensor as T
 from rangeloop.errors import DegenerateInputError
 
 
+GDG_NAMES = ("gdg.centers", "gdg.assign.weight", "gdg.assign.bias", "gdg.mlp1.weight",
+             "gdg.mlp1.bias", "gdg.mlp2.weight", "gdg.mlp2.bias")
+
+
 def make_params(rng, cfg):
     return gd.init_gdg(rng, cfg)
+
+
+def vlad_params(p):
+    """The cluster table, assignment weight and assignment bias of a head."""
+    return [p[name] for name in GDG_NAMES[:3]]
 
 
 class TestNetvlad:
@@ -28,12 +37,12 @@ class TestNetvlad:
         p = make_params(rng, cfg)
         seq = rng.standard_normal((2, 11, 6))
         base = gd.netvlad_forward(
-            T.Tensor(seq), p.centers, p.assign_w, p.assign_b
+            T.Tensor(seq), *vlad_params(p)
         ).data
         for s in range(3):
             perm = np.random.default_rng(s).permutation(11)
             out = gd.netvlad_forward(
-                T.Tensor(seq[:, perm, :]), p.centers, p.assign_w, p.assign_b
+                T.Tensor(seq[:, perm, :]), *vlad_params(p)
             ).data
             np.testing.assert_array_equal(out, base)
 
@@ -47,12 +56,12 @@ class TestNetvlad:
         seq[:, 10, :] = 0.0
         seq[:, 11, :] = 0.0
         base = gd.netvlad_forward(
-            T.Tensor(seq), p.centers, p.assign_w, p.assign_b
+            T.Tensor(seq), *vlad_params(p)
         ).data
         for s in range(4):
             perm = np.random.default_rng(s).permutation(12)
             out = gd.netvlad_forward(
-                T.Tensor(seq[:, perm, :]), p.centers, p.assign_w, p.assign_b
+                T.Tensor(seq[:, perm, :]), *vlad_params(p)
             ).data
             np.testing.assert_array_equal(out, base)
 
@@ -69,7 +78,7 @@ class TestNetvlad:
         cfg = gd.VladConfig(d=5, k=3, hidden=8, out=4)
         p = make_params(rng, cfg)
         out = gd.netvlad_forward(
-            T.Tensor(rng.standard_normal((4, 9, 5))), p.centers, p.assign_w, p.assign_b
+            T.Tensor(rng.standard_normal((4, 9, 5))), *vlad_params(p)
         )
         np.testing.assert_allclose(
             np.linalg.norm(out.data, axis=1), np.ones(4), atol=1e-12
@@ -113,8 +122,8 @@ class TestGdgForward:
         rng = np.random.default_rng(42)
         cfg = gd.VladConfig(d=4, k=2, hidden=8, out=6)
         p = make_params(rng, cfg)
-        p.mlp_w2 = T.Tensor(np.zeros((8, 6)), requires_grad=True)
-        p.mlp_b2 = T.Tensor(np.zeros(6), requires_grad=True)
+        p["gdg.mlp2.weight"] = T.Tensor(np.zeros((8, 6)), requires_grad=True)
+        p["gdg.mlp2.bias"] = T.Tensor(np.zeros(6), requires_grad=True)
         with pytest.raises(DegenerateInputError, match="zero"):
             gd.gdg_forward(T.Tensor(rng.standard_normal((1, 5, 4))), p, cfg)
 
@@ -150,9 +159,8 @@ class TestGdgForward:
         rng = np.random.default_rng(42)
         cfg = gd.VladConfig(d=3, k=2, hidden=4, out=3)
 
-        def op(seq, centers, aw, ab, w1, b1, w2, b2):
-            params = gd.GdgParams(centers, aw, ab, w1, b1, w2, b2)
-            return gd.gdg_forward(seq, params, cfg)
+        def op(seq, *weights):
+            return gd.gdg_forward(seq, dict(zip(GDG_NAMES, weights)), cfg)
 
         arrays = [
             rng.standard_normal((1, 5, 3)),
@@ -170,9 +178,8 @@ class TestGdgForward:
         rng = np.random.default_rng(7)
         cfg = gd.VladConfig(d=3, k=2, hidden=4, out=3)
 
-        def op(seq, centers, aw, ab, w1, b1, w2, b2):
-            params = gd.GdgParams(centers, aw, ab, w1, b1, w2, b2)
-            return gd.gdg_forward(seq, params, cfg)
+        def op(seq, *weights):
+            return gd.gdg_forward(seq, dict(zip(GDG_NAMES, weights)), cfg)
 
         seq = rng.standard_normal((2, 5, 3))
         seq[:, 3, :] = seq[:, 0, :]  # a tie in the canonical order

@@ -59,6 +59,16 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             io.load_checkpoint(path)
 
+    def test_repeated_name_rejected(self, tmp_path):
+        # two tensors named "w", holding 1.0 and then 2.0
+        path = tmp_path / "m.omck"
+        io.save_checkpoint(path, {"w": Tensor([1.0])})
+        record = path.read_bytes()[8:]
+        path.write_bytes(io.MAGIC_CKPT + struct.pack("<I", 2) + record
+                         + record[:-4] + struct.pack("<f", 2.0))
+        with pytest.raises(ContractError, match=r"m\.omck: tensor 'w' appears more than once"):
+            io.load_checkpoint(path)
+
 
 class TestRangeImageFile:
     def test_roundtrip_with_sentinels(self, tmp_path):

@@ -11,6 +11,69 @@ from rangeloop.rangeview import RangeImage
 
 TOY = pl.ModelConfig(h=16, w=40, olm_n=2, vlad_k=4, mlp_hidden=32, out_dim=16)
 
+# sorted (name, shape) of every TOY checkpoint tensor
+TOY_LAYOUT = [
+    ('backbone.s0.bias', (64,)),
+    ('backbone.s0.weight', (64, 1, 2, 1)),
+    ('backbone.s1.bias', (128,)),
+    ('backbone.s1.weight', (128, 64, 2, 1)),
+    ('backbone.s2.bias', (256,)),
+    ('backbone.s2.weight', (256, 128, 2, 1)),
+    ('backbone.s3.bias', (256,)),
+    ('backbone.s3.weight', (256, 256, 2, 1)),
+    ('backbone.spp.bias', (256,)),
+    ('backbone.spp.weight', (256, 1024, 1)),
+    ('gdg.assign.bias', (4,)),
+    ('gdg.assign.weight', (256, 4)),
+    ('gdg.centers', (4, 256)),
+    ('gdg.mlp1.bias', (32,)),
+    ('gdg.mlp1.weight', (1024, 32)),
+    ('gdg.mlp2.bias', (16,)),
+    ('gdg.mlp2.weight', (32, 16)),
+    ('olm.L0.backward.A_log', (512, 2)),
+    ('olm.L0.backward.D', (512,)),
+    ('olm.L0.backward.conv1d.bias', (512,)),
+    ('olm.L0.backward.conv1d.weight', (512, 512, 3)),
+    ('olm.L0.backward.proj_BC.bias', (20,)),
+    ('olm.L0.backward.proj_BC.weight', (512, 20)),
+    ('olm.L0.backward.proj_Δ.bias', (512,)),
+    ('olm.L0.backward.proj_Δ.weight', (16, 512)),
+    ('olm.L0.backward_shifted.A_log', (512, 2)),
+    ('olm.L0.backward_shifted.D', (512,)),
+    ('olm.L0.backward_shifted.conv1d.bias', (512,)),
+    ('olm.L0.backward_shifted.conv1d.weight', (512, 512, 3)),
+    ('olm.L0.backward_shifted.proj_BC.bias', (20,)),
+    ('olm.L0.backward_shifted.proj_BC.weight', (512, 20)),
+    ('olm.L0.backward_shifted.proj_Δ.bias', (512,)),
+    ('olm.L0.backward_shifted.proj_Δ.weight', (16, 512)),
+    ('olm.L0.forward.A_log', (512, 2)),
+    ('olm.L0.forward.D', (512,)),
+    ('olm.L0.forward.conv1d.bias', (512,)),
+    ('olm.L0.forward.conv1d.weight', (512, 512, 3)),
+    ('olm.L0.forward.proj_BC.bias', (20,)),
+    ('olm.L0.forward.proj_BC.weight', (512, 20)),
+    ('olm.L0.forward.proj_Δ.bias', (512,)),
+    ('olm.L0.forward.proj_Δ.weight', (16, 512)),
+    ('olm.L0.forward_shifted.A_log', (512, 2)),
+    ('olm.L0.forward_shifted.D', (512,)),
+    ('olm.L0.forward_shifted.conv1d.bias', (512,)),
+    ('olm.L0.forward_shifted.conv1d.weight', (512, 512, 3)),
+    ('olm.L0.forward_shifted.proj_BC.bias', (20,)),
+    ('olm.L0.forward_shifted.proj_BC.weight', (512, 20)),
+    ('olm.L0.forward_shifted.proj_Δ.bias', (512,)),
+    ('olm.L0.forward_shifted.proj_Δ.weight', (16, 512)),
+    ('olm.L0.lin_T.bias', (256,)),
+    ('olm.L0.lin_T.weight', (512, 256)),
+    ('olm.L0.lin_x.bias', (512,)),
+    ('olm.L0.lin_x.weight', (256, 512)),
+    ('olm.L0.lin_z.bias', (512,)),
+    ('olm.L0.lin_z.weight', (256, 512)),
+    ('olm.L0.norm.bias', (256,)),
+    ('olm.L0.norm.gain', (256,)),
+    ('olm.final_norm.bias', (256,)),
+    ('olm.final_norm.gain', (256,)),
+]
+
 
 def _toy_images(n, rng, h=16, w=40):
     out = []
@@ -129,7 +192,7 @@ class TestForward:
             out = pl.model_forward(x, params, TOY, rng=np.random.default_rng(3))
             loss = tt.tsum(tt.mul(out, out))
         tt.backward(loss, tape)
-        missing = [n for n, t in params.named().items() if t.grad is None]
+        missing = [n for n, t in params.items() if t.grad is None]
         assert missing == []
 
 
@@ -137,19 +200,19 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         params = pl.init_model(TOY, seed=42)
         path = tmp_path / "model.omck"
-        pl.save_model(path, params)
+        io.save_checkpoint(path, params)
         back = pl.load_model(path, TOY)
-        for name, t in params.named().items():
-            got = back.named()[name].data
+        for name, t in params.items():
+            got = back[name].data
             np.testing.assert_array_equal(got, t.data.astype(np.float32).astype(np.float64))
 
     def test_loaded_model_reproduces_descriptors(self, tmp_path):
         params = pl.init_model(TOY, seed=42)
         # quantize in-place so save/load is lossless for the comparison
-        for t in params.named().values():
+        for t in params.values():
             t.data = t.data.astype(np.float32).astype(np.float64)
         path = tmp_path / "model.omck"
-        pl.save_model(path, params)
+        io.save_checkpoint(path, params)
         back = pl.load_model(path, TOY)
         images = _toy_images(2, np.random.default_rng(1))
         np.testing.assert_array_equal(
@@ -160,7 +223,7 @@ class TestCheckpoint:
     def test_mismatched_config_rejected(self, tmp_path):
         params = pl.init_model(TOY, seed=42)
         path = tmp_path / "model.omck"
-        pl.save_model(path, params)
+        io.save_checkpoint(path, params)
         other = pl.ModelConfig(h=16, w=40, olm_n=2, vlad_k=8, mlp_hidden=32, out_dim=16)
         with pytest.raises(ContractError):
             pl.load_model(path, other)
@@ -168,11 +231,10 @@ class TestCheckpoint:
     def test_same_seed_same_init(self):
         a = pl.init_model(TOY, seed=7)
         b = pl.init_model(TOY, seed=7)
-        for name, t in a.named().items():
-            np.testing.assert_array_equal(t.data, b.named()[name].data)
+        for name, t in a.items():
+            np.testing.assert_array_equal(t.data, b[name].data)
 
-    def test_name_prefixes(self):
-        names = set(pl.init_model(TOY, seed=0).named())
-        assert any(n.startswith("backbone.") for n in names)
-        assert any(n.startswith("olm.L0.") for n in names)
-        assert any(n.startswith("gdg.") for n in names)
+    def test_layout_is_pinned(self):
+        # a renamed or reshaped tensor orphans every saved .omck file
+        params = pl.init_model(TOY, seed=0)
+        assert sorted((n, t.shape) for n, t in params.items()) == TOY_LAYOUT

@@ -189,10 +189,10 @@ class TestLtiKernel:
 class TestSelectiveSsm:
     def test_zero_input_zero_biases_zero_output(self):
         rng = np.random.default_rng(42)
-        params = ssm.init_ssm_params(rng, e=4, n=3, rank=2)
-        params.proj_bc_b = T.Tensor(np.zeros(2 + 6), requires_grad=True)
-        params.proj_dt_b = T.Tensor(np.zeros(4), requires_grad=True)
-        y = ssm.selective_ssm(T.Tensor(np.zeros((1, 5, 4))), params)
+        params = ssm.init_ssm_params(rng, e=4, n=3, rank=2, prefix="s")
+        params["s.proj_BC.bias"] = T.Tensor(np.zeros(2 + 6), requires_grad=True)
+        params["s.proj_Δ.bias"] = T.Tensor(np.zeros(4), requires_grad=True)
+        y = ssm.selective_ssm(T.Tensor(np.zeros((1, 5, 4))), params, "s")
         np.testing.assert_array_equal(y.data, np.zeros((1, 5, 4)))
 
     def test_constant_projections_reduce_to_lti(self):
@@ -203,16 +203,16 @@ class TestSelectiveSsm:
         dt_bias = rng.standard_normal(e) * 0.3
         a_log = rng.standard_normal((e, n)) * 0.4
         d = rng.standard_normal(e)
-        params = ssm.SsmParams(
-            a_log=T.Tensor(a_log),
-            d=T.Tensor(d),
-            proj_bc_w=T.Tensor(np.zeros((e, r + 2 * n))),
-            proj_bc_b=T.Tensor(np.concatenate([np.zeros(r), b_const, c_const])),
-            proj_dt_w=T.Tensor(np.zeros((r, e))),
-            proj_dt_b=T.Tensor(dt_bias),
-        )
+        params = {
+            "s.A_log": T.Tensor(a_log),
+            "s.D": T.Tensor(d),
+            "s.proj_BC.weight": T.Tensor(np.zeros((e, r + 2 * n))),
+            "s.proj_BC.bias": T.Tensor(np.concatenate([np.zeros(r), b_const, c_const])),
+            "s.proj_Δ.weight": T.Tensor(np.zeros((r, e))),
+            "s.proj_Δ.bias": T.Tensor(dt_bias),
+        }
         x = rng.standard_normal((2, 12, e))
-        y = ssm.selective_ssm(T.Tensor(x), params)
+        y = ssm.selective_ssm(T.Tensor(x), params, "s")
 
         delta = np.log1p(np.exp(dt_bias))
         a = -np.exp(a_log)
@@ -226,29 +226,26 @@ class TestSelectiveSsm:
         # the fused production path against the oracle chain: Euler
         # discretization, then either numpy scan
         rng = np.random.default_rng(42)
-        params = ssm.init_ssm_params(rng, e=3, n=2, rank=1)
+        params = ssm.init_ssm_params(rng, e=3, n=2, rank=1, prefix="s")
         x = rng.standard_normal((1, 10, 3))
-        fused = ssm.selective_ssm(T.Tensor(x), params).data
-        r, n = params.rank, params.n
-        s = T.linear(T.Tensor(x), params.proj_bc_w, params.proj_bc_b).data
-        delta = np.logaddexp(
-            0.0, s[..., :r] @ params.proj_dt_w.data + params.proj_dt_b.data)
-        dssm = ssm.discretize(delta, -np.exp(params.a_log.data), s[..., r:r + n],
+        fused = ssm.selective_ssm(T.Tensor(x), params, "s").data
+        p = {k: t.data for k, t in params.items()}
+        r, n = 1, 2
+        s = T.linear(T.Tensor(x), p["s.proj_BC.weight"], p["s.proj_BC.bias"]).data
+        delta = np.logaddexp(0.0, s[..., :r] @ p["s.proj_Δ.weight"] + p["s.proj_Δ.bias"])
+        dssm = ssm.discretize(delta, -np.exp(p["s.A_log"]), s[..., r:r + n],
                               mode="euler")
         for scan in (ssm.scan_sequential, ssm.scan_parallel):
-            y = scan(dssm, s[..., r + n:], params.d.data, x)
+            y = scan(dssm, s[..., r + n:], p["s.D"], x)
             assert np.max(np.abs(fused - y)) < 1e-10
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(42)
         e, n, r = 2, 2, 1
 
-        def op(xp, a_log, d, bc_w, bc_b, dt_w, dt_b):
-            params = ssm.SsmParams(
-                a_log=a_log, d=d, proj_bc_w=bc_w, proj_bc_b=bc_b,
-                proj_dt_w=dt_w, proj_dt_b=dt_b,
-            )
-            return ssm.selective_ssm(xp, params)
+        def op(xp, *weights):
+            params = {f"s.{k}": w for k, w in zip(ssm.PARAM_NAMES, weights)}
+            return ssm.selective_ssm(xp, params, "s")
 
         arrays = [
             rng.standard_normal((1, 4, e)),

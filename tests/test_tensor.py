@@ -139,7 +139,7 @@ class TestActivations:
         with T.Tape() as tape:
             loss = T.tsum(T.silu(x))
         T.backward(loss, tape)
-        assert loss.item() == 0.0
+        assert float(loss.data) == 0.0
         np.testing.assert_allclose(x.grad, [0.5])
 
     def test_softplus_closed_forms(self):
@@ -194,13 +194,13 @@ class TestBackward:
         T.backward(loss, tape)
         combined = x.grad.copy()
 
-        x.zero_grad()
+        x.grad = None
         with T.Tape() as tape:
             loss = T.tsum(T.mul(x, x))
         T.backward(loss, tape)
         gf = x.grad.copy()
 
-        x.zero_grad()
+        x.grad = None
         with T.Tape() as tape:
             loss = T.tsum(T.mul(x, T.Tensor([3.0, 3.0, 3.0])))
         T.backward(loss, tape)

@@ -10,6 +10,7 @@ from fdcheck import check_grads
 
 from rangeloop import io
 from rangeloop import pipeline as pl
+from rangeloop.selfcheck import _loss_selection
 from rangeloop import tensor as tt
 from rangeloop import training as tr
 from rangeloop.errors import ConfigError, ContractError, DegenerateInputError
@@ -55,28 +56,17 @@ class TestSqDist:
                     [rng.normal(size=(5, 3))], rng)
 
 
-def _fixed_distance_sets(d_pos, d_neg, dim=8):
-    """Descriptors with exact squared distances to a zero query.
-
-    A vector with a single entry sqrt(d) has squared distance d from zero."""
-    q = tt.Tensor(np.zeros(dim))
-    pos = []
-    for i, d in enumerate(d_pos):
-        v = np.zeros(dim)
-        v[i] = np.sqrt(d)
-        pos.append(tt.Tensor(v))
-    neg = []
-    for i, d in enumerate(d_neg):
-        v = np.zeros(dim)
-        v[dim // 2 + i] = np.sqrt(d)
-        neg.append(tt.Tensor(v))
-    return q, pos, neg
-
-
 def _fixed_distance_matrix(d_pos, d_neg, dim=8):
-    """The tuple matrix of ``_fixed_distance_sets`` and its positive count."""
-    q, pos, neg = _fixed_distance_sets(d_pos, d_neg, dim)
-    return np.stack([g.data for g in [q, *pos, *neg]]), len(pos)
+    """A tuple matrix with exact squared distances to a zero query, and its
+    positive count.
+
+    A row with a single entry sqrt(d) has squared distance d from zero."""
+    desc = np.zeros((1 + len(d_pos) + len(d_neg), dim))
+    for i, d in enumerate(d_pos):
+        desc[1 + i, i] = np.sqrt(d)
+    for i, d in enumerate(d_neg):
+        desc[1 + len(d_pos) + i, dim // 2 + i] = np.sqrt(d)
+    return desc, len(d_pos)
 
 
 class TestTripletLoss:
@@ -120,14 +110,15 @@ class TestTripletLoss:
 
 
 class TestMining:
+    """The positive and negative the hard-mining loss selects."""
+
     def test_hand_examples(self):
-        q, pos, neg = _fixed_distance_sets([0.2, 0.9, 0.5], [1.5, 0.4, 2.0], dim=8)
-        i_p, i_n = tr.mine_hardest(q, pos, neg)
-        assert (i_p, i_n) == (1, 1)
+        desc, n_p = _fixed_distance_matrix([0.2, 0.9, 0.5], [1.5, 0.4, 2.0], dim=8)
+        assert _loss_selection(desc, n_p) == (1, 1)
 
     def test_ties_take_lowest_index(self):
-        q, pos, neg = _fixed_distance_sets([1.0, 1.0], [2.0, 2.0])
-        assert tr.mine_hardest(q, pos, neg) == (0, 0)
+        desc, n_p = _fixed_distance_matrix([1.0, 1.0], [2.0, 2.0])
+        assert _loss_selection(desc, n_p) == (0, 0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -135,8 +126,7 @@ class TestMining:
             q = rng.normal(size=6)
             pos = [rng.normal(size=6) for _ in range(rng.integers(1, 7))]
             neg = [rng.normal(size=6) for _ in range(rng.integers(1, 7))]
-            got = tr.mine_hardest(tt.Tensor(q), [tt.Tensor(p) for p in pos],
-                                  [tt.Tensor(n) for n in neg])
+            got = _loss_selection(np.stack([q, *pos, *neg]), len(pos))
             d_p = [np.sum((q - p) ** 2) for p in pos]
             d_n = [np.sum((q - n) ** 2) for n in neg]
             want = (max(range(len(d_p)), key=lambda i: (d_p[i], -i)),
@@ -144,9 +134,9 @@ class TestMining:
             assert got == want
 
     def test_empty_rejected(self):
-        q = tt.Tensor(np.zeros(2))
+        q = np.zeros(2)
         with pytest.raises(ContractError):
-            tr.mine_hardest(q, [], [q])
+            _loss_selection(np.stack([q, q]), 0)
 
 
 class TestImTrihard:
@@ -306,10 +296,10 @@ class TestTrainLoop:
     def test_zero_lr_keeps_parameters_bitwise(self, tmp_path):
         tuples, images = _toy_dataset()
         params = pl.init_model(TOY, seed=42)
-        before = {n: t.data.copy() for n, t in params.named().items()}
+        before = {n: t.data.copy() for n, t in params.items()}
         cfg = tr.TrainConfig(loss="imtrihard", lr=0.0, epochs=1, seed=3)
         tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
-        for n, t in params.named().items():
+        for n, t in params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
     def test_same_seed_same_trajectory(self, tmp_path):
@@ -361,7 +351,7 @@ class TestTrainLoop:
         tuples, images = _toy_dataset()
         params = pl.init_model(TOY, seed=42)
         # poison one parameter so the first forward produces NaN
-        params.gdg.mlp_w2.data[0, 0] = np.nan
+        params["gdg.mlp2.weight"].data[0, 0] = np.nan
         cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=1, seed=3)
         with pytest.raises(DegenerateInputError, match=r"epoch 0"):
             tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
