@@ -48,10 +48,9 @@ def main():
 
     print("\naggregation invariance: shift the token sequence itself")
     seq = rng.standard_normal((1, cfg.w, cfg.token_dim))
-    base = dsc.gdg_forward(tt.Tensor(seq), params, cfg.vlad_config()).data
+    base = dsc.gdg_forward(tt.Tensor(seq), params).data
     for s in shifts:
-        moved = dsc.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)),
-                                params, cfg.vlad_config()).data
+        moved = dsc.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)), params).data
         same = np.array_equal(base, moved)
         print(f"  shift {s:3d}: descriptor bit-identical = {same}")
 

@@ -15,7 +15,7 @@ heading the sensor had at revisit time.  Pieces:
                    rotation-insensitive descriptor
 * ``pipeline``     full model assembly plus parameter (de)serialization;
                    the parameters are one name -> Tensor dict keyed by the
-                   checkpoint names
+                   checkpoint names, laid out by ``param_layout``
 * ``training``     overlap-supervised metric losses and the fit loop
 * ``retrieval``    descriptor databases, search, and evaluation protocols
 * ``synthworld``   analytic scene generator used by the self-contained demos

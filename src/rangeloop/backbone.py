@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import numpy as np
-
 from . import tensor as tt
 from .errors import ConfigError
 
@@ -81,27 +79,6 @@ def default_stages(h: int, c_final: int = 256) -> Tuple[Tuple[int, int, int], ..
         c = c_final if i == n - 1 else max(1, c_final // 2 ** (n - 2 - i))
         stages.append((c, 2, 2))
     return tuple(stages)
-
-
-def init_backbone(rng: np.random.Generator, cfg: BackboneConfig) -> dict:
-    """Stage i's convolution as "backbone.s<i>.weight"/".bias", then the SPP
-    compressor as "backbone.spp.weight"/".bias" (concat mode only)."""
-    params = {}
-    c_in = 1  # the range channel
-    for i, (c_out, k, _) in enumerate(cfg.stages):
-        bound = 1.0 / np.sqrt(c_in * k)
-        params[f"backbone.s{i}.weight"] = tt.Tensor(
-            rng.uniform(-bound, bound, size=(c_out, c_in, k, 1)), requires_grad=True)
-        params[f"backbone.s{i}.bias"] = tt.Tensor(np.zeros(c_out), requires_grad=True)
-        c_in = c_out
-    if cfg.spp.mode == "concat":
-        c = cfg.out_channels
-        c_cat = (cfg.spp.depth + 1) * c
-        bound = 1.0 / np.sqrt(c_cat)
-        params["backbone.spp.weight"] = tt.Tensor(
-            rng.uniform(-bound, bound, size=(c, c_cat, 1)), requires_grad=True)
-        params["backbone.spp.bias"] = tt.Tensor(np.zeros(c), requires_grad=True)
-    return params
 
 
 def _spp_channels_first(x: tt.Tensor, params: dict, cfg: SppConfig) -> tt.Tensor:

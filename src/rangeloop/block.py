@@ -13,7 +13,8 @@ projected back and added to the input (residual).
 Parameters live in the model's name -> Tensor dict: block i's tensors under
 "olm.L<i>" (e.g. "olm.L0.lin_x.weight"), each branch's convolution and scan
 tensors under "olm.L<i>.<direction>", and the final normalization under
-"olm.final_norm".
+"olm.final_norm".  ``pipeline.param_layout`` gives their shapes and
+initialisers.
 
 Per branch, the two hot kernels are one tape node each: the convolution is
 a single GEMM (``tensor.conv1d_circular``) and the scan is the fused
@@ -58,48 +59,6 @@ class OlmConfig:
     @property
     def rank(self) -> int:
         return ssm.dt_rank_for(self.d)
-
-
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _trainable(prefix: str, arrays: dict) -> dict:
-    return {f"{prefix}.{k}": tt.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-
-
-def init_block(rng: np.random.Generator, cfg: OlmConfig, prefix: str = "olm.L0") -> dict:
-    """One block's tensors, named "<prefix>.<name>"; each branch's convolution
-    and scan tensors are under "<prefix>.<direction>"."""
-    d, e, k = cfg.d, cfg.e_eff, cfg.conv_kernel
-    params = {}
-    for name in DIRECTIONS:
-        branch = f"{prefix}.{name}"
-        params.update(_trainable(branch, {"conv1d.weight": _uniform(rng, (e, e, k), e * k),
-                                          "conv1d.bias": np.zeros(e)}))
-        params.update(ssm.init_ssm_params(rng, e, cfg.n, cfg.rank, branch))
-    params.update(_trainable(prefix, {
-        "norm.gain": np.ones(d),
-        "norm.bias": np.zeros(d),
-        "lin_x.weight": _uniform(rng, (d, e), d),
-        "lin_x.bias": np.zeros(e),
-        "lin_z.weight": _uniform(rng, (d, e), d),
-        "lin_z.bias": np.zeros(e),
-        "lin_T.weight": _uniform(rng, (e, d), e),
-        "lin_T.bias": np.zeros(d),
-    }))
-    return params
-
-
-def init_olm(rng: np.random.Generator, cfg: OlmConfig) -> dict:
-    """The stack's tensors: block i under "olm.L<i>", then "olm.final_norm"."""
-    params = {}
-    for i in range(cfg.l):
-        params.update(init_block(rng, cfg, f"olm.L{i}"))
-    params.update(_trainable("olm.final_norm", {"gain": np.ones(cfg.d),
-                                                "bias": np.zeros(cfg.d)}))
-    return params
 
 
 def shift(x: tt.Tensor, a: int) -> tt.Tensor:

@@ -5,48 +5,17 @@ gathering the positions into one canonical row order.  Any permutation of the
 token sequence, so a yaw shift, then leaves the descriptor bit-identical, not
 just equal up to rounding: the property that makes retrieval insensitive to
 the heading the sensor had when a place was revisited.
+
+The head's tensors are the "gdg.*" entries of the model's name -> Tensor
+dict; ``pipeline.param_layout`` gives their shapes and initialisers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, DegenerateInputError, ShapeError
-
-
-@dataclass(frozen=True)
-class VladConfig:
-    d: int  # token channel count
-    k: int = 64  # cluster count
-    hidden: int = 1024  # MLP hidden width
-    out: int = 256  # descriptor dimension
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"cluster count must be >= 1, got {self.k}")
-        if self.out < 1 or self.hidden < 1 or self.d < 1:
-            raise ConfigError(f"invalid dims d={self.d} hidden={self.hidden} out={self.out}")
-
-
-def init_gdg(rng: np.random.Generator, cfg: VladConfig) -> dict:
-    """The head's tensors, named "gdg.<name>"."""
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    arrays = {
-        "centers": rng.standard_normal((cfg.k, cfg.d)) * 0.1,  # (K, D)
-        "assign.weight": uniform((cfg.d, cfg.k), cfg.d),  # (D, K)
-        "assign.bias": np.zeros(cfg.k),
-        "mlp1.weight": uniform((cfg.k * cfg.d, cfg.hidden), cfg.k * cfg.d),
-        "mlp1.bias": np.zeros(cfg.hidden),
-        "mlp2.weight": uniform((cfg.hidden, cfg.out), cfg.hidden),
-        "mlp2.bias": np.zeros(cfg.out),
-    }
-    return {f"gdg.{k}": tt.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+from .errors import DegenerateInputError, ShapeError
 
 
 def netvlad_forward(seq: tt.Tensor, centers: tt.Tensor, assign_w: tt.Tensor,
@@ -81,7 +50,7 @@ def netvlad_forward(seq: tt.Tensor, centers: tt.Tensor, assign_w: tt.Tensor,
     return tt.l2_normalize(flat, axis=1)
 
 
-def gdg_forward(seq: tt.Tensor, params: dict, cfg: VladConfig) -> tt.Tensor:
+def gdg_forward(seq: tt.Tensor, params: dict) -> tt.Tensor:
     """Token sequence -> unit-norm (B, out) descriptor batch."""
     v = netvlad_forward(seq, params["gdg.centers"], params["gdg.assign.weight"],
                         params["gdg.assign.bias"])

@@ -3,19 +3,22 @@
 A scan's range image (1, H, W) runs through the vertical-conv backbone to a
 (W, C) token sequence, through the stack of multi-direction mixing blocks,
 and into the aggregation head, yielding one unit-norm descriptor per scan.
-This module owns model configuration, initialization, checkpoint loading,
-and the config-file encoding, so the trainer, embedder, and CLI all agree on
-what "the model" is.
+This module owns model configuration, the parameter layout, checkpoint
+loading, and the config-file encoding, so the trainer, embedder, and CLI all
+agree on what "the model" is.
 
 The parameters are one dict from checkpoint name to Tensor
 ("backbone.s0.weight", "olm.L0.backward_shifted.proj_Δ.weight", "gdg.centers",
 ...); each layer's forward reads its tensors from it by name, and
-``io.save_checkpoint`` writes it as it is.
+``io.save_checkpoint`` writes it as it is.  ``param_layout`` lists every
+name with its shape and initialiser, in the order ``init_model`` draws them;
+``load_model`` checks a checkpoint against the same list and draws nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +53,12 @@ class ModelConfig:
         for stage in self.stages:
             if len(stage) != 3:
                 raise ConfigError(f"a stage must be (C, k, s), got {stage!r}")
+        if self.vlad_k < 1:
+            raise ConfigError(f"cluster count must be >= 1, got {self.vlad_k}")
+        if self.mlp_hidden < 1 or self.out_dim < 1:
+            raise ConfigError(
+                f"invalid head dims mlp_hidden={self.mlp_hidden} out_dim={self.out_dim}")
+        self.olm_config()  # builds backbone_config() too: every field checked here
 
     def backbone_config(self) -> bb.BackboneConfig:
         stages = tuple(tuple(s) for s in self.stages) or bb.default_stages(self.h)
@@ -66,18 +75,98 @@ class ModelConfig:
         return bk.OlmConfig(d=self.token_dim, e=self.olm_e, n=self.olm_n,
                             l=self.olm_blocks, conv_kernel=self.olm_conv_kernel)
 
-    def vlad_config(self) -> dsc.VladConfig:
-        return dsc.VladConfig(d=self.token_dim, k=self.vlad_k,
-                              hidden=self.mlp_hidden, out=self.out_dim)
+
+# --------------------------------------------------------------------------
+# parameter layout
+#
+# An initialiser maps (rng, shape) to a tensor's starting array.  Constant
+# ones (zeros, ones, the A_log table) draw nothing from rng.
+
+
+def _uniform(rng, shape, fan_in):
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _centers(rng, shape):
+    return rng.standard_normal(shape) * 0.1
+
+
+def _a_log(rng, shape):
+    """Slow decaying states: A = -exp(A_log) = -n for state n = 1..N."""
+    e, n = shape
+    return np.log(np.tile(np.arange(1, n + 1, dtype=np.float64), (e, 1)))
+
+
+def _dt_bias(rng, shape):
+    """Step sizes softplus-landed in [1e-3, 1e-1], log-uniformly."""
+    dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=shape))
+    return np.log(np.expm1(dt))
+
+
+def _affine(name, shape, fan_in, bias):
+    """"<name>.weight" of shape, uniform in +-1/sqrt(fan_in), then its zero
+    "<name>.bias" of length bias."""
+    return [(f"{name}.weight", shape, partial(_uniform, fan_in=fan_in)),
+            (f"{name}.bias", (bias,), _zeros)]
+
+
+def _norm(name, d):
+    return [(f"{name}.gain", (d,), _ones), (f"{name}.bias", (d,), _zeros)]
+
+
+def param_layout(cfg: ModelConfig) -> list:
+    """Every tensor of cfg's model as (name, shape, initialiser), in the
+    order ``init_model`` draws them: the backbone stages and SPP compressor,
+    each mixing block (its four branches, then its own tensors), the final
+    normalization, then the aggregation head."""
+    bcfg, ocfg = cfg.backbone_config(), cfg.olm_config()
+    d, e, n, r, kw = ocfg.d, ocfg.e_eff, ocfg.n, ocfg.rank, ocfg.conv_kernel
+    layout = []
+    c_in = 1  # the range channel
+    for i, (c_out, kh, _) in enumerate(bcfg.stages):
+        layout += _affine(f"backbone.s{i}", (c_out, c_in, kh, 1), c_in * kh, c_out)
+        c_in = c_out
+    if bcfg.spp.mode == "concat":
+        c_cat = (bcfg.spp.depth + 1) * d
+        layout += _affine("backbone.spp", (d, c_cat, 1), c_cat, d)
+    for i in range(ocfg.l):
+        block = f"olm.L{i}"
+        for direction in bk.DIRECTIONS:
+            branch = f"{block}.{direction}"
+            layout += [*_affine(f"{branch}.conv1d", (e, e, kw), e * kw, e),
+                       (f"{branch}.A_log", (e, n), _a_log),
+                       (f"{branch}.D", (e,), _ones),
+                       *_affine(f"{branch}.proj_BC", (e, r + 2 * n), e, r + 2 * n),
+                       (f"{branch}.proj_Δ.weight", (r, e), partial(_uniform, fan_in=r)),
+                       (f"{branch}.proj_Δ.bias", (e,), _dt_bias)]
+        layout += [*_norm(f"{block}.norm", d),
+                   *_affine(f"{block}.lin_x", (d, e), d, e),
+                   *_affine(f"{block}.lin_z", (d, e), d, e),
+                   *_affine(f"{block}.lin_T", (e, d), e, d)]
+    layout += _norm("olm.final_norm", d)
+    k, hidden, out = cfg.vlad_k, cfg.mlp_hidden, cfg.out_dim
+    layout += [("gdg.centers", (k, d), _centers),
+               *_affine("gdg.assign", (d, k), d, k),
+               *_affine("gdg.mlp1", (k * d, hidden), k * d, hidden),
+               *_affine("gdg.mlp2", (hidden, out), hidden, out)]
+    return layout
 
 
 def init_model(cfg: ModelConfig, seed: int) -> dict:
     """The model's parameters: one name -> Tensor dict, keyed by the
-    checkpoint names ("backbone.*", then "olm.*", then "gdg.*")."""
+    checkpoint names, each tensor drawn from one generator in layout order."""
     rng = np.random.default_rng(seed)
-    return {**bb.init_backbone(rng, cfg.backbone_config()),
-            **bk.init_olm(rng, cfg.olm_config()),
-            **dsc.init_gdg(rng, cfg.vlad_config())}
+    return {name: tt.Tensor(init(rng, shape), requires_grad=True)
+            for name, shape, init in param_layout(cfg)}
 
 
 def model_forward(x, params: dict, cfg: ModelConfig,
@@ -93,7 +182,7 @@ def model_forward(x, params: dict, cfg: ModelConfig,
     tokens = bb.backbone_forward(x, params, cfg.backbone_config())
     if not bypass_olm:
         tokens = bk.olm_stack(tokens, params, cfg.olm_config(), rng)
-    return dsc.gdg_forward(tokens, params, cfg.vlad_config())
+    return dsc.gdg_forward(tokens, params)
 
 
 def prepare_batch(images) -> tt.Tensor:
@@ -118,23 +207,29 @@ def describe_images(images, params: dict, cfg: ModelConfig,
 
 def load_model(path, cfg: ModelConfig) -> dict:
     """The parameters of ``cfg``'s model with the values a checkpoint (as
-    ``io.save_checkpoint`` writes the dict) holds for them."""
+    ``io.save_checkpoint`` writes the dict) holds for them.  Names and shapes
+    are checked against ``param_layout(cfg)``; nothing is drawn, and the
+    checkpoint's arrays become the parameters without a copy."""
     arrays = io.load_checkpoint(path)
-    params = init_model(cfg, seed=0)
-    missing = sorted(set(params) - set(arrays))
-    extra = sorted(set(arrays) - set(params))
+    layout = param_layout(cfg)
+    names = {name for name, _, _ in layout}
+    missing = sorted(names - set(arrays))
+    extra = sorted(set(arrays) - names)
     if missing or extra:
         raise ContractError(
             f"{path}: checkpoint does not match the model configuration"
             f" (missing {missing[:3]}, unexpected {extra[:3]})"
         )
-    for name, t in params.items():
-        if arrays[name].shape != t.data.shape:
+    params = {}
+    for name, shape, _ in layout:
+        value = arrays[name]
+        if value.shape != shape:
             raise ContractError(
-                f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                f"expected {t.data.shape}"
+                f"{path}: tensor {name!r} has shape {value.shape}, expected {shape}"
             )
-        t.data = arrays[name]
+        if not np.isfinite(value).all():
+            raise ContractError(f"{path}: tensor {name!r} is not finite")
+        params[name] = tt.Tensor(value, requires_grad=True)
     return params
 
 

@@ -148,12 +148,11 @@ def check_shift_flip_index_identity() -> str:
 
 
 def check_zero_block_passthrough() -> str:
-    cfg = ob.OlmConfig(d=4, n=2)
-    params = ob.init_block(np.random.default_rng(42), cfg)
+    params, cfg = _toy_model()
     for value in params.values():
         value.data[...] = 0.0
-    x = tt.Tensor(np.random.default_rng(7).standard_normal((2, 6, 4)))
-    out = ob.olm_forward(x, params, cfg, None)  # eval mode consumes no rng
+    x = tt.Tensor(np.random.default_rng(7).standard_normal((2, 6, cfg.token_dim)))
+    out = ob.olm_forward(x, params, cfg.olm_config(), None)  # eval mode consumes no rng
     if not np.array_equal(out.data, x.data):
         raise AssertionError("zero-weight block is not an exact identity")
     return "bitwise identity"
@@ -178,13 +177,11 @@ def check_backbone_shift_equivariance() -> str:
 
 def check_descriptor_shift_invariance() -> str:
     from . import descriptor as gd
-    rng = np.random.default_rng(42)
-    cfg = gd.VladConfig(d=6, k=4, hidden=16, out=12)
-    params = gd.init_gdg(rng, cfg)
-    seq = rng.standard_normal((1, 16, 6))
-    base = gd.gdg_forward(tt.Tensor(seq), params, cfg).data
+    params, cfg = _toy_model()
+    seq = np.random.default_rng(42).standard_normal((1, 16, cfg.token_dim))
+    base = gd.gdg_forward(tt.Tensor(seq), params).data
     for s in (1, 4, 8):
-        out = gd.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)), params, cfg).data
+        out = gd.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)), params).data
         if not np.array_equal(out, base):
             raise AssertionError(f"descriptor changed under shift {s}")
     return "bit-exact under shifts"

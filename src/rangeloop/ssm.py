@@ -21,7 +21,9 @@ tape.
 
 A branch's learned tensors are entries of the model's name -> Tensor dict,
 "<prefix>.<name>" for each name of ``PARAM_NAMES``; ``selective_ssm`` takes
-the dict and the branch prefix.
+the dict and the branch prefix.  ``pipeline.param_layout`` gives their shapes
+and Mamba's starting point: A_n = -n, unit skip, and step sizes
+softplus-landed in [1e-3, 1e-1].
 
 Shapes: state matrices are diagonal, so A is carried as an (E, N) table of
 per-channel/state scalars.  Discrete operators are (B, M, E, N); token
@@ -52,22 +54,6 @@ PARAM_NAMES = ("A_log", "D", "proj_BC.weight", "proj_BC.bias", "proj_Δ.weight",
 
 def dt_rank_for(d_model: int) -> int:
     return max(1, -(-d_model // 16))
-
-
-def init_ssm_params(rng: np.random.Generator, e: int, n: int, rank: int,
-                    prefix: str) -> dict:
-    """Stable starting point: slow decaying states (A_n = -n), unit skip,
-    small projections, and step sizes softplus-landed in [1e-3, 1e-1]."""
-    a_log = np.log(np.tile(np.arange(1, n + 1, dtype=np.float64), (e, 1)))
-    scale_bc = 1.0 / np.sqrt(e)
-    proj_bc_w = rng.uniform(-scale_bc, scale_bc, size=(e, rank + 2 * n))
-    scale_dt = 1.0 / np.sqrt(rank)
-    proj_dt_w = rng.uniform(-scale_dt, scale_dt, size=(rank, e))
-    dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=e))
-    proj_dt_b = np.log(np.expm1(dt))
-    arrays = (a_log, np.ones(e), proj_bc_w, np.zeros(rank + 2 * n), proj_dt_w, proj_dt_b)
-    return {f"{prefix}.{k}": tt.Tensor(v, requires_grad=True)
-            for k, v in zip(PARAM_NAMES, arrays)}
 
 
 # --------------------------------------------------------------------------

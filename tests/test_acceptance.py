@@ -226,8 +226,10 @@ class TestAcceptance:
 
             # full mixing block on a (1, 8, 4) toy: gradient w.r.t. the input
             # and every parameter array, against central differences
-            cfg = ob.OlmConfig(d=4, n=2, conv_kernel=3)
-            params = ob.init_block(np.random.default_rng(42), cfg)
+            model = pl.ModelConfig(h=2, stages=((4, 2, 2),), olm_n=2, olm_conv_kernel=3)
+            cfg = model.olm_config()
+            params = {name: t for name, t in pl.init_model(model, seed=42).items()
+                      if name.startswith("olm.L0.")}
             names = sorted(params)
             x_t = tt.Tensor(rng.standard_normal((1, 8, 4)) * 0.5,
                             requires_grad=True)
@@ -284,10 +286,9 @@ class TestAcceptance:
             # (b) descriptor aggregation: shifting the token sequence leaves
             # the descriptor bit-identical
             seq = rng.standard_normal((1, cfg.w, cfg.token_dim))
-            base = dsc.gdg_forward(tt.Tensor(seq), params, cfg.vlad_config()).data
+            base = dsc.gdg_forward(tt.Tensor(seq), params).data
             for s in shifts:
-                rolled = dsc.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)),
-                                         params, cfg.vlad_config()).data
+                rolled = dsc.gdg_forward(tt.Tensor(np.roll(seq, s, axis=1)), params).data
                 assert np.array_equal(base, rolled), f"aggregation differs at shift {s}"
 
             # (c) full pipeline with the mixing stack bypassed

@@ -5,14 +5,20 @@ import pytest
 from fdcheck import check_grads
 
 from rangeloop import backbone as bb
+from rangeloop import pipeline as pl
 from rangeloop import tensor as T
 from rangeloop.errors import ConfigError
 
 
-def tiny_cfg(h=8, c_final=32, mode="concat"):
-    return bb.BackboneConfig(
-        stages=bb.default_stages(h, c_final), spp=bb.SppConfig(kernel=5, depth=3, mode=mode)
-    )
+def tiny_model(h=8, c_final=32, mode="concat"):
+    return pl.ModelConfig(h=h, stages=bb.default_stages(h, c_final), spp_mode=mode,
+                          vlad_k=1, mlp_hidden=1, out_dim=1)
+
+
+def backbone_params(model):
+    """The "backbone." entries of init_model's dict at seed 42."""
+    return {name: t for name, t in pl.init_model(model, 42).items()
+            if name.startswith("backbone.")}
 
 
 class TestStagePlans:
@@ -47,24 +53,26 @@ class TestStagePlans:
 class TestBackboneForward:
     def test_output_shape_full_size(self):
         rng = np.random.default_rng(42)
-        cfg = bb.BackboneConfig(stages=bb.default_stages(64, 256))
-        params = bb.init_backbone(rng, cfg)
+        model = tiny_model(h=64, c_final=256)
+        cfg = model.backbone_config()
+        params = backbone_params(model)
         x = T.Tensor(rng.random((1, 1, 64, 900)))
         out = bb.backbone_forward(x, params, cfg)
         assert out.shape == (1, 900, 256)
 
     def test_zero_image_zero_biases_zero_output(self):
-        rng = np.random.default_rng(42)
-        cfg = tiny_cfg()
-        params = bb.init_backbone(rng, cfg)
+        model = tiny_model()
+        cfg = model.backbone_config()
+        params = backbone_params(model)
         out = bb.backbone_forward(T.Tensor(np.zeros((2, 1, 8, 12))), params, cfg)
         np.testing.assert_array_equal(out.data, np.zeros((2, 12, 32)))
 
     @pytest.mark.parametrize("mode", ["concat", "add"])
     def test_exact_shift_equivariance(self, mode):
         rng = np.random.default_rng(42)
-        cfg = tiny_cfg(h=16, c_final=32, mode=mode)
-        params = bb.init_backbone(rng, cfg)
+        model = tiny_model(h=16, c_final=32, mode=mode)
+        cfg = model.backbone_config()
+        params = backbone_params(model)
         w = 40
         x = rng.random((1, 1, 16, w))
         base = bb.backbone_forward(T.Tensor(x), params, cfg).data
@@ -76,16 +84,18 @@ class TestBackboneForward:
 
     def test_sequence_length_equals_width(self):
         rng = np.random.default_rng(42)
-        cfg = tiny_cfg(h=8, c_final=16)
-        params = bb.init_backbone(rng, cfg)
+        model = tiny_model(h=8, c_final=16)
+        cfg = model.backbone_config()
+        params = backbone_params(model)
         for w in (7, 24, 61):
             out = bb.backbone_forward(T.Tensor(rng.random((1, 1, 8, w))), params, cfg)
             assert out.shape == (1, w, 16)
 
     def test_gradients_flow_to_all_parameters(self):
         rng = np.random.default_rng(42)
-        cfg = tiny_cfg(h=4, c_final=8)
-        params = bb.init_backbone(rng, cfg)
+        model = tiny_model(h=4, c_final=8)
+        cfg = model.backbone_config()
+        params = backbone_params(model)
         x = T.Tensor(rng.random((1, 1, 4, 6)), requires_grad=True)
         with T.Tape() as tape:
             out = bb.backbone_forward(x, params, cfg)
@@ -114,8 +124,9 @@ class TestSppForward:
     def test_shift_commutes_both_modes(self):
         rng = np.random.default_rng(42)
         for mode in ("concat", "add"):
-            cfg = tiny_cfg(h=4, c_final=8, mode=mode)
-            params = bb.init_backbone(rng, cfg)
+            model = tiny_model(h=4, c_final=8, mode=mode)
+            cfg = model.backbone_config()
+            params = backbone_params(model)
             seq = rng.random((1, 12, 8))
             base = bb.spp_forward(T.Tensor(seq), params, cfg.spp).data
             rolled = bb.spp_forward(T.Tensor(np.roll(seq, 3, axis=1)), params, cfg.spp).data

@@ -6,9 +6,23 @@ import pytest
 from fdcheck import check_grads
 
 from rangeloop import block as bk
+from rangeloop import pipeline as pl
 from rangeloop import ssm
 from rangeloop import tensor as tt
 from rangeloop.errors import ConfigError, ContractError, ShapeError
+
+
+def _model(d, l=1):
+    """A model with l mixing blocks of token width d and state dimension 2:
+    one (d, 2, 2) stage flattens a 2-row image."""
+    return pl.ModelConfig(h=2, stages=((d, 2, 2),), olm_n=2, olm_blocks=l,
+                          vlad_k=1, mlp_hidden=1, out_dim=1)
+
+
+def _init(model, seed, prefix):
+    """The entries of init_model's dict under prefix."""
+    return {name: t for name, t in pl.init_model(model, seed).items()
+            if name.startswith(prefix)}
 
 
 def _zero_block(params, prefix="olm.L0"):
@@ -78,35 +92,38 @@ class TestConfig:
 
 class TestBlockForward:
     def test_output_shape(self):
-        cfg = bk.OlmConfig(d=4, n=2)
+        model = _model(4)
+        cfg = model.olm_config()
         rng = np.random.default_rng(42)
-        params = bk.init_block(rng, cfg)
+        params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(rng.normal(size=(2, 6, 4)))
         out = bk.olm_forward(x, params, cfg, None)
         assert out.shape == (2, 6, 4)
 
     def test_rejects_wrong_channel_count(self):
-        cfg = bk.OlmConfig(d=4, n=2)
-        rng = np.random.default_rng(42)
-        params = bk.init_block(rng, cfg)
+        model = _model(4)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.L0.")
         with pytest.raises(ShapeError):
             bk.olm_forward(tt.Tensor(np.zeros((1, 6, 5))), params, cfg, None)
         with pytest.raises(ShapeError):
             bk.olm_forward(tt.Tensor(np.zeros((6, 5))), params, cfg, None)
 
     def test_zero_weights_pass_input_through_exactly(self):
-        cfg = bk.OlmConfig(d=3, n=2)
+        model = _model(3)
+        cfg = model.olm_config()
         rng = np.random.default_rng(42)
-        params = _zero_block(bk.init_block(rng, cfg))
+        params = _zero_block(_init(model, 42, "olm.L0."))
         x = tt.Tensor(rng.normal(size=(2, 5, 3)))
         out = bk.olm_forward(x, params, cfg, None)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_weights_jacobian_is_identity(self):
         # With a dead mixing path the residual must carry gradients verbatim.
-        cfg = bk.OlmConfig(d=3, n=2)
+        model = _model(3)
+        cfg = model.olm_config()
         rng = np.random.default_rng(42)
-        params = _zero_block(bk.init_block(rng, cfg))
+        params = _zero_block(_init(model, 42, "olm.L0."))
         x = tt.Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
         proj = rng.normal(size=(1, 4, 3))
         with tt.Tape() as tape:
@@ -117,9 +134,9 @@ class TestBlockForward:
 
     def test_eval_mode_is_deterministic_and_skips_rng(self):
         # no generator is the eval forward: the offset-0 training forward
-        cfg = bk.OlmConfig(d=4, n=2)
-        init_rng = np.random.default_rng(42)
-        params = bk.init_block(init_rng, cfg)
+        model = _model(4)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
         out_a = bk.olm_forward(x, params, cfg, None)
         out_b = bk.olm_forward(x, params, cfg, None)
@@ -129,8 +146,9 @@ class TestBlockForward:
         np.testing.assert_array_equal(out_a.data, zero.data)
 
     def test_train_mode_draws_exactly_one_offset(self):
-        cfg = bk.OlmConfig(d=4, n=2)
-        params = bk.init_block(np.random.default_rng(42), cfg)
+        model = _model(4)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
         rng = np.random.default_rng(7)
         bk.olm_forward(x, params, cfg, rng)
@@ -139,8 +157,9 @@ class TestBlockForward:
         assert int(rng.integers(0, 1 << 30)) == int(ref.integers(0, 1 << 30))
 
     def test_train_mode_seed_determinism(self):
-        cfg = bk.OlmConfig(d=4, n=2)
-        params = bk.init_block(np.random.default_rng(42), cfg)
+        model = _model(4)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(2, 9, 4)))
         out_a = bk.olm_forward(x, params, cfg, np.random.default_rng(5))
         out_b = bk.olm_forward(x, params, cfg, np.random.default_rng(5))
@@ -148,8 +167,9 @@ class TestBlockForward:
 
     def test_train_offset_changes_output(self):
         # The scan is causal, so rotating the start must matter.
-        cfg = bk.OlmConfig(d=4, n=2)
-        params = bk.init_block(np.random.default_rng(42), cfg)
+        model = _model(4)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 16, 4)))
         draws = {int(np.random.default_rng(s).integers(0, 16)): s for s in range(40)}
         assert 0 in draws and len(draws) > 1
@@ -160,9 +180,10 @@ class TestBlockForward:
 
     def test_gate_nullity(self):
         # Saturating the gate stream negative silences the mixing path.
-        cfg = bk.OlmConfig(d=4, n=2)
+        model = _model(4)
+        cfg = model.olm_config()
         rng = np.random.default_rng(42)
-        params = bk.init_block(rng, cfg)
+        params = _init(model, 42, "olm.L0.")
         params["olm.L0.lin_z.weight"].data[...] = 0.0
         params["olm.L0.lin_z.bias"].data[...] = -60.0
         x = tt.Tensor(rng.normal(size=(1, 8, 4)))
@@ -197,9 +218,9 @@ class TestBlockForward:
     def test_direction_isolation(self, keep):
         # Kill three branches through their conv stage; the block must match a
         # hand-assembled single-branch pipeline.
-        cfg = bk.OlmConfig(d=4, n=2)
-        rng = np.random.default_rng(42)
-        params = bk.init_block(rng, cfg)
+        model = _model(4)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.L0.")
         for name in bk.DIRECTIONS:
             if name != keep:
                 params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
@@ -212,9 +233,9 @@ class TestBlockForward:
     def test_shifted_branch_uses_drawn_offset(self):
         # Train mode with only the rotated branch alive must match the
         # reference composition evaluated at the drawn offset.
-        cfg = bk.OlmConfig(d=4, n=2)
-        rng = np.random.default_rng(42)
-        params = bk.init_block(rng, cfg)
+        model = _model(4)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.L0.")
         for name in bk.DIRECTIONS:
             if name != "forward_shifted":
                 params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
@@ -228,15 +249,16 @@ class TestBlockForward:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_gradients(self):
-        cfg = bk.OlmConfig(d=4, n=2, conv_kernel=3)
-        init = bk.init_block(np.random.default_rng(42), cfg, "b")
+        model = _model(4)
+        cfg = model.olm_config()
+        init = _init(model, 42, "olm.L0.")
         names = sorted(init)
         arrays = [np.random.default_rng(1).normal(size=(1, 8, 4))]
         arrays += [init[n].data.copy() for n in names]
 
         def op(x, *weights):
             return bk.olm_forward(x, dict(zip(names, weights)), cfg,
-                                  np.random.default_rng(9), "b")
+                                  np.random.default_rng(9))
 
         check_grads(op, arrays, np.random.default_rng(11))
 
@@ -244,18 +266,20 @@ class TestBlockForward:
 class TestStack:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_stack_shapes(self, l):
-        cfg = bk.OlmConfig(d=4, n=2, l=l)
+        model = _model(4, l=l)
+        cfg = model.olm_config()
         rng = np.random.default_rng(42)
-        params = bk.init_olm(rng, cfg)
+        params = _init(model, 42, "olm.")
         assert {n.split(".")[1] for n in params} == {f"L{i}" for i in range(l)} | {"final_norm"}
         x = tt.Tensor(rng.normal(size=(2, 6, 4)))
         out = bk.olm_stack(x, params, cfg, None)
         assert out.shape == (2, 6, 4)
 
     def test_zero_weight_stack_reduces_to_final_norm(self):
-        cfg = bk.OlmConfig(d=3, n=2, l=2)
+        model = _model(3, l=2)
+        cfg = model.olm_config()
         rng = np.random.default_rng(42)
-        params = bk.init_olm(rng, cfg)
+        params = _init(model, 42, "olm.")
         for i in range(cfg.l):
             _zero_block(params, f"olm.L{i}")
         x = tt.Tensor(rng.normal(size=(1, 5, 3)))
@@ -265,17 +289,18 @@ class TestStack:
         np.testing.assert_array_equal(out.data, want)
 
     def test_stack_eval_reruns_bit_identical(self):
-        cfg = bk.OlmConfig(d=4, n=2, l=2)
-        rng = np.random.default_rng(42)
-        params = bk.init_olm(rng, cfg)
+        model = _model(4, l=2)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.")
         x = tt.Tensor(np.random.default_rng(2).normal(size=(1, 12, 4)))
         a = bk.olm_stack(x, params, cfg, None).data
         b = bk.olm_stack(x, params, cfg, None).data
         np.testing.assert_array_equal(a, b)
 
     def test_stack_train_consumes_one_draw_per_block(self):
-        cfg = bk.OlmConfig(d=4, n=2, l=3)
-        params = bk.init_olm(np.random.default_rng(42), cfg)
+        model = _model(4, l=3)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.")
         x = tt.Tensor(np.random.default_rng(2).normal(size=(1, 10, 4)))
         rng = np.random.default_rng(6)
         bk.olm_stack(x, params, cfg, rng)
@@ -287,8 +312,9 @@ class TestStack:
 
 class TestNaming:
     def test_checkpoint_names(self):
-        cfg = bk.OlmConfig(d=4, n=2, l=2)
-        params = bk.init_olm(np.random.default_rng(42), cfg)
+        model = _model(4, l=2)
+        cfg = model.olm_config()
+        params = _init(model, 42, "olm.")
         names = set(params)
         for i in range(2):
             for stem in ["norm.gain", "norm.bias", "lin_x.weight", "lin_x.bias",

@@ -217,8 +217,11 @@ class TestExitCodes:
         assert "model.kv" in capsys.readouterr().err
 
     def test_degenerate_input_is_3(self, workspace, tmp_path, capsys):
+        # a zeroed output layer collapses every descriptor to the zero vector
+        # (a non-finite weight is a contract violation: see TestMalformedInputs)
         arrays = io.load_checkpoint(workspace / "ckpt" / "final.omck")
-        arrays["gdg.mlp2.weight"] = np.full_like(arrays["gdg.mlp2.weight"], np.nan)
+        arrays["gdg.mlp2.weight"] = np.zeros_like(arrays["gdg.mlp2.weight"])
+        arrays["gdg.mlp2.bias"] = np.zeros_like(arrays["gdg.mlp2.bias"])
         poisoned = tmp_path / "poisoned"
         poisoned.mkdir()
         io.save_checkpoint(poisoned / "final.omck", arrays)
@@ -282,6 +285,23 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "repeated.omck" in err and "appears more than once" in err
+
+    def test_non_finite_checkpoint_tensor_is_2(self, workspace, tmp_path, capsys):
+        # the checkpoint's first tensor record with its first value set to NaN
+        raw = bytearray((workspace / "ckpt" / "final.omck").read_bytes())
+        (name_len,) = struct.unpack_from("<H", raw, 8)
+        name = raw[10:10 + name_len].decode("utf-8")
+        ndim = raw[10 + name_len]
+        struct.pack_into("<f", raw, 11 + name_len + 4 * ndim, float("nan"))
+        ckpt = tmp_path / "nan.omck"
+        ckpt.write_bytes(bytes(raw))
+        (tmp_path / "model.kv").write_bytes((workspace / "ckpt" / "model.kv").read_bytes())
+        assert main(["embed", "--ckpt", str(ckpt), "--ranges", str(workspace / "ranges"),
+                     "--out", str(tmp_path / "db.omdb")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"nan.omck: tensor {name!r} is not finite" in err
+        assert not (tmp_path / "db.omdb").exists()
 
     # (byte offset, f32 value): the header's r_max, or one range pixel
     MALFORMED_OMRV = {"r_max-zero": (12, 0.0), "r_max-nan": (12, float("nan")),
@@ -412,7 +432,9 @@ class TestMalformedInputs:
         self._assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("key, value", [("lr", "nan"), ("alpha", "nan"),
-                                            ("seed", "-3"), ("loss", "bogus")])
+                                            ("seed", "-3"), ("loss", "bogus"),
+                                            ("olm_n", "0"), ("vlad_k", "0"),
+                                            ("spp_kernel", "4")])
     def test_bad_train_config_is_2(self, workspace, tmp_path, capsys, key, value):
         config = tmp_path / "config.kv"
         config.write_text(_set_key(CONFIG_KV, key, value))

@@ -1,5 +1,7 @@
 """Tests for model assembly, checkpoints, and config files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,9 +96,16 @@ class TestConfig:
             pl.ModelConfig(h=1, w=40)
 
     def test_rejects_plan_that_misses_height(self):
-        cfg = pl.ModelConfig(h=24, w=40)  # not a power of two
         with pytest.raises(ConfigError):
-            cfg.backbone_config()
+            pl.ModelConfig(h=24, w=40)  # not a power of two, and no stage plan
+
+    @pytest.mark.parametrize("key, value", [
+        ("spp_kernel", 4), ("olm_n", 0), ("olm_blocks", 0), ("olm_conv_kernel", 4),
+        ("olm_e", 3), ("vlad_k", 0), ("out_dim", 0), ("h", 24),
+    ])
+    def test_every_field_checked_when_built(self, key, value):
+        with pytest.raises(ConfigError):
+            pl.ModelConfig(**{key: value})
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "model.cfg"
@@ -233,6 +242,55 @@ class TestCheckpoint:
         b = pl.init_model(TOY, seed=7)
         for name, t in a.items():
             np.testing.assert_array_equal(t.data, b[name].data)
+
+    def test_draw_stream_is_pinned(self):
+        # the first and last tensors drawn: a reordered, added or dropped
+        # draw moves at least one of these values
+        assert [n for n, _, _ in pl.param_layout(TOY)] == list(pl.init_model(TOY, 0))
+        params = pl.init_model(TOY, seed=42)
+        assert params["backbone.s0.weight"].data.flat[0] == 0.3874323593619855
+        assert params["gdg.mlp2.weight"].data.flat[-1] == 0.013324524762770407
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        params = pl.init_model(TOY, seed=42)
+        path = tmp_path / "model.omck"
+        io.save_checkpoint(path, params)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model drew from a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back = pl.load_model(path, TOY)
+        assert list(back) == list(params)
+        for name, t in params.items():
+            np.testing.assert_array_equal(back[name].data,
+                                          t.data.astype(np.float32).astype(np.float64))
+            assert back[name].requires_grad
+
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path):
+        params = pl.init_model(TOY, seed=42)
+        path = tmp_path / "model.omck"
+        io.save_checkpoint(path, params)
+        weight_bytes = sum(t.data.nbytes for t in params.values())
+        del params
+        tracemalloc.start()
+        try:
+            pl.load_model(path, TOY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 weights plus the file's float32 bytes, not a second copy
+        assert peak < 1.75 * weight_bytes, peak / weight_bytes
+
+    @pytest.mark.parametrize("name", ["backbone.s0.bias", "olm.L0.forward.proj_Δ.bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, value):
+        params = pl.init_model(TOY, seed=42)
+        params[name].data[1] = value
+        path = tmp_path / "model.omck"
+        io.save_checkpoint(path, params)
+        with pytest.raises(ContractError, match=f"model.omck: tensor '{name}' is not finite"):
+            pl.load_model(path, TOY)
 
     def test_layout_is_pinned(self):
         # a renamed or reshaped tensor orphans every saved .omck file

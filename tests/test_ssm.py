@@ -5,6 +5,7 @@ import pytest
 from fdcheck import check_grads
 
 from rangeloop import errors
+from rangeloop import pipeline as pl
 from rangeloop import ssm
 from rangeloop import tensor as T
 
@@ -188,8 +189,13 @@ class TestLtiKernel:
 
 class TestSelectiveSsm:
     def test_zero_input_zero_biases_zero_output(self):
+        # e = 4 < 16 with rank 2: no model has this branch (rank = ceil(d/16)
+        # with d <= e), so the tensors are drawn here
         rng = np.random.default_rng(42)
-        params = ssm.init_ssm_params(rng, e=4, n=3, rank=2, prefix="s")
+        e, n, r = 4, 3, 2
+        shapes = [(e, n), (e,), (e, r + 2 * n), (r + 2 * n,), (r, e), (e,)]
+        params = {f"s.{k}": T.Tensor(rng.standard_normal(shape) * 0.5)
+                  for k, shape in zip(ssm.PARAM_NAMES, shapes)}
         params["s.proj_BC.bias"] = T.Tensor(np.zeros(2 + 6), requires_grad=True)
         params["s.proj_Δ.bias"] = T.Tensor(np.zeros(4), requires_grad=True)
         y = ssm.selective_ssm(T.Tensor(np.zeros((1, 5, 4))), params, "s")
@@ -225,18 +231,23 @@ class TestSelectiveSsm:
     def test_parallel_and_sequential_paths_agree(self):
         # the fused production path against the oracle chain: Euler
         # discretization, then either numpy scan
+        # the forward branch of a model with token width 3, e = 3, n = 2
         rng = np.random.default_rng(42)
-        params = ssm.init_ssm_params(rng, e=3, n=2, rank=1, prefix="s")
+        model = pl.ModelConfig(h=2, stages=((3, 2, 2),), olm_e=3, olm_n=2,
+                               vlad_k=1, mlp_hidden=1, out_dim=1)
+        br = "olm.L0.forward"
+        params = pl.init_model(model, 42)
         x = rng.standard_normal((1, 10, 3))
-        fused = ssm.selective_ssm(T.Tensor(x), params, "s").data
+        fused = ssm.selective_ssm(T.Tensor(x), params, br).data
         p = {k: t.data for k, t in params.items()}
         r, n = 1, 2
-        s = T.linear(T.Tensor(x), p["s.proj_BC.weight"], p["s.proj_BC.bias"]).data
-        delta = np.logaddexp(0.0, s[..., :r] @ p["s.proj_Δ.weight"] + p["s.proj_Δ.bias"])
-        dssm = ssm.discretize(delta, -np.exp(p["s.A_log"]), s[..., r:r + n],
+        s = T.linear(T.Tensor(x), p[f"{br}.proj_BC.weight"], p[f"{br}.proj_BC.bias"]).data
+        delta = np.logaddexp(0.0, s[..., :r] @ p[f"{br}.proj_Δ.weight"]
+                             + p[f"{br}.proj_Δ.bias"])
+        dssm = ssm.discretize(delta, -np.exp(p[f"{br}.A_log"]), s[..., r:r + n],
                               mode="euler")
         for scan in (ssm.scan_sequential, ssm.scan_parallel):
-            y = scan(dssm, s[..., r + n:], p["s.D"], x)
+            y = scan(dssm, s[..., r + n:], p[f"{br}.D"], x)
             assert np.max(np.abs(fused - y)) < 1e-10
 
     def test_gradients_match_finite_differences(self):
