@@ -37,12 +37,10 @@ def main():
     print(f"model: {cfg.h}x{cfg.w} image -> {cfg.token_dim}-channel tokens "
           f"-> {cfg.out_dim}-dim descriptor\n")
 
-    bcfg = cfg.backbone_config()
-    tokens = bb.backbone_forward(tt.Tensor(x), params, bcfg).data
+    tokens = bb.backbone_forward(tt.Tensor(x), params, cfg).data
     print("backbone equivariance: shift input columns, compare shifted tokens")
     for s in shifts:
-        moved = bb.backbone_forward(tt.Tensor(np.roll(x, s, axis=3)),
-                                    params, bcfg).data
+        moved = bb.backbone_forward(tt.Tensor(np.roll(x, s, axis=3)), params, cfg).data
         gap = np.max(np.abs(moved - np.roll(tokens, s, axis=1)))
         print(f"  shift {s:3d}: max gap {gap:.2e}")
 

@@ -14,6 +14,7 @@ heading the sensor had at revisit time.  Pieces:
 * ``descriptor``   feature-cluster aggregation head producing the final
                    rotation-insensitive descriptor
 * ``pipeline``     full model assembly plus parameter (de)serialization;
+                   ``ModelConfig`` is the model's one configuration, and
                    the parameters are one name -> Tensor dict keyed by the
                    checkpoint names, laid out by ``param_layout``
 * ``training``     overlap-supervised metric losses and the fit loop

@@ -6,60 +6,36 @@ the image columns shifts the feature sequence by exactly the same amount.
 A stage plan compresses the image height to 1, leaving a (B, W, C) token
 sequence; sequential pyramid pooling (chained same-length circular max
 pools) then spreads horizontal context without breaking that equivariance.
+
+The model has one configuration, ``pipeline.ModelConfig``: the forwards
+read its stage strides and pooling fields, and every channel count comes
+from the weights they receive.  ``height_trace`` is the plan check that
+``ModelConfig`` runs once when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from . import tensor as tt
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
+
+if TYPE_CHECKING:
+    from .pipeline import ModelConfig
 
 
-@dataclass(frozen=True)
-class SppConfig:
-    kernel: int = 5
-    depth: int = 3
-    mode: str = "concat"
-
-    def __post_init__(self):
-        if self.kernel % 2 == 0 or self.kernel < 1:
-            raise ConfigError(f"pooling kernel must be odd, got {self.kernel}")
-        if self.depth < 1:
-            raise ConfigError(f"pooling depth must be >= 1, got {self.depth}")
-        if self.mode not in ("concat", "add"):
-            raise ConfigError(f"spp mode must be concat or add, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    stages: Tuple[Tuple[int, int, int], ...]  # (out_channels, kernel_h, stride_h)
-    spp: SppConfig = field(default_factory=SppConfig)
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ConfigError("backbone needs at least one stage")
-        for c, k, s in self.stages:
-            if c < 1 or k < 1 or s < 1:
-                raise ConfigError(f"invalid stage ({c}, {k}, {s})")
-
-    @property
-    def out_channels(self) -> int:
-        return self.stages[-1][0]
-
-    def height_trace(self, h: int) -> List[int]:
-        """Heights after each stage; must end at exactly 1."""
-        trace = [h]
-        for _, k, s in self.stages:
-            if k > trace[-1]:
-                raise ConfigError(
-                    f"stage plan dies at height {trace[-1]} < kernel {k}; trace so far {trace}"
-                )
-            trace.append((trace[-1] - k) // s + 1)
-        if trace[-1] != 1:
-            raise ConfigError(f"stage plan does not reach height 1: trace {trace}")
-        return trace
+def height_trace(stages, h: int) -> List[int]:
+    """Heights after each (C, k, s) stage of a plan; must end at exactly 1."""
+    trace = [h]
+    for _, k, s in stages:
+        if k > trace[-1]:
+            raise ConfigError(
+                f"stage plan dies at height {trace[-1]} < kernel {k}; trace so far {trace}"
+            )
+        trace.append((trace[-1] - k) // s + 1)
+    if trace[-1] != 1:
+        raise ConfigError(f"stage plan does not reach height 1: trace {trace}")
+    return trace
 
 
 def default_stages(h: int, c_final: int = 256) -> Tuple[Tuple[int, int, int], ...]:
@@ -81,12 +57,12 @@ def default_stages(h: int, c_final: int = 256) -> Tuple[Tuple[int, int, int], ..
     return tuple(stages)
 
 
-def _spp_channels_first(x: tt.Tensor, params: dict, cfg: SppConfig) -> tt.Tensor:
+def spp_forward(x: tt.Tensor, params: dict, cfg: ModelConfig) -> tt.Tensor:
     """Pyramid pooling on a (B, C, M) stream."""
     levels = [x]
-    for _ in range(cfg.depth):
-        levels.append(tt.maxpool1d_circular(levels[-1], cfg.kernel))
-    if cfg.mode == "add":
+    for _ in range(cfg.spp_depth):
+        levels.append(tt.maxpool1d_circular(levels[-1], cfg.spp_kernel))
+    if cfg.spp_mode == "add":
         out = levels[0]
         for lv in levels[1:]:
             out = tt.add(out, lv)
@@ -96,23 +72,17 @@ def _spp_channels_first(x: tt.Tensor, params: dict, cfg: SppConfig) -> tt.Tensor
                                params["backbone.spp.bias"])
 
 
-def spp_forward(seq: tt.Tensor, params: dict, cfg: SppConfig) -> tt.Tensor:
-    """Pyramid pooling on a (B, M, D) token sequence."""
-    x = tt.transpose(seq, (0, 2, 1))
-    out = _spp_channels_first(x, params, cfg)
-    return tt.transpose(out, (0, 2, 1))
-
-
-def backbone_forward(x: tt.Tensor, params: dict, cfg: BackboneConfig) -> tt.Tensor:
-    """(B, C_in, H, W) image batch -> (B, W, C) token sequence."""
+def backbone_forward(x: tt.Tensor, params: dict, cfg: ModelConfig) -> tt.Tensor:
+    """(B, C_in, H, W) image batch -> (B, W, C) token sequence; H must be
+    the model's cfg.h rows."""
     x = tt.as_tensor(x)
     if x.ndim != 4:
         raise ConfigError(f"backbone input must be (B, C, H, W), got {x.shape}")
-    cfg.height_trace(x.shape[2])
+    if x.shape[2] != cfg.h:
+        raise ShapeError(f"range image has {x.shape[2]} rows, the model expects {cfg.h}")
     for i, (_, _, s) in enumerate(cfg.stages):
         x = tt.conv_vertical(x, params[f"backbone.s{i}.weight"], stride_h=s)
         x = tt.silu(tt.add_channel_bias(x, params[f"backbone.s{i}.bias"]))
     bsz, c, _, m = x.shape
-    seq = tt.reshape(x, (bsz, c, m))
-    seq = _spp_channels_first(seq, params, cfg.spp)
+    seq = spp_forward(tt.reshape(x, (bsz, c, m)), params, cfg)
     return tt.transpose(seq, (0, 2, 1))

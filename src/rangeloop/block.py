@@ -14,7 +14,9 @@ Parameters live in the model's name -> Tensor dict: block i's tensors under
 "olm.L<i>" (e.g. "olm.L0.lin_x.weight"), each branch's convolution and scan
 tensors under "olm.L<i>.<direction>", and the final normalization under
 "olm.final_norm".  ``pipeline.param_layout`` gives their shapes and
-initialisers.
+initialisers.  A block takes no configuration: its token width is the rows
+of its "lin_x.weight", and each scan reads its widths from its own tensors;
+``olm_stack`` reads only the block count of the model's ``ModelConfig``.
 
 Per branch, the two hot kernels are one tape node each: the convolution is
 a single GEMM (``tensor.conv1d_circular``) and the scan is the fused
@@ -23,42 +25,18 @@ a single GEMM (``tensor.conv1d_circular``) and the scan is the fused
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import ssm
 from . import tensor as tt
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
+
+if TYPE_CHECKING:
+    from .pipeline import ModelConfig
 
 DIRECTIONS = ("forward", "forward_shifted", "backward", "backward_shifted")
-
-
-@dataclass(frozen=True)
-class OlmConfig:
-    d: int  # token channel count
-    e: int = 0  # widened channel count; 0 means 2*d
-    n: int = 16  # state dimension per channel
-    l: int = 1  # block count
-    conv_kernel: int = 3
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise ConfigError(f"block count must be >= 1, got {self.l}")
-        if self.n < 1:
-            raise ConfigError(f"state dimension must be >= 1, got {self.n}")
-        if self.e and self.e < self.d:
-            raise ConfigError(f"widened dim {self.e} must be >= token dim {self.d}")
-        if self.conv_kernel % 2 == 0:
-            raise ConfigError(f"branch conv kernel must be odd, got {self.conv_kernel}")
-
-    @property
-    def e_eff(self) -> int:
-        return self.e if self.e else 2 * self.d
-
-    @property
-    def rank(self) -> int:
-        return ssm.dt_rank_for(self.d)
 
 
 def shift(x: tt.Tensor, a: int) -> tt.Tensor:
@@ -77,23 +55,24 @@ def flip(x: tt.Tensor) -> tt.Tensor:
     return tt.flip(tt.as_tensor(x), axis=1)
 
 
-def olm_forward(t_prev: tt.Tensor, params: dict, cfg: OlmConfig,
-                rng: np.random.Generator, prefix: str = "olm.L0") -> tt.Tensor:
+def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
+                prefix: str = "olm.L0") -> tt.Tensor:
     """One mixing block, its tensors read from params under prefix:
-    (B, M, D) -> (B, M, D).
+    (B, M, D) -> (B, M, D), with D the rows of its "lin_x.weight".
 
     A generator makes it a training forward: exactly one integer is drawn
     from rng (the start offset, shared by both rotated branches).  With rng
     None (eval) nothing is drawn and the offset is 0.
     """
-    t_prev = tt.as_tensor(t_prev)
-    if t_prev.ndim != 3 or t_prev.shape[2] != cfg.d:
-        raise ShapeError(
-            f"block input must be (B, M, {cfg.d}), got {t_prev.shape} (token projection)"
-        )
-
     def p(name):
         return params[f"{prefix}.{name}"]
+
+    t_prev = tt.as_tensor(t_prev)
+    d = p("lin_x.weight").shape[0]
+    if t_prev.ndim != 3 or t_prev.shape[2] != d:
+        raise ShapeError(
+            f"block input must be (B, M, {d}), got {t_prev.shape} (token projection)"
+        )
 
     m = t_prev.shape[1]
     tp = tt.layer_norm(t_prev, p("norm.gain"), p("norm.bias"))
@@ -124,10 +103,11 @@ def olm_forward(t_prev: tt.Tensor, params: dict, cfg: OlmConfig,
     return tt.add(tt.linear(total, p("lin_T.weight"), p("lin_T.bias")), t_prev)
 
 
-def olm_stack(t0: tt.Tensor, params: dict, cfg: OlmConfig,
+def olm_stack(t0: tt.Tensor, params: dict, cfg: ModelConfig,
               rng: np.random.Generator) -> tt.Tensor:
-    """All blocks in order, then a final per-position normalization."""
+    """All cfg.olm_blocks blocks in order, then a final per-position
+    normalization."""
     x = t0
-    for i in range(cfg.l):
-        x = olm_forward(x, params, cfg, rng, f"olm.L{i}")
+    for i in range(cfg.olm_blocks):
+        x = olm_forward(x, params, rng, f"olm.L{i}")
     return tt.layer_norm(x, params["olm.final_norm.gain"], params["olm.final_norm.bias"])

@@ -79,7 +79,7 @@ def _model_config_near(ckpt: str, explicit: str | None) -> pl.ModelConfig:
             f"no model geometry at {path}; pass --config or keep model.kv "
             "next to the checkpoint"
         )
-    return pl.load_model_config(path)
+    return _load_config(pl.ModelConfig, path)
 
 
 def _csv_out(rows) -> None:
@@ -139,7 +139,7 @@ def cmd_train(args) -> int:
         raise ContractError("no training tuples survive the overlap threshold")
     params = pl.init_model(model_cfg, seed=train_cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    pl.save_model_config(os.path.join(args.out, "model.kv"), model_cfg)
+    io.save_kv(os.path.join(args.out, "model.kv"), io.config_pairs(model_cfg))
     tr.train(tuples, images, params, model_cfg, train_cfg, args.out, log=print)
     print(f"checkpoints and report.csv written to {args.out}")
     return 0

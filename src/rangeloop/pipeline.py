@@ -3,9 +3,16 @@
 A scan's range image (1, H, W) runs through the vertical-conv backbone to a
 (W, C) token sequence, through the stack of multi-direction mixing blocks,
 and into the aggregation head, yielding one unit-norm descriptor per scan.
-This module owns model configuration, the parameter layout, checkpoint
-loading, and the config-file encoding, so the trainer, embedder, and CLI all
-agree on what "the model" is.
+This module owns the model configuration, the parameter layout and
+checkpoint loading, so the trainer, embedder, and CLI all agree on what "the
+model" is.
+
+``ModelConfig`` is the model's one configuration.  It checks every field
+when it is built and stores its stage plan resolved, so ``io.config_pairs``
+writes it to a file as it is.  The backbone and the stack read its strides,
+pooling and block count; every other size a layer needs it reads from the
+weights it is given, and ``param_layout`` is the one place that derives
+those weight shapes from the configuration.
 
 The parameters are one dict from checkpoint name to Tensor
 ("backbone.s0.weight", "olm.L0.backward_shifted.proj_Δ.weight", "gdg.centers",
@@ -17,7 +24,7 @@ name with its shape and initialiser, in the order ``init_model`` draws them;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -26,6 +33,7 @@ from . import backbone as bb
 from . import block as bk
 from . import descriptor as dsc
 from . import io
+from . import ssm
 from . import tensor as tt
 from .errors import ConfigError, ContractError
 
@@ -34,7 +42,7 @@ from .errors import ConfigError, ContractError
 class ModelConfig:
     h: int = 64  # range image rows
     w: int = 900  # range image columns
-    # backbone plan, one (C, k, s) per stage; empty means the default halving plan
+    # backbone plan, one (C, k, s) per stage; empty becomes the default halving plan
     stages: tuple = field(default=(), metadata={"key": "stage"})
     spp_kernel: int = 5
     spp_depth: int = 3
@@ -58,22 +66,32 @@ class ModelConfig:
         if self.mlp_hidden < 1 or self.out_dim < 1:
             raise ConfigError(
                 f"invalid head dims mlp_hidden={self.mlp_hidden} out_dim={self.out_dim}")
-        self.olm_config()  # builds backbone_config() too: every field checked here
-
-    def backbone_config(self) -> bb.BackboneConfig:
         stages = tuple(tuple(s) for s in self.stages) or bb.default_stages(self.h)
-        spp = bb.SppConfig(kernel=self.spp_kernel, depth=self.spp_depth, mode=self.spp_mode)
-        cfg = bb.BackboneConfig(stages=stages, spp=spp)
-        cfg.height_trace(self.h)  # fail fast if the plan cannot flatten h rows
-        return cfg
+        object.__setattr__(self, "stages", stages)
+        if self.spp_kernel % 2 == 0 or self.spp_kernel < 1:
+            raise ConfigError(f"pooling kernel must be odd, got {self.spp_kernel}")
+        if self.spp_depth < 1:
+            raise ConfigError(f"pooling depth must be >= 1, got {self.spp_depth}")
+        if self.spp_mode not in ("concat", "add"):
+            raise ConfigError(f"spp mode must be concat or add, got {self.spp_mode!r}")
+        for c, k, s in stages:
+            if c < 1 or k < 1 or s < 1:
+                raise ConfigError(f"invalid stage ({c}, {k}, {s})")
+        bb.height_trace(stages, self.h)  # the plan must flatten h rows
+        if self.olm_blocks < 1:
+            raise ConfigError(f"block count must be >= 1, got {self.olm_blocks}")
+        if self.olm_n < 1:
+            raise ConfigError(f"state dimension must be >= 1, got {self.olm_n}")
+        if self.olm_e and self.olm_e < self.token_dim:
+            raise ConfigError(
+                f"widened dim {self.olm_e} must be >= token dim {self.token_dim}")
+        if self.olm_conv_kernel % 2 == 0:
+            raise ConfigError(
+                f"branch conv kernel must be odd, got {self.olm_conv_kernel}")
 
     @property
     def token_dim(self) -> int:
-        return self.backbone_config().out_channels
-
-    def olm_config(self) -> bk.OlmConfig:
-        return bk.OlmConfig(d=self.token_dim, e=self.olm_e, n=self.olm_n,
-                            l=self.olm_blocks, conv_kernel=self.olm_conv_kernel)
+        return self.stages[-1][0]
 
 
 # --------------------------------------------------------------------------
@@ -128,17 +146,18 @@ def param_layout(cfg: ModelConfig) -> list:
     order ``init_model`` draws them: the backbone stages and SPP compressor,
     each mixing block (its four branches, then its own tensors), the final
     normalization, then the aggregation head."""
-    bcfg, ocfg = cfg.backbone_config(), cfg.olm_config()
-    d, e, n, r, kw = ocfg.d, ocfg.e_eff, ocfg.n, ocfg.rank, ocfg.conv_kernel
+    d = cfg.token_dim
+    e = cfg.olm_e or 2 * d  # widened channels
+    n, r, kw = cfg.olm_n, ssm.dt_rank_for(d), cfg.olm_conv_kernel
     layout = []
     c_in = 1  # the range channel
-    for i, (c_out, kh, _) in enumerate(bcfg.stages):
+    for i, (c_out, kh, _) in enumerate(cfg.stages):
         layout += _affine(f"backbone.s{i}", (c_out, c_in, kh, 1), c_in * kh, c_out)
         c_in = c_out
-    if bcfg.spp.mode == "concat":
-        c_cat = (bcfg.spp.depth + 1) * d
+    if cfg.spp_mode == "concat":
+        c_cat = (cfg.spp_depth + 1) * d
         layout += _affine("backbone.spp", (d, c_cat, 1), c_cat, d)
-    for i in range(ocfg.l):
+    for i in range(cfg.olm_blocks):
         block = f"olm.L{i}"
         for direction in bk.DIRECTIONS:
             branch = f"{block}.{direction}"
@@ -179,9 +198,9 @@ def model_forward(x, params: dict, cfg: ModelConfig,
     bypass_olm skips the mixing stack entirely, leaving the exactly
     shift-invariant backbone+aggregation path.
     """
-    tokens = bb.backbone_forward(x, params, cfg.backbone_config())
+    tokens = bb.backbone_forward(x, params, cfg)
     if not bypass_olm:
-        tokens = bk.olm_stack(tokens, params, cfg.olm_config(), rng)
+        tokens = bk.olm_stack(tokens, params, cfg, rng)
     return dsc.gdg_forward(tokens, params)
 
 
@@ -232,17 +251,3 @@ def load_model(path, cfg: ModelConfig) -> dict:
         params[name] = tt.Tensor(value, requires_grad=True)
     return params
 
-
-# --------------------------------------------------------------------------
-# config files
-
-
-def save_model_config(path, cfg: ModelConfig) -> None:
-    """Write `cfg` with its stage plan resolved, so an empty plan is stored
-    as the default halving plan it stands for."""
-    resolved = replace(cfg, stages=cfg.backbone_config().stages)
-    io.save_kv(path, io.config_pairs(resolved))
-
-
-def load_model_config(path) -> ModelConfig:
-    return io.config_from_pairs(ModelConfig, io.load_kv_pairs(path))

@@ -457,8 +457,7 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
     rows.append(_timing_row(f"db_search_{db_size}",
                             _time(lambda: db_search(db, q, 20), reps)))
 
-    olm = model_cfg.olm_config()
-    e, n = olm.e_eff, olm.n
+    e, n = params["olm.L0.forward.A_log"].shape
     delta = rng.uniform(1e-3, 1e-1, size=(1, scan_len, e))
     a = -rng.uniform(0.5, 2.0, size=(e, n))
     b = rng.normal(size=(1, scan_len, n))

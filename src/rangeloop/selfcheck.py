@@ -152,7 +152,7 @@ def check_zero_block_passthrough() -> str:
     for value in params.values():
         value.data[...] = 0.0
     x = tt.Tensor(np.random.default_rng(7).standard_normal((2, 6, cfg.token_dim)))
-    out = ob.olm_forward(x, params, cfg.olm_config(), None)  # eval mode consumes no rng
+    out = ob.olm_forward(x, params, None)  # eval mode consumes no rng
     if not np.array_equal(out.data, x.data):
         raise AssertionError("zero-weight block is not an exact identity")
     return "bitwise identity"
@@ -161,14 +161,12 @@ def check_zero_block_passthrough() -> str:
 def check_backbone_shift_equivariance() -> str:
     params, cfg = _toy_model()
     from . import backbone as bb
-    bcfg = cfg.backbone_config()
     rng = np.random.default_rng(42)
     x = rng.random((1, 1, cfg.h, cfg.w))
-    base = bb.backbone_forward(tt.Tensor(x), params, bcfg).data
+    base = bb.backbone_forward(tt.Tensor(x), params, cfg).data
     worst = 0.0
     for s in (1, cfg.w // 4, cfg.w // 2):
-        out = bb.backbone_forward(tt.Tensor(np.roll(x, s, axis=3)),
-                                  params, bcfg).data
+        out = bb.backbone_forward(tt.Tensor(np.roll(x, s, axis=3)), params, cfg).data
         worst = max(worst, float(np.max(np.abs(out - np.roll(base, s, axis=1)))))
     if worst >= 1e-12:
         raise AssertionError(f"equivariance error {worst:.3e} >= 1e-12")

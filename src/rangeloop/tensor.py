@@ -617,10 +617,11 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 def l2_normalize(x, axis: int = -1) -> Tensor:
-    """Scale to unit L2 norm along ``axis``; exactly-zero slices stay zero."""
+    """Scale to unit L2 norm along ``axis``; exactly-zero slices stay zero,
+    and a slice holding a NaN stays NaN."""
     x = as_tensor(x)
     norm = np.sqrt((x.data**2).sum(axis=axis, keepdims=True))
-    nonzero = norm > 0.0
+    nonzero = norm != 0.0
     safe = np.where(nonzero, norm, 1.0)
     data = np.where(nonzero, x.data / safe, 0.0)
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import io
 from . import pipeline as pl
 from . import tensor as tt
-from .errors import ConfigError, ContractError, DegenerateInputError
+from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from .optim import Adam
 
 LOSS_KINDS = ("triplet", "imtrihard")
@@ -172,7 +172,8 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
           cfg: TrainConfig, out_dir, max_steps: int = 0, log=None):
     """Run the optimization and checkpoint every epoch.
 
-    tuples: TrainingTuple list; images: scan id -> RangeImage.  max_steps
+    tuples: TrainingTuple list; images: scan id -> RangeImage, each of
+    model_cfg.h rows (checked before anything is written).  max_steps
     caps the total number of optimizer steps (0 means no cap).  Returns the
     per-epoch reports and writes report.csv plus epoch checkpoints under
     out_dir.
@@ -184,6 +185,10 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
             if i not in images:
                 raise ContractError(
                     f"tuple with query {tup.query} names scan {i}, which has no range image"
+                )
+            if images[i].h != model_cfg.h:
+                raise ShapeError(
+                    f"scan {i} has {images[i].h} rows, the model expects {model_cfg.h}"
                 )
     os.makedirs(out_dir, exist_ok=True)
     train_tuples, val_tuples = split_validation(tuples)

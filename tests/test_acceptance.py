@@ -227,7 +227,6 @@ class TestAcceptance:
             # full mixing block on a (1, 8, 4) toy: gradient w.r.t. the input
             # and every parameter array, against central differences
             model = pl.ModelConfig(h=2, stages=((4, 2, 2),), olm_n=2, olm_conv_kernel=3)
-            cfg = model.olm_config()
             params = {name: t for name, t in pl.init_model(model, seed=42).items()
                       if name.startswith("olm.L0.")}
             names = sorted(params)
@@ -236,7 +235,7 @@ class TestAcceptance:
             proj = rng.standard_normal((1, 8, 4))
 
             def forward():
-                out = ob.olm_forward(x_t, params, cfg, None)
+                out = ob.olm_forward(x_t, params, None)
                 return tt.tsum(tt.mul(out, tt.Tensor(proj)))
 
             with tt.Tape() as tape:
@@ -274,12 +273,11 @@ class TestAcceptance:
 
             # (a) backbone + pooling: column shift of the input shifts the
             # token sequence identically
-            bcfg = cfg.backbone_config()
             x = rng.random((2, 1, cfg.h, cfg.w))
-            tokens = bb.backbone_forward(tt.Tensor(x), params, bcfg).data
+            tokens = bb.backbone_forward(tt.Tensor(x), params, cfg).data
             for s in shifts:
                 shifted = bb.backbone_forward(
-                    tt.Tensor(np.roll(x, s, axis=3)), params, bcfg).data
+                    tt.Tensor(np.roll(x, s, axis=3)), params, cfg).data
                 gap = float(np.max(np.abs(shifted - np.roll(tokens, s, axis=1))))
                 assert gap < 1e-12, f"backbone equivariance gap {gap:.3e} at shift {s}"
 

@@ -74,60 +74,54 @@ class TestShiftFlip:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = bk.OlmConfig(d=64)
-        assert cfg.e_eff == 128
-        assert cfg.n == 16
-        assert cfg.rank == ssm.dt_rank_for(64)
+        # token width 64 and the default olm_e = 0, olm_n = 16
+        model = pl.ModelConfig(h=2, stages=((64, 2, 2),), vlad_k=1, mlp_hidden=1, out_dim=1)
+        shapes = {name: shape for name, shape, _ in pl.param_layout(model)}
+        assert shapes["olm.L0.lin_x.weight"] == (64, 128)
+        assert shapes["olm.L0.forward.A_log"] == (128, 16)
+        assert shapes["olm.L0.forward.proj_Δ.weight"] == (ssm.dt_rank_for(64), 128)
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            bk.OlmConfig(d=8, l=0)
-        with pytest.raises(ConfigError):
-            bk.OlmConfig(d=8, n=0)
-        with pytest.raises(ConfigError):
-            bk.OlmConfig(d=8, e=4)
-        with pytest.raises(ConfigError):
-            bk.OlmConfig(d=8, conv_kernel=4)
+        for key, value in [("olm_blocks", 0), ("olm_n", 0), ("olm_e", 4),
+                           ("olm_conv_kernel", 4)]:
+            with pytest.raises(ConfigError):
+                pl.ModelConfig(h=2, stages=((8, 2, 2),), **{key: value})
 
 
 class TestBlockForward:
     def test_output_shape(self):
         model = _model(4)
-        cfg = model.olm_config()
         rng = np.random.default_rng(42)
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(rng.normal(size=(2, 6, 4)))
-        out = bk.olm_forward(x, params, cfg, None)
+        out = bk.olm_forward(x, params, None)
         assert out.shape == (2, 6, 4)
 
     def test_rejects_wrong_channel_count(self):
         model = _model(4)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.L0.")
         with pytest.raises(ShapeError):
-            bk.olm_forward(tt.Tensor(np.zeros((1, 6, 5))), params, cfg, None)
+            bk.olm_forward(tt.Tensor(np.zeros((1, 6, 5))), params, None)
         with pytest.raises(ShapeError):
-            bk.olm_forward(tt.Tensor(np.zeros((6, 5))), params, cfg, None)
+            bk.olm_forward(tt.Tensor(np.zeros((6, 5))), params, None)
 
     def test_zero_weights_pass_input_through_exactly(self):
         model = _model(3)
-        cfg = model.olm_config()
         rng = np.random.default_rng(42)
         params = _zero_block(_init(model, 42, "olm.L0."))
         x = tt.Tensor(rng.normal(size=(2, 5, 3)))
-        out = bk.olm_forward(x, params, cfg, None)
+        out = bk.olm_forward(x, params, None)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_weights_jacobian_is_identity(self):
         # With a dead mixing path the residual must carry gradients verbatim.
         model = _model(3)
-        cfg = model.olm_config()
         rng = np.random.default_rng(42)
         params = _zero_block(_init(model, 42, "olm.L0."))
         x = tt.Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
         proj = rng.normal(size=(1, 4, 3))
         with tt.Tape() as tape:
-            out = bk.olm_forward(x, params, cfg, None)
+            out = bk.olm_forward(x, params, None)
             loss = tt.tsum(tt.mul(out, tt.Tensor(proj)))
         tt.backward(loss, tape)
         np.testing.assert_array_equal(x.grad, proj)
@@ -135,59 +129,54 @@ class TestBlockForward:
     def test_eval_mode_is_deterministic_and_skips_rng(self):
         # no generator is the eval forward: the offset-0 training forward
         model = _model(4)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
-        out_a = bk.olm_forward(x, params, cfg, None)
-        out_b = bk.olm_forward(x, params, cfg, None)
+        out_a = bk.olm_forward(x, params, None)
+        out_b = bk.olm_forward(x, params, None)
         np.testing.assert_array_equal(out_a.data, out_b.data)
         seed = next(s for s in range(40) if np.random.default_rng(s).integers(0, 8) == 0)
-        zero = bk.olm_forward(x, params, cfg, np.random.default_rng(seed))
+        zero = bk.olm_forward(x, params, np.random.default_rng(seed))
         np.testing.assert_array_equal(out_a.data, zero.data)
 
     def test_train_mode_draws_exactly_one_offset(self):
         model = _model(4)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
         rng = np.random.default_rng(7)
-        bk.olm_forward(x, params, cfg, rng)
+        bk.olm_forward(x, params, rng)
         ref = np.random.default_rng(7)
         ref.integers(0, 8)
         assert int(rng.integers(0, 1 << 30)) == int(ref.integers(0, 1 << 30))
 
     def test_train_mode_seed_determinism(self):
         model = _model(4)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(2, 9, 4)))
-        out_a = bk.olm_forward(x, params, cfg, np.random.default_rng(5))
-        out_b = bk.olm_forward(x, params, cfg, np.random.default_rng(5))
+        out_a = bk.olm_forward(x, params, np.random.default_rng(5))
+        out_b = bk.olm_forward(x, params, np.random.default_rng(5))
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_train_offset_changes_output(self):
         # The scan is causal, so rotating the start must matter.
         model = _model(4)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 16, 4)))
         draws = {int(np.random.default_rng(s).integers(0, 16)): s for s in range(40)}
         assert 0 in draws and len(draws) > 1
-        base = bk.olm_forward(x, params, cfg, np.random.default_rng(draws[0])).data
+        base = bk.olm_forward(x, params, np.random.default_rng(draws[0])).data
         other_seed = next(s for a, s in draws.items() if a != 0)
-        other = bk.olm_forward(x, params, cfg, np.random.default_rng(other_seed)).data
+        other = bk.olm_forward(x, params, np.random.default_rng(other_seed)).data
         assert np.abs(base - other).max() > 1e-8
 
     def test_gate_nullity(self):
         # Saturating the gate stream negative silences the mixing path.
         model = _model(4)
-        cfg = model.olm_config()
         rng = np.random.default_rng(42)
         params = _init(model, 42, "olm.L0.")
         params["olm.L0.lin_z.weight"].data[...] = 0.0
         params["olm.L0.lin_z.bias"].data[...] = -60.0
         x = tt.Tensor(rng.normal(size=(1, 8, 4)))
-        out = bk.olm_forward(x, params, cfg, None)
+        out = bk.olm_forward(x, params, None)
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def _single_branch_reference(self, x, params, name, a):
@@ -219,14 +208,13 @@ class TestBlockForward:
         # Kill three branches through their conv stage; the block must match a
         # hand-assembled single-branch pipeline.
         model = _model(4)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.L0.")
         for name in bk.DIRECTIONS:
             if name != keep:
                 params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
                 params[f"olm.L0.{name}.conv1d.bias"].data[...] = 0.0
         x = np.random.default_rng(3).normal(size=(1, 7, 4))
-        got = bk.olm_forward(tt.Tensor(x), params, cfg, None).data
+        got = bk.olm_forward(tt.Tensor(x), params, None).data
         want = self._single_branch_reference(x, params, keep, a=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -234,7 +222,6 @@ class TestBlockForward:
         # Train mode with only the rotated branch alive must match the
         # reference composition evaluated at the drawn offset.
         model = _model(4)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.L0.")
         for name in bk.DIRECTIONS:
             if name != "forward_shifted":
@@ -244,21 +231,19 @@ class TestBlockForward:
         seed = 12345
         a = int(np.random.default_rng(seed).integers(0, 11))
         assert a != 0
-        got = bk.olm_forward(tt.Tensor(x), params, cfg, np.random.default_rng(seed)).data
+        got = bk.olm_forward(tt.Tensor(x), params, np.random.default_rng(seed)).data
         want = self._single_branch_reference(x, params, "forward_shifted", a=a)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_gradients(self):
         model = _model(4)
-        cfg = model.olm_config()
         init = _init(model, 42, "olm.L0.")
         names = sorted(init)
         arrays = [np.random.default_rng(1).normal(size=(1, 8, 4))]
         arrays += [init[n].data.copy() for n in names]
 
         def op(x, *weights):
-            return bk.olm_forward(x, dict(zip(names, weights)), cfg,
-                                  np.random.default_rng(9))
+            return bk.olm_forward(x, dict(zip(names, weights)), np.random.default_rng(9))
 
         check_grads(op, arrays, np.random.default_rng(11))
 
@@ -267,43 +252,39 @@ class TestStack:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_stack_shapes(self, l):
         model = _model(4, l=l)
-        cfg = model.olm_config()
         rng = np.random.default_rng(42)
         params = _init(model, 42, "olm.")
         assert {n.split(".")[1] for n in params} == {f"L{i}" for i in range(l)} | {"final_norm"}
         x = tt.Tensor(rng.normal(size=(2, 6, 4)))
-        out = bk.olm_stack(x, params, cfg, None)
+        out = bk.olm_stack(x, params, model, None)
         assert out.shape == (2, 6, 4)
 
     def test_zero_weight_stack_reduces_to_final_norm(self):
         model = _model(3, l=2)
-        cfg = model.olm_config()
         rng = np.random.default_rng(42)
         params = _init(model, 42, "olm.")
-        for i in range(cfg.l):
+        for i in range(model.olm_blocks):
             _zero_block(params, f"olm.L{i}")
         x = tt.Tensor(rng.normal(size=(1, 5, 3)))
-        out = bk.olm_stack(x, params, cfg, None)
+        out = bk.olm_stack(x, params, model, None)
         want = tt.layer_norm(x, params["olm.final_norm.gain"],
                              params["olm.final_norm.bias"]).data
         np.testing.assert_array_equal(out.data, want)
 
     def test_stack_eval_reruns_bit_identical(self):
         model = _model(4, l=2)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.")
         x = tt.Tensor(np.random.default_rng(2).normal(size=(1, 12, 4)))
-        a = bk.olm_stack(x, params, cfg, None).data
-        b = bk.olm_stack(x, params, cfg, None).data
+        a = bk.olm_stack(x, params, model, None).data
+        b = bk.olm_stack(x, params, model, None).data
         np.testing.assert_array_equal(a, b)
 
     def test_stack_train_consumes_one_draw_per_block(self):
         model = _model(4, l=3)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.")
         x = tt.Tensor(np.random.default_rng(2).normal(size=(1, 10, 4)))
         rng = np.random.default_rng(6)
-        bk.olm_stack(x, params, cfg, rng)
+        bk.olm_stack(x, params, model, rng)
         ref = np.random.default_rng(6)
         for _ in range(3):
             ref.integers(0, 10)
@@ -313,7 +294,6 @@ class TestStack:
 class TestNaming:
     def test_checkpoint_names(self):
         model = _model(4, l=2)
-        cfg = model.olm_config()
         params = _init(model, 42, "olm.")
         names = set(params)
         for i in range(2):

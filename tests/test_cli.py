@@ -15,6 +15,7 @@ import pytest
 
 from rangeloop import io
 from rangeloop.cli import main
+from rangeloop.rangeview import RangeImage
 
 WORLD_KV = """\
 seed=42
@@ -333,6 +334,29 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert bad.name in err
+
+    @pytest.mark.parametrize("command, rows", [("embed", 9), ("train", 9), ("train", 7)])
+    def test_image_height_other_than_model_is_2(self, workspace, tmp_path, capsys,
+                                                command, rows):
+        # the workspace model is built for 8-row images
+        ranges = tmp_path / "ranges"
+        ranges.mkdir()
+        for src in sorted((workspace / "ranges").iterdir()):
+            ri = io.load_range_image(src)
+            tall = np.concatenate([ri.ranges, ri.ranges], axis=0)[:rows]
+            io.save_range_image(ranges / src.name, RangeImage(tall, r_max=ri.r_max))
+        args = {"embed": ["embed", "--ckpt", str(workspace / "ckpt" / "final.omck"),
+                          "--ranges", str(ranges), "--out", str(tmp_path / "db.omdb")],
+                "train": ["train", "--config", str(workspace / "config.kv"),
+                          "--data", str(ranges),
+                          "--labels", str(workspace / "labels.txt"),
+                          "--out", str(tmp_path / "ckpt")]}[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{rows} rows, the model expects 8" in err
+        assert not (tmp_path / "db.omdb").exists()
+        assert not (tmp_path / "ckpt" / "final.omck").exists()
 
     def test_non_numeric_label_is_2(self, workspace, tmp_path, capsys):
         labels = tmp_path / "labels.txt"

@@ -24,6 +24,26 @@ def test_demo_runs(script, args):
     assert proc.stdout.strip()
 
 
+# the model geometry `rangeloop train` writes for the script's config.kv
+WORKFLOW_MODEL_KV = """\
+h=8
+w=32
+stage=8,2,2
+stage=8,2,2
+stage=8,2,2
+spp_kernel=5
+spp_depth=3
+spp_mode=concat
+olm_blocks=1
+olm_e=0
+olm_n=2
+olm_conv_kernel=3
+vlad_k=2
+mlp_hidden=8
+out_dim=8
+"""
+
+
 def test_cli_workflow_script(tmp_path):
     """demos/cli_workflow.sh, unedited, end to end: a ``rangeloop`` shim first
     on PATH runs the CLI module from this checkout."""
@@ -40,3 +60,4 @@ def test_cli_workflow_script(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "workflow complete" in proc.stdout
     assert (tmp_path / "work" / "ckpt" / "final.omck").is_file()
+    assert (tmp_path / "work" / "ckpt" / "model.kv").read_text() == WORKFLOW_MODEL_KV

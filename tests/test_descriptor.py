@@ -126,6 +126,17 @@ class TestGdgForward:
         with pytest.raises(DegenerateInputError, match="zero"):
             gd.gdg_forward(T.Tensor(rng.standard_normal((1, 5, 4))), p)
 
+    def test_nan_token_flagged_not_finite(self):
+        # a NaN must not pass aggregation as a zero vector and leave the MLP
+        # as a finite descriptor built from its biases
+        rng = np.random.default_rng(42)
+        p = make_params(42, d=4, k=2, hidden=8, out=6)
+        p["gdg.mlp1.bias"].data[...] = 0.1
+        seq = rng.standard_normal((1, 5, 4))
+        seq[0, 2, 1] = np.nan
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            gd.gdg_forward(T.Tensor(seq), p)
+
     def test_different_seeds_still_unit_norm(self):
         rng_in = np.random.default_rng(0)
         seq = rng_in.standard_normal((2, 7, 5))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rangeloop import backbone as bb
 from rangeloop import io
 from rangeloop import pipeline as pl
 from rangeloop import tensor as tt
@@ -107,22 +108,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             pl.ModelConfig(**{key: value})
 
+    def test_empty_plan_is_stored_resolved(self):
+        assert pl.ModelConfig(h=16).stages == bb.default_stages(16)
+        assert pl.ModelConfig() == pl.ModelConfig(stages=bb.default_stages(64))
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "model.cfg"
-        pl.save_model_config(path, TOY)
-        back = pl.load_model_config(path)
+        io.save_kv(path, io.config_pairs(TOY))
+        back = io.config_from_pairs(pl.ModelConfig, io.load_kv_pairs(path))
         assert back.h == TOY.h and back.w == TOY.w
-        assert back.stages == tuple(pl.ModelConfig(h=16).backbone_config().stages)
+        assert back.stages == pl.ModelConfig(h=16).stages
         assert back.vlad_k == TOY.vlad_k
         assert back.out_dim == TOY.out_dim
         # explicit stages survive
-        assert back.backbone_config().stages == TOY.backbone_config().stages
+        assert back.stages == TOY.stages
 
     def test_config_file_stage_lines(self, tmp_path):
         path = tmp_path / "model.cfg"
-        pl.save_model_config(path, TOY)
+        io.save_kv(path, io.config_pairs(TOY))
         lines = [l for l in path.read_text().splitlines() if l.startswith("stage=")]
-        assert len(lines) == len(TOY.backbone_config().stages)
+        assert len(lines) == len(TOY.stages)
         assert all(len(l.split("=", 1)[1].split(",")) == 3 for l in lines)
 
     def test_config_rejects_unknown_key(self):

@@ -385,6 +385,11 @@ class TestL2NormalizeZeroRows:
         np.testing.assert_array_equal(y.data[1], [0.0, 0.0])
         np.testing.assert_array_equal(x.grad[1], [0.0, 0.0])
 
+    def test_nan_row_stays_nan(self):
+        y = T.l2_normalize(np.array([[np.nan, 1.0], [3.0, 4.0]]))
+        assert np.isnan(y.data[0]).all()
+        np.testing.assert_allclose(y.data[1], [0.6, 0.8], atol=1e-15)
+
 
 class TestTakeAlong:
     def test_one_node_whose_adjoint_scatters_to_source_rows(self):
