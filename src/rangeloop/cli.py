@@ -137,6 +137,7 @@ def cmd_train(args) -> int:
                               train_cfg.k_p, train_cfg.k_n, train_cfg.seed)
     if not tuples:
         raise ContractError("no training tuples survive the overlap threshold")
+    tr.check_inputs(tuples, images, model_cfg)
     params = pl.init_model(model_cfg, seed=train_cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     io.save_kv(os.path.join(args.out, "model.kv"), io.config_pairs(model_cfg))

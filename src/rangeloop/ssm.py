@@ -8,7 +8,9 @@ Production path: ``selective_ssm`` projects the token stream and calls
 ``selective_scan``, which fuses Euler discretization, the recurrence and the
 readout into one tape node with a hand-written reverse-time adjoint that
 recomputes states instead of storing them (the hardware-aware recipe of
-Mamba, Gu & Dao 2023, section 3.3).
+Mamba, Gu & Dao 2023, section 3.3).  It runs in cache-sized blocks of steps
+(``_SCAN_CHUNK`` steps, ``_SCAN_BLOCK_BYTES`` per work array) and writes
+every block into one set of work arrays allocated per call.
 
 Oracles, used by the tests and ``selfcheck`` and kept out of hot paths:
 ``discretize`` (Euler or zero-order hold) builds the (B, M, E, N) discrete
@@ -32,6 +34,7 @@ streams are (B, M, E).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -213,10 +216,13 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # fused selective scan
 
-# Steps per vectorised block of the fused scan.  Decay factors and input
-# injections are formed for one block at a time, so the largest temporary is
-# (B, _SCAN_CHUNK, E, N) however long the sequence is.
+# A block of the fused scan is at most _SCAN_CHUNK steps and at most
+# _SCAN_BLOCK_BYTES per (B, L, E, N) work array, so that a block's decay
+# factors, states and adjoints stay in a core's L2 cache: 8 steps at B = 1,
+# E = 512, N = 16, where the three arrays of a backward block take 1.5 MiB.
+# However long the sequence, no larger temporary is formed.
 _SCAN_CHUNK = 64
+_SCAN_BLOCK_BYTES = 1 << 19
 
 
 def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
@@ -229,12 +235,14 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
         h_m = exp(delta_m * a) * h_{m-1} + delta_m * x_m * b_m
         y_m = sum_n c_m * h_m + d * x_m
 
-    left to right in blocks of ``_SCAN_CHUNK`` steps; no (B, M, E, N) tensor
-    is kept.  While a tape records, only the state at each block boundary
-    is saved.  The backward runs the adjoint recurrence right to left,
-    lambda_m = c_m * gy_m + exp(delta_{m+1} * a) * lambda_{m+1}, recomputing
-    each block's states from its saved boundary state.  Same result as
-    ``discretize(mode="euler")`` followed by ``scan_sequential``.
+    left to right in blocks of ``_block_len`` steps.  Each call allocates one
+    set of block-sized work arrays (``_ScanBuffers``) and every block writes
+    into them, so no (B, M, E, N) tensor is formed and the per-step loop
+    makes no temporaries.  While a tape records, only the state at each block
+    boundary is saved.  The backward runs the adjoint recurrence right to
+    left, lambda_m = c_m * gy_m + exp(delta_{m+1} * a) * lambda_{m+1},
+    recomputing each block's states from its saved boundary state.  Same
+    result as ``discretize(mode="euler")`` followed by ``scan_sequential``.
     """
     x, delta, a, b, c, d = (tt.as_tensor(t) for t in (x, delta, a, b, c, d))
     if x.ndim != 3:
@@ -255,14 +263,16 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
 
     inputs = (x, delta, a, b, c, d)
     xd, dd, ad, bd, cd = x.data, delta.data, a.data, b.data, c.data
-    blocks = [slice(s, min(s + _SCAN_CHUNK, m)) for s in range(0, m, _SCAN_CHUNK)]
+    steps = _block_len(bsz, e, n)
+    blocks = [slice(s, min(s + steps, m)) for s in range(0, m, steps)]
+    bufs = _ScanBuffers(bsz, min(steps, m), e, n)
     saved = [] if tt._recording(inputs) else None
     y = xd * d.data
     h = np.zeros((bsz, e, n))
     for sl in blocks:
         if saved is not None:
             saved.append(h)
-        _, hs = _block_states(h, xd[:, sl], dd[:, sl], ad, bd[:, sl])
+        _, hs = _block_states(h, xd[:, sl], dd[:, sl], ad, bd[:, sl], bufs)
         y[:, sl] += np.einsum("blen,bln->ble", hs, cd[:, sl])
         h = hs[:, -1].copy()
 
@@ -273,19 +283,23 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
         ga = np.zeros_like(ad)
         gb = np.empty_like(bd)
         gc = np.empty_like(cd)
+        bufs = _ScanBuffers(bsz, min(steps, m), e, n)
         carry = np.zeros((bsz, e, n))  # exp(delta_{m+1} a) * lambda_{m+1}
         for sl, h0 in zip(reversed(blocks), reversed(saved)):
             xl, dl, bl, gyl = xd[:, sl], dd[:, sl], bd[:, sl], gy[:, sl]
-            decay, hs = _block_states(h0, xl, dl, ad, bl)
-            lam = gyl[..., None] * cd[:, sl, None, :]
+            decay, hs = _block_states(h0, xl, dl, ad, bl, bufs)
+            lam = bufs.view("lam", hs.shape)
+            np.einsum("ble,bln->blen", gyl, cd[:, sl], out=lam)
             for i in range(lam.shape[1] - 1, -1, -1):
                 lam[:, i] += carry
-                carry = decay[:, i] * lam[:, i]
+                np.multiply(decay[:, i], lam[:, i], out=carry)
             gc[:, sl] = np.einsum("blen,ble->bln", hs, gyl)
             # hs now holds h_{m-1}: d h_m / d(delta_m a) = exp(delta_m a) * h_{m-1}
             hs[:, 1:] = hs[:, :-1]
             hs[:, 0] = h0
-            dlogdecay = lam * decay * hs  # gradient w.r.t. delta_m * a
+            # gradient w.r.t. delta_m * a, written over the spent decay factors
+            dlogdecay = np.multiply(lam, decay, out=decay)
+            dlogdecay *= hs
             u = dl * xl
             gu = np.einsum("blen,bln->ble", lam, bl)
             gb[:, sl] = np.einsum("blen,ble->bln", lam, u)
@@ -297,15 +311,44 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
     return tt._make_out(y, inputs, fn)
 
 
-def _block_states(h0, x, delta, a, b):
+def _block_len(bsz: int, e: int, n: int) -> int:
+    """Steps per block: ``_SCAN_CHUNK``, or fewer where a (B, L, E, N) float64
+    block would pass ``_SCAN_BLOCK_BYTES``; at least one."""
+    return max(1, min(_SCAN_CHUNK, _SCAN_BLOCK_BYTES // (8 * bsz * e * n)))
+
+
+class _ScanBuffers:
+    """The work arrays of one scan pass, reused by each of its blocks.
+
+    Each is allocated flat for the longest block and handed out as a
+    C-contiguous view of the leading elements, so a block of L steps gets
+    exactly the layout a fresh (B, L, E, N) array would have, ragged last
+    block included, and the ufunc and einsum loops see the same strides.
+    """
+
+    def __init__(self, bsz: int, steps: int, e: int, n: int):
+        size = bsz * steps * e * n
+        self.flat = {"decay": np.empty(size), "hs": np.empty(size), "lam": np.empty(size),
+                     "dx": np.empty(bsz * steps * e)}
+        self.step = np.empty((bsz, e, n))  # one step's decay * state
+
+    def view(self, name: str, shape) -> np.ndarray:
+        return self.flat[name][:math.prod(shape)].reshape(shape)
+
+
+def _block_states(h0, x, delta, a, b, bufs: _ScanBuffers):
     """Decay factors and states of one block of steps, from the state h0
-    before it: both (B, L, E, N)."""
-    decay = delta[..., None] * a
+    before it: both (B, L, E, N) views into ``bufs``, valid until the next
+    block is formed there."""
+    bsz, length, e = x.shape
+    shape = (bsz, length, e, a.shape[1])
+    decay = np.einsum("ble,en->blen", delta, a, out=bufs.view("decay", shape))
     np.exp(decay, out=decay)
-    hs = (delta * x)[..., None] * b[:, :, None, :]
+    dx = np.multiply(delta, x, out=bufs.view("dx", x.shape))
+    hs = np.einsum("ble,bln->blen", dx, b, out=bufs.view("hs", shape))
     prev = h0
-    for i in range(hs.shape[1]):
-        hs[:, i] += decay[:, i] * prev
+    for i in range(length):
+        hs[:, i] += np.multiply(decay[:, i], prev, out=bufs.step)
         prev = hs[:, i]
     return decay, hs
 

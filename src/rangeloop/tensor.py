@@ -18,6 +18,11 @@ Design notes:
 * Hot kernels are one tape node each with a hand-written adjoint.  The two
   convolutions unfold their single conv axis (im2col) and make one GEMM;
   their backward is the transposed product plus a fold.
+* Activations are branch-free whole-array passes: the sigmoid is
+  exp(min(x, 0)) / (1 + exp(-|x|)) and the softplus max(x, 0) +
+  log1p(exp(-|x|)), so neither gathers by a sign mask nor overflows, and
+  neither warns on a finite input.  ``silu`` and the softplus adjoint use
+  that sigmoid.
 * Op protocol: an op computes its output and passes it, its inputs and its
   adjoint ``g -> (grad per input)`` to ``_make_out``, which records the node
   only while a tape records and grads can flow.  State only the adjoint needs
@@ -239,13 +244,27 @@ def exp(a) -> Tensor:
 def silu(a) -> Tensor:
     a = as_tensor(a)
     s = _sigmoid_np(a.data)
-    return _make_out(a.data * s, (a,), lambda g: (g * (s + a.data * s * (1.0 - s)),))
+    data = a.data * s
+
+    def fn(g):
+        # g * (s + x*s*(1 - s)), with x*s the output: one array, same bits
+        gx = np.subtract(1.0, s)
+        gx *= data
+        gx += s
+        gx *= g
+        return (gx,)
+
+    return _make_out(data, (a,), fn)
 
 
 def softplus(a) -> Tensor:
+    """log(1 + e^x) as max(x, 0) + log1p(e^-|x|): no overflow, x itself for
+    large x and 0 below about -745, with SIMD exp and log1p loops where
+    ``np.logaddexp(0, x)`` runs a scalar one.  Within 5e-16 relative of it."""
     a = as_tensor(a)
-    # log(1+e^x) == logaddexp(0, x); exact asymptote for large x, no overflow
-    data = np.logaddexp(0.0, a.data)
+    data = _exp_neg_abs(a.data)
+    np.log1p(data, out=data)
+    data += np.maximum(a.data, 0.0)
     return _make_out(data, (a,), lambda g: (g * _sigmoid_np(a.data),))
 
 
@@ -254,14 +273,30 @@ def relu(a) -> Tensor:
     return _make_out(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """e^-|x| as a new array, in (0, 1].  Its underflow to a subnormal or 0
+    (|x| above about 708) is the correct value, so it raises no warning."""
+    e = np.copysign(x, -1.0)
+    with np.errstate(under="ignore"):
+        return np.exp(e, out=e)
+
+
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x), stable on both tails."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x), stable on both tails: exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    That is 1/(1+e^-x) where x >= 0 (exp(0) is exactly 1) and e^x/(1+e^x)
+    where x < 0 (-|x| is x there), so each element gets the same operations
+    on the same values as evaluating the two sides on their own subsets, and
+    the same bits; NaN stays NaN.  Two exp passes cost less than a masked
+    divide, whose loop branches on each element's sign.
+    """
+    den = _exp_neg_abs(x)
+    den += 1.0
+    s = np.minimum(x, 0.0)
+    with np.errstate(under="ignore"):
+        np.exp(s, out=s)
+    s /= den
+    return s
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +513,8 @@ def conv_vertical(x, w, stride_h: int = 1) -> Tensor:
     # taps[j, i]: the input row that tap j reads for output row i
     taps = np.arange(k)[:, None] + stride_h * np.arange(h_out)[None, :]
     w2 = w.data.reshape(o, c * k)
-    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], h_out, x.shape[3]))
+    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], h_out, x.shape[3]),
+                      _channels_last(x.data))
 
     def fn(g):
         gy = _gemm_rows(g)
@@ -513,7 +549,7 @@ def conv1d_circular(x, w) -> Tensor:
     # taps[j, i]: the input position that tap j reads for output position i
     taps = (np.arange(m)[None, :] + r - np.arange(k)[:, None]) % m
     w2 = w.data.reshape(o, c * k)
-    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], m))
+    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], m), _channels_last(x.data))
 
     def fn(g):
         gy = _gemm_rows(g)
@@ -532,21 +568,53 @@ def conv1d_circular(x, w) -> Tensor:
 # output columns (edge tiles) but not across rows, so a column shift of the
 # input shifts the output bit for bit.  The backward rebuilds the unfold from
 # the input instead of keeping it alive on the tape.
+#
+# An input whose channels are innermost in memory (a mixing block's branch
+# stream, a transposed view of its (B, M, E) tokens) keeps that layout: its
+# unfold copies whole channel rows per tap, and its output is the GEMM result
+# itself, viewed as (B, O, ...), so the positions-by-channels product is not
+# transposed into a fresh array.  The values are the same either way; only
+# sums that later adjoints take over positions (a channel bias gradient, the
+# scan's skip gain) run in another order.
+
+
+_TRANSPOSE_BLOCK = 256  # positions per block of a transposing copy
+
+
+def _channels_last(x: np.ndarray) -> bool:
+    """Whether axis 1 of a ``(B, C, ...)`` array is its unit-stride axis."""
+    return x.shape[1] > 1 and x.strides[1] == x.itemsize
 
 
 def _unfold(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """im2col along axis 2 of a ``(B, C, ...)`` array: gather the ``(k, L)``
     index table ``taps`` there and lay the result out as rows
     ``(B, L, ...)`` by columns ``(C, k)``, the order of a reshaped kernel."""
+    c, (k, length) = x.shape[1], taps.shape
+    if _channels_last(x):
+        xt = np.moveaxis(x, 1, -1)
+        cols = np.empty((x.shape[0], length) + x.shape[3:] + (c, k))
+        for j in range(k):
+            cols[..., j] = np.take(xt, taps[j], axis=1)
+        return cols.reshape(-1, c * k)
     g = np.moveaxis(np.take(x, taps, axis=2), (1, 2), (-2, -1))
-    return g.reshape(-1, g.shape[-2] * g.shape[-1])
+    return g.reshape(-1, c * k)
 
 
-def _conv_gemm(cols: np.ndarray, w2: np.ndarray, lead) -> np.ndarray:
+def _conv_gemm(cols: np.ndarray, w2: np.ndarray, lead, channels_last: bool) -> np.ndarray:
     """``cols @ w2.T``, whose rows are the positions ``lead = (B, ...)``,
-    laid out as ``(B, O, ...)``."""
-    y = (cols @ w2.T).reshape(tuple(lead) + (w2.shape[0],))
-    return np.ascontiguousarray(np.moveaxis(y, -1, 1))
+    as ``(B, O, ...)``: a view of the product when ``channels_last``, else
+    C-contiguous."""
+    o = w2.shape[0]
+    y = (cols @ w2.T).reshape(lead[0], -1, o)
+    if channels_last:
+        return np.moveaxis(y.reshape(tuple(lead) + (o,)), -1, 1)
+    # a transposing copy in blocks of positions, which stay in cache: about a
+    # third of the time of one whole-array ``ascontiguousarray``
+    out = np.empty((lead[0], o, y.shape[1]))
+    for p in range(0, y.shape[1], _TRANSPOSE_BLOCK):
+        out[:, :, p:p + _TRANSPOSE_BLOCK] = y[:, p:p + _TRANSPOSE_BLOCK].transpose(0, 2, 1)
+    return out.reshape((lead[0], o) + tuple(lead[1:]))
 
 
 def _gemm_rows(g: np.ndarray) -> np.ndarray:
@@ -563,13 +631,19 @@ def maxpool1d_circular(x, k: int) -> Tensor:
     if k % 2 == 0:
         raise ConfigError(f"maxpool1d_circular window must be odd, got {k}")
     r = (k - 1) // 2
-    shifted = np.stack([np.roll(x.data, -d, axis=-1) for d in range(-r, r + 1)])
-    data = shifted.max(axis=0)
-    winner = np.argmax(shifted, axis=0) if _recording((x,)) else None
+    offsets = range(-r, r + 1)
+    # a running maximum over the window offsets in order: the same pairwise
+    # comparisons as a max over their stack, without the (k, ...) stack
+    data = np.roll(x.data, r, axis=-1)
+    for d in offsets[1:]:
+        np.maximum(data, np.roll(x.data, -d, axis=-1), out=data)
+    winner = None
+    if _recording((x,)):
+        winner = np.argmax(np.stack([np.roll(x.data, -d, axis=-1) for d in offsets]), axis=0)
 
     def fn(g):
         gx = np.zeros(x.shape)
-        for i, d in enumerate(range(-r, r + 1)):
+        for i, d in enumerate(offsets):
             gx += np.roll(np.where(winner == i, g, 0.0), d, axis=-1)
         return (gx,)
 

@@ -168,16 +168,9 @@ def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
     return f1max
 
 
-def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
-          cfg: TrainConfig, out_dir, max_steps: int = 0, log=None):
-    """Run the optimization and checkpoint every epoch.
-
-    tuples: TrainingTuple list; images: scan id -> RangeImage, each of
-    model_cfg.h rows (checked before anything is written).  max_steps
-    caps the total number of optimizer steps (0 means no cap).  Returns the
-    per-epoch reports and writes report.csv plus epoch checkpoints under
-    out_dir.
-    """
+def check_inputs(tuples, images, model_cfg: pl.ModelConfig) -> None:
+    """Raise unless there is a tuple and every scan a tuple names has a
+    range image of model_cfg.h rows; ``train`` runs this before it writes."""
     if not tuples:
         raise ContractError("training requires at least one tuple")
     for tup in tuples:
@@ -190,6 +183,19 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
                 raise ShapeError(
                     f"scan {i} has {images[i].h} rows, the model expects {model_cfg.h}"
                 )
+
+
+def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
+          cfg: TrainConfig, out_dir, max_steps: int = 0, log=None):
+    """Run the optimization and checkpoint every epoch.
+
+    tuples: TrainingTuple list; images: scan id -> RangeImage, each of
+    model_cfg.h rows (checked before anything is written).  max_steps
+    caps the total number of optimizer steps (0 means no cap).  Returns the
+    per-epoch reports and writes report.csv plus epoch checkpoints under
+    out_dir.
+    """
+    check_inputs(tuples, images, model_cfg)
     os.makedirs(out_dir, exist_ok=True)
     train_tuples, val_tuples = split_validation(tuples)
     adam = Adam(params, lr=cfg.lr)

@@ -358,6 +358,27 @@ class TestMalformedInputs:
         assert not (tmp_path / "db.omdb").exists()
         assert not (tmp_path / "ckpt" / "final.omck").exists()
 
+    @pytest.mark.parametrize("problem, message", [
+        ("rows", "9 rows, the model expects 8"), ("missing_scan", "which has no range image")])
+    def test_rejected_train_writes_nothing(self, workspace, tmp_path, capsys, problem, message):
+        ranges = tmp_path / "ranges"
+        ranges.mkdir()
+        for src in sorted((workspace / "ranges").iterdir()):
+            ri = io.load_range_image(src)
+            if problem == "rows":  # 9 rows for the workspace's 8-row model
+                ri = RangeImage(np.concatenate([ri.ranges, ri.ranges[:1]], axis=0),
+                                r_max=ri.r_max)
+            io.save_range_image(ranges / src.name, ri)
+        if problem == "missing_scan":
+            sorted(ranges.iterdir())[-1].unlink()
+        out = tmp_path / "ckpt"
+        assert main(["train", "--config", str(workspace / "config.kv"), "--data", str(ranges),
+                     "--labels", str(workspace / "labels.txt"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err
+        assert not out.exists()
+
     def test_non_numeric_label_is_2(self, workspace, tmp_path, capsys):
         labels = tmp_path / "labels.txt"
         labels.write_text("0 4 0.5\n1 five 0.5\n")

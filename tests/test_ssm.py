@@ -299,6 +299,66 @@ class TestSelectiveScan:
         rng = np.random.default_rng(42)
         check_grads(ssm.selective_scan, random_scan_inputs(rng, 2, m, 2, 3), rng)
 
+    def test_gradients_across_byte_capped_blocks(self, monkeypatch):
+        # 96 bytes per step at B=2, E=2, N=3: a 400-byte cap makes blocks of
+        # 4 steps, well under the 64-step cap, and 10 steps end in a block of 2
+        monkeypatch.setattr(ssm, "_SCAN_BLOCK_BYTES", 400)
+        assert ssm._block_len(2, 2, 3) == 4 < ssm._SCAN_CHUNK
+        rng = np.random.default_rng(42)
+        check_grads(ssm.selective_scan, random_scan_inputs(rng, 2, 10, 2, 3), rng)
+
+    def test_block_length_caps(self, monkeypatch):
+        assert ssm._block_len(2, 2, 3) == ssm._SCAN_CHUNK  # small: the step cap
+        assert ssm._block_len(1, 512, 16) * 8 * 512 * 16 <= ssm._SCAN_BLOCK_BYTES
+        monkeypatch.setattr(ssm, "_SCAN_BLOCK_BYTES", 8)
+        assert ssm._block_len(2, 2, 3) == 1  # never less than one step
+
+    @staticmethod
+    def _run(arrays, seed):
+        """Output and the six input gradients for the output gradient seed."""
+        inputs = [T.Tensor(v, requires_grad=True) for v in arrays]
+        with T.Tape() as tape:
+            y = ssm.selective_scan(*inputs)
+            loss = T.tsum(T.mul(y, T.Tensor(seed)))
+        T.backward(loss, tape)
+        return y.data, [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("m", [7, 70])
+    def test_batch_rows_equal_single_calls(self, m):
+        # each row of a batch of 3 is the single-row scan bit for bit; with
+        # the output gradient on one row only, so are all six gradients
+        rng = np.random.default_rng(42)
+        x, delta, a, b, c, d = random_scan_inputs(rng, 3, m, 3, 4)
+        proj = rng.standard_normal((3, m, 3))
+        y_batch = ssm.selective_scan(x, delta, a, b, c, d).data
+        for k in range(3):
+            row = [x[k:k + 1], delta[k:k + 1], a, b[k:k + 1], c[k:k + 1], d]
+            y1, grads1 = self._run(row, proj[k:k + 1])
+            assert np.array_equal(y_batch[k:k + 1], y1)
+            seed = np.zeros_like(proj)
+            seed[k] = proj[k]
+            _, grads = self._run([x, delta, a, b, c, d], seed)
+            for i in (0, 1, 3, 4):  # per-row inputs: row k, zeros elsewhere
+                assert np.array_equal(grads[i][k:k + 1], grads1[i])
+                assert not np.any(np.delete(grads[i], k, axis=0))
+            assert np.array_equal(grads[2], grads1[2])
+            assert np.array_equal(grads[5], grads1[5])
+
+    def test_consecutive_calls_share_nothing(self):
+        # work arrays are per call: a second scan on other inputs neither
+        # changes the first result nor is changed by it
+        rng = np.random.default_rng(42)
+        first = random_scan_inputs(rng, 2, 70, 3, 4)
+        other = random_scan_inputs(rng, 2, 70, 3, 4)
+        seed = rng.standard_normal((2, 70, 3))
+        y_a, g_a = self._run(first, seed)
+        kept = [y_a.copy()] + [g.copy() for g in g_a]
+        self._run(other, seed)
+        y_b, g_b = self._run(first, seed)
+        for want, got_a, got_b in zip(kept, [y_a] + g_a, [y_b] + g_b):
+            assert np.array_equal(got_a, want)
+            assert np.array_equal(got_b, want)
+
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(42)
         inputs = [T.Tensor(v, requires_grad=True)

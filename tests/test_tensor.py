@@ -117,6 +117,26 @@ class TestConv1dCircular:
         with pytest.raises(errors.ConfigError):
             T.conv1d_circular(T.Tensor(np.zeros((1, 1, 4))), T.Tensor(np.zeros((1, 1, 2))))
 
+    def test_channels_last_input_same_bits(self):
+        # a (B, C, M) view of (B, M, C) memory takes the row-copy unfold and
+        # returns the product without a transposing copy; values and
+        # gradients are those of the contiguous input
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((2, 6, 5))
+        w = rng.standard_normal((4, 6, 3))
+        g = rng.standard_normal((2, 4, 5))
+        outs = []
+        for xd in (x, np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)):
+            xt, wt = T.Tensor(xd, requires_grad=True), T.Tensor(w, requires_grad=True)
+            with T.Tape() as tape:
+                y = T.conv1d_circular(xt, wt)
+                loss = T.tsum(T.mul(y, T.Tensor(g)))
+            T.backward(loss, tape)
+            outs.append((y.data, xt.grad, wt.grad))
+        assert outs[1][0].strides[1] == 8  # channels stay innermost
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(42)
         for k in (1, 3, 5):
@@ -131,6 +151,19 @@ class TestConv1dCircular:
                         "oc,bc->bo", w[:, :, j], x[:, :, (m + r - j) % 7]
                     )
             np.testing.assert_allclose(out, want, atol=1e-12)
+
+
+class TestMaxpool1dCircular:
+    @pytest.mark.parametrize("m, k", [(9, 3), (9, 5), (2, 5), (1, 3)])
+    def test_equals_max_over_rolled_stack(self, m, k):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((2, 3, m))
+        x[0, 0, 0], x[1, 2, -1] = np.nan, -0.0
+        r = (k - 1) // 2
+        want = np.stack([np.roll(x, -d, axis=-1) for d in range(-r, r + 1)]).max(axis=0)
+        got = T.maxpool1d_circular(T.Tensor(x), k).data
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestActivations:
@@ -162,6 +195,76 @@ class TestActivations:
     def test_relu_halves_plane(self):
         out = T.relu(T.Tensor([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
+
+
+def _masked_sigmoid(x):
+    """The sigmoid as two masked halves, each evaluated on its own subset:
+    the oracle ``_sigmoid_np`` must equal bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _activation_grid(with_nonfinite=True):
+    special = np.array([0.0, 1e-300, 1.0, 710.0, 746.0, 800.0])
+    parts = [special, -special]
+    if with_nonfinite:
+        parts.append(np.array([np.inf, -np.inf, np.nan]))
+    rng = np.random.default_rng(42)
+    for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 800.0):
+        parts.append(rng.standard_normal(500) * scale)
+    return np.concatenate(parts)
+
+
+class TestStableActivations:
+    def test_sigmoid_equals_masked_halves_bit_for_bit(self):
+        x = _activation_grid()
+        with np.errstate(all="ignore"):
+            want = _masked_sigmoid(x)
+        got = T._sigmoid_np(x)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        finite = ~np.isnan(x)
+        assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+    def test_sigmoid_is_a_new_array(self):
+        x = np.array([-1.0, 0.0, 2.0])
+        s = T._sigmoid_np(x)
+        assert not np.shares_memory(s, x)
+        np.testing.assert_array_equal(x, [-1.0, 0.0, 2.0])
+
+    def test_softplus_matches_logaddexp(self):
+        x = _activation_grid()
+        got = T.softplus(T.Tensor(x)).data
+        with np.errstate(invalid="ignore"):
+            want = np.logaddexp(0.0, x)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        fin = np.isfinite(x)
+        rel = np.abs(got[fin] - want[fin]) / np.maximum(np.abs(want[fin]), np.finfo(float).tiny)
+        assert rel.max() < 5e-16
+        edges = np.array([800.0, -800.0, np.inf, -np.inf])
+        np.testing.assert_array_equal(T.softplus(T.Tensor(edges)).data,
+                                      [800.0, 0.0, np.inf, 0.0])
+
+    def test_no_floating_point_error_on_finite_inputs(self):
+        x = _activation_grid(with_nonfinite=False)
+        with np.errstate(all="raise"):
+            T._sigmoid_np(x)
+            T.softplus(T.Tensor(x))
+
+    def test_silu_gradient_formula(self):
+        x = _activation_grid(with_nonfinite=False)
+        g = np.random.default_rng(42).standard_normal(x.shape)
+        xt = T.Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.tsum(T.mul(T.silu(xt), T.Tensor(g)))
+        T.backward(loss, tape)
+        with np.errstate(all="ignore"):
+            s = _masked_sigmoid(x)
+            want = g * (s + x * s * (1.0 - s))
+        assert np.array_equal(xt.grad, want)
 
 
 class TestBackward:
