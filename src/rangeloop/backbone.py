@@ -68,8 +68,7 @@ def spp_forward(x: tt.Tensor, params: dict, cfg: ModelConfig) -> tt.Tensor:
             out = tt.add(out, lv)
         return out
     cat = tt.concat(levels, axis=1)
-    return tt.add_channel_bias(tt.conv1d_circular(cat, params["backbone.spp.weight"]),
-                               params["backbone.spp.bias"])
+    return tt.conv1d_circular(cat, params["backbone.spp.weight"], params["backbone.spp.bias"])
 
 
 def backbone_forward(x: tt.Tensor, params: dict, cfg: ModelConfig) -> tt.Tensor:
@@ -81,8 +80,8 @@ def backbone_forward(x: tt.Tensor, params: dict, cfg: ModelConfig) -> tt.Tensor:
     if x.shape[2] != cfg.h:
         raise ShapeError(f"range image has {x.shape[2]} rows, the model expects {cfg.h}")
     for i, (_, _, s) in enumerate(cfg.stages):
-        x = tt.conv_vertical(x, params[f"backbone.s{i}.weight"], stride_h=s)
-        x = tt.silu(tt.add_channel_bias(x, params[f"backbone.s{i}.bias"]))
+        x = tt.silu(tt.conv_vertical(x, params[f"backbone.s{i}.weight"],
+                                     params[f"backbone.s{i}.bias"], stride_h=s))
     bsz, c, _, m = x.shape
     seq = spp_forward(tt.reshape(x, (bsz, c, m)), params, cfg)
     return tt.transpose(seq, (0, 2, 1))

@@ -18,9 +18,10 @@ initialisers.  A block takes no configuration: its token width is the rows
 of its "lin_x.weight", and each scan reads its widths from its own tensors;
 ``olm_stack`` reads only the block count of the model's ``ModelConfig``.
 
-Per branch, the two hot kernels are one tape node each: the convolution is
-a single GEMM (``tensor.conv1d_circular``) and the scan is the fused
-``ssm.selective_scan``, so a branch records a few dozen nodes, not hundreds.
+Per branch, the hot kernels are one tape node each: the convolution and its
+bias are a single GEMM (``tensor.conv1d_circular``), each projection is one
+``tensor.linear`` and the scan is the fused ``ssm.selective_scan``, so a
+branch records under twenty nodes, not hundreds.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
         if name.startswith("backward"):
             xo = flip(xo)
         stream = tt.transpose(xo, (0, 2, 1))
-        stream = tt.conv1d_circular(stream, p(f"{name}.conv1d.weight"))
-        stream = tt.silu(tt.add_channel_bias(stream, p(f"{name}.conv1d.bias")))
+        stream = tt.silu(tt.conv1d_circular(stream, p(f"{name}.conv1d.weight"),
+                                            p(f"{name}.conv1d.bias")))
         xp = tt.transpose(stream, (0, 2, 1))
         yo = ssm.selective_ssm(xp, params, f"{prefix}.{name}")
         if name.startswith("backward"):

@@ -304,7 +304,7 @@ def load_place_ids(path) -> List[int]:
 def parse_kv_pairs(text: str) -> List[Tuple[str, str]]:
     """Ordered (key, value) pairs; keys may repeat (e.g. one stage per line)."""
     out: List[Tuple[str, str]] = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

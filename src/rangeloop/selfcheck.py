@@ -80,14 +80,16 @@ def check_autodiff_gradients() -> str:
     g = rng.standard_normal(4)
     b = rng.standard_normal(4)
     cw = rng.standard_normal((4, 4, 3)) * 0.3
+    lb = rng.standard_normal(4)
+    cb = rng.standard_normal(4)
 
-    def op(xt, wt, gt, bt, cwt):
+    def op(xt, wt, gt, bt, cwt, lbt, cbt):
         y = tt.layer_norm(xt, gt, bt)
-        y = tt.silu(tt.linear(y, wt))
-        y = tt.conv1d_circular(tt.transpose(y, (0, 2, 1)), cwt)
+        y = tt.silu(tt.linear(y, wt, lbt))
+        y = tt.conv1d_circular(tt.transpose(y, (0, 2, 1)), cwt, cbt)
         return tt.softmax(tt.transpose(y, (0, 2, 1)), axis=-1)
 
-    worst = _fd_scalar(op, [x, w, g, b, cw], tol=1e-4)
+    worst = _fd_scalar(op, [x, w, g, b, cw, lb, cb], tol=1e-4)
     return f"max rel err {worst:.2e}"
 
 

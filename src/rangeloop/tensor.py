@@ -10,14 +10,16 @@ Design notes:
   Gradients accumulate additively across fan-out and are never overwritten.
 * Broadcasting is deliberately restricted: elementwise binary ops accept equal
   shapes, a scalar operand, or a trailing bias vector ``(d,)`` against
-  ``(..., d)``.  Anything else raises ``ShapeError``; a per-channel bias on
-  axis 1 goes through ``add_channel_bias``.
+  ``(..., d)``.  Anything else raises ``ShapeError``; a layer's bias is an
+  argument of its ``linear`` or convolution, not a separate op.
 * Every reduction uses a fixed order, so results are reproducible bit-for-bit
   for a fixed thread count.  A caller that needs a reduction invariant to
   permutations at the bit level gathers its input into a canonical order.
-* Hot kernels are one tape node each with a hand-written adjoint.  The two
-  convolutions unfold their single conv axis (im2col) and make one GEMM;
-  their backward is the transposed product plus a fold.
+* Hot kernels are one tape node each with a hand-written adjoint, their bias
+  included.  ``linear`` is one GEMM over the flattened leading axes.  The two
+  convolutions share one node: unfold the single conv axis (im2col), one
+  GEMM and the bias; its backward is the transposed products, one fold over
+  the taps and the bias sum.
 * Activations are branch-free whole-array passes: the sigmoid is
   exp(min(x, 0)) / (1 + exp(-|x|)) and the softplus max(x, 0) +
   log1p(exp(-|x|)), so neither gathers by a sign mask nor overflows, and
@@ -303,15 +305,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 # contractions
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} vs {b.shape}")
-    return _make_out(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
 def einsum2(subscripts: str, a, b) -> Tensor:
     """Two-operand einsum whose gradient is again an einsum.
 
@@ -339,16 +332,34 @@ def einsum2(subscripts: str, a, b) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    """Affine map on the trailing axis: (..., d_in) @ (d_in, d_out) [+ bias]."""
+    """Affine map on the trailing axis: (..., d_in) @ (d_in, d_out) [+ a
+    (d_out,) bias].  One GEMM over the flattened leading axes."""
     x, w = as_tensor(x), as_tensor(w)
-    if x.shape[-1] != w.shape[0]:
+    if w.ndim != 2 or x.ndim == 0 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    lead = x.shape[:-1]
-    y = matmul(reshape(x, (-1, x.shape[-1])), w)
-    y = reshape(y, lead + (w.shape[1],))
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    data = (x2 @ w.data).reshape(x.shape[:-1] + (d_out,))
+    inputs = (x, w)
     if b is not None:
-        y = add(y, b)
-    return y
+        b = _bias(b, d_out, "linear", w.shape)
+        data += b.data
+        inputs += (b,)
+
+    def fn(g):
+        g2 = g.reshape(-1, d_out)
+        grads = ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2)
+        return grads if b is None else grads + (_unbroadcast(g, b.shape),)
+
+    return _make_out(data, inputs, fn)
+
+
+def _bias(b, d: int, op: str, w_shape) -> Tensor:
+    """``b`` as a Tensor; ``ShapeError`` unless it has shape ``(d,)``."""
+    b = as_tensor(b)
+    if b.shape != (d,):
+        raise ShapeError(f"{op}: bias {b.shape} does not match weight {w_shape}")
+    return b
 
 
 # --------------------------------------------------------------------------
@@ -418,16 +429,6 @@ def transpose(a, axes) -> Tensor:
     return _make_out(data, (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
-def add_channel_bias(x, b) -> Tensor:
-    """``x + b`` for a ``(C,)`` bias on axis 1 of a ``(B, C, ...)`` tensor."""
-    x, b = as_tensor(x), as_tensor(b)
-    if b.ndim != 1 or x.ndim < 2 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"channel bias {b.shape} does not match input {x.shape}")
-    data = x.data + b.data.reshape((1, -1) + (1,) * (x.ndim - 2))
-    others = (0,) + tuple(range(2, x.ndim))
-    return _make_out(data, (x, b), lambda g: (g, g.sum(axis=others)))
-
-
 def take_along(a, idx, axis: int) -> Tensor:
     """``np.take_along_axis``; the adjoint scatter-adds each gradient back to
     the position it was read from, so repeated indices accumulate."""
@@ -489,78 +490,47 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 # structured kernels
 
 
-def conv_vertical(x, w, stride_h: int = 1) -> Tensor:
-    """Height-only convolution: ``(B,C,H,W) * (O,C,k,1) -> (B,O,H',W)``.
+def conv_vertical(x, w, b=None, stride_h: int = 1) -> Tensor:
+    """Height-only convolution: ``(B,C,H,W) * (O,C,k,1) [+ b] -> (B,O,H',W)``.
 
     Width extent is untouched and output column j depends only on input
     column j, which is what keeps the backbone exactly shift-equivariant
     along the width axis.  One GEMM: the strided height taps, unfolded to
-    ``(B*H'*W, C*k)``, times the ``(C*k, O)`` kernel.
+    ``(B*H'*W, C*k)``, times the ``(C*k, O)`` kernel, plus the ``(O,)`` bias.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv_vertical expects 4-d operands, got {x.shape}, {w.shape}")
     if w.shape[3] != 1:
         raise ShapeError(f"conv_vertical kernel width must be 1, got {w.shape}")
-    if w.shape[1] != x.shape[1]:
-        raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
-    o, c, k = w.shape[:3]
-    h = x.shape[2]
+    k, h = w.shape[2], x.shape[2]
     if k > h:
         raise ConfigError(f"kernel height {k} exceeds input height {h}")
     h_out = (h - k) // stride_h + 1
-    span = stride_h * (h_out - 1) + 1
     # taps[j, i]: the input row that tap j reads for output row i
     taps = np.arange(k)[:, None] + stride_h * np.arange(h_out)[None, :]
-    w2 = w.data.reshape(o, c * k)
-    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], h_out, x.shape[3]),
-                      _channels_last(x.data))
-
-    def fn(g):
-        gy = _gemm_rows(g)
-        gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
-        gcols = (gy @ w2).reshape(g.shape[:1] + g.shape[2:] + (c, k))
-        gx = np.zeros(x.shape)
-        for j in range(k):
-            gx[:, :, j : j + span : stride_h, :] += np.moveaxis(gcols[..., j], -1, 1)
-        return gx, gw
-
-    return _make_out(data, (x, w), fn)
+    return _conv(x, w, b, taps, "conv_vertical")
 
 
-def conv1d_circular(x, w) -> Tensor:
-    """Circular 1-d convolution: ``(B,C,M) * (O,C,k) -> (B,O,M)``, k odd.
+def conv1d_circular(x, w, b=None) -> Tensor:
+    """Circular 1-d convolution: ``(B,C,M) * (O,C,k) [+ b] -> (B,O,M)``, k odd.
 
     True convolution (kernel flipped): y[m] = sum_j w[j] x[(m + r - j) mod M]
     with r = (k-1)/2, so a one-hot kernel at j=0 shifts the signal forward.
     One GEMM: the wrapped taps, unfolded to ``(B*M, C*k)``, times the
-    ``(C*k, O)`` kernel; the backward folds ``g @ W`` back with the same wrap.
+    ``(C*k, O)`` kernel, plus the ``(O,)`` bias; the backward folds ``g @ W``
+    back with the same wrap.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d_circular expects 3-d operands, got {x.shape}, {w.shape}")
-    if w.shape[1] != x.shape[1]:
-        raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
-    o, c, k = w.shape
+    k, m = w.shape[2], x.shape[2]
     if k % 2 == 0:
         raise ConfigError(f"conv1d_circular kernel length must be odd, got {k}")
-    m = x.shape[2]
     r = (k - 1) // 2
     # taps[j, i]: the input position that tap j reads for output position i
     taps = (np.arange(m)[None, :] + r - np.arange(k)[:, None]) % m
-    w2 = w.data.reshape(o, c * k)
-    data = _conv_gemm(_unfold(x.data, taps), w2, (x.shape[0], m), _channels_last(x.data))
-
-    def fn(g):
-        gy = _gemm_rows(g)
-        gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
-        gcols = (gy @ w2).reshape(x.shape[0], m, c, k)
-        gx = np.zeros((x.shape[0], m, c))
-        for j in range(k):
-            gx += np.roll(gcols[..., j], r - j, axis=1)
-        return gx.transpose(0, 2, 1), gw
-
-    return _make_out(data, (x, w), fn)
+    return _conv(x, w, b, taps, "conv1d_circular")
 
 
 # The unfolded GEMMs put every output position on its own row, as the
@@ -574,11 +544,52 @@ def conv1d_circular(x, w) -> Tensor:
 # unfold copies whole channel rows per tap, and its output is the GEMM result
 # itself, viewed as (B, O, ...), so the positions-by-channels product is not
 # transposed into a fresh array.  The values are the same either way; only
-# sums that later adjoints take over positions (a channel bias gradient, the
+# sums that later adjoints take over positions (the bias gradient, the
 # scan's skip gain) run in another order.
 
 
 _TRANSPOSE_BLOCK = 256  # positions per block of a transposing copy
+
+
+def _conv(x: Tensor, w: Tensor, b, taps: np.ndarray, op: str) -> Tensor:
+    """Both convolutions, along axis 2 of a ``(B, C, L, ...)`` input by an
+    ``(O, C, k, ...)`` kernel plus an optional ``(O,)`` bias: tap j of output
+    position i reads input position ``taps[j, i]``.  One tape node."""
+    if w.shape[1] != x.shape[1]:
+        raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {w.shape}")
+    o, c, (k, length) = w.shape[0], x.shape[1], taps.shape
+    rows = x.shape[:1] + (length,) + x.shape[3:]  # (B, L', ...): one per GEMM row
+    w2 = w.data.reshape(o, c * k)
+    y = _unfold(x.data, taps) @ w2.T
+    if _channels_last(x.data):
+        data = np.moveaxis(y.reshape(rows + (o,)), -1, 1)
+    else:
+        # a transposing copy in blocks of positions, which stay in cache:
+        # about a third of the time of one whole-array ``ascontiguousarray``
+        y = y.reshape(rows[0], -1, o)
+        data = np.empty((rows[0], o, y.shape[1]))
+        for p in range(0, y.shape[1], _TRANSPOSE_BLOCK):
+            data[:, :, p:p + _TRANSPOSE_BLOCK] = y[:, p:p + _TRANSPOSE_BLOCK].transpose(0, 2, 1)
+        data = data.reshape(rows[:1] + (o,) + rows[1:])
+    inputs = (x, w)
+    if b is not None:
+        b = _bias(b, o, op, w.shape)
+        data += b.data.reshape((1, o) + (1,) * (x.ndim - 2))
+        inputs += (b,)
+
+    def fn(g):
+        gy = np.moveaxis(g, 1, -1).reshape(-1, o)
+        gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
+        gcols = (gy @ w2).reshape(rows + (c, k))
+        # the fold, channels-last: each input position sums the taps that
+        # read it in ascending order; a tap reads no position twice
+        gx = np.zeros(x.shape[:1] + x.shape[2:] + (c,))
+        for j in range(k):
+            gx[:, taps[j]] += gcols[..., j]
+        grads = (np.moveaxis(gx, -1, 1), gw)
+        return grads if b is None else grads + (g.sum(axis=(0,) + tuple(range(2, g.ndim))),)
+
+    return _make_out(data, inputs, fn)
 
 
 def _channels_last(x: np.ndarray) -> bool:
@@ -599,27 +610,6 @@ def _unfold(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
         return cols.reshape(-1, c * k)
     g = np.moveaxis(np.take(x, taps, axis=2), (1, 2), (-2, -1))
     return g.reshape(-1, c * k)
-
-
-def _conv_gemm(cols: np.ndarray, w2: np.ndarray, lead, channels_last: bool) -> np.ndarray:
-    """``cols @ w2.T``, whose rows are the positions ``lead = (B, ...)``,
-    as ``(B, O, ...)``: a view of the product when ``channels_last``, else
-    C-contiguous."""
-    o = w2.shape[0]
-    y = (cols @ w2.T).reshape(lead[0], -1, o)
-    if channels_last:
-        return np.moveaxis(y.reshape(tuple(lead) + (o,)), -1, 1)
-    # a transposing copy in blocks of positions, which stay in cache: about a
-    # third of the time of one whole-array ``ascontiguousarray``
-    out = np.empty((lead[0], o, y.shape[1]))
-    for p in range(0, y.shape[1], _TRANSPOSE_BLOCK):
-        out[:, :, p:p + _TRANSPOSE_BLOCK] = y[:, p:p + _TRANSPOSE_BLOCK].transpose(0, 2, 1)
-    return out.reshape((lead[0], o) + tuple(lead[1:]))
-
-
-def _gemm_rows(g: np.ndarray) -> np.ndarray:
-    """A ``(B, O, ...)`` output gradient as the ``(B*..., O)`` GEMM rows."""
-    return np.moveaxis(g, 1, -1).reshape(-1, g.shape[1])
 
 
 def maxpool1d_circular(x, k: int) -> Tensor:

@@ -170,7 +170,8 @@ def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
 
 def check_inputs(tuples, images, model_cfg: pl.ModelConfig) -> None:
     """Raise unless there is a tuple and every scan a tuple names has a
-    range image of model_cfg.h rows; ``train`` runs this before it writes."""
+    range image of model_cfg.h rows and model_cfg.w columns; ``train`` runs
+    this before it writes."""
     if not tuples:
         raise ContractError("training requires at least one tuple")
     for tup in tuples:
@@ -179,18 +180,18 @@ def check_inputs(tuples, images, model_cfg: pl.ModelConfig) -> None:
                 raise ContractError(
                     f"tuple with query {tup.query} names scan {i}, which has no range image"
                 )
-            if images[i].h != model_cfg.h:
-                raise ShapeError(
-                    f"scan {i} has {images[i].h} rows, the model expects {model_cfg.h}"
-                )
+            for n, want, unit in ((images[i].h, model_cfg.h, "rows"),
+                                  (images[i].w, model_cfg.w, "columns")):
+                if n != want:
+                    raise ShapeError(f"scan {i} has {n} {unit}, the model expects {want}")
 
 
 def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
           cfg: TrainConfig, out_dir, max_steps: int = 0, log=None):
     """Run the optimization and checkpoint every epoch.
 
-    tuples: TrainingTuple list; images: scan id -> RangeImage, each of
-    model_cfg.h rows (checked before anything is written).  max_steps
+    tuples: TrainingTuple list; images: scan id -> RangeImage, each
+    model_cfg.h by model_cfg.w (checked before anything is written).  max_steps
     caps the total number of optimizer steps (0 means no cap).  Returns the
     per-epoch reports and writes report.csv plus epoch checkpoints under
     out_dir.

@@ -359,7 +359,9 @@ class TestMalformedInputs:
         assert not (tmp_path / "ckpt" / "final.omck").exists()
 
     @pytest.mark.parametrize("problem, message", [
-        ("rows", "9 rows, the model expects 8"), ("missing_scan", "which has no range image")])
+        ("rows", "9 rows, the model expects 8"), ("missing_scan", "which has no range image"),
+        ("columns_one", "scan 4 has 40 columns, the model expects 32"),
+        ("columns_all", "40 columns, the model expects 32")])
     def test_rejected_train_writes_nothing(self, workspace, tmp_path, capsys, problem, message):
         ranges = tmp_path / "ranges"
         ranges.mkdir()
@@ -367,6 +369,11 @@ class TestMalformedInputs:
             ri = io.load_range_image(src)
             if problem == "rows":  # 9 rows for the workspace's 8-row model
                 ri = RangeImage(np.concatenate([ri.ranges, ri.ranges[:1]], axis=0),
+                                r_max=ri.r_max)
+            if problem == "columns_all" or (problem == "columns_one"
+                                            and src.name == "range_0004.omrv"):
+                # 40 columns for the workspace's 32-column model
+                ri = RangeImage(np.concatenate([ri.ranges, ri.ranges[:, :8]], axis=1),
                                 r_max=ri.r_max)
             io.save_range_image(ranges / src.name, ri)
         if problem == "missing_scan":
@@ -387,6 +394,18 @@ class TestMalformedInputs:
         assert main(["eval-loop", "--db", str(workspace / "db.omdb"),
                      "--poses", str(workspace / "world" / "poses.txt"),
                      "--labels", str(labels), "--protocol", str(proto)]) == 2
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("sep", ["\x85", "\u2028"])
+    def test_setting_line_ends_only_at_newline_is_2(self, workspace, tmp_path, capsys, sep):
+        # split at sep, this would read as two valid settings
+        proto = tmp_path / "loop.kv"
+        proto.write_bytes(f"kind=loop_closure\nwindow=3{sep}distance_threshold=7.5\n"
+                          .encode("utf-8"))
+        assert main(["eval-loop", "--db", str(workspace / "db.omdb"),
+                     "--poses", str(workspace / "world" / "poses.txt"),
+                     "--labels", str(workspace / "labels.txt"),
+                     "--protocol", str(proto)]) == 2
         self._assert_one_line_error(capsys)
 
     def test_non_numeric_pose_is_2(self, workspace, tmp_path, capsys):

@@ -267,6 +267,17 @@ class TestKeyValueConfig:
         with pytest.raises(ContractError):
             io.parse_kv_pairs("just a line\n")
 
+    # separators that str.splitlines breaks at and a "\n" split does not
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_lines_end_only_at_newlines(self, tmp_path, sep):
+        text = f"epochs=1{sep}k_p=2\n"
+        assert io.parse_kv_pairs(text) == [("epochs", f"1{sep}k_p=2")]
+        path = tmp_path / "train.kv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ContractError, match="bad value for epochs"):
+            io.config_from_pairs(TrainConfig, io.load_kv_pairs(path))
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
         io.save_kv(path, {"loss": "triplet", "alpha": 0.25})

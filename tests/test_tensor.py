@@ -9,28 +9,64 @@ from rangeloop import tensor as T
 from rangeloop.optim import Adam
 
 
-class TestMatmul:
+def _taped(op, arrays, g):
+    """op's output and every input's gradient for the loss sum(op(...) * g),
+    with the number of nodes op itself recorded."""
+    inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    with T.Tape() as tape:
+        y = op(*inputs)
+        nodes = len(tape)
+        loss = T.tsum(T.mul(y, T.Tensor(g)))
+    T.backward(loss, tape)
+    return y.data, [t.grad for t in inputs], nodes
+
+
+class TestLinear:
     def test_identity(self):
-        eye = T.Tensor(np.eye(2))
         m = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(T.matmul(eye, m).data, m.data)
+        np.testing.assert_array_equal(T.linear(m, T.Tensor(np.eye(2))).data, m.data)
 
     def test_hand_dot(self):
         a = T.Tensor([[1.0, 2.0]])
         b = T.Tensor([[3.0], [4.0]])
-        np.testing.assert_array_equal(T.matmul(a, b).data, [[11.0]])
+        np.testing.assert_array_equal(T.linear(a, b).data, [[11.0]])
 
     def test_zero_annihilates(self):
         rng = np.random.default_rng(42)
         z = T.Tensor(np.zeros((2, 3)))
         r = T.Tensor(rng.standard_normal((3, 4)))
-        np.testing.assert_array_equal(T.matmul(z, r).data, np.zeros((2, 4)))
+        np.testing.assert_array_equal(T.linear(z, r).data, np.zeros((2, 4)))
 
     def test_shape_mismatch_names_both_shapes(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((4, 5)))
         with pytest.raises(errors.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            T.matmul(a, b)
+            T.linear(a, b)
+
+    def test_rejects_mismatched_bias(self):
+        with pytest.raises(errors.ShapeError, match=r"bias \(3,\)"):
+            T.linear(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(3))
+
+    def test_one_node_equal_to_gemm_plus_bias_bitwise(self):
+        # the composition linear was before it became one node: reshape,
+        # GEMM, reshape and a trailing-bias add, each with its own adjoint
+        rng = np.random.default_rng(42)
+        for lead in ((5,), (2, 3), (3, 1, 2)):
+            x = rng.standard_normal(lead + (4,))
+            w = rng.standard_normal((4, 6))
+            b = rng.standard_normal(6)
+            g = rng.standard_normal(lead + (6,))
+            y, (gx, gw, gb), nodes = _taped(T.linear, [x, w, b], g)
+            assert nodes == 1
+            x2, g2 = x.reshape(-1, 4), g.reshape(-1, 6)
+            assert np.array_equal(y, (x2 @ w).reshape(lead + (6,)) + b)
+            assert np.array_equal(gx, (g2 @ w.T).reshape(x.shape))
+            assert np.array_equal(gw, x2.T @ g2)
+            assert np.array_equal(gb, g.sum(axis=tuple(range(len(lead)))))
+            y0, (gx0, gw0), nodes = _taped(T.linear, [x, w], g)
+            assert nodes == 1
+            assert np.array_equal(y0, (x2 @ w).reshape(lead + (6,)))
+            assert np.array_equal(gx0, gx) and np.array_equal(gw0, gw)
 
 
 class TestConvVertical:
@@ -361,7 +397,7 @@ class TestGradientChecks:
     def test_contractions(self):
         rng = np.random.default_rng(42)
         check_grads(
-            T.matmul, [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))], rng
+            T.linear, [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))], rng
         )
         check_grads(
             lambda a, b: T.einsum2("ij,jk->ik", a, b),
@@ -431,12 +467,6 @@ class TestGradientChecks:
         check_grads(lambda t: T.take_along(t, order, axis=1), [x], rng)
         repeats = np.array([[[2], [0], [2]]])  # row 2 read twice, row 1 never
         check_grads(lambda t: T.take_along(t, repeats, axis=1), [x], rng)
-        check_grads(T.add_channel_bias, [x, rng.standard_normal(4)], rng)
-        check_grads(
-            T.add_channel_bias,
-            [rng.standard_normal((2, 3, 4, 5)), rng.standard_normal(3)],
-            rng,
-        )
 
     def test_structured_kernels(self):
         rng = np.random.default_rng(42)
@@ -462,6 +492,18 @@ class TestGradientChecks:
         )
         x = rng.permutation(42).astype(float).reshape(2, 3, 7) * 0.11
         check_grads(lambda t: T.maxpool1d_circular(t, 3), [x], rng)
+        check_grads(
+            lambda x, w, b: T.conv_vertical(x, w, b, stride_h=2),
+            [rng.standard_normal((2, 3, 6, 4)), rng.standard_normal((4, 3, 2, 1)),
+             rng.standard_normal(4)],
+            rng,
+        )
+        check_grads(
+            T.conv1d_circular,
+            [rng.standard_normal((2, 3, 8)), rng.standard_normal((4, 3, 3)),
+             rng.standard_normal(4)],
+            rng,
+        )
 
     def test_normalizers(self):
         rng = np.random.default_rng(42)
@@ -518,18 +560,66 @@ class TestTakeAlong:
         np.testing.assert_array_equal(x.grad[0], [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
 
-class TestAddChannelBias:
-    def test_matches_explicit_broadcast_bitwise(self):
-        rng = np.random.default_rng(42)
-        for shape in ((2, 3, 5), (2, 3, 4, 5)):
-            x = rng.standard_normal(shape)
-            b = rng.standard_normal(3)
-            want = x + np.broadcast_to(b.reshape((1, 3) + (1,) * (len(shape) - 2)), shape)
-            np.testing.assert_array_equal(T.add_channel_bias(x, b).data, want)
+def _vertical_taps(k, h, stride):
+    h_out = (h - k) // stride + 1
+    return np.arange(k)[:, None] + stride * np.arange(h_out)[None, :]
 
-    def test_rejects_mismatched_channels(self):
-        with pytest.raises(errors.ShapeError):
-            T.add_channel_bias(np.zeros((2, 3, 5)), np.zeros(5))
+
+def _circular_taps(k, m):
+    return (np.arange(m)[None, :] + (k - 1) // 2 - np.arange(k)[:, None]) % m
+
+
+class TestConvBias:
+    """A convolution's bias is part of its one node.  The oracle is the
+    composition the node replaced, in numpy on a channels-first input: the
+    unfolded GEMM, its transposed products, a fold that adds the taps in
+    ascending order, and a separate broadcast bias whose gradient sums the
+    output gradient over every axis but the channels."""
+
+    CASES = {  # op, x shape, w shape, tap table
+        "conv_vertical-s1": (lambda x, w, b=None: T.conv_vertical(x, w, b, stride_h=1),
+                             (2, 3, 6, 5), (4, 3, 3, 1), _vertical_taps(3, 6, 1)),
+        "conv_vertical-s2": (lambda x, w, b=None: T.conv_vertical(x, w, b, stride_h=2),
+                             (2, 3, 6, 5), (4, 3, 2, 1), _vertical_taps(2, 6, 2)),
+        "conv1d_circular": (T.conv1d_circular, (2, 3, 7), (4, 3, 3), _circular_taps(3, 7)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_node_equal_to_conv_plus_bias_bitwise(self, name):
+        op, x_shape, w_shape, taps = self.CASES[name]
+        rng = np.random.default_rng(42)
+        x, w, b = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(4)
+        y_shape = (2, 4) + taps.shape[1:] + x_shape[3:]
+        g = rng.standard_normal(y_shape)
+        y, (gx, gw, gb), nodes = _taped(op, [x, w, b], g)
+        y0, (gx0, gw0), nodes0 = _taped(op, [x, w], g)
+        assert nodes == nodes0 == 1
+
+        k = taps.shape[0]
+        w2 = w.reshape(4, 3 * k)
+        cols = np.moveaxis(np.take(x, taps, axis=2), (1, 2), (-2, -1)).reshape(-1, 3 * k)
+        rows = np.moveaxis(g, 1, -1).shape[:-1]
+        want_y0 = np.moveaxis((cols @ w2.T).reshape(rows + (4,)), -1, 1)
+        gy = np.moveaxis(g, 1, -1).reshape(-1, 4)
+        gcols = (gy @ w2).reshape(rows + (3, k))
+        want_gx = np.zeros(x_shape)
+        for j in range(k):
+            want_gx[:, :, taps[j]] += np.moveaxis(gcols[..., j], -1, 1)
+        tail = (1,) * (len(y_shape) - 2)
+
+        assert np.array_equal(y0, want_y0)
+        assert np.array_equal(y, y0 + np.broadcast_to(b.reshape((1, 4) + tail), y_shape))
+        for got in (gx, gx0):
+            assert np.array_equal(got, want_gx)
+        for got in (gw, gw0):
+            assert np.array_equal(got, (gy.T @ cols).reshape(w_shape))
+        assert np.array_equal(gb, g.sum(axis=(0,) + tuple(range(2, len(y_shape)))))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rejects_mismatched_bias(self, name):
+        op, x_shape, w_shape, _ = self.CASES[name]
+        with pytest.raises(errors.ShapeError, match=r"bias \(3,\)"):
+            op(np.zeros(x_shape), np.zeros(w_shape), np.zeros(3))
 
 
 class TestLayerNorm:

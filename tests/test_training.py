@@ -13,7 +13,7 @@ from rangeloop import pipeline as pl
 from rangeloop.selfcheck import _loss_selection
 from rangeloop import tensor as tt
 from rangeloop import training as tr
-from rangeloop.errors import ConfigError, ContractError, DegenerateInputError
+from rangeloop.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from rangeloop.rangeview import RangeImage, TrainingTuple
 
 
@@ -302,26 +302,37 @@ class TestTrainLoop:
         for n, t in params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
+    @staticmethod
+    def _assert_same_float64_params(a, b):
+        # a float32 checkpoint can hide a difference in the last float64 bits
+        assert sorted(a) == sorted(b)
+        for name in a:
+            assert np.array_equal(a[name].data, b[name].data), name
+
     def test_same_seed_same_trajectory(self, tmp_path):
         tuples, images = _toy_dataset()
         cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=2, seed=3)
-        reports = []
+        reports, runs = [], []
         for run in range(2):
             params = pl.init_model(TOY, seed=42)
             reports.append(tr.train(tuples, images, params, TOY, cfg,
                                     tmp_path / f"run{run}"))
+            runs.append(params)
         assert [r.mean_loss for r in reports[0]] == [r.mean_loss for r in reports[1]]
+        self._assert_same_float64_params(*runs)
 
     def test_checkpoints_bit_identical_across_runs(self, tmp_path):
         tuples, images = _toy_dataset()
         cfg = tr.TrainConfig(loss="triplet", lr=1e-4, epochs=1, seed=3)
-        blobs = []
+        blobs, runs = [], []
         for run in range(2):
             params = pl.init_model(TOY, seed=42)
             out = tmp_path / f"run{run}"
             tr.train(tuples, images, params, TOY, cfg, out)
             blobs.append((out / "final.omck").read_bytes())
+            runs.append(params)
         assert blobs[0] == blobs[1]
+        self._assert_same_float64_params(*runs)
 
     def test_report_csv_schema(self, tmp_path):
         tuples, images = _toy_dataset()
@@ -362,6 +373,18 @@ class TestTrainLoop:
         params = pl.init_model(TOY, seed=42)
         cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=1, seed=3)
         with pytest.raises(ContractError, match="query 1 names scan 99"):
+            tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("widened", [(4,), (0, 1, 2, 3, 4, 5)], ids=["one", "all"])
+    def test_image_width_other_than_model_rejected(self, tmp_path, widened):
+        tuples, images = _toy_dataset()
+        for i in widened:  # 30 columns for the model's 24
+            images[i] = RangeImage(np.concatenate([images[i].ranges, images[i].ranges[:, :6]],
+                                                  axis=1), r_max=50.0)
+        params = pl.init_model(TOY, seed=42)
+        cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=1, seed=3)
+        with pytest.raises(ShapeError, match="has 30 columns, the model expects 24"):
             tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
