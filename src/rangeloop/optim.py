@@ -29,9 +29,17 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # two scratch arrays for the largest parameter, viewed in each one's
+        # shape: a step allocates nothing and keeps no second copy of the model
+        size = max((p.data.size for p in self.params.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self) -> None:
-        """Apply one update from accumulated grads, then zero the grads."""
+        """Apply one update from accumulated grads, then zero the grads.
+
+        In place, in the order of the expression
+        ``p -= lr * (m / c1) / (sqrt(v / c2) + EPS)``, so the result is the
+        same bit for bit as evaluating it with temporaries."""
         missing = [k for k in sorted(self.params) if self.params[k].grad is None]
         if missing:
             raise ContractError(f"adam step with no gradient for parameter {missing[0]!r}")
@@ -41,15 +49,19 @@ class Adam:
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
+            num, den = (w[:m.size].reshape(m.shape) for w in self._scratch)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(1.0 - BETA1, g, out=num)
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            mhat = m / c1
-            vhat = v / c2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+            np.multiply(g, g, out=den)
+            v += np.multiply(1.0 - BETA2, den, out=den)
+            np.divide(m, c1, out=num)
+            num *= self.lr  # lr * mhat
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += EPS
+            p.data -= np.divide(num, den, out=num)
         self.zero_grad()
 
     def zero_grad(self) -> None:

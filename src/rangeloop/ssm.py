@@ -10,7 +10,13 @@ readout into one tape node with a hand-written reverse-time adjoint that
 recomputes states instead of storing them (the hardware-aware recipe of
 Mamba, Gu & Dao 2023, section 3.3).  It runs in cache-sized blocks of steps
 (``_SCAN_CHUNK`` steps, ``_SCAN_BLOCK_BYTES`` per work array) and writes
-every block into one set of work arrays allocated per call.
+every block into one set of work arrays allocated per call.  Those arrays
+are step-major and state-major, (L, B, N, E): the widened channel E (64 or
+512) is the unit-stride axis, so every elementwise product and contraction
+runs inner loops along E instead of along the N = 4 or 16 states, and each
+step's (B, N, E) state, which the recurrence reads and writes, is one
+contiguous run.  Mamba's scan makes the same point: its state expansion
+is fast only when laid out in memory to suit the hardware.
 
 Oracles, used by the tests and ``selfcheck`` and kept out of hot paths:
 ``discretize`` (Euler or zero-order hold) builds the (B, M, E, N) discrete
@@ -28,8 +34,10 @@ and Mamba's starting point: A_n = -n, unit skip, and step sizes
 softplus-landed in [1e-3, 1e-1].
 
 Shapes: state matrices are diagonal, so A is carried as an (E, N) table of
-per-channel/state scalars.  Discrete operators are (B, M, E, N); token
-streams are (B, M, E).
+per-channel/state scalars.  The oracles' discrete operators are
+(B, M, E, N); token streams are (B, M, E).  Only the fused scan's internal
+work arrays are laid out (L, B, N, E); its inputs, output and gradients
+have the caller's shapes.
 """
 
 from __future__ import annotations
@@ -217,7 +225,7 @@ def causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # fused selective scan
 
 # A block of the fused scan is at most _SCAN_CHUNK steps and at most
-# _SCAN_BLOCK_BYTES per (B, L, E, N) work array, so that a block's decay
+# _SCAN_BLOCK_BYTES per (L, B, N, E) work array, so that a block's decay
 # factors, states and adjoints stay in a core's L2 cache: 8 steps at B = 1,
 # E = 512, N = 16, where the three arrays of a backward block take 1.5 MiB.
 # However long the sequence, no larger temporary is formed.
@@ -235,14 +243,20 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
         h_m = exp(delta_m * a) * h_{m-1} + delta_m * x_m * b_m
         y_m = sum_n c_m * h_m + d * x_m
 
-    left to right in blocks of ``_block_len`` steps.  Each call allocates one
-    set of block-sized work arrays (``_ScanBuffers``) and every block writes
-    into them, so no (B, M, E, N) tensor is formed and the per-step loop
-    makes no temporaries.  While a tape records, only the state at each block
+    left to right in blocks of ``_block_len`` steps.  The work runs
+    step-major and state-major: the kernel reads ``a`` once as an (N, E)
+    table, x and delta through (M, B, E) views (``_step_major``) and b and c
+    as small step-major copies, and each block's work arrays are
+    (L, B, N, E), so every product and contraction runs along the widened
+    channel E and each step's (B, N, E) state is contiguous.  Each call
+    allocates one set of block-sized work arrays (``_ScanBuffers``) and
+    every block writes into them, so no (B, M, E, N) tensor is formed and
+    the per-step loop makes no temporaries.  While a tape records, only the state at each block
     boundary is saved.  The backward runs the adjoint recurrence right to
     left, lambda_m = c_m * gy_m + exp(delta_{m+1} * a) * lambda_{m+1},
-    recomputing each block's states from its saved boundary state.  Same
-    result as ``discretize(mode="euler")`` followed by ``scan_sequential``.
+    recomputing each block's states from its saved boundary state, and
+    returns every gradient in its input's shape.  Same result as
+    ``discretize(mode="euler")`` followed by ``scan_sequential``.
     """
     x, delta, a, b, c, d = (tt.as_tensor(t) for t in (x, delta, a, b, c, d))
     if x.ndim != 3:
@@ -262,58 +276,73 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
         raise ContractError("step sizes must be strictly positive")
 
     inputs = (x, delta, a, b, c, d)
-    xd, dd, ad, bd, cd = x.data, delta.data, a.data, b.data, c.data
+    # C-contiguous operands fix every contraction's summation order by the
+    # shapes alone, whatever the caller's layout; a no-op for a block's tokens.
+    # The small (B, M, N) maps are copied step-major, so that their einsums
+    # also read contiguous blocks.
+    xd, dd = (np.ascontiguousarray(t.data) for t in (x, delta))
+    xs, ds = _step_major(xd), _step_major(dd)
+    bs, cs = (np.ascontiguousarray(_step_major(t.data)) for t in (b, c))
+    at = np.ascontiguousarray(a.data.T)
     steps = _block_len(bsz, e, n)
     blocks = [slice(s, min(s + steps, m)) for s in range(0, m, steps)]
     bufs = _ScanBuffers(bsz, min(steps, m), e, n)
     saved = [] if tt._recording(inputs) else None
     y = xd * d.data
-    h = np.zeros((bsz, e, n))
+    ys = _step_major(y)
+    h = np.zeros((bsz, n, e))
     for sl in blocks:
         if saved is not None:
             saved.append(h)
-        _, hs = _block_states(h, xd[:, sl], dd[:, sl], ad, bd[:, sl], bufs)
-        y[:, sl] += np.einsum("blen,bln->ble", hs, cd[:, sl])
-        h = hs[:, -1].copy()
+        _, hs = _block_states(h, xs[sl], ds[sl], at, bs[sl], bufs)
+        ys[sl] += np.einsum("lbne,lbn->lbe", hs, cs[sl])
+        h = hs[-1].copy()
 
     def fn(gy):
+        gy = np.ascontiguousarray(gy)
         gx = gy * d.data
         gd = np.einsum("bme,bme->e", gy, xd)
-        gdelta = np.empty_like(dd)
-        ga = np.zeros_like(ad)
-        gb = np.empty_like(bd)
-        gc = np.empty_like(cd)
+        gdelta, gb, gc = np.empty(x.shape), np.empty(b.shape), np.empty(c.shape)
+        gat = np.zeros((n, e))
+        gys, gxs, gds, gbs, gcs = (_step_major(v) for v in (gy, gx, gdelta, gb, gc))
         bufs = _ScanBuffers(bsz, min(steps, m), e, n)
-        carry = np.zeros((bsz, e, n))  # exp(delta_{m+1} a) * lambda_{m+1}
+        carry = np.zeros((bsz, n, e))  # exp(delta_{m+1} a) * lambda_{m+1}
         for sl, h0 in zip(reversed(blocks), reversed(saved)):
-            xl, dl, bl, gyl = xd[:, sl], dd[:, sl], bd[:, sl], gy[:, sl]
-            decay, hs = _block_states(h0, xl, dl, ad, bl, bufs)
-            lam = bufs.view("lam", hs.shape)
-            np.einsum("ble,bln->blen", gyl, cd[:, sl], out=lam)
-            for i in range(lam.shape[1] - 1, -1, -1):
-                lam[:, i] += carry
-                np.multiply(decay[:, i], lam[:, i], out=carry)
-            gc[:, sl] = np.einsum("blen,ble->bln", hs, gyl)
-            # hs now holds h_{m-1}: d h_m / d(delta_m a) = exp(delta_m a) * h_{m-1}
-            hs[:, 1:] = hs[:, :-1]
-            hs[:, 0] = h0
-            # gradient w.r.t. delta_m * a, written over the spent decay factors
-            dlogdecay = np.multiply(lam, decay, out=decay)
-            dlogdecay *= hs
+            xl, dl, bl, gyl = xs[sl], ds[sl], bs[sl], gys[sl]
+            decay, hs = _block_states(h0, xl, dl, at, bl, bufs)
+            lam = np.einsum("lbn,lbe->lbne", cs[sl], gyl, out=bufs.view("lam", hs.shape))
+            # each step's carry is formed over its spent decay factor, so the
+            # block ends holding lambda_m * exp(delta_m a) at every step
+            for dec, lm in zip(decay[::-1], lam[::-1]):
+                lm += carry
+                carry = np.multiply(dec, lm, out=dec)
+            carry = carry.copy()
+            np.einsum("lbne,lbe->lbn", hs, gyl, out=gcs[sl])
+            # times h_{m-1}, that is the gradient w.r.t. delta_m * a
+            dlogdecay = decay
+            dlogdecay[1:] *= hs[:-1]
+            dlogdecay[0] *= h0
             u = dl * xl
-            gu = np.einsum("blen,bln->ble", lam, bl)
-            gb[:, sl] = np.einsum("blen,ble->bln", lam, u)
-            gx[:, sl] += gu * dl
-            gdelta[:, sl] = gu * xl + np.einsum("blen,en->ble", dlogdecay, ad)
-            ga += np.einsum("blen,ble->en", dlogdecay, dl)
-        return gx, gdelta, ga, gb, gc, gd
+            gu = np.einsum("lbne,lbn->lbe", lam, bl)
+            np.einsum("lbne,lbe->lbn", lam, u, out=gbs[sl])
+            gxs[sl] += gu * dl
+            np.einsum("lbne,ne->lbe", dlogdecay, at, out=gds[sl])
+            gds[sl] += gu * xl
+            gat += np.einsum("lbne,lbe->ne", dlogdecay, dl)
+        return gx, gdelta, gat.T, gb, gc, gd
 
     return tt._make_out(y, inputs, fn)
 
 
+def _step_major(v: np.ndarray) -> np.ndarray:
+    """The (M, B, .) view of a (B, M, .) array: a block of steps is a leading
+    slice, contiguous when B = 1 and the array is."""
+    return v.transpose(1, 0, 2)
+
+
 def _block_len(bsz: int, e: int, n: int) -> int:
-    """Steps per block: ``_SCAN_CHUNK``, or fewer where a (B, L, E, N) float64
-    block would pass ``_SCAN_BLOCK_BYTES``; at least one."""
+    """Steps per block: ``_SCAN_CHUNK``, or fewer where an (L, B, N, E)
+    float64 block would pass ``_SCAN_BLOCK_BYTES``; at least one."""
     return max(1, min(_SCAN_CHUNK, _SCAN_BLOCK_BYTES // (8 * bsz * e * n)))
 
 
@@ -322,34 +351,38 @@ class _ScanBuffers:
 
     Each is allocated flat for the longest block and handed out as a
     C-contiguous view of the leading elements, so a block of L steps gets
-    exactly the layout a fresh (B, L, E, N) array would have, ragged last
-    block included, and the ufunc and einsum loops see the same strides.
+    exactly the layout a fresh (L, B, N, E) array would have, ragged last
+    block included: E is the unit-stride axis, so the ufunc and einsum loops
+    run along the widened channel (64 or 512) and not the N = 4 or 16
+    states, and each step's (B, N, E) slice is one contiguous run.
     """
 
     def __init__(self, bsz: int, steps: int, e: int, n: int):
-        size = bsz * steps * e * n
+        size = bsz * steps * n * e
         self.flat = {"decay": np.empty(size), "hs": np.empty(size), "lam": np.empty(size),
-                     "dx": np.empty(bsz * steps * e)}
-        self.step = np.empty((bsz, e, n))  # one step's decay * state
+                     "dx": np.empty(steps * bsz * e)}
+        self.step = np.empty((bsz, n, e))  # one step's decay * state
 
     def view(self, name: str, shape) -> np.ndarray:
         return self.flat[name][:math.prod(shape)].reshape(shape)
 
 
-def _block_states(h0, x, delta, a, b, bufs: _ScanBuffers):
-    """Decay factors and states of one block of steps, from the state h0
-    before it: both (B, L, E, N) views into ``bufs``, valid until the next
-    block is formed there."""
-    bsz, length, e = x.shape
-    shape = (bsz, length, e, a.shape[1])
-    decay = np.einsum("ble,en->blen", delta, a, out=bufs.view("decay", shape))
+def _block_states(h0, x, delta, at, b, bufs: _ScanBuffers):
+    """Decay factors and states of one block of L steps, from the (B, N, E)
+    state h0 before it.  x, delta: (L, B, E) and b: (L, B, N), step-major
+    blocks of the operands; at: the (N, E) evolution table.  Both results
+    are (L, B, N, E) views into ``bufs``, valid until the next block is
+    formed there; step i of either is the contiguous slice [i]."""
+    length, bsz, e = x.shape
+    shape = (length, bsz, at.shape[0], e)
+    decay = np.einsum("lbe,ne->lbne", delta, at, out=bufs.view("decay", shape))
     np.exp(decay, out=decay)
     dx = np.multiply(delta, x, out=bufs.view("dx", x.shape))
-    hs = np.einsum("ble,bln->blen", dx, b, out=bufs.view("hs", shape))
+    hs = np.einsum("lbe,lbn->lbne", dx, b, out=bufs.view("hs", shape))
     prev = h0
-    for i in range(length):
-        hs[:, i] += np.multiply(decay[:, i], prev, out=bufs.step)
-        prev = hs[:, i]
+    for dec, h in zip(decay, hs):
+        h += np.multiply(dec, prev, out=bufs.step)
+        prev = h
     return decay, hs
 
 

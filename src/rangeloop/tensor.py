@@ -585,11 +585,25 @@ def _conv(x: Tensor, w: Tensor, b, taps: np.ndarray, op: str) -> Tensor:
         # read it in ascending order; a tap reads no position twice
         gx = np.zeros(x.shape[:1] + x.shape[2:] + (c,))
         for j in range(k):
-            gx[:, taps[j]] += gcols[..., j]
+            for out_sl, in_sl in _tap_slices(taps[j]):
+                gx[:, in_sl] += gcols[:, out_sl, ..., j]
         grads = (np.moveaxis(gx, -1, 1), gw)
         return grads if b is None else grads + (g.sum(axis=(0,) + tuple(range(2, g.ndim))),)
 
     return _make_out(data, inputs, fn)
+
+
+def _tap_slices(row: np.ndarray) -> list:
+    """One tap's row of the tap table as (output slice, input slice) pairs:
+    an ascending run of one stride (a strided height tap), or two where a
+    circular tap wraps back to input position 0."""
+    wrap = int(np.argmin(row))
+    pairs = []
+    for lo, hi in ((0, wrap), (wrap, len(row))):
+        if hi > lo:
+            step = int(row[lo + 1] - row[lo]) if hi - lo > 1 else 1
+            pairs.append((slice(lo, hi), slice(int(row[lo]), int(row[hi - 1]) + 1, step)))
+    return pairs
 
 
 def _channels_last(x: np.ndarray) -> bool:

@@ -344,6 +344,96 @@ class TestSelectiveScan:
             assert np.array_equal(grads[2], grads1[2])
             assert np.array_equal(grads[5], grads1[5])
 
+    @staticmethod
+    def _views(v):
+        """v's values in other memory layouts: a (B, M, .) view of (B, ., M)
+        memory, as a branch's transposed convolution output is, a view of
+        step-major (M, B, .) memory, and a reversed-steps view, as a flip's
+        adjoint hands on."""
+        return [np.ascontiguousarray(v.transpose(0, 2, 1)).transpose(0, 2, 1),
+                np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2),
+                np.ascontiguousarray(v[:, ::-1])[:, ::-1]]
+
+    def test_input_layouts_give_same_bits(self):
+        # x, delta, b, c and the output gradient as C-contiguous arrays or as
+        # views: the output and all six gradients are the same bit for bit,
+        # and they are the oracle's; B > 1, E != N and two blocks
+        rng = np.random.default_rng(42)
+        x, delta, a, b, c, d = random_scan_inputs(rng, 3, 70, 5, 4)
+        seed = rng.standard_normal((3, 70, 5))
+        arrays = [x, delta, a, b, c, d]
+
+        def oracle(vals):
+            xo, do, ao, bo, co, dd = vals
+            return ssm.scan_sequential(ssm.discretize(do, ao, bo, mode="euler"), co, dd, xo)
+
+        y0, g0 = self._run(arrays, seed)
+        assert np.max(np.abs(y0 - oracle(arrays))) < 1e-10
+        # each gradient against the oracle's derivative along a random direction
+        for i, g in enumerate(g0):
+            assert g.shape == arrays[i].shape
+            v = rng.standard_normal(g.shape)
+            up, down = list(arrays), list(arrays)
+            up[i], down[i] = arrays[i] + 1e-6 * v, arrays[i] - 1e-6 * v
+            fd = np.sum(seed * (oracle(up) - oracle(down))) / 2e-6
+            assert abs(fd - np.sum(g * v)) < 1e-6 * (1.0 + abs(fd))
+        for k in range(3):
+            views = [self._views(v)[k] for v in (x, delta, b, c)]
+            assert not any(v.flags.c_contiguous for v in views)
+            xv, dv, bv, cv = views
+            y1, g1 = self._run([xv, dv, a, bv, cv, d], seed)
+            assert np.array_equal(y1, y0)
+            for got, want in zip(g1, g0):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+        # a tape hands the adjoint a gradient laid out as the output; called
+        # directly, it takes any layout
+        with T.Tape() as tape:
+            ssm.selective_scan(*[T.Tensor(v, requires_grad=True) for v in arrays])
+        adjoint = tape._nodes[0].backward
+        for sv in self._views(seed):
+            assert not sv.flags.c_contiguous
+            for got, want in zip(adjoint(sv), g0):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [9, 12])
+    def test_gradients_batch_wider_than_states(self, m, monkeypatch):
+        # B = 3 rows, E = 5 channels, N = 4 states: a swapped or dropped axis
+        # cannot pass; 4-step blocks, so M = 9 and 12 span three blocks,
+        # ragged and whole.  The output is the oracle's, so forward and
+        # backward cannot agree on a wrong function.
+        monkeypatch.setattr(ssm, "_SCAN_CHUNK", 4)
+        assert -(-m // ssm._block_len(3, 5, 4)) == 3
+        rng = np.random.default_rng(42)
+        arrays = random_scan_inputs(rng, 3, m, 5, 4)
+        x, delta, a, b, c, d = arrays
+        want = ssm.scan_sequential(ssm.discretize(delta, a, b, mode="euler"), c, d, x)
+        assert np.max(np.abs(ssm.selective_scan(*arrays).data - want)) < 1e-10
+        check_grads(ssm.selective_scan, arrays, rng)
+
+    def test_block_states_step_slices_contiguous(self):
+        # the work arrays are (L, B, N, E): each step's (B, N, E) slice of the
+        # decay factors and states is contiguous, and the states are the
+        # oracle's h_m
+        rng = np.random.default_rng(42)
+        x, delta, a, b, _, _ = random_scan_inputs(rng, 3, 6, 5, 4)
+        bufs = ssm._ScanBuffers(3, 6, 5, 4)
+        h0 = np.zeros((3, 4, 5))
+        decay, hs = ssm._block_states(h0, x.transpose(1, 0, 2), delta.transpose(1, 0, 2),
+                                      np.ascontiguousarray(a.T), b.transpose(1, 0, 2), bufs)
+        assert decay.shape == hs.shape == (6, 3, 4, 5)
+        for i in range(6):
+            assert decay[i].flags.c_contiguous and hs[i].flags.c_contiguous
+        dssm = ssm.discretize(delta, a, b, mode="euler")
+        want = np.empty((3, 6, 5, 4))
+        h = np.zeros((3, 5, 4))
+        for i in range(6):
+            h = dssm.abar[:, i] * h + dssm.bbar[:, i] * x[:, i, :, None]
+            want[:, i] = h
+        assert np.max(np.abs(hs - want.transpose(1, 0, 3, 2))) < 1e-12
+        np.testing.assert_array_equal(decay, dssm.abar.transpose(1, 0, 3, 2))
+
     def test_consecutive_calls_share_nothing(self):
         # work arrays are per call: a second scan on other inputs neither
         # changes the first result nor is changed by it

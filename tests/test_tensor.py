@@ -622,6 +622,38 @@ class TestConvBias:
             op(np.zeros(x_shape), np.zeros(w_shape), np.zeros(3))
 
 
+class TestTapSlices:
+    """The convolution adjoint folds each tap by slices; they must name the
+    same (output, input) positions as the tap table's index row."""
+
+    @pytest.mark.parametrize("taps", [
+        _vertical_taps(3, 6, 1), _vertical_taps(2, 6, 2), _vertical_taps(3, 7, 2),
+        _vertical_taps(4, 4, 1), _circular_taps(3, 7), _circular_taps(5, 9),
+        _circular_taps(3, 2), _circular_taps(5, 3), _circular_taps(1, 1),
+    ])
+    def test_slices_cover_index_row(self, taps):
+        length = taps.shape[1]
+        for row in taps:
+            got = np.full(length, -1)
+            for out_sl, in_sl in T._tap_slices(row):
+                got[out_sl] = np.arange(row.max() + 1)[in_sl]
+            assert np.array_equal(got, row)
+
+    @pytest.mark.parametrize("m,k", [(2, 3), (3, 5), (9, 5)])
+    def test_circular_fold_wider_than_sequence(self, m, k):
+        # kernels as long as or longer than the sequence wrap within a tap
+        rng = np.random.default_rng(42)
+        x, w = rng.standard_normal((2, 3, m)), rng.standard_normal((4, 3, k))
+        g = rng.standard_normal((2, 4, m))
+        _, (gx, _), _ = _taped(T.conv1d_circular, [x, w], g)
+        taps = _circular_taps(k, m)
+        gcols = (np.moveaxis(g, 1, -1).reshape(-1, 4) @ w.reshape(4, 3 * k)).reshape(2, m, 3, k)
+        want = np.zeros(x.shape)
+        for j in range(k):
+            want[:, :, taps[j]] += np.moveaxis(gcols[..., j], -1, 1)
+        assert np.array_equal(gx, want)
+
+
 class TestLayerNorm:
     def test_normalizes_rows(self):
         rng = np.random.default_rng(42)
@@ -686,6 +718,33 @@ class TestAdam:
             p.grad = np.array([1.0])
             opt.step()
             assert opt.t == want
+
+    def test_in_place_step_equals_formula_bitwise(self):
+        # the oracle is the update written with temporaries; parameters and
+        # both moments match it bit for bit over five steps
+        from rangeloop.optim import BETA1, BETA2, EPS
+        rng = np.random.default_rng(42)
+        start = {"s": rng.standard_normal(()), "v": rng.standard_normal(5),
+                 "w": rng.standard_normal((3, 4))}
+        params = {k: T.Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+        opt = Adam(params, lr=1e-2)
+        want = {k: v.copy() for k, v in start.items()}
+        m = {k: np.zeros_like(v) for k, v in start.items()}
+        v2 = {k: np.zeros_like(v) for k, v in start.items()}
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(v.shape) for k, v in start.items()}
+            for k, p in params.items():
+                p.grad = grads[k].copy()
+            opt.step()
+            c1, c2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+            for k, g in grads.items():
+                m[k] = m[k] * BETA1 + (1.0 - BETA1) * g
+                v2[k] = v2[k] * BETA2 + (1.0 - BETA2) * (g * g)
+                want[k] = want[k] - 1e-2 * (m[k] / c1) / (np.sqrt(v2[k] / c2) + EPS)
+            for k in start:
+                assert np.array_equal(params[k].data, want[k])
+                assert np.array_equal(opt.m[k], m[k])
+                assert np.array_equal(opt.v[k], v2[k])
 
 
 class TestDeterminism:
