@@ -272,6 +272,8 @@ def load_labels(path) -> List[OverlapLabel]:
                                overlap=float(parts[2]))
         except ValueError as exc:
             raise ContractError(f"{path}:{ln}: {exc}") from None
+        if not 0.0 <= lab.overlap <= 1.0:  # NaN fails too
+            raise ContractError(f"{path}:{ln}: overlap {parts[2]} is outside [0, 1]")
         labels.append(lab)
     return labels
 

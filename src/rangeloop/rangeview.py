@@ -173,14 +173,6 @@ def project_points(points: np.ndarray, cfg: ProjectionConfig):
     return u, v, r, valid
 
 
-def project_point(p, cfg: ProjectionConfig):
-    """Single-point projection; None when the point is rejected."""
-    u, v, r, valid = project_points(np.asarray(p, dtype=np.float64)[None, :], cfg)
-    if not valid[0]:
-        return None
-    return int(u[0]), int(v[0]), float(r[0])
-
-
 def build_range_image(points: np.ndarray, cfg: ProjectionConfig) -> RangeImage:
     """Project a cloud; pixel collisions keep the smallest range."""
     img = np.full((cfg.h, cfg.w), np.inf)

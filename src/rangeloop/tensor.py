@@ -17,9 +17,10 @@ Design notes:
   permutations at the bit level gathers its input into a canonical order.
 * Hot kernels are one tape node each with a hand-written adjoint, their bias
   included.  ``linear`` is one GEMM over the flattened leading axes.  The two
-  convolutions share one node: unfold the single conv axis (im2col), one
-  GEMM and the bias; its backward is the transposed products, one fold over
-  the taps and the bias sum.
+  convolutions share one node with one memory layout, channels innermost:
+  unfold the single conv axis (im2col) into rows of channels, one GEMM
+  whose result is the output, and the bias; its backward is the transposed
+  products, one fold over the taps and the bias sum over the GEMM rows.
 * Activations are branch-free whole-array passes: the sigmoid is
   exp(min(x, 0)) / (1 + exp(-|x|)) and the softplus max(x, 0) +
   log1p(exp(-|x|)), so neither gathers by a sign mask nor overflows, and
@@ -539,16 +540,9 @@ def conv1d_circular(x, w, b=None) -> Tensor:
 # input shifts the output bit for bit.  The backward rebuilds the unfold from
 # the input instead of keeping it alive on the tape.
 #
-# An input whose channels are innermost in memory (a mixing block's branch
-# stream, a transposed view of its (B, M, E) tokens) keeps that layout: its
-# unfold copies whole channel rows per tap, and its output is the GEMM result
-# itself, viewed as (B, O, ...), so the positions-by-channels product is not
-# transposed into a fresh array.  The values are the same either way; only
-# sums that later adjoints take over positions (the bias gradient, the
-# scan's skip gain) run in another order.
-
-
-_TRANSPOSE_BLOCK = 256  # positions per block of a transposing copy
+# One layout: channels innermost.  The unfold copies whole channel rows per
+# tap, and the output is the (positions, O) GEMM result itself, viewed as
+# (B, O, ...), so every sum in the node has an order fixed by shapes alone.
 
 
 def _conv(x: Tensor, w: Tensor, b, taps: np.ndarray, op: str) -> Tensor:
@@ -561,16 +555,7 @@ def _conv(x: Tensor, w: Tensor, b, taps: np.ndarray, op: str) -> Tensor:
     rows = x.shape[:1] + (length,) + x.shape[3:]  # (B, L', ...): one per GEMM row
     w2 = w.data.reshape(o, c * k)
     y = _unfold(x.data, taps) @ w2.T
-    if _channels_last(x.data):
-        data = np.moveaxis(y.reshape(rows + (o,)), -1, 1)
-    else:
-        # a transposing copy in blocks of positions, which stay in cache:
-        # about a third of the time of one whole-array ``ascontiguousarray``
-        y = y.reshape(rows[0], -1, o)
-        data = np.empty((rows[0], o, y.shape[1]))
-        for p in range(0, y.shape[1], _TRANSPOSE_BLOCK):
-            data[:, :, p:p + _TRANSPOSE_BLOCK] = y[:, p:p + _TRANSPOSE_BLOCK].transpose(0, 2, 1)
-        data = data.reshape(rows[:1] + (o,) + rows[1:])
+    data = np.moveaxis(y.reshape(rows + (o,)), -1, 1)
     inputs = (x, w)
     if b is not None:
         b = _bias(b, o, op, w.shape)
@@ -578,7 +563,9 @@ def _conv(x: Tensor, w: Tensor, b, taps: np.ndarray, op: str) -> Tensor:
         inputs += (b,)
 
     def fn(g):
-        gy = np.moveaxis(g, 1, -1).reshape(-1, o)
+        # C order whatever g's layout: a reshape of a batch-1 (B, O, ...) g
+        # would be a column-major view, and its row sum another order
+        gy = np.ascontiguousarray(np.moveaxis(g, 1, -1)).reshape(-1, o)
         gw = (gy.T @ _unfold(x.data, taps)).reshape(w.shape)
         gcols = (gy @ w2).reshape(rows + (c, k))
         # the fold, channels-last: each input position sums the taps that
@@ -588,7 +575,7 @@ def _conv(x: Tensor, w: Tensor, b, taps: np.ndarray, op: str) -> Tensor:
             for out_sl, in_sl in _tap_slices(taps[j]):
                 gx[:, in_sl] += gcols[:, out_sl, ..., j]
         grads = (np.moveaxis(gx, -1, 1), gw)
-        return grads if b is None else grads + (g.sum(axis=(0,) + tuple(range(2, g.ndim))),)
+        return grads if b is None else grads + (gy.sum(axis=0),)
 
     return _make_out(data, inputs, fn)
 
@@ -606,24 +593,16 @@ def _tap_slices(row: np.ndarray) -> list:
     return pairs
 
 
-def _channels_last(x: np.ndarray) -> bool:
-    """Whether axis 1 of a ``(B, C, ...)`` array is its unit-stride axis."""
-    return x.shape[1] > 1 and x.strides[1] == x.itemsize
-
-
 def _unfold(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """im2col along axis 2 of a ``(B, C, ...)`` array: gather the ``(k, L)``
     index table ``taps`` there and lay the result out as rows
     ``(B, L, ...)`` by columns ``(C, k)``, the order of a reshaped kernel."""
     c, (k, length) = x.shape[1], taps.shape
-    if _channels_last(x):
-        xt = np.moveaxis(x, 1, -1)
-        cols = np.empty((x.shape[0], length) + x.shape[3:] + (c, k))
-        for j in range(k):
-            cols[..., j] = np.take(xt, taps[j], axis=1)
-        return cols.reshape(-1, c * k)
-    g = np.moveaxis(np.take(x, taps, axis=2), (1, 2), (-2, -1))
-    return g.reshape(-1, c * k)
+    xt = np.moveaxis(x, 1, -1)
+    cols = np.empty((x.shape[0], length) + x.shape[3:] + (c, k))
+    for j in range(k):
+        cols[..., j] = np.take(xt, taps[j], axis=1)
+    return cols.reshape(-1, c * k)
 
 
 def maxpool1d_circular(x, k: int) -> Tensor:

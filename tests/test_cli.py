@@ -396,6 +396,28 @@ class TestMalformedInputs:
                      "--labels", str(labels), "--protocol", str(proto)]) == 2
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("overlap", ["nan", "inf", "-0.5", "1.5"])
+    @pytest.mark.parametrize("command", ["train", "eval-loop"])
+    def test_overlap_outside_unit_interval_is_2(self, workspace, tmp_path, capsys,
+                                                command, overlap):
+        # NaN would silently make the pair a negative, inf a positive
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"0 4 0.5\n1 5 {overlap}\n")
+        proto = tmp_path / "loop.kv"
+        proto.write_text("kind=loop_closure\nwindow=3\n")
+        out = tmp_path / "ckpt"
+        args = {"train": ["train", "--config", str(workspace / "config.kv"),
+                          "--data", str(workspace / "ranges"), "--labels", str(labels),
+                          "--out", str(out)],
+                "eval-loop": ["eval-loop", "--db", str(workspace / "db.omdb"),
+                              "--poses", str(workspace / "world" / "poses.txt"),
+                              "--labels", str(labels), "--protocol", str(proto)]}[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"labels.txt:2: overlap {overlap} is outside [0, 1]" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sep", ["\x85", "\u2028"])
     def test_setting_line_ends_only_at_newline_is_2(self, workspace, tmp_path, capsys, sep):
         # split at sep, this would read as two valid settings

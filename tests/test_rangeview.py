@@ -15,7 +15,6 @@ from rangeloop.rangeview import (
     build_range_image,
     build_tuples,
     compute_overlap,
-    project_point,
     project_points,
     rotate_z,
 )
@@ -31,33 +30,33 @@ def identity_pose():
 
 class TestProjectPoint:
     def test_forward_axis_lands_center(self):
-        u, v, r = project_point([10.0, 0.0, 0.0], default_cfg())
-        assert (u, v, r) == (450, 32, 10.0)
+        u, v, r, valid = project_points(np.array([[10.0, 0.0, 0.0]]), default_cfg())
+        assert valid[0] and (u[0], v[0], r[0]) == (450, 32, 10.0)
 
     def test_left_axis_quarter_turn(self):
-        u, _, _ = project_point([0.0, 10.0, 0.0], default_cfg())
-        assert u == 225
+        u, _, _, valid = project_points(np.array([[0.0, 10.0, 0.0]]), default_cfg())
+        assert valid[0] and u[0] == 225
 
     def test_scalar_azimuth_evaluation(self):
-        u, _, r = project_point([3.0, 4.0, 0.0], default_cfg())
-        assert r == 5.0
-        assert u == 317
+        u, _, r, valid = project_points(np.array([[3.0, 4.0, 0.0]]), default_cfg())
+        assert valid[0] and r[0] == 5.0
+        assert u[0] == 317
 
     def test_origin_rejected(self):
-        assert project_point([0.0, 0.0, 0.0], default_cfg()) is None
+        assert not project_points(np.array([[0.0, 0.0, 0.0]]), default_cfg())[3][0]
 
     def test_beyond_range_cap_rejected(self):
-        assert project_point([60.0, 0.0, 0.0], default_cfg(r_max=50.0)) is None
+        assert not project_points(np.array([[60.0, 0.0, 0.0]]), default_cfg(r_max=50.0))[3][0]
 
     def test_outside_vertical_fov_rejected(self):
         cfg = default_cfg()
-        assert project_point([1.0, 0.0, 5.0], cfg) is None
-        assert project_point([1.0, 0.0, -5.0], cfg) is None
+        assert not project_points(np.array([[1.0, 0.0, 5.0]]), cfg)[3][0]
+        assert not project_points(np.array([[1.0, 0.0, -5.0]]), cfg)[3][0]
 
     def test_rear_seam_wraps_to_column_zero(self):
         # azimuth exactly pi maps to u = 0; exactly -pi is the same ray
-        u, _, _ = project_point([-10.0, 0.0, 0.0], default_cfg())
-        assert u == 0
+        u, _, _, valid = project_points(np.array([[-10.0, 0.0, 0.0]]), default_cfg())
+        assert valid[0] and u[0] == 0
 
     def test_all_projected_pixels_in_bounds(self):
         rng = np.random.default_rng(42)

@@ -153,26 +153,6 @@ class TestConv1dCircular:
         with pytest.raises(errors.ConfigError):
             T.conv1d_circular(T.Tensor(np.zeros((1, 1, 4))), T.Tensor(np.zeros((1, 1, 2))))
 
-    def test_channels_last_input_same_bits(self):
-        # a (B, C, M) view of (B, M, C) memory takes the row-copy unfold and
-        # returns the product without a transposing copy; values and
-        # gradients are those of the contiguous input
-        rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 6, 5))
-        w = rng.standard_normal((4, 6, 3))
-        g = rng.standard_normal((2, 4, 5))
-        outs = []
-        for xd in (x, np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)):
-            xt, wt = T.Tensor(xd, requires_grad=True), T.Tensor(w, requires_grad=True)
-            with T.Tape() as tape:
-                y = T.conv1d_circular(xt, wt)
-                loss = T.tsum(T.mul(y, T.Tensor(g)))
-            T.backward(loss, tape)
-            outs.append((y.data, xt.grad, wt.grad))
-        assert outs[1][0].strides[1] == 8  # channels stay innermost
-        for a, b in zip(*outs):
-            assert np.array_equal(a, b)
-
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(42)
         for k in (1, 3, 5):
@@ -187,6 +167,47 @@ class TestConv1dCircular:
                         "oc,bc->bo", w[:, :, j], x[:, :, (m + r - j) % 7]
                     )
             np.testing.assert_allclose(out, want, atol=1e-12)
+
+
+def _channels_last(a):
+    """``a`` as a view of memory whose axis 1 is innermost."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, -1)), -1, 1)
+
+
+class TestConvLayout:
+    """The convolution node has one memory layout, channels innermost: its
+    output keeps channels innermost, and the output and all three gradients
+    are the same bits whether the input, or an output gradient handed to
+    the adjoint, has channels first or last in memory."""
+
+    CASES = {  # op, x shape, w shape
+        "conv1d_circular": (T.conv1d_circular, (2, 64, 128), (64, 64, 3)),
+        "conv_vertical": (lambda x, w, b: T.conv_vertical(x, w, b, stride_h=2),
+                          (2, 16, 8, 300), (32, 16, 3, 1)),
+    }
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_channels_last_input_same_bits(self, name, batch):
+        op, x_shape, w_shape = self.CASES[name]
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((batch,) + x_shape[1:])
+        w, b = rng.standard_normal(w_shape), rng.standard_normal(w_shape[0])
+        g = rng.standard_normal(op(x, w, b).shape)
+        outs = []
+        for xd in (x, _channels_last(x)):
+            y, grads, _ = _taped(op, [xd, w, b], g)
+            assert y.strides[1] == y.itemsize
+            outs.append([y] + grads)
+        for got, want in zip(*outs):
+            assert np.array_equal(got, want)
+        # a tape hands the adjoint the gradient its consumer made; called
+        # directly, it takes either layout, a batch-1 one included
+        with T.Tape() as tape:
+            op(*[T.Tensor(a, requires_grad=True) for a in (x, w, b)])
+        for gd in (g, _channels_last(g)):
+            for got, want in zip(tape._nodes[0].backward(gd), outs[0][1:]):
+                assert np.array_equal(got, want)
 
 
 class TestMaxpool1dCircular:
@@ -571,10 +592,10 @@ def _circular_taps(k, m):
 
 class TestConvBias:
     """A convolution's bias is part of its one node.  The oracle is the
-    composition the node replaced, in numpy on a channels-first input: the
-    unfolded GEMM, its transposed products, a fold that adds the taps in
-    ascending order, and a separate broadcast bias whose gradient sums the
-    output gradient over every axis but the channels."""
+    composition the node replaced, in numpy: the unfolded GEMM, its
+    transposed products, a fold that adds the taps in ascending order, and a
+    separate broadcast bias whose gradient sums the rows of the GEMM-shaped
+    (positions, channels) output gradient."""
 
     CASES = {  # op, x shape, w shape, tap table
         "conv_vertical-s1": (lambda x, w, b=None: T.conv_vertical(x, w, b, stride_h=1),
@@ -613,7 +634,7 @@ class TestConvBias:
             assert np.array_equal(got, want_gx)
         for got in (gw, gw0):
             assert np.array_equal(got, (gy.T @ cols).reshape(w_shape))
-        assert np.array_equal(gb, g.sum(axis=(0,) + tuple(range(2, len(y_shape)))))
+        assert np.array_equal(gb, gy.sum(axis=0))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_rejects_mismatched_bias(self, name):

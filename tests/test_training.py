@@ -293,6 +293,23 @@ def _toy_dataset(n_scans=6, h=8, w=24, seed=1):
 
 
 class TestTrainLoop:
+    def test_acceptance_step_tape_size(self):
+        # one imtrihard step of the acceptance model (test_06, the benchmark's
+        # training model) on a 1+2+2 tuple records 125 nodes; a hot op split
+        # into many small nodes shows here
+        model = pl.ModelConfig(h=16, w=128, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2),
+                                                    (32, 2, 2)),
+                               spp_mode="add", olm_n=4, vlad_k=8, mlp_hidden=64, out_dim=32)
+        _, images = _toy_dataset(n_scans=5, h=16, w=128)
+        params = pl.init_model(model, seed=42)
+        cfg = tr.TrainConfig(loss="imtrihard", k_p=2, k_n=2)
+        tup = TrainingTuple(query=0, positives=(1, 2), negatives=(3, 4))
+        rng = np.random.default_rng(0)
+        with tt.Tape() as tape:
+            desc = tr._forward_tuple(tup, images, params, model, rng)
+            tr.tuple_loss(desc, 2, cfg, rng)
+        assert len(tape) == 125
+
     def test_zero_lr_keeps_parameters_bitwise(self, tmp_path):
         tuples, images = _toy_dataset()
         params = pl.init_model(TOY, seed=42)
