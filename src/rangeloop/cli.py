@@ -162,8 +162,8 @@ def cmd_search(args) -> int:
     if queries.dim != db.dim:
         raise ContractError(f"query dim {queries.dim} != database dim {db.dim}")
     rows = [("query_id", "rank", "candidate_id", "distance")]
-    for qid, desc in zip(queries.ids, queries.descriptors):
-        for rank, (cid, dist) in enumerate(rt.db_search(db, desc, args.k), start=1):
+    for qid, hits in zip(queries.ids, rt.db_search_all(db, queries.descriptors, args.k)):
+        for rank, (cid, dist) in enumerate(hits, start=1):
             rows.append((qid, rank, cid, repr(dist)))
     _csv_out(rows)
     return 0

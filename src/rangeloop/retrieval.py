@@ -1,11 +1,14 @@
 """Descriptor database, nearest-neighbor search, and evaluation protocols.
 
 Retrieval is exact k-NN without an index structure.  One kernel,
-`_nearest`, serves search and both protocols: it ranks every row by one
-matrix-vector product, keeps the rows within a proven rounding bound of the
-k-th value, and recomputes those with the direct distance formula, so the
-ids, distances and tie order it returns are exactly those of a full sort of
-the direct distances by (distance, id).  Two protocols are provided: loop
+`_nearest`, serves `db_search`, `db_search_all` (`rangeloop search`) and
+both protocols.  It takes a block of queries and ranks every database row
+for the whole block with one float32 matrix product over a float32 image of
+the database, scaled by a power of two so that no cast can overflow.  It
+keeps the rows within a proven rounding bound of each query's k-th value
+and recomputes those with the direct float64 distance formula, so the ids,
+distances and tie order it returns are exactly those of a full sort of the
+direct distances by (distance, id).  Two protocols are provided: loop
 closure (query against strictly older scans of the same trajectory, scored
 by overlap ground truth) and place recognition (query session against a
 database session, scored by pose distance).
@@ -18,7 +21,7 @@ import io as _stdio
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,25 +30,33 @@ from .errors import ConfigError, ContractError
 
 
 _I64 = np.iinfo(np.int64)
-_EPS = float(np.finfo(np.float64).eps)
-_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+_MAX_DIM = 1 << 20  # the search's rounding bound assumes (D + 3) 2**-24 < 0.07
+_QUERY_BLOCK = 32  # queries per filter GEMM in the protocols and db_search_all
 
 
 class DescriptorDb:
     """Ordered unit descriptors with unique integer scan ids.
 
-    The matrix is an owned, read-only float64 copy; its squared row norms
-    and an int64 id array are computed once here for `_nearest`.
+    The matrix is an owned, read-only float64 array, with an int64 id array
+    beside it.  The float32 image `_nearest` filters with is built on the
+    first search, so a database that is only queried from never holds one.
     """
 
     def __init__(self, ids: Sequence[int], descriptors: np.ndarray):
-        descriptors = np.array(descriptors, dtype=np.float64)
+        self._adopt(ids, np.array(descriptors, dtype=np.float64))
+
+    def _adopt(self, ids: Sequence[int], descriptors: np.ndarray) -> None:
+        """Validate and take ownership of a float64 matrix no one else holds."""
         ids = [int(i) for i in ids]
         if descriptors.ndim != 2:
             raise ContractError(f"descriptor matrix must be 2-d, got {descriptors.shape}")
         if len(ids) != descriptors.shape[0]:
             raise ContractError(
                 f"{len(ids)} ids for {descriptors.shape[0]} descriptors"
+            )
+        if descriptors.shape[1] >= _MAX_DIM:
+            raise ContractError(
+                f"descriptor dimension {descriptors.shape[1]} must be below {_MAX_DIM}"
             )
         if len(set(ids)) != len(ids):
             raise ContractError("descriptor ids must be unique")
@@ -56,8 +67,8 @@ class DescriptorDb:
         descriptors.flags.writeable = False
         self.ids = ids
         self.descriptors = descriptors
-        self._sqnorms = np.einsum("ij,ij->i", descriptors, descriptors)
         self._id_array = np.asarray(ids, dtype=np.int64)
+        self._image = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -72,67 +83,156 @@ class DescriptorDb:
     @classmethod
     def load(cls, path) -> "DescriptorDb":
         ids, descriptors = io.load_descriptor_db(path)
-        return cls(ids, descriptors)
+        db = cls.__new__(cls)
+        db._adopt(ids, descriptors)  # the decoded matrix is a fresh float64 array
+        return db
+
+    def _filter_image(self) -> Tuple[np.ndarray, int, np.ndarray, float]:
+        """(image, ex, norms, largest norm): the matrix times 2**-ex in
+        float32, where ex is `_exponent` of the matrix, the image's squared
+        row norms in float32, and the square root of the largest.  Built on
+        the first call, straight into the float32 array."""
+        if self._image is None:
+            ex = _exponent(self.descriptors)
+            image = np.empty(self.descriptors.shape, dtype=np.float32)
+            np.ldexp(self.descriptors, -ex, out=image)
+            norms = np.einsum("ij,ij->i", image, image)
+            self._image = image, ex, norms, math.sqrt(norms.max(initial=0.0))
+        return self._image
 
 
-def _nearest(mat: np.ndarray, sqnorms: np.ndarray, ids: np.ndarray,
-             q: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(ids, distances) of the k rows of mat nearest to q, ascending by the
-    direct distance sqrt(sum((x - q)**2)), equal distances by lower id:
-    exactly the first k of a full sort.  mat (n >= 1 finite rows), its
-    squared row norms and ids are parallel; q is finite.
+def _exponent(a: np.ndarray) -> int:
+    """The binary exponent e of a's largest magnitude m = f 2**e, 0.5 <= f < 1
+    (0 when a is empty or all zero): every entry of a * 2**-e lies in (-1, 1)."""
+    return math.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1]
 
-    Filter: every row is ranked by f = |x|^2 - 2 x.q, one GEMV, which is
-    |x - q|^2 - |q|^2 up to rounding.  Let u = eps/2, M = max|x| + |q| and
-    gamma_m = m u / (1 - m u).  Any summation order (BLAS may reorder or
-    fuse) gives |fl(x.q) - x.q| <= gamma_D |x||q| and |fl(|x|^2) - |x|^2|
-    <= gamma_D |x|^2, and the subtraction adds u |f|, so the GEMV form is
-    off by at most e_f = gamma_{D+2} M^2.  The direct form sums D
-    non-negative terms, each a rounded square of a rounded difference, so
-    its squared distance S^ is off from the exact S by at most e_d =
-    gamma_{D+2} S <= gamma_{D+2} M^2.  Let f_k be the k-th smallest f.
-    Those k rows have S^ <= B = f_k + |q|^2 + e_f + e_d, so the k-th
+
+def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
+             rows: Optional[np.ndarray] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """For each row q of the (b, D) block of finite queries: (ids,
+    distances) of the ks[i] database rows nearest to it among its candidates,
+    ascending by the direct distance sqrt(sum((x - q)**2)), equal distances
+    by lower id: exactly the first ks[i] of a full sort.  Row i's
+    candidates are the first counts[i] >= 1 entries of rows, an index array
+    into the database, or of the database's own order when rows is None.
+
+    Filter: let ex and eq be `_exponent` of the database and of the block,
+    and e = max(ex, eq, -536).  The image holds a = fl32(2^-ex x) and the
+    block is cast as b = fl32(2^-eq q), both with entries in [-1, 1], so no
+    cast can overflow; b is then scaled by -2^(ex + eq - 2e + 1), and one
+    float32 GEMM ranks every row by
+        f = 2^(2 ex - 2e) |a|^2 - 2^(ex + eq - 2e + 1) a.b,
+    |a|^2 being the image's float32 row norms.  Up to rounding, f is
+    2^-2e (|x|^2 - 2 x.q) = 2^-2e (|x - q|^2 - |q|^2): scaling by a power of
+    two is exact but for underflow, and any e >= ex, eq works, so the floor
+    -536 only keeps the terms below finite.  In units of 2^2e, x' = 2^-e x
+    and q' = 2^-e q have entries in [-1, 1]; let M = max|x'| + max|q'|
+    over the database and the block (M < 2 sqrt(D)), u = 2^-24 and
+    gamma_m = m u / (1 - m u).  A float32 cast or scaling is off by at most
+    u |v| + 2^-150 (half the smallest float32 subnormal), and a float32 dot
+    product, in any summation order, fused or not, by gamma_D times the sum
+    of the products' magnitudes plus 2^-150 per underflowed product.  So
+    each term of f is within gamma_{D+2} of its exact value plus
+    8 D 2^-150, and f, one float32 sum more, is off by at most
+    e_f = gamma_{D+3} M^2 + D 2^-146.
+    The direct form sums D non-negative terms, each a rounded square of a
+    rounded difference, so its squared distance S^ is off from the exact S
+    by at most e_d = gamma_{D+2}(2^-53) S + D 2^-1075 2^-2e, the last term
+    for products that underflow float64.  Let f_k be the k-th smallest f.
+    Those k rows have S^ <= B = f_k + |q'|^2 + e_f + e_d, so the k-th
     smallest direct distance is at most fl(sqrt(B)).  fl(sqrt(.)) is
-    monotone and within u of sqrt, so a row can rank in the top k, ties at
-    the boundary included, only if S^ <= B (1 + u)^2 / (1 - u)^2, hence only
-    if f <= f_k + 2 e_f + 2 e_d + 5 u B.  The bound is applied on both
-    sides: the kept row's f may be low by e_f and the k-th row's high by
-    e_f, and likewise e_d for the direct values.  tau =
-    4 (D + 4) eps M^2 is twice that sum, which covers the rounding of M,
-    tau and f_k + tau themselves; the smallest-subnormal term covers
-    underflow of the products.  A NaN from overflow keeps its row
-    (the test is not f > bound), so the filter never drops a candidate.
+    monotone and within 2^-53 of sqrt, so a row can rank in the top k,
+    ties at the boundary included, only if its S^ <= B (1 + 5 2^-53), hence
+    only if f <= f_k + 2 e_f + 2 e_d + 5 2^-53 B.  The bound is applied on
+    both sides: the kept row's f may be low by e_f and the k-th row's high
+    by e_f, and likewise e_d for the direct values.  For D < 2^20 (so
+    (D + 3) u < 0.07), tau = 4 (D + 4) (u M^2 + 2^-146 + 2^(-1073 - 2e))
+    exceeds that sum by a factor above 1.7, which covers the rounding of M,
+    tau and f_k + tau themselves.  A direct distance past the float64 range
+    reads inf, and all such rows tie; that can only happen when
+    4 D 2^2e > 2^1023, and the last term 4 (D + 4) D 2^min(2e - 1016, 0)
+    then exceeds the whole spread of f (at most 1.15 M^2), so every row is
+    kept.
 
     Refine: the kept rows are recomputed with the direct formula, so each
     distance is bit-identical to a full computation, and ordered by
     np.lexsort((ids, d)).
     """
-    n, dim = mat.shape
-    k = min(k, n)
-    f = sqnorms - 2.0 * (mat @ q)
-    f_k = np.partition(f, k - 1)[k - 1]
-    scale = math.sqrt(sqnorms.max()) + math.sqrt(q @ q)
-    tau = 4 * (dim + 4) * (_EPS * scale * scale + _SUBNORMAL)
-    sel = np.flatnonzero(~(f > f_k + tau))
-    d = np.sqrt(np.sum((mat[sel] - q) ** 2, axis=1))
-    order = np.lexsort((ids[sel], d))[:k]
-    return ids[sel[order]], d[order]
+    image, ex, norms, x_max = db._filter_image()
+    b, dim = queries.shape
+    eq = _exponent(queries)
+    e = max(ex, eq, -536)
+    qimage = np.empty(queries.shape, dtype=np.float32)
+    np.ldexp(queries, -eq, out=qimage)
+    m = (x_max * 2.0 ** (ex - e)
+         + math.sqrt(np.square(qimage).sum(axis=1).max()) * 2.0 ** (eq - e))
+    tau = 4 * (dim + 4) * (2.0 ** -24 * m * m + 2.0 ** -146 + 2.0 ** (-1073 - 2 * e)
+                           + dim * 2.0 ** min(2 * e - 1016, 0))
+    qimage *= -2.0 ** (ex + eq - 2 * e + 1)
+    ks = [min(k, c) for k, c in zip(ks, counts)]
+    kths = sorted({k - 1 for k in ks})
+    kth = (np.arange(b), np.subtract(ks, 1))
+    width = max(counts)
+    # everything above is set up before the GEMM streams the image through
+    # the cache; (n, D) @ (D, b) is the faster GEMM layout in OpenBLAS
+    f = norms * 2.0 ** (2 * (ex - e)) + (image @ qimage.T).T
+    if rows is None:
+        f = f[:, :width]
+    else:
+        rows = rows[:width]
+        f = f[:, rows]
+    for i, c in enumerate(counts):
+        if c < width:
+            f[i, c:] = np.inf
+    f_k = np.partition(f, kths, axis=1)[kth]
+    f_k += tau
+    qi, cols = np.nonzero(f <= f_k[:, None])
+    if rows is not None:
+        cols = rows[cols]
+    bounds = np.searchsorted(qi, np.arange(b + 1)).tolist()  # row i's kept rows
+    diff = db.descriptors[cols]
+    for q, start, stop in zip(queries, bounds, bounds[1:]):
+        diff[start:stop] -= q
+    with np.errstate(over="ignore"):  # as in a full sort, such distances read inf
+        d = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    ids = db._id_array[cols]
+    order = np.lexsort((ids, d, qi))  # keeps each row's kept rows in place
+    return [(ids[order[s:s + k]], d[order[s:s + k]]) for s, k in zip(bounds, ks)]
+
+
+def _checked_queries(db: DescriptorDb, queries: np.ndarray, k: int) -> np.ndarray:
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    if len(db) == 0:
+        raise ContractError("search in an empty database")
+    if queries.shape[1] != db.dim:
+        raise ContractError(f"query dim {queries.shape[1]} != db dim {db.dim}")
+    if not np.isfinite(queries).all():
+        raise ContractError("query descriptor has a non-finite entry")
+    return queries
 
 
 def db_search(db: DescriptorDb, query: np.ndarray, k: int) -> List[Tuple[int, float]]:
     """Exact k nearest descriptors by Euclidean distance, ascending; equal
     distances rank by lower id."""
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    if len(db) == 0:
-        raise ContractError("search in an empty database")
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != db.dim:
-        raise ContractError(f"query dim {query.shape[0]} != db dim {db.dim}")
-    if not np.isfinite(query).all():
-        raise ContractError("query descriptor has a non-finite entry")
-    ids, dists = _nearest(db.descriptors, db._sqnorms, db._id_array, query, k)
+    query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+    ids, dists = _nearest(db, _checked_queries(db, query, k), [len(db)], [k])[0]
     return list(zip(ids.tolist(), dists.tolist()))
+
+
+def db_search_all(db: DescriptorDb, queries: np.ndarray,
+                  k: int) -> List[List[Tuple[int, float]]]:
+    """db_search for every row of the (m, D) matrix queries, one kernel call
+    per block of _QUERY_BLOCK rows."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ContractError(f"query matrix must be 2-d, got {queries.shape}")
+    out = []
+    for start in range(0, len(queries), _QUERY_BLOCK):
+        block = _checked_queries(db, queries[start:start + _QUERY_BLOCK], k)
+        for ids, dists in _nearest(db, block, [len(db)] * len(block), [k] * len(block)):
+            out.append(list(zip(ids.tolist(), dists.tolist())))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -283,9 +383,10 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     distance) and its truth (overlap above threshold) feed the PR metrics;
     recall@1 and recall@1% count queries whose true loops are found.
 
-    The matrix is put in id order once, so each query's candidates are a
-    prefix of it; only the top ceil(0.01 * candidates) are ranked, which is
-    all that recall@1 and recall@1% read."""
+    Read in id order through an argsort index, each query's candidates are
+    a prefix of the database; queries go to `_nearest` in blocks, and only
+    the top ceil(0.01 * candidates) are ranked, which is all that recall@1
+    and recall@1% read."""
     loops: Dict[int, List[int]] = {}
     for (a, b), overlap in overlap_lookup(overlaps).items():
         if overlap > protocol.overlap_threshold:
@@ -293,30 +394,33 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     known = set(db.ids)
     perm = np.argsort(db._id_array)
     ids = db._id_array[perm]
-    mat = db.descriptors[perm]
-    sqnorms = db._sqnorms[perm]
     queries = range(0, len(ids), protocol.query_step)
     scores = []
     rankings: List[List[int]] = []
     truths: List[set] = []
-    n_scored = 0
     n_positive = 0
-    for qi in queries:
-        q = int(ids[qi])
-        limit = q - protocol.window  # candidates are ids < limit
-        m = int(np.searchsorted(ids, max(limit, ids[0])))
-        if m == 0:
+    for start in range(0, len(queries), _QUERY_BLOCK):
+        block = np.asarray(queries[start:start + _QUERY_BLOCK])
+        # candidates are ids < q - window, the first m in id order
+        limits = [int(ids[qi]) - protocol.window for qi in block]
+        m = np.searchsorted(ids, [max(limit, int(ids[0])) for limit in limits])
+        scored = np.flatnonzero(m)
+        if scored.size == 0:
             continue
-        n_scored += 1
-        top, top_dists = _nearest(mat[:m], sqnorms[:m], ids[:m], mat[qi],
-                                  math.ceil(0.01 * m))
-        ranked = top.tolist()
-        truth = {c for c in loops.get(q, ()) if c < limit and c in known}
-        scores.append((-float(top_dists[0]), ranked[0] in truth))
-        if truth:
-            n_positive += 1
-        rankings.append(ranked)
-        truths.append(truth)
+        m = m[scored]
+        found = _nearest(db, db.descriptors[perm[block[scored]]], m.tolist(),
+                         np.ceil(0.01 * m).astype(np.int64).tolist(), perm)
+        for j, (top, top_dists) in zip(scored.tolist(), found):
+            ranked = top.tolist()
+            limit = limits[j]
+            truth = {c for c in loops.get(int(ids[block[j]]), ())
+                     if c < limit and c in known}
+            scores.append((-float(top_dists[0]), ranked[0] in truth))
+            if truth:
+                n_positive += 1
+            rankings.append(ranked)
+            truths.append(truth)
+    n_scored = len(scores)
     auc = f1max = recall1 = recall1pct = float("nan")
     excl = n_scored - n_positive
     if n_positive > 0:
@@ -372,22 +476,27 @@ def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,
         raise ContractError(
             f"{query_positions.shape[0]} query positions for {len(query_db)} descriptors"
         )
-    ids = db._id_array[:: protocol.db_step]
-    mat = db.descriptors[:: protocol.db_step]
-    sqnorms = db._sqnorms[:: protocol.db_step]
-    sub_pos = db_positions[:: protocol.db_step]
+    rows = np.arange(0, len(db), protocol.db_step)
+    ids = db._id_array[rows]
+    sub_pos = db_positions[rows]
     q_rows = range(0, len(query_db), protocol.query_step)
     rankings: List[List[int]] = []
     truths: List[set] = []
-    for qi in q_rows:
-        pose_d = np.sqrt(np.sum((sub_pos - query_positions[qi]) ** 2, axis=1))
-        truth = set(ids[pose_d < protocol.distance_threshold].tolist())
-        ranked: List[int] = []
-        if truth:  # recall_at reads no ranking without a true positive
-            ranked = _nearest(mat, sqnorms, ids, query_db.descriptors[qi],
-                              20)[0].tolist()
-        rankings.append(ranked)
-        truths.append(truth)
+    for start in range(0, len(q_rows), _QUERY_BLOCK):
+        block = np.asarray(q_rows[start:start + _QUERY_BLOCK])
+        pose_d = np.sqrt(np.sum((sub_pos - query_positions[block, None]) ** 2, axis=2))
+        block_truths = [set(ids[near].tolist())
+                        for near in pose_d < protocol.distance_threshold]
+        ranked: List[List[int]] = [[] for _ in block]
+        # recall_at reads no ranking without a true positive
+        searched = [j for j, truth in enumerate(block_truths) if truth]
+        if searched:
+            found = _nearest(db, query_db.descriptors[block[searched]],
+                             [len(rows)] * len(searched), [20] * len(searched), rows)
+            for j, (top, _) in zip(searched, found):
+                ranked[j] = top.tolist()
+        rankings += ranked
+        truths += block_truths
     ar1, excluded = recall_at(rankings, truths, 1)
     ar5, _ = recall_at(rankings, truths, 5)
     ar20, _ = recall_at(rankings, truths, 20)

@@ -283,16 +283,19 @@ def check_metric_hand_values() -> str:
 def check_search_sort_oracle() -> str:
     rng = np.random.default_rng(42)
     ids = rng.permutation(1000)[:200].tolist()
-    # real-valued rows, then integer rows with many exact ties at the k-th
-    # distance
+    # real-valued rows, integer rows with many exact ties at the k-th
+    # distance, and rows of norm near 1e30 and 1e-30 (the filter's float32
+    # image must scale both into range) searched from a small row
+    mixed = rng.standard_normal((200, 5)) * np.resize([1e30, 1e-30], (200, 1))
     for mat, q in ((rng.standard_normal((200, 5)), rng.standard_normal(5)),
-                   (rng.integers(-1, 2, size=(200, 3)).astype(float), np.zeros(3))):
+                   (rng.integers(-1, 2, size=(200, 3)).astype(float), np.zeros(3)),
+                   (mixed, mixed[1] + 1e-31)):
         got = rt.db_search(rt.DescriptorDb(ids, mat), q, k=10)
         dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
         want = [(i, d) for d, i in sorted(zip(dists, ids))[:10]]
         if got != want:
             raise AssertionError("search disagrees with full sort")
-    return "top-10 exact, with ties"
+    return "top-10 exact, with ties and mixed magnitudes"
 
 
 def check_overlap_identity() -> str:

@@ -176,6 +176,37 @@ class TestWorkflow:
         assert report["n_queries"] == "0"
 
 
+class TestSearchCommand:
+    def test_csv_is_byte_identical_to_per_query_search(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """`search` runs its queries through the kernel in blocks (of 7 here,
+        so the last block is short); its CSV is byte for byte that of one
+        db_search per query, on rounded descriptors with exact ties."""
+        from rangeloop import retrieval as rt
+
+        monkeypatch.setattr(rt, "_QUERY_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        db_path, q_path = tmp_path / "db.omdb", tmp_path / "q.omdb"
+        io.save_descriptor_db(db_path, rng.permutation(1000)[:60].tolist(),
+                              np.round(rng.normal(size=(60, 4))))
+        io.save_descriptor_db(q_path, range(23), np.round(rng.normal(size=(23, 4))))
+        assert main(["search", "--db", str(db_path), "--query", str(q_path),
+                     "--k", "9"]) == 0
+        got = capsys.readouterr().out
+        db, queries = rt.DescriptorDb.load(db_path), rt.DescriptorDb.load(q_path)
+        want = stdio.StringIO()
+        w = csv.writer(want)
+        w.writerow(["query_id", "rank", "candidate_id", "distance"])
+        ties = 0
+        for qid, q in zip(queries.ids, queries.descriptors):
+            hits = rt.db_search(db, q, 9)
+            for rank, (cid, dist) in enumerate(hits, start=1):
+                w.writerow([qid, rank, cid, repr(dist)])
+            ties += len({d for _, d in hits}) < len(hits)
+        assert got == want.getvalue()
+        assert ties > 0
+
+
 class TestDeterminism:
     def test_train_embed_bit_identical(self, workspace, tmp_path):
         outs = []

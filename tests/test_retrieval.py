@@ -33,6 +33,10 @@ class TestDescriptorDb:
         with pytest.raises(ContractError):
             rv.DescriptorDb(range(3), mat)
 
+    def test_dimension_beyond_the_search_bound_rejected(self):
+        with pytest.raises(ContractError, match="dimension"):
+            rv.DescriptorDb([0], np.zeros((1, 1 << 20)))
+
     def test_matrix_is_an_owned_read_only_copy(self):
         mat = np.eye(3)
         db = rv.DescriptorDb(range(3), mat)
@@ -49,6 +53,9 @@ class TestDescriptorDb:
         back = rv.DescriptorDb.load(path)
         assert back.ids == db.ids
         np.testing.assert_array_equal(back.descriptors, db.descriptors)
+        # one decoded copy, owned by the database and read-only
+        assert back.descriptors.dtype == np.float64
+        assert back.descriptors.flags.owndata and not back.descriptors.flags.writeable
 
 
 class TestDbSearch:
@@ -77,6 +84,8 @@ class TestDbSearch:
             rv.db_search(db, np.zeros(3), k=1)
         with pytest.raises(ContractError):
             rv.db_search(db, np.array([0.0, np.nan]), k=1)
+        with pytest.raises(ContractError):
+            rv.db_search_all(db, np.zeros(2), k=1)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(42)
@@ -92,8 +101,9 @@ class TestDbSearch:
 
 def _full_sort(mat, ids, q, k):
     """Reference top k: the direct distances of every row, fully sorted by
-    (distance, id)."""
-    dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
+    (distance, id).  A distance past the float64 range reads inf."""
+    with np.errstate(over="ignore"):
+        dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
     return [(i, d) for d, i in sorted(zip(dists, ids))[:k]]
 
 
@@ -128,14 +138,26 @@ class TestNearestKernel:
         ids = rng.permutation(mat.shape[0]).tolist()
         queries = [base[0], base[1] + 1e-9, rng.normal(size=16), 100.0 * base[2]]
         self._check(mat, ids, queries, range(1, mat.shape[0] + 2))
+        # rows one float64 ulp apart are one and the same row to the filter
+        image = rv.DescriptorDb(ids, mat)._filter_image()[0]
+        assert np.array_equal(image[:4], image[8:12])
+        assert np.array_equal(image[:4], image[12:16])
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    # 1e-300 and 1e-40 rows sit below float32's normal range and 1e200 rows
+    # above its largest value, unless the filter's image is scaled.  The
+    # direct distances' squares are subnormal at 1e-162, so they tie more
+    # often than the filter can tell, underflow to zero ties at 1e-300 and
+    # overflow to inf ties at 1e200.  The last case alternates rows of norm
+    # 1e30 and 1e-30.
+    @pytest.mark.parametrize("scale", [1e-300, 1e-162, 1e-40, 1e-3, 1.0, 1e3, 1e200,
+                                       pytest.param((1e30, 1e-30), id="1e30-1e-30")])
     def test_k_at_the_edges_and_row_norm_scale(self, scale):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(300, 32))
-        mat *= scale / np.linalg.norm(mat, axis=1, keepdims=True)
+        mat *= np.resize(scale, (300, 1)) / np.linalg.norm(mat, axis=1, keepdims=True)
         ids = rng.permutation(300).tolist()
-        queries = [mat[5], scale * rng.normal(size=32), np.zeros(32)]
+        queries = [mat[5], np.min(scale) * rng.normal(size=32), np.zeros(32),
+                   1e300 * rng.normal(size=32)]
         self._check(mat, ids, queries, [1, 2, 17, 299, 300, 301, 1000])
 
     def test_prefix_of_an_id_sorted_matrix(self):
@@ -143,8 +165,7 @@ class TestNearestKernel:
         mat = np.round(rng.normal(size=(200, 8)) * 2) / 2
         db = rv.DescriptorDb(range(200), mat)
         for m in (1, 2, 50, 199):
-            got_ids, got_d = rv._nearest(db.descriptors[:m], db._sqnorms[:m],
-                                         db._id_array[:m], mat[199], 3)
+            (got_ids, got_d), = rv._nearest(db, mat[199][None], [m], [3])
             want = _full_sort(mat[:m], list(range(m)), mat[199], 3)
             assert list(zip(got_ids.tolist(), got_d.tolist())) == want
 
@@ -464,6 +485,27 @@ class TestProtocolsMatchLoopOracles:
             got = rv.eval_place_recognition(ref, query, pos[:p], pos[p:], protocol)
             want = _place_recognition_oracle(ref, query, pos[:p], pos[p:], protocol)
             assert got.rows() == want.rows()
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_query_count_not_a_multiple_of_the_block(self, monkeypatch, quantize):
+        """Blocks of 7 queries: 160 loop-closure and 80 place-recognition
+        queries leave a short last block, and blocks mix queries with and
+        without candidates or true positives."""
+        monkeypatch.setattr(rv, "_QUERY_BLOCK", 7)
+        db, labels, pos = _aliased_trajectory(42, quantize=quantize)
+        protocol = rv.EvalProtocol(window=9)
+        got = rv.eval_loop_closure(db, labels, protocol)
+        assert got.rows() == _loop_closure_oracle(db, labels, protocol).rows()
+        assert got.n_queries % 7 and 0 < got.n_scored < got.n_queries
+        assert 0 < got.n_positive_queries < got.n_scored
+        p = len(db) // 2
+        ref = rv.DescriptorDb(db.ids[:p], db.descriptors[:p])
+        query = rv.DescriptorDb(db.ids[p:], db.descriptors[p:])
+        protocol = rv.EvalProtocol(kind="place_recognition", distance_threshold=3.0)
+        got = rv.eval_place_recognition(ref, query, pos[:p], pos[p:], protocol)
+        assert got.rows() == _place_recognition_oracle(
+            ref, query, pos[:p], pos[p:], protocol).rows()
+        assert got.n_queries % 7 and 0 < got.excluded < got.n_queries
 
     def test_place_recognition_empty_database(self):
         empty = rv.DescriptorDb([], np.zeros((0, 3)))
