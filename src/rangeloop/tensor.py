@@ -7,7 +7,13 @@ Design notes:
 * Operations record themselves on the thread-local active ``Tape``.  Recording
   order is execution order, which is already a topological order of the
   computation graph, so ``backward`` is a single reverse sweep over the tape.
-  Gradients accumulate additively across fan-out and are never overwritten.
+  Gradients accumulate additively across fan-out.  The sweep frees as it
+  goes: each node's output gradient and tape slot are released once its
+  adjoint has run, so only leaf gradients outlive it and the tape is spent.
+  An input's first contribution becomes its gradient buffer when nothing
+  else holds that array (``g`` itself, a view or an array returned for two
+  inputs is summed into zeros); adopting it adds +0.0 in place, the same
+  bits as the sum into zeros.
 * Broadcasting is deliberately restricted: elementwise binary ops accept equal
   shapes, a scalar operand, or a trailing bias vector ``(d,)`` against
   ``(..., d)``.  Anything else raises ``ShapeError``; a layer's bias is an
@@ -31,9 +37,10 @@ Design notes:
   only while a tape records and grads can flow.  State only the adjoint needs
   is computed inside the adjoint from the inputs' ``.data``, so a forward with
   no tape never pays for it; state that only the forward has cheaply (the
-  argmax of ``maxpool1d_circular``, the block states of the selective scan) is
-  saved only under ``_recording``.  This is exact because no tensor is mutated
-  between a forward and its backward: optimizers update after ``backward``.
+  winning offsets of ``maxpool1d_circular``, the block states of the
+  selective scan) is saved only under ``_recording``.  This is exact because
+  no tensor is mutated between a forward and its backward: optimizers update
+  after ``backward``.
 
 Tensors are immutable after construction except for the ``grad`` buffer and
 optimizer updates to leaf parameters.  A tape is single-threaded; independent
@@ -130,26 +137,52 @@ class Tape:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every ``requires_grad`` ancestor of ``loss``.
+    """Populate ``grad`` on every ``requires_grad`` leaf ancestor of ``loss``.
 
     The loss must be a scalar recorded on ``tape``.  Each recorded operation
     is visited exactly once, in reverse recording order; fan-out accumulates
-    additively.
+    additively.  The sweep frees as it goes: a node's output gradient is
+    released once its adjoint has read it, and its tape slot once the
+    adjoint has run, so only leaves keep a ``grad`` afterwards.  The tape is
+    spent: its length is kept, and a second ``backward`` on it raises
+    ``ContractError``.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    nodes = tape._nodes
+    if nodes and nodes[-1] is None:
+        raise ContractError("backward on a spent tape: a tape can be swept once")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape._nodes):
-        g = node.out.grad
-        if g is None:
+    for pos in range(len(nodes) - 1, -1, -1):
+        node = nodes[pos]
+        g, node.out.grad = node.out.grad, None
+        if g is not None:
+            _accumulate(node.inputs, node.backward(g), g)
+        nodes[pos] = None
+
+
+def _accumulate(inputs, grads, g: np.ndarray) -> None:
+    """Add one node's input gradients ``grads`` into its inputs' buffers.
+
+    An input's first contribution becomes its buffer when nothing else
+    holds it: it owns its memory, is neither the output gradient ``g`` nor
+    returned for another input, and is a writeable float64 array of the
+    input's shape.  Any other first contribution is summed into zeros.
+    This frame alone holds ``grads``, so they are freed on return, before
+    the next adjoint allocates its own."""
+    for i, (inp, gi) in enumerate(zip(inputs, grads)):
+        if gi is None or not inp.requires_grad:
             continue
-        grads = node.backward(g)
-        for inp, gi in zip(node.inputs, grads):
-            if gi is None or not inp.requires_grad:
+        if inp.grad is None:
+            if (gi.base is None and gi is not g and gi.dtype == np.float64
+                    and gi.flags.writeable and gi.shape == inp.shape
+                    and not any(gj is gi for j, gj in enumerate(grads) if j != i)):
+                # 0.0 + gi, the sum into zeros, bit for bit: -0.0 becomes
+                # +0.0 as it did there
+                inp.grad = np.add(gi, 0.0, out=gi)
                 continue
-            if inp.grad is None:
-                inp.grad = np.zeros_like(inp.data)
-            inp.grad += gi
+            inp.grad = np.zeros_like(inp.data)
+        inp.grad += gi
 
 
 def _recording(inputs) -> bool:
@@ -616,13 +649,20 @@ def maxpool1d_circular(x, k: int) -> Tensor:
     r = (k - 1) // 2
     offsets = range(-r, r + 1)
     # a running maximum over the window offsets in order: the same pairwise
-    # comparisons as a max over their stack, without the (k, ...) stack
+    # comparisons as a max over their stack, without the (k, ...) stack.
+    # The winning offset's index is np.argmax's over that stack: a strictly
+    # greater candidate or the first NaN takes over, so ties keep the
+    # smallest offset and a NaN, once in, stays.
     data = np.roll(x.data, r, axis=-1)
-    for d in offsets[1:]:
-        np.maximum(data, np.roll(x.data, -d, axis=-1), out=data)
-    winner = None
-    if _recording((x,)):
-        winner = np.argmax(np.stack([np.roll(x.data, -d, axis=-1) for d in offsets]), axis=0)
+    winner = np.zeros(x.shape, np.min_scalar_type(k)) if _recording((x,)) else None
+    for i, d in enumerate(offsets[1:], 1):
+        cand = np.roll(x.data, -d, axis=-1)
+        if winner is not None:
+            won = np.less_equal(cand, data)
+            np.logical_not(won, out=won)  # greater, or either side NaN
+            won &= data == data
+            np.copyto(winner, i, where=won)
+        np.maximum(data, cand, out=data)
 
     def fn(g):
         gx = np.zeros(x.shape)

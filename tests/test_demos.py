@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("train_and_search.py", ["--epochs", "1"]),
     ("descriptor_invariance.py", []),
     ("scan_kernels.py", ["--reps", "1"]),
+    ("train_step.py", ["--size", "acceptance", "--steps", "2"]),
 ])
 def test_demo_runs(script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,5 +1,7 @@
 """Autodiff substrate: forward oracles, gradient checks, optimizer behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 from fdcheck import check_grads
@@ -222,6 +224,29 @@ class TestMaxpool1dCircular:
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("m, k", [(9, 3), (9, 5), (2, 5), (1, 3), (12, 7)])
+    def test_gradient_routes_as_stacked_argmax(self, m, k):
+        # ties everywhere (few distinct values, and -0.0 against +0.0) and
+        # NaNs: the gradient goes where np.argmax over the stack points,
+        # the smallest offset on a tie and the first NaN
+        rng = np.random.default_rng(42)
+        x = rng.integers(-1, 2, size=(2, 3, m)).astype(float)
+        x[x == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(x == 0.0)))
+        x[0, 0, 0], x[1, 2, m // 2] = np.nan, np.nan
+        x[0, 1, :] = np.nan
+        g = rng.standard_normal(x.shape)
+        r = (k - 1) // 2
+        stack = np.stack([np.roll(x, -d, axis=-1) for d in range(-r, r + 1)])
+        winner = np.argmax(stack, axis=0)
+        want_gx = np.zeros(x.shape)
+        for i, d in enumerate(range(-r, r + 1)):
+            want_gx += np.roll(np.where(winner == i, g, 0.0), d, axis=-1)
+        y, (gx,), nodes = _taped(lambda a: T.maxpool1d_circular(a, k), [x], g)
+        assert nodes == 1
+        assert np.array_equal(y, stack.max(axis=0), equal_nan=True)
+        assert np.array_equal(gx, want_gx)
+        assert np.array_equal(np.signbit(gx), np.signbit(want_gx))
+
 
 class TestActivations:
     def test_silu_at_zero(self):
@@ -372,6 +397,197 @@ class TestBackward:
         x = T.Tensor([1.0], requires_grad=True)
         y = T.mul(x, x)
         assert y.requires_grad is False
+
+
+def _reference_backward(loss, tape):
+    """The plain sweep: every first gradient is a sum into zeros, and the
+    tape keeps every node and every intermediate gradient."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape._nodes):
+        g = node.out.grad
+        if g is None:
+            continue
+        for inp, gi in zip(node.inputs, node.backward(g)):
+            if gi is None or not inp.requires_grad:
+                continue
+            if inp.grad is None:
+                inp.grad = np.zeros_like(inp.data)
+            inp.grad += gi
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSweep:
+    """``backward`` frees the tape as it sweeps and takes first contributions
+    as gradient buffers; gradients stay those of the plain sweep."""
+
+    @staticmethod
+    def _both(build, arrays):
+        """Leaf gradients of ``build(*leaves) -> (loss, tensors)`` from the
+        sweep and from the reference, each on its own tape; also checks
+        that the sweep changed no tensor's ``.data``."""
+        out = []
+        for sweep in (T.backward, _reference_backward):
+            leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+            with T.Tape() as tape:
+                loss, tensors = build(*leaves)
+            seen = leaves + tensors + [loss]
+            before = [t.data.copy() for t in seen]
+            sweep(loss, tape)
+            for t, b in zip(seen, before):
+                _assert_same_bits(t.data, b)
+            out.append([t.grad for t in leaves])
+        return out
+
+    def test_intermediates_released_during_sweep(self):
+        # two probe nodes: when the earlier one's adjoint runs, the later
+        # one's slot and output gradient are already gone, and so is the
+        # gradient array the later adjoint was handed
+        seen = {}
+
+        def probe(a, name):
+            def fn(g):
+                seen[name] = (weakref.ref(g), [n is None for n in tape._nodes],
+                              {k: ref() is None for k, (ref, _, _) in seen.items()})
+                return (g * 2.0,)
+            return T._make_out(a.data * 2.0, (a,), fn)
+
+        x = T.Tensor(np.arange(1.0, 5.0), requires_grad=True)
+        with T.Tape() as tape:
+            p1 = probe(x, "p1")
+            p2 = probe(p1, "p2")
+            loss = T.tsum(p2)
+        T.backward(loss, tape)
+        # slot order: p1, p2, tsum
+        assert seen["p2"][1] == [False, False, True]
+        assert seen["p1"][1] == [False, True, True]
+        assert seen["p1"][2] == {"p2": True}
+        assert seen["p1"][0]() is None
+        assert len(tape) == 3 and all(n is None for n in tape._nodes)
+        assert p1.grad is None and p2.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, np.full(4, 4.0))
+
+    def test_second_sweep_raises_one_line(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.tsum(T.mul(x, x))
+        T.backward(loss, tape)
+        with pytest.raises(errors.ContractError) as info:
+            T.backward(loss, tape)
+        assert "\n" not in str(info.value) and "spent" in str(info.value)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_add_of_one_tensor_twice(self):
+        x = np.array([1.5, -2.0, 0.0])
+        got, want = self._both(lambda a: (T.tsum(T.add(a, a)), []), [x])
+        _assert_same_bits(got[0], want[0])
+        np.testing.assert_array_equal(got[0], np.full(3, 2.0))
+
+    def test_fan_out_to_add_and_mul(self):
+        rng = np.random.default_rng(42)
+        x, c = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+
+        def build(a):
+            y = T.exp(a)
+            s = T.add(y, T.mul(y, T.Tensor(c)))
+            return T.tsum(T.mul(s, s)), [y, s]
+
+        got, want = self._both(build, [x])
+        _assert_same_bits(got[0], want[0])
+        y = np.exp(x)
+        np.testing.assert_allclose(got[0], 2.0 * y * (1.0 + c) ** 2 * y, rtol=1e-12)
+
+    @pytest.mark.parametrize("second", ["same array", "view of it"])
+    def test_contribution_held_twice_is_not_adopted_twice(self, second):
+        # an adjoint that hands one array, or a view of it, to two inputs:
+        # a's buffer then takes a further contribution, which must not reach b
+        def shared(a, b):
+            def fn(g):
+                h = g * 2.0
+                return h, (h if second == "same array" else h[...])
+            return T._make_out(a.data + b.data, (a, b), fn)
+
+        x, y = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 4.0])
+        c = np.array([3.0, -1.0, 0.5])
+
+        def build(a, b):
+            u = T.mul(a, T.Tensor(c))
+            s = shared(a, b)
+            return T.tsum(T.add(s, u)), [u, s]
+
+        got, want = self._both(build, [x, y])
+        for g, wnt in zip(got, want):
+            _assert_same_bits(g, wnt)
+        np.testing.assert_array_equal(got[0], 2.0 + c)
+        np.testing.assert_array_equal(got[1], np.full(3, 2.0))
+
+    def test_views_from_narrow_transpose_reshape(self):
+        rng = np.random.default_rng(42)
+        x, w = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 6))
+
+        def build(a, b):
+            t = T.transpose(a, (2, 0, 1))            # (4, 2, 3)
+            r = T.reshape(t, (4, 6))
+            n = T.narrow(r, 1, 1, 4)                 # (4, 4)
+            h = T.linear(T.reshape(T.transpose(n, (1, 0)), (2, 2, 4)), b)
+            return T.tsum(T.mul(h, h)), [t, r, n, h]
+
+        got, want = self._both(build, [x, w])
+        for g, wnt in zip(got, want):
+            _assert_same_bits(g, wnt)
+
+    def test_negative_zero_contributions_become_positive_zero(self):
+        # first contributions of -0.0, to a leaf and to intermediates, end as
+        # +0.0, as a sum into zeros leaves them; the leaf's second -0.0 then
+        # keeps +0.0, where an unnormalised buffer would read -0.0
+        x = np.array([1.0, -2.0, 3.0, 0.0])
+        c = np.array([-0.0, 0.0, -0.0, -1.0])
+
+        def build(a):
+            y = T.neg(T.neg(a))
+            p, q = T.mul(y, T.Tensor(c)), T.mul(a, T.Tensor(c))
+            return T.tsum(T.add(p, q)), [y, p, q]
+
+        got, want = self._both(build, [x])
+        _assert_same_bits(got[0], want[0])
+        np.testing.assert_array_equal(got[0], 2.0 * c)
+        assert not np.signbit(got[0][:3]).any()
+
+    def test_acceptance_step_bitwise_against_reference(self):
+        # one imtrihard 1+2+2 step of the acceptance model: all 57 parameter
+        # gradients equal the plain sweep's, sign bits included
+        from rangeloop import pipeline as pl
+        from rangeloop import training as tr
+        from rangeloop.rangeview import RangeImage, TrainingTuple
+
+        model = pl.ModelConfig(h=16, w=128, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2),
+                                                    (32, 2, 2)),
+                               spp_mode="add", olm_n=4, vlad_k=8, mlp_hidden=64, out_dim=32)
+        rng = np.random.default_rng(1)
+        images = {}
+        for i in range(5):
+            r = rng.uniform(1.0, 40.0, size=(16, 128))
+            r[rng.random(size=(16, 128)) < 0.2] = -1.0
+            images[i] = RangeImage(r, r_max=50.0)
+        tup = TrainingTuple(query=0, positives=(1, 2), negatives=(3, 4))
+        cfg = tr.TrainConfig(loss="imtrihard", k_p=2, k_n=2)
+        grads = []
+        for sweep in (T.backward, _reference_backward):
+            params = pl.init_model(model, seed=42)
+            step_rng = np.random.default_rng(0)
+            with T.Tape() as tape:
+                desc = tr._forward_tuple(tup, images, params, model, step_rng)
+                loss = tr.tuple_loss(desc, 2, cfg, step_rng)
+            sweep(loss, tape)
+            grads.append({k: p.grad for k, p in params.items()})
+        got, want = grads
+        assert len(got) == 57 and sorted(got) == sorted(want)
+        for name in want:
+            _assert_same_bits(got[name], want[name])
 
 
 class TestGradientChecks:
@@ -740,13 +956,11 @@ class TestAdam:
             opt.step()
             assert opt.t == want
 
-    def test_in_place_step_equals_formula_bitwise(self):
+    @staticmethod
+    def _assert_steps_equal_formula(start, rng):
         # the oracle is the update written with temporaries; parameters and
         # both moments match it bit for bit over five steps
         from rangeloop.optim import BETA1, BETA2, EPS
-        rng = np.random.default_rng(42)
-        start = {"s": rng.standard_normal(()), "v": rng.standard_normal(5),
-                 "w": rng.standard_normal((3, 4))}
         params = {k: T.Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
         opt = Adam(params, lr=1e-2)
         want = {k: v.copy() for k, v in start.items()}
@@ -767,6 +981,20 @@ class TestAdam:
                 assert np.array_equal(opt.m[k], m[k])
                 assert np.array_equal(opt.v[k], v2[k])
 
+    def test_in_place_step_equals_formula_bitwise(self):
+        rng = np.random.default_rng(42)
+        start = {"s": rng.standard_normal(()), "v": rng.standard_normal(5),
+                 "w": rng.standard_normal((3, 4))}
+        self._assert_steps_equal_formula(start, rng)
+
+    def test_chunked_step_equals_formula_bitwise(self):
+        # three whole chunks and a ragged tail, next to a one-chunk tensor
+        from rangeloop.optim import CHUNK
+        assert CHUNK == 1 << 15
+        rng = np.random.default_rng(42)
+        start = {"big": rng.standard_normal(3 * CHUNK + 7).reshape(1, -1),
+                 "w": rng.standard_normal((3, 4))}
+        self._assert_steps_equal_formula(start, rng)
 
 class TestDeterminism:
     def test_same_seed_bit_identical_forward_and_grads(self):
