@@ -206,7 +206,8 @@ def cmd_eval_place(args) -> int:
 def cmd_selfcheck(args) -> int:
     results = run_selfcheck(log=print)
     failed = [r for r in results if not r.ok]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    total = sum(r.seconds for r in results)
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed in {total:.3f} s")
     return 1 if failed else 0
 
 

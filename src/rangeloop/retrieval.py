@@ -20,7 +20,7 @@ import csv
 import io as _stdio
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -348,8 +348,20 @@ def overlap_lookup(labels) -> Dict[Tuple[int, int], float]:
     return table
 
 
+class _Report:
+    """The CSV rows of a report dataclass: one (name, value) per field, in
+    field order, with float fields through ``_fmt`` and int fields as they
+    are."""
+
+    def rows(self):
+        # this module's annotations are strings (``from __future__ import
+        # annotations``), so a float field's type reads "float"
+        values = ((f, getattr(self, f.name)) for f in fields(self))
+        return [(f.name, _fmt(v) if f.type in (float, "float") else v) for f, v in values]
+
+
 @dataclass(frozen=True)
-class LoopClosureReport:
+class LoopClosureReport(_Report):
     n_queries: int
     n_scored: int  # queries that had at least one candidate
     n_positive_queries: int  # scored queries with a true loop available
@@ -358,18 +370,6 @@ class LoopClosureReport:
     recall1: float
     recall1pct: float
     excluded: int  # scored queries with no true loop (excluded from recalls)
-
-    def rows(self):
-        return [
-            ("n_queries", self.n_queries),
-            ("n_scored", self.n_scored),
-            ("n_positive_queries", self.n_positive_queries),
-            ("auc", _fmt(self.auc)),
-            ("f1max", _fmt(self.f1max)),
-            ("recall1", _fmt(self.recall1)),
-            ("recall1pct", _fmt(self.recall1pct)),
-            ("excluded", self.excluded),
-        ]
 
 
 def _fmt(x: float) -> str:
@@ -441,23 +441,13 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
 
 
 @dataclass(frozen=True)
-class PlaceRecognitionReport:
+class PlaceRecognitionReport(_Report):
     n_queries: int
     n_evaluated: int
     excluded: int
     ar1: float
     ar5: float
     ar20: float
-
-    def rows(self):
-        return [
-            ("n_queries", self.n_queries),
-            ("n_evaluated", self.n_evaluated),
-            ("excluded", self.excluded),
-            ("ar1", _fmt(self.ar1)),
-            ("ar5", _fmt(self.ar5)),
-            ("ar20", _fmt(self.ar20)),
-        ]
 
 
 def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,

@@ -3,12 +3,16 @@
 Each check exercises one structural guarantee of the pipeline (gradient
 correctness, scan equivalence, shift properties, metric conventions,
 determinism) on a small fixed instance.  ``run_selfcheck`` executes the whole
-registry and reports per-check pass/fail; the command-line entry point exits
-0 only when every check passes.
+registry and reports per-check pass/fail and wall time; the command-line
+entry point exits 0 only when every check passes.
+
+``check_grads`` is the project's one finite-difference gradient probe: the
+gradient check here, the unit tests and acceptance criterion 3 all call it.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -28,6 +32,7 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
+    seconds: float  # wall time of the check
 
 
 def _toy_model() -> Tuple[dict, pl.ModelConfig]:
@@ -36,40 +41,58 @@ def _toy_model() -> Tuple[dict, pl.ModelConfig]:
     return pl.init_model(cfg, seed=42), cfg
 
 
-def _fd_scalar(op: Callable, arrays: List[np.ndarray], tol: float) -> float:
-    """Max relative error between tape gradients and central differences of a
-    random scalar projection of ``op``'s output."""
-    rng = np.random.default_rng(7)
-    proj = None
+# The probe's central-difference step and its bound on each entry's relative
+# error |analytic - numeric| / max(1, |analytic|, |numeric|).
+_FD_STEP = 1e-5
+_FD_TOL = 1e-4
 
-    def scalar(ts):
-        nonlocal proj
-        out = op(*ts)
-        if proj is None:
-            proj = rng.standard_normal(out.shape)
-        return tt.tsum(tt.mul(out, tt.Tensor(proj)))
 
-    tensors = [tt.Tensor(a, requires_grad=True) for a in arrays]
+def check_grads(op: Callable, arrays: List[np.ndarray], rng: np.random.Generator) -> float:
+    """Tape gradients of ``op`` against central differences, every entry of
+    every input: the full Jacobian, not a sample of it.
+
+    ``op`` maps one Tensor per array to a Tensor.  It runs once under a tape,
+    then its output is contracted to a scalar against a projection drawn
+    from ``rng``, so every output entry weighs in, not just their sum.  Each
+    entry of each input's gradient is compared with a central difference of
+    that scalar at step ``_FD_STEP``.  Raises ``AssertionError`` naming the input
+    and the flat index of its worst entry when that entry's relative error
+    reaches ``_FD_TOL``, or naming an input that got no gradient.  Returns
+    the worst error; the caller's arrays are not changed.
+    """
+    arrays = [np.array(a, dtype=np.float64, order="C") for a in arrays]
+    inputs = [tt.Tensor(a.copy(), requires_grad=True) for a in arrays]
     with tt.Tape() as tape:
-        loss = scalar(tensors)
+        out = op(*inputs)
+        proj = rng.standard_normal(out.shape)
+        loss = tt.tsum(tt.mul(out, tt.Tensor(proj)))
     tt.backward(loss, tape)
+
+    def scalar() -> float:
+        return float(np.sum(op(*[tt.Tensor(a) for a in arrays]).data * proj))
+
     worst = 0.0
-    h = 1e-6
-    for k, a in enumerate(arrays):
+    for k, (a, inp) in enumerate(zip(arrays, inputs)):
+        if inp.grad is None:
+            raise AssertionError(f"input {k} got no gradient")
         flat = a.reshape(-1)
-        idxs = rng.choice(flat.size, size=min(5, flat.size), replace=False)
-        for i in idxs:
-            bumped = [x.copy() for x in arrays]
-            bumped[k].reshape(-1)[i] += h
-            up = float(scalar([tt.Tensor(x) for x in bumped]).data)
-            bumped[k].reshape(-1)[i] -= 2 * h
-            dn = float(scalar([tt.Tensor(x) for x in bumped]).data)
-            numeric = (up - dn) / (2 * h)
-            analytic = tensors[k].grad.reshape(-1)[i]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    if worst >= tol:
-        raise AssertionError(f"gradient error {worst:.3e} >= {tol}")
+        numeric = np.empty(flat.size)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + _FD_STEP
+            up = scalar()
+            flat[i] = keep - _FD_STEP
+            down = scalar()
+            flat[i] = keep
+            numeric[i] = (up - down) / (2.0 * _FD_STEP)
+        analytic = inp.grad.reshape(-1)
+        err = np.abs(analytic - numeric) / np.maximum(
+            1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+        i = int(np.argmax(err))
+        if not err[i] < _FD_TOL:
+            raise AssertionError(
+                f"input {k}: relative gradient error {err[i]:.3e} at flat index {i}")
+        worst = max(worst, float(err[i]))
     return worst
 
 
@@ -89,7 +112,13 @@ def check_autodiff_gradients() -> str:
         y = tt.conv1d_circular(tt.transpose(y, (0, 2, 1)), cwt, cbt)
         return tt.softmax(tt.transpose(y, (0, 2, 1)), axis=-1)
 
-    worst = _fd_scalar(op, [x, w, g, b, cw, lb, cb], tol=1e-4)
+    worst = check_grads(op, [x, w, g, b, cw, lb, cb], rng)
+    # the fused scan over a full first block of steps and a ragged second one
+    m = ssm._SCAN_CHUNK + 6
+    scan_in = [rng.standard_normal((1, m, 2)), rng.uniform(0.05, 0.8, size=(1, m, 2)),
+               -rng.uniform(0.2, 2.0, size=(2, 3)), rng.standard_normal((1, m, 3)),
+               rng.standard_normal((1, m, 3)), rng.standard_normal(2)]
+    worst = max(worst, check_grads(ssm.selective_scan, scan_in, rng))
     return f"max rel err {worst:.2e}"
 
 
@@ -381,12 +410,13 @@ CHECKS: Tuple[Tuple[str, Callable[[], str]], ...] = (
 def run_selfcheck(log: Optional[Callable[[str], None]] = None) -> List[CheckResult]:
     results = []
     for name, fn in CHECKS:
+        t0 = time.perf_counter()
         try:
-            detail = fn() or ""
-            results.append(CheckResult(name, True, detail))
+            ok, detail = True, fn() or ""
         except Exception as exc:  # a failing invariant must not stop the rest
-            results.append(CheckResult(name, False, str(exc)))
+            ok, detail = False, str(exc)
+        results.append(CheckResult(name, ok, detail, time.perf_counter() - t0))
         if log is not None:
             r = results[-1]
-            log(f"{'ok  ' if r.ok else 'FAIL'} {r.name}: {r.detail}")
+            log(f"{'ok  ' if r.ok else 'FAIL'} {r.name}: {r.detail} ({r.seconds:.3f} s)")
     return results

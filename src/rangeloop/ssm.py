@@ -42,7 +42,6 @@ have the caller's shapes.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -310,13 +309,12 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
         for sl, h0 in zip(reversed(blocks), reversed(saved)):
             xl, dl, bl, gyl = xs[sl], ds[sl], bs[sl], gys[sl]
             decay, hs = _block_states(h0, xl, dl, at, bl, bufs)
-            lam = np.einsum("lbn,lbe->lbne", cs[sl], gyl, out=bufs.view("lam", hs.shape))
-            # each step's carry is formed over its spent decay factor, so the
-            # block ends holding lambda_m * exp(delta_m a) at every step
-            for dec, lm in zip(decay[::-1], lam[::-1]):
-                lm += carry
-                carry = np.multiply(dec, lm, out=dec)
-            carry = carry.copy()
+            lam = np.einsum("lbn,lbe->lbne", cs[sl], gyl, out=bufs.lam[:len(hs)])
+            lam[-1] += carry
+            _recur(decay[:0:-1], lam[-2::-1], lam[-1], bufs.step)
+            # lambda_m * exp(delta_m a), formed over the spent decay factors
+            np.multiply(decay, lam, out=decay)
+            carry = decay[0].copy()
             np.einsum("lbne,lbe->lbn", hs, gyl, out=gcs[sl])
             # times h_{m-1}, that is the gradient w.r.t. delta_m * a
             dlogdecay = decay
@@ -349,22 +347,30 @@ def _block_len(bsz: int, e: int, n: int) -> int:
 class _ScanBuffers:
     """The work arrays of one scan pass, reused by each of its blocks.
 
-    Each is allocated flat for the longest block and handed out as a
-    C-contiguous view of the leading elements, so a block of L steps gets
-    exactly the layout a fresh (L, B, N, E) array would have, ragged last
-    block included: E is the unit-stride axis, so the ufunc and einsum loops
-    run along the widened channel (64 or 512) and not the N = 4 or 16
-    states, and each step's (B, N, E) slice is one contiguous run.
+    ``decay``, ``hs`` and ``lam`` are (steps, B, N, E) and ``dx`` is
+    (steps, B, E), sized for the longest block; a block of L steps uses the
+    leading slices ``[:L]``, which are C-contiguous with exactly the layout
+    a fresh (L, B, N, E) array would have, ragged last block included.  E is
+    the unit-stride axis, so the ufunc and einsum loops run along the
+    widened channel (64 or 512) and not the N = 4 or 16 states, and each
+    step's (B, N, E) slice is one contiguous run.  ``step`` holds one step's
+    product for ``_recur``.
     """
 
     def __init__(self, bsz: int, steps: int, e: int, n: int):
-        size = bsz * steps * n * e
-        self.flat = {"decay": np.empty(size), "hs": np.empty(size), "lam": np.empty(size),
-                     "dx": np.empty(steps * bsz * e)}
-        self.step = np.empty((bsz, n, e))  # one step's decay * state
+        self.decay, self.hs, self.lam = (np.empty((steps, bsz, n, e)) for _ in range(3))
+        self.dx = np.empty((steps, bsz, e))
+        self.step = np.empty((bsz, n, e))
 
-    def view(self, name: str, shape) -> np.ndarray:
-        return self.flat[name][:math.prod(shape)].reshape(shape)
+
+def _recur(coef, acc, prev, step) -> None:
+    """First-order linear recurrence in place: acc[i] += coef[i] * acc[i-1]
+    along the leading axis, with acc[-1] read as ``prev``.  ``step`` holds
+    each product, so the loop makes no temporaries.  The scan's states run
+    it forward over a block and its adjoint backward, over reversed views."""
+    for k, a in zip(coef, acc):
+        a += np.multiply(k, prev, out=step)
+        prev = a
 
 
 def _block_states(h0, x, delta, at, b, bufs: _ScanBuffers):
@@ -373,16 +379,12 @@ def _block_states(h0, x, delta, at, b, bufs: _ScanBuffers):
     blocks of the operands; at: the (N, E) evolution table.  Both results
     are (L, B, N, E) views into ``bufs``, valid until the next block is
     formed there; step i of either is the contiguous slice [i]."""
-    length, bsz, e = x.shape
-    shape = (length, bsz, at.shape[0], e)
-    decay = np.einsum("lbe,ne->lbne", delta, at, out=bufs.view("decay", shape))
+    length = len(x)
+    decay = np.einsum("lbe,ne->lbne", delta, at, out=bufs.decay[:length])
     np.exp(decay, out=decay)
-    dx = np.multiply(delta, x, out=bufs.view("dx", x.shape))
-    hs = np.einsum("lbe,lbn->lbne", dx, b, out=bufs.view("hs", shape))
-    prev = h0
-    for dec, h in zip(decay, hs):
-        h += np.multiply(dec, prev, out=bufs.step)
-        prev = h
+    dx = np.multiply(delta, x, out=bufs.dx[:length])
+    hs = np.einsum("lbe,lbn->lbne", dx, b, out=bufs.hs[:length])
+    _recur(decay, hs, h0, bufs.step)
     return decay, hs
 
 

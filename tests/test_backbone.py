@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from fdcheck import check_grads
+from rangeloop.selfcheck import check_grads
 
 from rangeloop import backbone as bb
 from rangeloop import pipeline as pl

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdcheck import check_grads
+from rangeloop.selfcheck import check_grads
 
 from rangeloop import block as bk
 from rangeloop import pipeline as pl

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from fdcheck import check_grads
+from rangeloop.selfcheck import check_grads
 
 from rangeloop import errors
 from rangeloop import tensor as T
@@ -754,6 +754,48 @@ class TestGradientChecks:
         check_grads(lambda t: T.softmax(t, axis=1), [x], rng)
         check_grads(T.l2_normalize, [x], rng)
         check_grads(lambda t: T.l2_normalize(t, axis=1), [x], rng)
+
+
+def _mul_with_wrong_entry(flat_index):
+    """a * b on one tape node whose adjoint for b is off by one at a single
+    entry."""
+
+    def op(a, b):
+        def adjoint(g):
+            gb = g * a.data
+            gb.reshape(-1)[flat_index] += 1.0
+            return g * b.data, gb
+
+        return T._make_out(a.data * b.data, (a, b), adjoint)
+
+    return op
+
+
+class TestCheckGrads:
+    """The finite-difference probe itself."""
+
+    @pytest.mark.parametrize("flat_index", [0, 217, 399])
+    def test_one_wrong_entry_is_named(self, flat_index):
+        rng = np.random.default_rng(42)
+        a, b = rng.standard_normal((20, 20)), rng.standard_normal((20, 20))
+        with pytest.raises(AssertionError,
+                           match=rf"^input 1: .* at flat index {flat_index}$"):
+            check_grads(_mul_with_wrong_entry(flat_index), [a, b], rng)
+
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(42)
+        a = np.asfortranarray(rng.standard_normal((3, 4)))
+        b = rng.standard_normal(4)
+        before = [a.copy(), b.copy()]
+        check_grads(T.mul, [a, b], rng)
+        for got, want in zip((a, b), before):
+            _assert_same_bits(got, want)
+
+    def test_input_without_gradient_raises(self):
+        rng = np.random.default_rng(42)
+        a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        with pytest.raises(AssertionError, match="^input 1 got no gradient$"):
+            check_grads(lambda x, y: T.exp(x), [a, b], rng)
 
 
 class TestL2NormalizeZeroRows:

@@ -6,11 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from fdcheck import check_grads
-
 from rangeloop import io
 from rangeloop import pipeline as pl
-from rangeloop.selfcheck import _loss_selection
+from rangeloop.selfcheck import _loss_selection, check_grads
 from rangeloop import tensor as tt
 from rangeloop import training as tr
 from rangeloop.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
