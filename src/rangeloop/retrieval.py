@@ -16,6 +16,7 @@ database session, scored by pose distance).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _stdio
 import math
@@ -103,18 +104,26 @@ class DescriptorDb:
 
 def _exponent(a: np.ndarray) -> int:
     """The binary exponent e of a's largest magnitude m = f 2**e, 0.5 <= f < 1
-    (0 when a is empty or all zero): every entry of a * 2**-e lies in (-1, 1)."""
-    return math.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1]
+    (0 when a is empty or all zero): every entry of a * 2**-e lies in (-1, 1).
+
+    The one max and min it reads also check that every entry is finite: NaN
+    propagates through both and an infinity shows in one of them.  A
+    database is checked when it is built, so only a query can fail here."""
+    hi, lo = a.max(initial=0.0), a.min(initial=0.0)
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ContractError("query descriptor has a non-finite entry")
+    return math.frexp(max(hi, -lo))[1]
 
 
 def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
              rows: Optional[np.ndarray] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """For each row q of the (b, D) block of finite queries: (ids,
-    distances) of the ks[i] database rows nearest to it among its candidates,
-    ascending by the direct distance sqrt(sum((x - q)**2)), equal distances
-    by lower id: exactly the first ks[i] of a full sort.  Row i's
-    candidates are the first counts[i] >= 1 entries of rows, an index array
-    into the database, or of the database's own order when rows is None.
+    """For each row q of the (b, D) block of queries: (ids, distances) of
+    the ks[i] database rows nearest to it among its candidates, ascending by
+    the direct distance sqrt(sum((x - q)**2)), equal distances by lower id:
+    exactly the first ks[i] of a full sort.  Row i's candidates are the
+    first counts[i] >= 1 entries of rows, an index array into the database,
+    or of the database's own order when rows is None.  A query with a NaN
+    or infinite entry raises ContractError.
 
     Filter: let ex and eq be `_exponent` of the database and of the block,
     and e = max(ex, eq, -536).  The image holds a = fl32(2^-ex x) and the
@@ -122,7 +131,8 @@ def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
     cast can overflow; b is then scaled by -2^(ex + eq - 2e + 1), and one
     float32 GEMM ranks every row by
         f = 2^(2 ex - 2e) |a|^2 - 2^(ex + eq - 2e + 1) a.b,
-    |a|^2 being the image's float32 row norms.  Up to rounding, f is
+    |a|^2 being the image's float32 row norms (their factor is 1 when
+    e = ex, and the product is skipped).  Up to rounding, f is
     2^-2e (|x|^2 - 2 x.q) = 2^-2e (|x - q|^2 - |q|^2): scaling by a power of
     two is exact but for underflow, and any e >= ex, eq works, so the floor
     -536 only keeps the terms below finite.  In units of 2^2e, x' = 2^-e x
@@ -152,84 +162,98 @@ def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
     reads inf, and all such rows tie; that can only happen when
     4 D 2^2e > 2^1023, and the last term 4 (D + 4) D 2^min(2e - 1016, 0)
     then exceeds the whole spread of f (at most 1.15 M^2), so every row is
-    kept.
+    kept.  Below that, |x - q| < 2^(e+1) entrywise gives S < 4 D 2^2e
+    <= 2^1023 and S^ < 1.07 S, so no difference, square or sum overflows.
+    As D < 2^L, L the bit length of D, the refine enters
+    np.errstate(over="ignore") only when L + 2 + 2e > 1023.
 
     Refine: the kept rows are recomputed with the direct formula, so each
     distance is bit-identical to a full computation, and ordered by
-    np.lexsort((ids, d)).
+    np.lexsort((ids, d, query)).  Only the kernel's result depends on the
+    bound, not on the GEMM's rounding, so the GEMM runs over the candidate
+    prefix alone when rows is None.
     """
     image, ex, norms, x_max = db._filter_image()
     b, dim = queries.shape
     eq = _exponent(queries)
     e = max(ex, eq, -536)
-    qimage = np.empty(queries.shape, dtype=np.float32)
-    np.ldexp(queries, -eq, out=qimage)
+    qimage = np.empty((dim, b), dtype=np.float32)  # (D, b): image @ qimage is (n, b)
+    np.ldexp(queries.T, -eq, out=qimage)
     m = (x_max * 2.0 ** (ex - e)
-         + math.sqrt(np.square(qimage).sum(axis=1).max()) * 2.0 ** (eq - e))
+         + math.sqrt(np.square(qimage).sum(axis=0).max()) * 2.0 ** (eq - e))
     tau = 4 * (dim + 4) * (2.0 ** -24 * m * m + 2.0 ** -146 + 2.0 ** (-1073 - 2 * e)
                            + dim * 2.0 ** min(2 * e - 1016, 0))
     qimage *= -2.0 ** (ex + eq - 2 * e + 1)
     ks = [min(k, c) for k, c in zip(ks, counts)]
-    kths = sorted({k - 1 for k in ks})
-    kth = (np.arange(b), np.subtract(ks, 1))
+    kmax = max(ks)
     width = max(counts)
+    n = len(norms) if rows is not None else width  # rows past a prefix are never read
     # everything above is set up before the GEMM streams the image through
-    # the cache; (n, D) @ (D, b) is the faster GEMM layout in OpenBLAS
-    f = norms * 2.0 ** (2 * (ex - e)) + (image @ qimage.T).T
-    if rows is None:
-        f = f[:, :width]
-    else:
+    # the cache
+    f = image[:n] @ qimage
+    f += norms[:n, None] if e == ex else norms[:n, None] * 2.0 ** (2 * (ex - e))
+    if rows is not None:
         rows = rows[:width]
-        f = f[:, rows]
+        f = f[rows]
+    # (b, width), a query's values contiguous: np.partition is about 3x
+    # faster along a contiguous axis; for b = 1 this is a view
+    f = np.ascontiguousarray(f.T)
     for i, c in enumerate(counts):
         if c < width:
             f[i, c:] = np.inf
-    f_k = np.partition(f, kths, axis=1)[kth]
-    f_k += tau
-    qi, cols = np.nonzero(f <= f_k[:, None])
+    # one partition at the largest k, then each query's k-th value from its
+    # sorted kmax smallest (np.partition with several kth is much slower)
+    f_k = np.partition(f, kmax - 1, axis=1)[:, :kmax]
+    f_k.sort(axis=1)
+    block = np.arange(b)
+    f_k = f_k[block, np.subtract(ks, 1)] + tau
+    qi, cols = np.divmod(np.flatnonzero(f <= f_k[:, None]), width)  # qi ascends
     if rows is not None:
         cols = rows[cols]
-    bounds = np.searchsorted(qi, np.arange(b + 1)).tolist()  # row i's kept rows
     diff = db.descriptors[cols]
-    for q, start, stop in zip(queries, bounds, bounds[1:]):
-        diff[start:stop] -= q
-    with np.errstate(over="ignore"):  # as in a full sort, such distances read inf
+    diff -= queries[qi]
+    with (np.errstate(over="ignore") if dim.bit_length() + 2 + 2 * e > 1023
+          else contextlib.nullcontext()):  # such distances read inf, as in a full sort
         d = np.sqrt(np.square(diff, out=diff).sum(axis=1))
     ids = db._id_array[cols]
-    order = np.lexsort((ids, d, qi))  # keeps each row's kept rows in place
-    return [(ids[order[s:s + k]], d[order[s:s + k]]) for s, k in zip(bounds, ks)]
+    order = np.lexsort((ids, d, qi))
+    starts = np.searchsorted(qi, block).tolist()  # query i's kept rows
+    ids, d = ids[order], d[order]
+    return [(ids[s:s + k], d[s:s + k]) for s, k in zip(starts, ks)]
 
 
-def _checked_queries(db: DescriptorDb, queries: np.ndarray, k: int) -> np.ndarray:
+def _check_search(db: DescriptorDb, queries: np.ndarray, k: int) -> None:
+    """k, the database and the query width; `_nearest` checks that the
+    entries are finite."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     if len(db) == 0:
         raise ContractError("search in an empty database")
     if queries.shape[1] != db.dim:
         raise ContractError(f"query dim {queries.shape[1]} != db dim {db.dim}")
-    if not np.isfinite(queries).all():
-        raise ContractError("query descriptor has a non-finite entry")
-    return queries
 
 
 def db_search(db: DescriptorDb, query: np.ndarray, k: int) -> List[Tuple[int, float]]:
     """Exact k nearest descriptors by Euclidean distance, ascending; equal
     distances rank by lower id."""
     query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    ids, dists = _nearest(db, _checked_queries(db, query, k), [len(db)], [k])[0]
+    _check_search(db, query, k)
+    ids, dists = _nearest(db, query, [len(db)], [k])[0]
     return list(zip(ids.tolist(), dists.tolist()))
 
 
 def db_search_all(db: DescriptorDb, queries: np.ndarray,
                   k: int) -> List[List[Tuple[int, float]]]:
     """db_search for every row of the (m, D) matrix queries, one kernel call
-    per block of _QUERY_BLOCK rows."""
+    per block of _QUERY_BLOCK rows.  The arguments are checked also when
+    there are no rows."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ContractError(f"query matrix must be 2-d, got {queries.shape}")
+    _check_search(db, queries, k)
     out = []
     for start in range(0, len(queries), _QUERY_BLOCK):
-        block = _checked_queries(db, queries[start:start + _QUERY_BLOCK], k)
+        block = queries[start:start + _QUERY_BLOCK]
         for ids, dists in _nearest(db, block, [len(db)] * len(block), [k] * len(block)):
             out.append(list(zip(ids.tolist(), dists.tolist())))
     return out
@@ -295,18 +319,22 @@ def recall_at(rankings: Sequence[Sequence[int]], truths: Sequence[set],
         raise ContractError(f"{len(rankings)} rankings for {len(truths)} truth sets")
     if n < 1:
         raise ContractError(f"cutoff must be >= 1, got {n}")
-    hits = 0
-    considered = 0
-    excluded = 0
-    for ranked, truth in zip(rankings, truths):
-        if not truth:
-            excluded += 1
-            continue
-        considered += 1
-        if any(c in truth for c in list(ranked)[:n]):
-            hits += 1
-    fraction = hits / considered if considered else float("nan")
-    return fraction, excluded
+    return _recall([_first_hit(ranked, truth) for ranked, truth in zip(rankings, truths)], n)
+
+
+def _first_hit(ranked: Sequence[int], truth: set) -> Optional[float]:
+    """The 0-based rank of the first true positive in ranked (inf when none
+    is ranked), or None when the query has no true positive."""
+    if not truth:
+        return None
+    return next((r for r, c in enumerate(ranked) if c in truth), math.inf)
+
+
+def _recall(first_hits: Sequence[Optional[float]], n: int) -> Tuple[float, int]:
+    """recall_at from each query's `_first_hit`: (fraction, exclusions)."""
+    ranks = [r for r in first_hits if r is not None]
+    fraction = sum(r < n for r in ranks) / len(ranks) if ranks else float("nan")
+    return fraction, len(first_hits) - len(ranks)
 
 
 # --------------------------------------------------------------------------
@@ -383,8 +411,9 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     distance) and its truth (overlap above threshold) feed the PR metrics;
     recall@1 and recall@1% count queries whose true loops are found.
 
-    Read in id order through an argsort index, each query's candidates are
-    a prefix of the database; queries go to `_nearest` in blocks, and only
+    Read in id order through an argsort index (none when the database is
+    stored in id order), each query's candidates are a prefix of the
+    database; queries go to `_nearest` in blocks, and only
     the top ceil(0.01 * candidates) are ranked, which is all that recall@1
     and recall@1% read."""
     loops: Dict[int, List[int]] = {}
@@ -394,11 +423,10 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     known = set(db.ids)
     perm = np.argsort(db._id_array)
     ids = db._id_array[perm]
+    rows = None if np.array_equal(ids, db._id_array) else perm  # in id order: no gather
     queries = range(0, len(ids), protocol.query_step)
     scores = []
-    rankings: List[List[int]] = []
-    truths: List[set] = []
-    n_positive = 0
+    first_hits: List[Optional[float]] = []
     for start in range(0, len(queries), _QUERY_BLOCK):
         block = np.asarray(queries[start:start + _QUERY_BLOCK])
         # candidates are ids < q - window, the first m in id order
@@ -409,23 +437,20 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
             continue
         m = m[scored]
         found = _nearest(db, db.descriptors[perm[block[scored]]], m.tolist(),
-                         np.ceil(0.01 * m).astype(np.int64).tolist(), perm)
+                         np.ceil(0.01 * m).astype(np.int64).tolist(), rows)
         for j, (top, top_dists) in zip(scored.tolist(), found):
             ranked = top.tolist()
             limit = limits[j]
             truth = {c for c in loops.get(int(ids[block[j]]), ())
                      if c < limit and c in known}
             scores.append((-float(top_dists[0]), ranked[0] in truth))
-            if truth:
-                n_positive += 1
-            rankings.append(ranked)
-            truths.append(truth)
+            first_hits.append(_first_hit(ranked, truth))
     n_scored = len(scores)
-    auc = f1max = recall1 = recall1pct = float("nan")
-    excl = n_scored - n_positive
-    if n_positive > 0:
-        recall1, excl = recall_at(rankings, truths, 1)
-        recall1pct, _ = recall_at(rankings, truths, max(map(len, rankings)))
+    # recall@1% reads each query's whole ranking, its top ceil(0.01 m)
+    recall1, excl = _recall(first_hits, 1)
+    recall1pct, _ = _recall(first_hits, math.inf)
+    n_positive = n_scored - excl
+    auc = f1max = float("nan")
     labels = [t for _, t in scores]
     if labels and all(labels):
         # every scored query retrieved a true loop at rank 1: the PR curve
@@ -450,6 +475,21 @@ class PlaceRecognitionReport(_Report):
     ar20: float
 
 
+def _pose_distances(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(b, n) distances from each of the b query positions to each of the n
+    database positions, bit for bit
+    np.sqrt(np.sum((positions - queries[:, None]) ** 2, axis=2)).
+
+    For two columns numpy's reduce is the plain sum dx**2 + dy**2, computed
+    here over (b, n) planes, without a reduce over a length-2 axis; for
+    three or more it is not a left-to-right sum, and the reduce is kept."""
+    if positions.shape[1] != 2:
+        return np.sqrt(np.sum((positions - queries[:, None]) ** 2, axis=2))
+    d = np.square(positions[:, 0] - queries[:, :1])
+    d += np.square(positions[:, 1] - queries[:, 1:])
+    return np.sqrt(d, out=d)
+
+
 def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,
                            db_positions: np.ndarray, query_positions: np.ndarray,
                            protocol: EvalProtocol) -> PlaceRecognitionReport:
@@ -469,27 +509,25 @@ def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,
     rows = np.arange(0, len(db), protocol.db_step)
     ids = db._id_array[rows]
     sub_pos = db_positions[rows]
+    order = rows if protocol.db_step > 1 else None  # step 1 reads the database in place
     q_rows = range(0, len(query_db), protocol.query_step)
-    rankings: List[List[int]] = []
-    truths: List[set] = []
+    first_hits: List[Optional[float]] = []
     for start in range(0, len(q_rows), _QUERY_BLOCK):
         block = np.asarray(q_rows[start:start + _QUERY_BLOCK])
-        pose_d = np.sqrt(np.sum((sub_pos - query_positions[block, None]) ** 2, axis=2))
-        block_truths = [set(ids[near].tolist())
-                        for near in pose_d < protocol.distance_threshold]
-        ranked: List[List[int]] = [[] for _ in block]
-        # recall_at reads no ranking without a true positive
-        searched = [j for j, truth in enumerate(block_truths) if truth]
+        pose_d = _pose_distances(sub_pos, query_positions[block])
+        truths = [set(ids[near].tolist()) for near in pose_d < protocol.distance_threshold]
+        # a query without a true positive is excluded and never searched
+        searched = [j for j, truth in enumerate(truths) if truth]
+        hits: List[Optional[float]] = [None] * len(block)
         if searched:
             found = _nearest(db, query_db.descriptors[block[searched]],
-                             [len(rows)] * len(searched), [20] * len(searched), rows)
+                             [len(rows)] * len(searched), [20] * len(searched), order)
             for j, (top, _) in zip(searched, found):
-                ranked[j] = top.tolist()
-        rankings += ranked
-        truths += block_truths
-    ar1, excluded = recall_at(rankings, truths, 1)
-    ar5, _ = recall_at(rankings, truths, 5)
-    ar20, _ = recall_at(rankings, truths, 20)
+                hits[j] = _first_hit(top.tolist(), truths[j])
+        first_hits += hits
+    ar1, excluded = _recall(first_hits, 1)
+    ar5, _ = _recall(first_hits, 5)
+    ar20, _ = _recall(first_hits, 20)
     return PlaceRecognitionReport(
         n_queries=len(q_rows), n_evaluated=len(q_rows) - excluded,
         excluded=excluded, ar1=ar1, ar5=ar5, ar20=ar20,
@@ -533,7 +571,8 @@ def _time(fn, reps: int) -> List[float]:
 
 def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
           scan_len: int = 900) -> List[BenchRow]:
-    """Wall-time report: descriptor extraction, database search, and the
+    """Wall-time report: descriptor extraction, database search (one query
+    per call, and per query in blocks of _QUERY_BLOCK), and the
     fused scan the model runs next to the sequential and parallel scan
     oracles, at sequence length scan_len and the model's widened width and
     state size."""
@@ -555,6 +594,13 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
     db_search(db, q, 20)  # warm-up
     rows.append(_timing_row(f"db_search_{db_size}",
                             _time(lambda: db_search(db, q, 20), reps)))
+    # the same query, searched a block at a time: the gap to db_search_N is
+    # the kernel's fixed cost per call
+    block = np.tile(q, (_QUERY_BLOCK, 1))
+    db_search_all(db, block, 20)  # warm-up
+    rows.append(_timing_row(f"db_search_all_{db_size}_per_query",
+                            [t / len(block) for t in
+                             _time(lambda: db_search_all(db, block, 20), reps)]))
 
     e, n = params["olm.L0.forward.A_log"].shape
     delta = rng.uniform(1e-3, 1e-1, size=(1, scan_len, e))

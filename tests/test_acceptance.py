@@ -607,6 +607,7 @@ class TestAcceptance:
             rows = rt.bench(params, cfg, reps=1)
             by_name = {r.name: r for r in rows}
             assert set(by_name) == {"descriptor_extraction", "db_search_1000",
+                                    "db_search_all_1000_per_query",
                                     "scan_sequential_m900",
                                     "scan_parallel_m900",
                                     "selective_scan_m900"}

@@ -156,7 +156,7 @@ class TestWorkflow:
         rows = _stdout_csv(capsys)
         assert rows[0][0] == "name"
         assert {r[0] for r in rows[1:]} == {
-            "descriptor_extraction", "db_search_1000",
+            "descriptor_extraction", "db_search_1000", "db_search_all_1000_per_query",
             "scan_sequential_m900", "scan_parallel_m900", "selective_scan_m900",
         }
         assert all(r[5] == "1" for r in rows[1:])
@@ -205,6 +205,26 @@ class TestSearchCommand:
             ties += len({d for _, d in hits}) < len(hits)
         assert got == want.getvalue()
         assert ties > 0
+
+    def test_empty_query_file_is_still_validated(self, tmp_path, capsys):
+        """A query file with no rows gets the same checks as one with rows:
+        k < 1 and an empty database exit 2, a valid search prints the bare
+        header."""
+        db_path, empty = tmp_path / "db.omdb", tmp_path / "none.omdb"
+        io.save_descriptor_db(db_path, range(3), np.eye(3))
+        io.save_descriptor_db(empty, [], np.zeros((0, 3)))
+        one = tmp_path / "one.omdb"
+        io.save_descriptor_db(one, [7], np.ones((1, 3)))
+        for query in (one, empty):
+            assert main(["search", "--db", str(db_path), "--query", str(query),
+                         "--k", "0"]) == 2
+            assert "k must be >= 1" in capsys.readouterr().err
+            assert main(["search", "--db", str(empty), "--query", str(query),
+                         "--k", "1"]) == 2
+            assert "empty database" in capsys.readouterr().err
+        assert main(["search", "--db", str(db_path), "--query", str(empty),
+                     "--k", "1"]) == 0
+        assert _stdout_csv(capsys) == [["query_id", "rank", "candidate_id", "distance"]]
 
 
 class TestDeterminism:

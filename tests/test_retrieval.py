@@ -98,6 +98,46 @@ class TestDbSearch:
         want = sorted(zip(dists, ids))[:25]
         assert [(i, d) for d, i in want] == [(i, d) for i, d in got]
 
+    # the kernel's finite check is the max and min it reads for the query
+    # exponent: NaN must show in both, an infinity in one
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_non_finite_query_rejected(self, bad, at):
+        db = rv.DescriptorDb(range(4), np.arange(32.0).reshape(4, 8))
+        q = np.full(8, -2.5)
+        q[at] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            rv.db_search(db, q, k=2)
+        block = np.ones((40, 8))  # the bad row sits in the second block
+        block[35] = q
+        with pytest.raises(ContractError, match="non-finite"):
+            rv.db_search_all(db, block, k=2)
+
+    def test_search_all_checks_an_empty_query_matrix(self):
+        db = rv.DescriptorDb([0], np.zeros((1, 2)))
+        assert rv.db_search_all(db, np.zeros((0, 2)), k=1) == []
+        with pytest.raises(ContractError, match="k must be"):
+            rv.db_search_all(db, np.zeros((0, 2)), k=0)
+        with pytest.raises(ContractError, match="empty database"):
+            rv.db_search_all(rv.DescriptorDb([], np.zeros((0, 2))), np.zeros((0, 2)), k=1)
+        with pytest.raises(ContractError, match="query dim"):
+            rv.db_search_all(db, np.zeros((0, 3)), k=1)
+
+    def test_single_and_block_search_match_the_full_sort(self):
+        """Every db_search row equals db_search_all's row and the full
+        sort's, on 500 rows whose norms span 1e-30 to 1e30, with queries of
+        every scale, rows of the database among them."""
+        rng = np.random.default_rng(20)
+        mat = rng.normal(size=(500, 64)) * 10.0 ** rng.integers(-30, 31, size=(500, 1))
+        ids = rng.permutation(10_000)[:500].tolist()
+        db = rv.DescriptorDb(ids, mat)
+        queries = np.concatenate([
+            mat[rng.permutation(500)[:40]],
+            rng.normal(size=(40, 64)) * 10.0 ** rng.integers(-30, 31, size=(40, 1))])
+        block = rv.db_search_all(db, queries, k=9)
+        for q, row in zip(queries, block):
+            assert rv.db_search(db, q, 9) == row == _full_sort(mat, ids, q, 9)
+
 
 def _full_sort(mat, ids, q, k):
     """Reference top k: the direct distances of every row, fully sorted by
@@ -168,6 +208,52 @@ class TestNearestKernel:
             (got_ids, got_d), = rv._nearest(db, mat[199][None], [m], [3])
             want = _full_sort(mat[:m], list(range(m)), mat[199], 3)
             assert list(zip(got_ids.tolist(), got_d.tolist())) == want
+
+    def test_norm_scaling_skipped_when_the_database_exponent_rules(self):
+        # e = ex: the image's norms enter f unscaled
+        rng = np.random.default_rng(5)
+        mat = 8.0 * rng.normal(size=(120, 16))
+        queries = [mat[3], 0.01 * rng.normal(size=16), np.zeros(16)]
+        ex = rv._exponent(mat)
+        assert all(max(ex, rv._exponent(q[None]), -536) == ex for q in queries)
+        self._check(mat, list(range(120)), queries, [1, 5, 120])
+
+    def test_norm_scaling_applied_for_a_larger_query_exponent(self):
+        # e = eq > ex: the norms are scaled by 2**(2 (ex - e)), which for the
+        # last query underflows float32 to zero
+        rng = np.random.default_rng(6)
+        mat = rng.normal(size=(120, 16))
+        queries = [1e3 * rng.normal(size=16), 1e40 * rng.normal(size=16),
+                   mat[7] + 1e6]
+        ex = rv._exponent(mat)
+        assert all(rv._exponent(q[None]) > ex for q in queries)
+        self._check(mat, list(range(120)), queries, [1, 5, 120])
+
+    def test_errstate_entered_only_where_a_distance_can_overflow(self, monkeypatch):
+        """The refine enters np.errstate only when 2**(L + 2 + 2e) > 2**1023
+        (L the bit length of D).  At the largest e below that, opposite rows
+        run clean under error::RuntimeWarning; two exponents up a distance
+        overflows to inf, silently."""
+        entered = []
+        errstate = np.errstate
+
+        def spy(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", spy)
+        dim = 4  # L = 3: errstate for e >= 510
+        for e, overflows in ((509, False), (511, True)):
+            top = np.ldexp(1.0 - 2.0 ** -53, e)  # the largest value of exponent e
+            mat = np.array([[top] * dim, [-top] * dim, [0.0] * dim])
+            entered.clear()
+            got = rv.db_search(rv.DescriptorDb(range(3), mat), mat[1], k=3)
+            assert entered == ([{"over": "ignore"}] if overflows else [])
+            assert got == _full_sort(mat, [0, 1, 2], mat[1], 3)
+            assert math.isinf(got[-1][1]) == overflows
+        entered.clear()
+        rv.db_search(rv.DescriptorDb(range(3), np.eye(3)), np.ones(3), k=2)
+        assert entered == []
 
 
 def _bruteforce_pr(scores):
@@ -473,6 +559,18 @@ class TestProtocolsMatchLoopOracles:
             assert got.n_positive_queries > 0
 
     @pytest.mark.parametrize("quantize", [False, True])
+    def test_loop_closure_in_id_order(self, quantize):
+        """A database stored in id order is searched by prefix, without the
+        argsort order."""
+        db, labels, _ = _aliased_trajectory(42, quantize=quantize)
+        order = np.argsort(db.ids)
+        db = rv.DescriptorDb(np.asarray(db.ids)[order].tolist(), db.descriptors[order])
+        for window, query_step in ((0, 1), (9, 2)):
+            protocol = rv.EvalProtocol(window=window, query_step=query_step)
+            got = rv.eval_loop_closure(db, labels, protocol)
+            assert got.rows() == _loop_closure_oracle(db, labels, protocol).rows()
+
+    @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("query_step, db_step", [(1, 1), (2, 3)])
     def test_place_recognition(self, quantize, query_step, db_step):
         db, _, pos = _aliased_trajectory(7, quantize=quantize)
@@ -515,6 +613,24 @@ class TestProtocolsMatchLoopOracles:
                                         np.zeros((2, 2)), protocol)
         assert got.rows() == _place_recognition_oracle(
             empty, query, np.zeros((0, 2)), np.zeros((2, 2)), protocol).rows()
+
+
+class TestPoseDistances:
+    # "mixed" draws every row's scale log-uniformly from 1e-200 to 1e150
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-3, 1.0, 1e150, "mixed"])
+    def test_match_the_reduce(self, width, scale):
+        rng = np.random.default_rng(width)
+        if scale == "mixed":
+            scale = 10.0 ** rng.uniform(-200, 150, size=(317, 1))
+        scale = np.resize(scale, (317, 1))
+        positions = scale[:300] * rng.normal(size=(300, width))
+        queries = scale[300:] * rng.normal(size=(17, width))
+        queries[3] = positions[5]
+        got = rv._pose_distances(positions, queries)
+        want = np.sqrt(np.sum((positions - queries[:, None]) ** 2, axis=2))
+        assert got.shape == (17, 300)
+        assert np.array_equal(got, want)
 
 
 class TestPlaceRecognition:
@@ -595,7 +711,7 @@ class TestBench:
         rows = rv.bench(params, cfg, reps=1, db_size=50, scan_len=16)
         names = [r.name for r in rows]
         assert "descriptor_extraction" in names
-        assert any(n.startswith("db_search") for n in names)
+        assert "db_search_50" in names and "db_search_all_50_per_query" in names
         assert any(n.startswith("scan_sequential") for n in names)
         assert any(n.startswith("scan_parallel") for n in names)
         assert all(r.low_confidence for r in rows)  # single rep
