@@ -1,13 +1,16 @@
 """Multi-direction sequence mixing block.
 
 Each block normalizes the incoming token sequence, projects it to a widened
-stream x and a gate stream z, then runs x through four branches: as-is,
-rotated by a random start offset, reversed, and rotated-then-reversed.  The
-rotation models the unknown heading a revisited place is seen from; training
-with a random offset per step teaches the scan to tolerate it, and at
-evaluation the offset is pinned to 0 so descriptors are deterministic.  Each
-branch applies its own circular convolution and selective state-space scan,
-is re-aligned to forward orientation, and is gated by SiLU(z); the sum is
+stream x and a gate stream z, then runs four branches over x, each a
+circular convolution and a selective state-space scan: as-is, rotated by a
+random start offset, reversed, and rotated-then-reversed.  The rotation
+models the unknown heading a revisited place is seen from; training with a
+random offset per step teaches the scan to tolerate it, and at evaluation
+the offset is pinned to 0 so descriptors are deterministic.  The four
+orientations are step orders of one stream, not copies of it: a circular
+convolution commutes with a rotation, and with a reversal once its taps are
+mirrored (``conv1d_circular(reverse=True)``), so only the scan runs in the
+branch's order.  The branch outputs, gated by SiLU(z), are summed,
 projected back and added to the input (residual).
 
 Parameters live in the model's name -> Tensor dict: block i's tensors under
@@ -22,9 +25,9 @@ Per branch, the hot kernels are one tape node each: the convolution and its
 bias are a single GEMM (``tensor.conv1d_circular``), each projection is one
 ``tensor.linear`` and the scan is the fused ``ssm.selective_scan``, so a
 branch records under twenty nodes, not hundreds.  The convolution keeps
-channels innermost, so the (B, E, M) transpose of a branch's (B, M, E)
-stream is a view it reads without a copy, and its output, transposed back,
-is channels-last again.
+channels innermost, so the (B, E, M) transpose of the (B, M, E) stream, one
+view shared by the four branches, is read without a copy, and each output,
+transposed back, is channels-last again.
 """
 
 from __future__ import annotations
@@ -35,28 +38,12 @@ import numpy as np
 
 from . import ssm
 from . import tensor as tt
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 
 if TYPE_CHECKING:
     from .pipeline import ModelConfig
 
 DIRECTIONS = ("forward", "forward_shifted", "backward", "backward_shifted")
-
-
-def shift(x: tt.Tensor, a: int) -> tt.Tensor:
-    """Rotate the sequence start: output position i holds input (i+a) mod M."""
-    x = tt.as_tensor(x)
-    m = x.shape[1]
-    if not 0 <= a < m:
-        raise ContractError(f"start offset {a} outside [0, {m})")
-    if a == 0:
-        return x
-    return tt.roll(x, -a, axis=1)
-
-
-def flip(x: tt.Tensor) -> tt.Tensor:
-    """Reverse the sequence: output position i holds input M-1-i."""
-    return tt.flip(tt.as_tensor(x), axis=1)
 
 
 def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
@@ -85,23 +72,17 @@ def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
     a = int(rng.integers(0, m)) if rng is not None else 0
     gate = tt.silu(z)
 
+    xt = tt.transpose(x, (0, 2, 1))
     total = None
     for name in DIRECTIONS:
-        xo = x
-        if name.endswith("shifted"):
-            xo = shift(xo, a)
-        if name.startswith("backward"):
-            xo = flip(xo)
-        stream = tt.transpose(xo, (0, 2, 1))
-        stream = tt.silu(tt.conv1d_circular(stream, p(f"{name}.conv1d.weight"),
-                                            p(f"{name}.conv1d.bias")))
+        order = np.roll(np.arange(m), -a if name.endswith("shifted") else 0)
+        reverse = name.startswith("backward")
+        stream = tt.silu(tt.conv1d_circular(xt, p(f"{name}.conv1d.weight"),
+                                            p(f"{name}.conv1d.bias"), reverse))
         xp = tt.transpose(stream, (0, 2, 1))
-        yo = ssm.selective_ssm(xp, params, f"{prefix}.{name}")
-        if name.startswith("backward"):
-            yo = flip(yo)
-        if name.endswith("shifted"):
-            yo = shift(yo, (m - a) % m)
-        gated = tt.mul(yo, gate)
+        y = ssm.selective_ssm(xp, params, f"{prefix}.{name}",
+                              order[::-1] if reverse else order)
+        gated = tt.mul(y, gate)
         total = gated if total is None else tt.add(total, gated)
 
     return tt.add(tt.linear(total, p("lin_T.weight"), p("lin_T.bias")), t_prev)

@@ -85,9 +85,9 @@ class ModelConfig:
         if self.olm_e and self.olm_e < self.token_dim:
             raise ConfigError(
                 f"widened dim {self.olm_e} must be >= token dim {self.token_dim}")
-        if self.olm_conv_kernel % 2 == 0:
+        if self.olm_conv_kernel < 1 or self.olm_conv_kernel % 2 == 0:
             raise ConfigError(
-                f"branch conv kernel must be odd, got {self.olm_conv_kernel}")
+                f"branch conv kernel must be odd and >= 1, got {self.olm_conv_kernel}")
 
     @property
     def token_dim(self) -> int:

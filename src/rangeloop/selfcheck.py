@@ -167,15 +167,32 @@ def check_recurrence_convolution_duality() -> str:
     return f"max |rec - conv| {worst:.2e}"
 
 
-def check_shift_flip_index_identity() -> str:
-    rng = np.random.default_rng(42)
-    x = tt.Tensor(rng.standard_normal((2, 9, 3)))
-    for a in range(9):
-        lhs = ob.flip(ob.shift(x, a)).data
-        rhs = ob.shift(ob.flip(x), (9 - a) % 9).data
-        if not np.array_equal(lhs, rhs):
-            raise AssertionError(f"index identity broken at offset {a}")
-    return "exact for all offsets"
+def check_branch_order_identity() -> str:
+    """Each mixing-block branch alone, at offset 0 and a drawn one, is bit for
+    bit ``take_along`` into its step order, conv and scan as is, and back."""
+    params, cfg = _toy_model()
+    p = {k.removeprefix("olm.L0."): t for k, t in params.items()}
+    m, drawn = 11, int(np.random.default_rng(0).integers(0, 11))  # 9
+    x = tt.Tensor(np.random.default_rng(42).standard_normal((1, m, cfg.token_dim)))
+    tp = tt.layer_norm(x, p["norm.gain"], p["norm.bias"])
+    xs = tt.linear(tp, p["lin_x.weight"], p["lin_x.bias"])
+    gate = tt.silu(tt.linear(tp, p["lin_z.weight"], p["lin_z.bias"]))
+    for keep in ob.DIRECTIONS:
+        alone = {k: tt.Tensor(np.zeros(t.shape)) if ".conv1d." in k and f".{keep}." not in k
+                 else t for k, t in params.items()}
+        for a, rng in ((0, None), (drawn, np.random.default_rng(0))):
+            got = ob.olm_forward(x, alone, rng).data
+            order = (np.arange(m) + (a if keep.endswith("shifted") else 0)) % m
+            order = order[::-1] if keep.startswith("backward") else order
+            xo = tt.transpose(tt.take_along(xs, order[None, :, None], axis=1), (0, 2, 1))
+            conv = tt.conv1d_circular(xo, p[f"{keep}.conv1d.weight"], p[f"{keep}.conv1d.bias"])
+            xp = tt.transpose(tt.silu(conv), (0, 2, 1))
+            yo = ssm.selective_ssm(xp, params, "olm.L0." + keep)
+            y = tt.take_along(yo, np.argsort(order)[None, :, None], axis=1)
+            want = tt.add(tt.linear(tt.mul(y, gate), p["lin_T.weight"], p["lin_T.bias"]), x)
+            if not np.array_equal(got, want.data):
+                raise AssertionError(f"{keep} branch at offset {a} differs from the composition")
+    return f"exact for {len(ob.DIRECTIONS)} directions at offsets 0 and {drawn}"
 
 
 def check_zero_block_passthrough() -> str:
@@ -391,7 +408,7 @@ CHECKS: Tuple[Tuple[str, Callable[[], str]], ...] = (
     ("autodiff_gradients", check_autodiff_gradients),
     ("scan_equivalence", check_scan_equivalence),
     ("recurrence_convolution_duality", check_recurrence_convolution_duality),
-    ("shift_flip_index_identity", check_shift_flip_index_identity),
+    ("branch_order_identity", check_branch_order_identity),
     ("zero_block_passthrough", check_zero_block_passthrough),
     ("backbone_shift_equivariance", check_backbone_shift_equivariance),
     ("descriptor_shift_invariance", check_descriptor_shift_invariance),

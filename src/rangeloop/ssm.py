@@ -232,30 +232,33 @@ _SCAN_CHUNK = 64
 _SCAN_BLOCK_BYTES = 1 << 19
 
 
-def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
+def selective_scan(x, delta, a, b, c, d, order=None) -> tt.Tensor:
     """Euler-discretised selective scan as one tape node.
 
     x, delta: (B, M, E), delta strictly positive.  a: (E, N) diagonal
     evolution.  b, c: (B, M, N) per-step input and readout maps.  d: (E,)
-    skip gain.  Evaluates, with h_0 = 0,
+    skip gain.  order: a permutation of range(M) (None is range(M)); step
+    i of the scan is position p = order[i].  Evaluates, with h_0 = 0,
 
-        h_m = exp(delta_m * a) * h_{m-1} + delta_m * x_m * b_m
-        y_m = sum_n c_m * h_m + d * x_m
+        h_i = exp(delta_p * a) * h_{i-1} + delta_p * x_p * b_p
+        y_p = sum_n c_p * h_i + d * x_p
 
-    left to right in blocks of ``_block_len`` steps.  The work runs
-    step-major and state-major: the kernel reads ``a`` once as an (N, E)
-    table, x and delta through (M, B, E) views (``_step_major``) and b and c
-    as small step-major copies, and each block's work arrays are
-    (L, B, N, E), so every product and contraction runs along the widened
-    channel E and each step's (B, N, E) state is contiguous.  Each call
-    allocates one set of block-sized work arrays (``_ScanBuffers``) and
-    every block writes into them, so no (B, M, E, N) tensor is formed and
-    the per-step loop makes no temporaries.  While a tape records, only the state at each block
-    boundary is saved.  The backward runs the adjoint recurrence right to
-    left, lambda_m = c_m * gy_m + exp(delta_{m+1} * a) * lambda_{m+1},
+    in blocks of ``_block_len`` steps.  Each block gathers its positions'
+    x and delta step-major (``_step_major``) and writes y and their
+    gradients back there, so a rotated or reversed scan copies no stream.
+    The kernel reads ``a`` once as an (N, E) table and each block's work
+    arrays are (L, B, N, E), so every product and contraction runs along
+    the widened channel E and each step's (B, N, E) state is contiguous.
+    Each call allocates one set of block-sized work arrays
+    (``_ScanBuffers``) and every block writes into them, so no (B, M, E, N)
+    tensor is formed and the per-step loop makes no temporaries.  While a
+    tape records, only the state at each block boundary is saved.  The
+    backward runs the adjoint recurrence from the last step to the first,
+    lambda_i = c_p * gy_p + exp(delta_q * a) * lambda_{i+1}, q = order[i+1],
     recomputing each block's states from its saved boundary state, and
     returns every gradient in its input's shape.  Same result as
-    ``discretize(mode="euler")`` followed by ``scan_sequential``.
+    ``discretize(mode="euler")`` followed by ``scan_sequential`` on the
+    inputs gathered in ``order``, scattered back.
     """
     x, delta, a, b, c, d = (tt.as_tensor(t) for t in (x, delta, a, b, c, d))
     if x.ndim != 3:
@@ -273,68 +276,73 @@ def selective_scan(x, delta, a, b, c, d) -> tt.Tensor:
         raise ShapeError(f"skip gain must be ({e},), got {d.shape}")
     if np.any(delta.data <= 0.0):
         raise ContractError("step sizes must be strictly positive")
+    order = np.arange(m) if order is None else np.asarray(order)
+    if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(m)):
+        raise ContractError(f"step order must be a permutation of range({m})")
 
     inputs = (x, delta, a, b, c, d)
     # C-contiguous operands fix every contraction's summation order by the
     # shapes alone, whatever the caller's layout; a no-op for a block's tokens.
-    # The small (B, M, N) maps are copied step-major, so that their einsums
-    # also read contiguous blocks.
+    # The small (B, M, N) maps are copied step-major in step order, so that
+    # their einsums also read contiguous blocks.
     xd, dd = (np.ascontiguousarray(t.data) for t in (x, delta))
     xs, ds = _step_major(xd), _step_major(dd)
-    bs, cs = (np.ascontiguousarray(_step_major(t.data)) for t in (b, c))
+    bs, cs = (_step_major(t.data)[order] for t in (b, c))
     at = np.ascontiguousarray(a.data.T)
     steps = _block_len(bsz, e, n)
-    blocks = [slice(s, min(s + steps, m)) for s in range(0, m, steps)]
+    blocks = [(slice(s, s + steps), order[s:s + steps]) for s in range(0, m, steps)]
     bufs = _ScanBuffers(bsz, min(steps, m), e, n)
     saved = [] if tt._recording(inputs) else None
-    y = xd * d.data
+    y = np.empty(x.shape)
     ys = _step_major(y)
     h = np.zeros((bsz, n, e))
-    for sl in blocks:
+    for sl, pos in blocks:
         if saved is not None:
             saved.append(h)
-        _, hs = _block_states(h, xs[sl], ds[sl], at, bs[sl], bufs)
-        ys[sl] += np.einsum("lbne,lbn->lbe", hs, cs[sl])
+        xl = xs[pos]
+        _, hs = _block_states(h, xl, ds[pos], at, bs[sl], bufs)
+        ys[pos] = xl * d.data + np.einsum("lbne,lbn->lbe", hs, cs[sl])
         h = hs[-1].copy()
 
     def fn(gy):
         gy = np.ascontiguousarray(gy)
-        gx = gy * d.data
         gd = np.einsum("bme,bme->e", gy, xd)
-        gdelta, gb, gc = np.empty(x.shape), np.empty(b.shape), np.empty(c.shape)
+        gx, gdelta = np.empty(x.shape), np.empty(x.shape)
+        gbs, gcs = np.empty(bs.shape), np.empty(cs.shape)  # step order
         gat = np.zeros((n, e))
-        gys, gxs, gds, gbs, gcs = (_step_major(v) for v in (gy, gx, gdelta, gb, gc))
+        gys, gxs, gds = (_step_major(v) for v in (gy, gx, gdelta))
         bufs = _ScanBuffers(bsz, min(steps, m), e, n)
-        carry = np.zeros((bsz, n, e))  # exp(delta_{m+1} a) * lambda_{m+1}
-        for sl, h0 in zip(reversed(blocks), reversed(saved)):
-            xl, dl, bl, gyl = xs[sl], ds[sl], bs[sl], gys[sl]
+        carry = np.zeros((bsz, n, e))  # exp(delta_q a) * lambda_{i+1}
+        for (sl, pos), h0 in zip(reversed(blocks), reversed(saved)):
+            xl, dl, bl, gyl = xs[pos], ds[pos], bs[sl], gys[pos]
             decay, hs = _block_states(h0, xl, dl, at, bl, bufs)
             lam = np.einsum("lbn,lbe->lbne", cs[sl], gyl, out=bufs.lam[:len(hs)])
             lam[-1] += carry
             _recur(decay[:0:-1], lam[-2::-1], lam[-1], bufs.step)
-            # lambda_m * exp(delta_m a), formed over the spent decay factors
+            # lambda_i * exp(delta_p a), formed over the spent decay factors
             np.multiply(decay, lam, out=decay)
             carry = decay[0].copy()
             np.einsum("lbne,lbe->lbn", hs, gyl, out=gcs[sl])
-            # times h_{m-1}, that is the gradient w.r.t. delta_m * a
+            # times h_{i-1}, that is the gradient w.r.t. delta_p * a
             dlogdecay = decay
             dlogdecay[1:] *= hs[:-1]
             dlogdecay[0] *= h0
             u = dl * xl
             gu = np.einsum("lbne,lbn->lbe", lam, bl)
             np.einsum("lbne,lbe->lbn", lam, u, out=gbs[sl])
-            gxs[sl] += gu * dl
-            np.einsum("lbne,ne->lbe", dlogdecay, at, out=gds[sl])
-            gds[sl] += gu * xl
+            gxs[pos] = gyl * d.data + gu * dl
+            gds[pos] = np.einsum("lbne,ne->lbe", dlogdecay, at) + gu * xl
             gat += np.einsum("lbne,lbe->ne", dlogdecay, dl)
+        gb, gc = np.empty(b.shape), np.empty(c.shape)
+        _step_major(gb)[order], _step_major(gc)[order] = gbs, gcs
         return gx, gdelta, gat.T, gb, gc, gd
 
     return tt._make_out(y, inputs, fn)
 
 
 def _step_major(v: np.ndarray) -> np.ndarray:
-    """The (M, B, .) view of a (B, M, .) array: a block of steps is a leading
-    slice, contiguous when B = 1 and the array is."""
+    """The (M, B, .) view of a (B, M, .) array: a block's steps are a
+    gather or a slice along its leading axis."""
     return v.transpose(1, 0, 2)
 
 
@@ -392,7 +400,7 @@ def _block_states(h0, x, delta, at, b, bufs: _ScanBuffers):
 # selective form
 
 
-def selective_ssm(xp: tt.Tensor, params: dict, prefix: str) -> tt.Tensor:
+def selective_ssm(xp: tt.Tensor, params: dict, prefix: str, order=None) -> tt.Tensor:
     """Input-dependent scan: every position derives its own step size and
     B/C maps from a shared projection of the token stream, then runs the
     fused ``selective_scan``.
@@ -400,7 +408,8 @@ def selective_ssm(xp: tt.Tensor, params: dict, prefix: str) -> tt.Tensor:
     xp: (B, M, E) already convolved and activated.  params maps
     "<prefix>.<name>" to the branch's tensors for every name of
     ``PARAM_NAMES``; the step-size rank R is the ``proj_Δ.weight`` row count.
-    Output has the same shape as xp and includes the d*x skip path.
+    order is the scan's step order (``selective_scan``).  Output has the
+    same shape as xp and includes the d*x skip path.
     """
     xp = tt.as_tensor(xp)
     if xp.ndim != 3:
@@ -417,4 +426,4 @@ def selective_ssm(xp: tt.Tensor, params: dict, prefix: str) -> tt.Tensor:
     c_proj = tt.narrow(s, 2, r + n, n)
     delta = tt.softplus(tt.linear(dt_low, dt_w, dt_b))
     a = tt.neg(tt.exp(a_log))
-    return selective_scan(xp, delta, a, b_proj, c_proj, d)
+    return selective_scan(xp, delta, a, b_proj, c_proj, d, order)

@@ -481,18 +481,6 @@ def take_along(a, idx, axis: int) -> Tensor:
     return _make_out(data, (a,), fn)
 
 
-def flip(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-    data = np.flip(a.data, axis=axis).copy()
-    return _make_out(data, (a,), lambda g: (np.flip(g, axis=axis),))
-
-
-def roll(a, shift: int, axis: int) -> Tensor:
-    a = as_tensor(a)
-    data = np.roll(a.data, shift, axis=axis)
-    return _make_out(data, (a,), lambda g: (np.roll(g, -shift, axis=axis),))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -546,14 +534,17 @@ def conv_vertical(x, w, b=None, stride_h: int = 1) -> Tensor:
     return _conv(x, w, b, taps, "conv_vertical")
 
 
-def conv1d_circular(x, w, b=None) -> Tensor:
+def conv1d_circular(x, w, b=None, reverse: bool = False) -> Tensor:
     """Circular 1-d convolution: ``(B,C,M) * (O,C,k) [+ b] -> (B,O,M)``, k odd.
 
     True convolution (kernel flipped): y[m] = sum_j w[j] x[(m + r - j) mod M]
     with r = (k-1)/2, so a one-hot kernel at j=0 shifts the signal forward.
-    One GEMM: the wrapped taps, unfolded to ``(B*M, C*k)``, times the
-    ``(C*k, O)`` kernel, plus the ``(O,)`` bias; the backward folds ``g @ W``
-    back with the same wrap.
+    ``reverse`` mirrors the taps, y[m] = sum_j w[j] x[(m - r + j) mod M]:
+    the reversed convolution of the reversed sequence, bit for bit, as each
+    unfold row holds the same values in the same column order.  One GEMM:
+    the wrapped taps, unfolded to ``(B*M, C*k)``, times the ``(C*k, O)``
+    kernel, plus the ``(O,)`` bias; the backward folds ``g @ W`` back with
+    the same wrap.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 3:
@@ -563,7 +554,8 @@ def conv1d_circular(x, w, b=None) -> Tensor:
         raise ConfigError(f"conv1d_circular kernel length must be odd, got {k}")
     r = (k - 1) // 2
     # taps[j, i]: the input position that tap j reads for output position i
-    taps = (np.arange(m)[None, :] + r - np.arange(k)[:, None]) % m
+    j = np.arange(k)[:, None]
+    taps = (np.arange(m)[None, :] + (j - r if reverse else r - j)) % m
     return _conv(x, w, b, taps, "conv1d_circular")
 
 

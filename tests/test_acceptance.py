@@ -193,13 +193,13 @@ class TestAcceptance:
                 ("tmin", lambda a: tt.tmin(a, axis=1), [sep]),
                 ("reshape", lambda a: tt.reshape(a, (4, 3)), [a2]),
                 ("transpose", lambda a: tt.transpose(a, (1, 0)), [a2]),
-                ("flip", lambda a: tt.flip(a, 1), [a2]),
-                ("roll", lambda a: tt.roll(a, 2, 1), [a2]),
                 ("concat", lambda a, b: tt.concat([a, b], axis=0), [a2, b2]),
                 ("narrow", lambda a: tt.narrow(a, 1, 1, 2), [a2]),
                 ("conv_vertical", lambda x, w, b: tt.conv_vertical(x, w, b, stride_h=2),
                  [xv, wv, b1[:4]]),
                 ("conv1d_circular", lambda x, w, b: tt.conv1d_circular(x, w, b),
+                 [xc, wc, b1]),
+                ("conv1d_circular", lambda x, w, b: tt.conv1d_circular(x, w, b, reverse=True),
                  [xc, wc, b1]),
                 ("maxpool1d_circular", lambda x: tt.maxpool1d_circular(x, 3),
                  [sepc]),
@@ -208,6 +208,9 @@ class TestAcceptance:
                 ("softmax", lambda x: tt.softmax(x, axis=-1), [x3]),
                 ("l2_normalize", lambda x: tt.l2_normalize(x, axis=-1), [x3]),
                 ("selective_scan", ssm.selective_scan, scan_in),
+                ("selective_scan",
+                 lambda *t: ssm.selective_scan(*t, np.roll(np.arange(m_s), -5)[::-1]),
+                 scan_in),
             ]
             # one case per public differentiable op, so a new op without a
             # finite-difference case fails here

@@ -9,7 +9,7 @@ from rangeloop import block as bk
 from rangeloop import pipeline as pl
 from rangeloop import ssm
 from rangeloop import tensor as tt
-from rangeloop.errors import ConfigError, ContractError, ShapeError
+from rangeloop.errors import ConfigError, ShapeError
 
 
 def _model(d, l=1):
@@ -32,46 +32,6 @@ def _zero_block(params, prefix="olm.L0"):
     return params
 
 
-class TestShiftFlip:
-    def test_shift_semantics(self):
-        x = tt.Tensor(np.arange(5.0).reshape(1, 5, 1))
-        out = bk.shift(x, 2).data[0, :, 0]
-        np.testing.assert_array_equal(out, [2, 3, 4, 0, 1])
-
-    def test_shift_zero_is_identity(self):
-        x = tt.Tensor(np.arange(6.0).reshape(2, 3, 1))
-        np.testing.assert_array_equal(bk.shift(x, 0).data, x.data)
-
-    def test_shift_rejects_out_of_range(self):
-        x = tt.Tensor(np.zeros((1, 4, 2)))
-        with pytest.raises(ContractError):
-            bk.shift(x, 4)
-        with pytest.raises(ContractError):
-            bk.shift(x, -1)
-
-    def test_flip_semantics(self):
-        x = tt.Tensor(np.arange(4.0).reshape(1, 4, 1))
-        np.testing.assert_array_equal(bk.flip(x).data[0, :, 0], [3, 2, 1, 0])
-
-    def test_shift_inverse(self):
-        rng = np.random.default_rng(42)
-        for m in [1, 2, 5, 9, 16]:
-            x = tt.Tensor(rng.normal(size=(2, m, 3)))
-            a = int(rng.integers(0, m))
-            back = bk.shift(bk.shift(x, a), (m - a) % m)
-            np.testing.assert_array_equal(back.data, x.data)
-
-    def test_flip_shift_commutation(self):
-        # flip(shift(x, a)) == shift(flip(x), (m - a) % m)
-        rng = np.random.default_rng(42)
-        for m in [1, 3, 8, 13]:
-            x = tt.Tensor(rng.normal(size=(1, m, 2)))
-            a = int(rng.integers(0, m))
-            lhs = bk.flip(bk.shift(x, a)).data
-            rhs = bk.shift(bk.flip(x), (m - a) % m).data
-            np.testing.assert_array_equal(lhs, rhs)
-
-
 class TestConfig:
     def test_defaults(self):
         # token width 64 and the default olm_e = 0, olm_n = 16
@@ -83,7 +43,7 @@ class TestConfig:
 
     def test_rejects_bad_values(self):
         for key, value in [("olm_blocks", 0), ("olm_n", 0), ("olm_e", 4),
-                           ("olm_conv_kernel", 4)]:
+                           ("olm_conv_kernel", 4), ("olm_conv_kernel", -1)]:
             with pytest.raises(ConfigError):
                 pl.ModelConfig(h=2, stages=((8, 2, 2),), **{key: value})
 
@@ -180,33 +140,33 @@ class TestBlockForward:
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def _single_branch_reference(self, x, params, name, a):
-        """Independently composed one-branch block from public primitives."""
+        """Independently composed one-branch block from public primitives:
+        the stream is permuted into the branch's step order with
+        ``take_along``, convolved and scanned as is, and permuted back."""
         p = {k.removeprefix("olm.L0."): t for k, t in params.items()}
+        m = x.shape[1]
         tp = tt.layer_norm(tt.Tensor(x), p["norm.gain"], p["norm.bias"])
         xs = tt.linear(tp, p["lin_x.weight"], p["lin_x.bias"])
         z = tt.linear(tp, p["lin_z.weight"], p["lin_z.bias"])
         conv_w, conv_b = p[f"{name}.conv1d.weight"], p[f"{name}.conv1d.bias"]
-        xo = xs
+        order = np.arange(m)
         if name.endswith("shifted"):
-            xo = bk.shift(xo, a)
+            order = (order + a) % m  # step i reads position (i + a) mod M
         if name.startswith("backward"):
-            xo = bk.flip(xo)
-        m = x.shape[1]
+            order = order[::-1]
+        xo = tt.take_along(xs, order[None, :, None], axis=1)
         stream = tt.transpose(xo, (0, 2, 1))
         conv = tt.conv1d_circular(stream, conv_w).data + conv_b.data[None, :, None]
         xp = tt.transpose(tt.silu(conv), (0, 2, 1))
         yo = ssm.selective_ssm(xp, params, f"olm.L0.{name}")
-        if name.startswith("backward"):
-            yo = bk.flip(yo)
-        if name.endswith("shifted"):
-            yo = bk.shift(yo, (m - a) % m)
-        mixed = tt.mul(yo, tt.silu(z))
+        y = tt.take_along(yo, np.argsort(order)[None, :, None], axis=1)
+        mixed = tt.mul(y, tt.silu(z))
         return tt.add(tt.linear(mixed, p["lin_T.weight"], p["lin_T.bias"]), tt.Tensor(x)).data
 
     @pytest.mark.parametrize("keep", bk.DIRECTIONS)
     def test_direction_isolation(self, keep):
         # Kill three branches through their conv stage; the block must match a
-        # hand-assembled single-branch pipeline.
+        # hand-assembled single-branch pipeline bit for bit.
         model = _model(4)
         params = _init(model, 42, "olm.L0.")
         for name in bk.DIRECTIONS:
@@ -216,15 +176,16 @@ class TestBlockForward:
         x = np.random.default_rng(3).normal(size=(1, 7, 4))
         got = bk.olm_forward(tt.Tensor(x), params, None).data
         want = self._single_branch_reference(x, params, keep, a=0)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(got, want)
 
-    def test_shifted_branch_uses_drawn_offset(self):
-        # Train mode with only the rotated branch alive must match the
+    @pytest.mark.parametrize("keep", ["forward_shifted", "backward_shifted"])
+    def test_shifted_branch_uses_drawn_offset(self, keep):
+        # Train mode with only one rotated branch alive must match the
         # reference composition evaluated at the drawn offset.
         model = _model(4)
         params = _init(model, 42, "olm.L0.")
         for name in bk.DIRECTIONS:
-            if name != "forward_shifted":
+            if name != keep:
                 params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
                 params[f"olm.L0.{name}.conv1d.bias"].data[...] = 0.0
         x = np.random.default_rng(3).normal(size=(1, 11, 4))
@@ -232,8 +193,8 @@ class TestBlockForward:
         a = int(np.random.default_rng(seed).integers(0, 11))
         assert a != 0
         got = bk.olm_forward(tt.Tensor(x), params, np.random.default_rng(seed)).data
-        want = self._single_branch_reference(x, params, "forward_shifted", a=a)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        want = self._single_branch_reference(x, params, keep, a=a)
+        np.testing.assert_array_equal(got, want)
 
     def test_gradients(self):
         model = _model(4)

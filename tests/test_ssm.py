@@ -348,8 +348,7 @@ class TestSelectiveScan:
     def _views(v):
         """v's values in other memory layouts: a (B, M, .) view of (B, ., M)
         memory, as a branch's transposed convolution output is, a view of
-        step-major (M, B, .) memory, and a reversed-steps view, as a flip's
-        adjoint hands on."""
+        step-major (M, B, .) memory, and a reversed-steps view."""
         return [np.ascontiguousarray(v.transpose(0, 2, 1)).transpose(0, 2, 1),
                 np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2),
                 np.ascontiguousarray(v[:, ::-1])[:, ::-1]]
@@ -469,6 +468,37 @@ class TestSelectiveScan:
         x, delta, a, b, c, d = random_scan_inputs(rng, 1, 4, 2, 3)
         with pytest.raises(errors.ShapeError):
             ssm.selective_scan(x, delta, a, b[:, :, :2], c, d)
+
+    @staticmethod
+    def _branch_order(name, m, a):
+        """A mixing-block branch's step order at start offset a."""
+        order = np.roll(np.arange(m), -a) if name.endswith("shifted") else np.arange(m)
+        return order[::-1] if name.startswith("backward") else order
+
+    @pytest.mark.parametrize("name", ["forward", "forward_shifted", "backward",
+                                      "backward_shifted"])
+    def test_step_order_is_permuted_scan(self, name):
+        # step i reads and writes position order[i]: the oracle on the
+        # inputs gathered in that order, scattered back; two blocks, B = 2
+        m = ssm._SCAN_CHUNK + 6
+        order = self._branch_order(name, m, 5)
+        rng = np.random.default_rng(42)
+        arrays = random_scan_inputs(rng, 2, m, 2, 3)
+        x, delta, a, b, c, d = arrays
+        xo, do, bo, co = (v[:, order] for v in (x, delta, b, c))
+        want = np.empty_like(x)
+        want[:, order] = ssm.scan_sequential(ssm.discretize(do, a, bo, mode="euler"), co, d, xo)
+        got = ssm.selective_scan(x, delta, a, b, c, d, order).data
+        assert np.max(np.abs(got - want)) < 1e-10
+        check_grads(lambda *t: ssm.selective_scan(*t, order), arrays, rng)
+
+    @pytest.mark.parametrize("order", [[0, 0, 2, 3], [0, 1, 2], [1, 2, 3, 4],
+                                       [0.0, 1.0, 2.0, 3.0], [[0, 1, 2, 3]]])
+    def test_non_permutation_order_rejected(self, order):
+        rng = np.random.default_rng(42)
+        x, delta, a, b, c, d = random_scan_inputs(rng, 1, 4, 2, 3)
+        with pytest.raises(errors.ContractError):
+            ssm.selective_scan(x, delta, a, b, c, d, order)
 
 
 class TestDtRank:

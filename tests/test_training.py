@@ -293,7 +293,7 @@ def _toy_dataset(n_scans=6, h=8, w=24, seed=1):
 class TestTrainLoop:
     def test_acceptance_step_tape_size(self):
         # one imtrihard step of the acceptance model (test_06, the benchmark's
-        # training model) on a 1+2+2 tuple records 125 nodes; a hot op split
+        # training model) on a 1+2+2 tuple records 114 nodes; a hot op split
         # into many small nodes shows here
         model = pl.ModelConfig(h=16, w=128, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2),
                                                     (32, 2, 2)),
@@ -306,7 +306,7 @@ class TestTrainLoop:
         with tt.Tape() as tape:
             desc = tr._forward_tuple(tup, images, params, model, rng)
             tr.tuple_loss(desc, 2, cfg, rng)
-        assert len(tape) == 125
+        assert len(tape) == 114
 
     def test_zero_lr_keeps_parameters_bitwise(self, tmp_path):
         tuples, images = _toy_dataset()
