@@ -20,25 +20,28 @@ from rangeloop import ssm
 
 
 def random_system(rng, m, e, n):
+    """Step sizes, A_log, B, C, skip gain and input; the fused scan takes
+    A_log and B, C as the two column blocks of one projection."""
     delta = rng.uniform(1e-3, 1e-1, size=(1, m, e))
-    a = -rng.uniform(0.2, 2.0, size=(e, n))
+    a_log = np.log(rng.uniform(0.2, 2.0, size=(e, n)))
     b = rng.standard_normal((1, m, n))
     c = rng.standard_normal((1, m, n))
     d = rng.standard_normal(e)
     x = rng.standard_normal((1, m, e))
-    return delta, a, b, c, d, x
+    return delta, a_log, b, c, d, x
 
 
 def equivalence_demo(rng):
     print("selective scan: parallel and fused vs sequential")
     for m in (4, 64, 900):
-        delta, a, b, c, d, x = random_system(rng, m, 4, 8)
+        delta, a_log, b, c, d, x = random_system(rng, m, 4, 8)
+        a = -np.exp(a_log)
         zoh = ssm.discretize(delta, a, b, mode="zoh")
         seq = ssm.scan_sequential(zoh, c, d, x)
         par = ssm.scan_parallel(zoh, c, d, x)
         euler = ssm.discretize(delta, a, b, mode="euler")
         seq_e = ssm.scan_sequential(euler, c, d, x)
-        fused = ssm.selective_scan(x, delta, a, b, c, d).data
+        fused = ssm.selective_scan(x, delta, a_log, np.concatenate([b, c], axis=2), d).data
         print(f"  length {m:4d}: max |seq - par| = {np.max(np.abs(seq - par)):.2e}, "
               f"max |seq - fused| (Euler) = {np.max(np.abs(seq_e - fused)):.2e}")
 
@@ -78,10 +81,11 @@ def timing_demo(rng, reps):
     print(f"\nwall time per evaluation, Euler operators (median of {reps}):")
     # the last row is one branch of the paper-size model
     for m, e, n in ((64, 4, 8), (256, 4, 8), (900, 4, 8), (900, 512, 16)):
-        delta, a, b, c, d, x = random_system(rng, m, e, n)
-        dssm = ssm.discretize(delta, a, b, mode="euler")
+        delta, a_log, b, c, d, x = random_system(rng, m, e, n)
+        dssm = ssm.discretize(delta, -np.exp(a_log), b, mode="euler")
+        bc = np.concatenate([b, c], axis=2)
         times = {
-            "fused": _median_time(lambda: ssm.selective_scan(x, delta, a, b, c, d), reps),
+            "fused": _median_time(lambda: ssm.selective_scan(x, delta, a_log, bc, d), reps),
             "sequential": _median_time(lambda: ssm.scan_sequential(dssm, c, d, x), reps),
             "parallel": _median_time(lambda: ssm.scan_parallel(dssm, c, d, x), reps),
         }

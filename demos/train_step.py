@@ -4,8 +4,11 @@
 
 Each step is a taped forward, ``tt.backward`` and ``Adam.step`` on random
 range images; the script prints each phase's wall time and the tape's node
-count per step, then ``ru_maxrss`` of its own process.  Run it in a fresh
-process to read a step's peak memory.
+count per step, the count per op kind, then ``ru_maxrss`` of its own
+process.  A node's kind is the op that recorded it, the first part of its
+adjoint's ``__qualname__`` (``linear.<locals>.fn`` is ``linear``), read
+before ``backward`` spends the tape.  Run it in a fresh process to read a
+step's peak memory.
 
 * ``acceptance``: the acceptance model (16x128 images, 32-d descriptor) on
   one 1+2+2 tuple under the hard-mining loss, as the training benchmark
@@ -16,6 +19,7 @@ process to read a step's peak memory.
 """
 
 import argparse
+import collections
 import resource
 import sys
 import time
@@ -71,6 +75,8 @@ def main():
             else:
                 loss = tt.tsum(tt.mul(desc, proj))
         t1 = time.perf_counter()
+        kinds = collections.Counter(node.backward.__qualname__.split(".")[0]
+                                    for node in tape._nodes)
         tt.backward(loss, tape)
         t2 = time.perf_counter()
         adam.step()
@@ -78,6 +84,7 @@ def main():
         print(f"step {step}: loss {float(loss.data):.6f}, forward {t1 - t0:.3f} s, "
               f"backward {t2 - t1:.3f} s, adam {t3 - t2:.3f} s, "
               f"tape nodes {len(tape)}")
+        print("  nodes by kind: " + ", ".join(f"{k} {n}" for k, n in sorted(kinds.items())))
 
     # ru_maxrss is KiB on Linux and bytes on macOS
     scale = 1 if sys.platform == "darwin" else 1024

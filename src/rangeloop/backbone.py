@@ -73,12 +73,14 @@ def spp_forward(x: tt.Tensor, params: dict, cfg: ModelConfig) -> tt.Tensor:
 
 def backbone_forward(x: tt.Tensor, params: dict, cfg: ModelConfig) -> tt.Tensor:
     """(B, C_in, H, W) image batch -> (B, W, C) token sequence; H must be
-    the model's cfg.h rows."""
+    the model's cfg.h rows and W at least one column."""
     x = tt.as_tensor(x)
     if x.ndim != 4:
         raise ConfigError(f"backbone input must be (B, C, H, W), got {x.shape}")
     if x.shape[2] != cfg.h:
         raise ShapeError(f"range image has {x.shape[2]} rows, the model expects {cfg.h}")
+    if x.shape[3] == 0:
+        raise ShapeError("range image has no columns")
     for i, (_, _, s) in enumerate(cfg.stages):
         x = tt.silu(tt.conv_vertical(x, params[f"backbone.s{i}.weight"],
                                      params[f"backbone.s{i}.bias"], stride_h=s))

@@ -24,7 +24,7 @@ of its "lin_x.weight", and each scan reads its widths from its own tensors;
 Per branch, the hot kernels are one tape node each: the convolution and its
 bias are a single GEMM (``tensor.conv1d_circular``), each projection is one
 ``tensor.linear`` and the scan is the fused ``ssm.selective_scan``, so a
-branch records under twenty nodes, not hundreds.  The convolution keeps
+branch records ten nodes, not hundreds.  The convolution keeps
 channels innermost, so the (B, E, M) transpose of the (B, M, E) stream, one
 view shared by the four branches, is read without a copy, and each output,
 transposed back, is channels-last again.

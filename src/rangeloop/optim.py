@@ -20,8 +20,8 @@ class Adam:
     """
 
     def __init__(self, params, lr: float = 5e-6):
-        if lr < 0.0:
-            raise ContractError(f"learning rate must be >= 0, got {lr}")
+        if not 0 <= lr < np.inf:  # NaN fails too
+            raise ContractError(f"learning rate must be finite and >= 0, got {lr}")
         self.params = dict(params)
         for name, p in self.params.items():
             if not isinstance(p, Tensor) or not p.requires_grad:

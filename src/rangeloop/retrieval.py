@@ -55,9 +55,9 @@ class DescriptorDb:
             raise ContractError(
                 f"{len(ids)} ids for {descriptors.shape[0]} descriptors"
             )
-        if descriptors.shape[1] >= _MAX_DIM:
+        if not 1 <= descriptors.shape[1] < _MAX_DIM:
             raise ContractError(
-                f"descriptor dimension {descriptors.shape[1]} must be below {_MAX_DIM}"
+                f"descriptor dimension {descriptors.shape[1]} must be in [1, {_MAX_DIM})"
             )
         if len(set(ids)) != len(ids):
             raise ContractError("descriptor ids must be unique")
@@ -604,15 +604,16 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
 
     e, n = params["olm.L0.forward.A_log"].shape
     delta = rng.uniform(1e-3, 1e-1, size=(1, scan_len, e))
-    a = -rng.uniform(0.5, 2.0, size=(e, n))
+    a_log = np.log(rng.uniform(0.5, 2.0, size=(e, n)))
     b = rng.normal(size=(1, scan_len, n))
     c = rng.normal(size=(1, scan_len, n))
     d = rng.normal(size=e)
     seq_x = rng.normal(size=(1, scan_len, e))
-    dssm = ssm.discretize(delta, a, b, mode="zoh")
+    dssm = ssm.discretize(delta, -np.exp(a_log), b, mode="zoh")
+    bc = np.concatenate([b, c], axis=2)
     scans = (("scan_sequential", lambda: ssm.scan_sequential(dssm, c, d, seq_x)),
              ("scan_parallel", lambda: ssm.scan_parallel(dssm, c, d, seq_x)),
-             ("selective_scan", lambda: ssm.selective_scan(seq_x, delta, a, b, c, d)))
+             ("selective_scan", lambda: ssm.selective_scan(seq_x, delta, a_log, bc, d)))
     for name, run in scans:
         run()  # warm-up
         rows.append(_timing_row(f"{name}_m{scan_len}", _time(run, reps)))

@@ -116,8 +116,9 @@ def check_autodiff_gradients() -> str:
     # the fused scan over a full first block of steps and a ragged second one
     m = ssm._SCAN_CHUNK + 6
     scan_in = [rng.standard_normal((1, m, 2)), rng.uniform(0.05, 0.8, size=(1, m, 2)),
-               -rng.uniform(0.2, 2.0, size=(2, 3)), rng.standard_normal((1, m, 3)),
-               rng.standard_normal((1, m, 3)), rng.standard_normal(2)]
+               np.log(rng.uniform(0.2, 2.0, size=(2, 3))),
+               np.concatenate([rng.standard_normal((1, m, 3)) for _ in "BC"], axis=2),
+               rng.standard_normal(2)]
     worst = max(worst, check_grads(ssm.selective_scan, scan_in, rng))
     return f"max rel err {worst:.2e}"
 
@@ -130,7 +131,8 @@ def check_scan_equivalence() -> str:
     for m in (1, 7, 70):
         e, n = 3, 4
         delta = rng.uniform(1e-3, 1e-1, size=(2, m, e))
-        a = -rng.uniform(0.2, 2.0, size=(e, n))
+        a_log = np.log(rng.uniform(0.2, 2.0, size=(e, n)))
+        a = -np.exp(a_log)
         b = rng.standard_normal((2, m, n))
         c = rng.standard_normal((2, m, n))
         d = rng.standard_normal(e)
@@ -141,7 +143,7 @@ def check_scan_equivalence() -> str:
         worst_par = max(worst_par, float(np.max(np.abs(seq - par))))
         euler = ssm.discretize(delta, a, b, mode="euler")
         seq = ssm.scan_sequential(euler, c, d, x)
-        fused = ssm.selective_scan(x, delta, a, b, c, d).data
+        fused = ssm.selective_scan(x, delta, a_log, np.concatenate([b, c], axis=2), d).data
         worst_fused = max(worst_fused, float(np.max(np.abs(seq - fused))))
     worst = max(worst_par, worst_fused)
     if worst >= 1e-10:

@@ -4,19 +4,21 @@ The continuous system dh/dt = A h + B x, y = C h + D x is discretized per
 step.  The selective form re-derives step size and the B/C projections from
 the input at every position, which is what the sequence encoder trains.
 
-Production path: ``selective_ssm`` projects the token stream and calls
-``selective_scan``, which fuses Euler discretization, the recurrence and the
-readout into one tape node with a hand-written reverse-time adjoint that
-recomputes states instead of storing them (the hardware-aware recipe of
-Mamba, Gu & Dao 2023, section 3.3).  It runs in cache-sized blocks of steps
-(``_SCAN_CHUNK`` steps, ``_SCAN_BLOCK_BYTES`` per work array) and writes
-every block into one set of work arrays allocated per call.  Those arrays
-are step-major and state-major, (L, B, N, E): the widened channel E (64 or
-512) is the unit-stride axis, so every elementwise product and contraction
-runs inner loops along E instead of along the N = 4 or 16 states, and each
-step's (B, N, E) state, which the recurrence reads and writes, is one
-contiguous run.  Mamba's scan makes the same point: its state expansion
-is fast only when laid out in memory to suit the hardware.
+Production path: ``selective_ssm`` projects the token stream to one
+[dt | B | C] array and hands it, with A_log, to ``selective_scan``, which
+forms A = -exp(A_log), reads B and C from the last 2N columns and fuses
+Euler discretization, the recurrence and the readout into one tape node
+with a hand-written reverse-time adjoint that recomputes states instead of
+storing them (the hardware-aware recipe of Mamba, Gu & Dao 2023, section
+3.3).  It runs in cache-sized blocks of steps (``_SCAN_CHUNK`` steps,
+``_SCAN_BLOCK_BYTES`` per work array) and writes every block into one set
+of work arrays allocated per call.  Those arrays are step-major and
+state-major, (L, B, N, E): the widened channel E (64 or 512) is the
+unit-stride axis, so every elementwise product and contraction runs inner
+loops along E instead of along the N = 4 or 16 states, and each step's
+(B, N, E) state, which the recurrence reads and writes, is one contiguous
+run.  Mamba's scan makes the same point: its state expansion is fast only
+when laid out in memory to suit the hardware.
 
 Oracles, used by the tests and ``selfcheck`` and kept out of hot paths:
 ``discretize`` (Euler or zero-order hold) builds the (B, M, E, N) discrete
@@ -232,21 +234,23 @@ _SCAN_CHUNK = 64
 _SCAN_BLOCK_BYTES = 1 << 19
 
 
-def selective_scan(x, delta, a, b, c, d, order=None) -> tt.Tensor:
+def selective_scan(x, delta, a_log, bc, d, order=None) -> tt.Tensor:
     """Euler-discretised selective scan as one tape node.
 
-    x, delta: (B, M, E), delta strictly positive.  a: (E, N) diagonal
-    evolution.  b, c: (B, M, N) per-step input and readout maps.  d: (E,)
-    skip gain.  order: a permutation of range(M) (None is range(M)); step
-    i of the scan is position p = order[i].  Evaluates, with h_0 = 0,
+    x, delta: (B, M, E), delta strictly positive.  a_log: (E, N), the
+    diagonal evolution A = -exp(a_log).  bc: (B, M, P >= 2N), whose last 2N
+    columns are the per-step input and readout maps [B | C]; the leading
+    ones get zero gradient.  d: (E,) skip gain.  order: a permutation of
+    range(M) (None is range(M)); step i of the scan is position p = order[i].
+    Evaluates, with h_0 = 0,
 
-        h_i = exp(delta_p * a) * h_{i-1} + delta_p * x_p * b_p
-        y_p = sum_n c_p * h_i + d * x_p
+        h_i = exp(delta_p * A) * h_{i-1} + delta_p * x_p * B_p
+        y_p = sum_n C_p * h_i + d * x_p
 
     in blocks of ``_block_len`` steps.  Each block gathers its positions'
     x and delta step-major (``_step_major``) and writes y and their
     gradients back there, so a rotated or reversed scan copies no stream.
-    The kernel reads ``a`` once as an (N, E) table and each block's work
+    The kernel forms A once as an (N, E) table and each block's work
     arrays are (L, B, N, E), so every product and contraction runs along
     the widened channel E and each step's (B, N, E) state is contiguous.
     Each call allocates one set of block-sized work arrays
@@ -254,24 +258,24 @@ def selective_scan(x, delta, a, b, c, d, order=None) -> tt.Tensor:
     tensor is formed and the per-step loop makes no temporaries.  While a
     tape records, only the state at each block boundary is saved.  The
     backward runs the adjoint recurrence from the last step to the first,
-    lambda_i = c_p * gy_p + exp(delta_q * a) * lambda_{i+1}, q = order[i+1],
+    lambda_i = C_p * gy_p + exp(delta_q * A) * lambda_{i+1}, q = order[i+1],
     recomputing each block's states from its saved boundary state, and
     returns every gradient in its input's shape.  Same result as
-    ``discretize(mode="euler")`` followed by ``scan_sequential`` on the
-    inputs gathered in ``order``, scattered back.
+    ``discretize(mode="euler")`` followed by ``scan_sequential`` on A and
+    the B and C columns gathered in ``order``, scattered back.
     """
-    x, delta, a, b, c, d = (tt.as_tensor(t) for t in (x, delta, a, b, c, d))
+    x, delta, a_log, bc, d = (tt.as_tensor(t) for t in (x, delta, a_log, bc, d))
     if x.ndim != 3:
         raise ShapeError(f"input must be (B, M, E), got {x.shape}")
     bsz, m, e = x.shape
     if delta.shape != x.shape:
         raise ShapeError(f"step sizes {delta.shape} do not match input {x.shape}")
-    if a.ndim != 2 or a.shape[0] != e:
-        raise ShapeError(f"evolution table must be ({e}, N), got {a.shape}")
-    n = a.shape[1]
-    if b.shape != (bsz, m, n) or c.shape != (bsz, m, n):
+    if a_log.ndim != 2 or a_log.shape[0] != e:
+        raise ShapeError(f"evolution table must be ({e}, N), got {a_log.shape}")
+    n = a_log.shape[1]
+    if bc.ndim != 3 or bc.shape[:2] != (bsz, m) or bc.shape[2] < 2 * n:
         raise ShapeError(
-            f"input/readout maps {b.shape}/{c.shape} do not match (B, M, N)=({bsz}, {m}, {n})")
+            f"projection {bc.shape} does not match (B, M, >= 2N)=({bsz}, {m}, >= {2 * n})")
     if d.shape != (e,):
         raise ShapeError(f"skip gain must be ({e},), got {d.shape}")
     if np.any(delta.data <= 0.0):
@@ -280,15 +284,17 @@ def selective_scan(x, delta, a, b, c, d, order=None) -> tt.Tensor:
     if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(m)):
         raise ContractError(f"step order must be a permutation of range({m})")
 
-    inputs = (x, delta, a, b, c, d)
+    inputs = (x, delta, a_log, bc, d)
     # C-contiguous operands fix every contraction's summation order by the
     # shapes alone, whatever the caller's layout; a no-op for a block's tokens.
-    # The small (B, M, N) maps are copied step-major in step order, so that
-    # their einsums also read contiguous blocks.
+    # The small (B, M, N) maps, bc's column slices, are copied step-major
+    # in step order, so that their einsums also read contiguous blocks.
     xd, dd = (np.ascontiguousarray(t.data) for t in (x, delta))
     xs, ds = _step_major(xd), _step_major(dd)
-    bs, cs = (_step_major(t.data)[order] for t in (b, c))
-    at = np.ascontiguousarray(a.data.T)
+    p = bc.shape[2]
+    b_cols, c_cols = slice(p - 2 * n, p - n), slice(p - n, p)
+    bs, cs = (_step_major(bc.data[..., cols])[order] for cols in (b_cols, c_cols))
+    at = np.ascontiguousarray(-np.exp(a_log.data).T)  # A as an (N, E) table
     steps = _block_len(bsz, e, n)
     blocks = [(slice(s, s + steps), order[s:s + steps]) for s in range(0, m, steps)]
     bufs = _ScanBuffers(bsz, min(steps, m), e, n)
@@ -333,9 +339,10 @@ def selective_scan(x, delta, a, b, c, d, order=None) -> tt.Tensor:
             gxs[pos] = gyl * d.data + gu * dl
             gds[pos] = np.einsum("lbne,ne->lbe", dlogdecay, at) + gu * xl
             gat += np.einsum("lbne,lbe->ne", dlogdecay, dl)
-        gb, gc = np.empty(b.shape), np.empty(c.shape)
-        _step_major(gb)[order], _step_major(gc)[order] = gbs, gcs
-        return gx, gdelta, gat.T, gb, gc, gd
+        gbc = np.zeros(bc.shape)
+        _step_major(gbc[..., b_cols])[order] = gbs
+        _step_major(gbc[..., c_cols])[order] = gcs
+        return gx, gdelta, (gat * at).T, gbc, gd  # dA/dA_log = A
 
     return tt._make_out(y, inputs, fn)
 
@@ -408,22 +415,14 @@ def selective_ssm(xp: tt.Tensor, params: dict, prefix: str, order=None) -> tt.Te
     xp: (B, M, E) already convolved and activated.  params maps
     "<prefix>.<name>" to the branch's tensors for every name of
     ``PARAM_NAMES``; the step-size rank R is the ``proj_Δ.weight`` row count.
-    order is the scan's step order (``selective_scan``).  Output has the
-    same shape as xp and includes the d*x skip path.
+    The scan takes the whole [dt | B | C] projection, with order as its
+    step order.  Output has the same shape as xp and includes the d*x skip
+    path.
     """
-    xp = tt.as_tensor(xp)
-    if xp.ndim != 3:
-        raise ShapeError(f"token stream must be (B, M, E), got {xp.shape}")
     a_log, d, bc_w, bc_b, dt_w, dt_b = (params[f"{prefix}.{k}"] for k in PARAM_NAMES)
-    e, n = a_log.shape
-    r = dt_w.shape[0]
-    if xp.shape[2] != e:
-        raise ShapeError(f"token stream {xp.shape} does not match E={e}")
-
-    s = tt.linear(xp, bc_w, bc_b)  # (B, M, R + 2N)
-    dt_low = tt.narrow(s, 2, 0, r)
-    b_proj = tt.narrow(s, 2, r, n)
-    c_proj = tt.narrow(s, 2, r + n, n)
-    delta = tt.softplus(tt.linear(dt_low, dt_w, dt_b))
-    a = tt.neg(tt.exp(a_log))
-    return selective_scan(xp, delta, a, b_proj, c_proj, d, order)
+    xp = tt.as_tensor(xp)
+    if xp.ndim != 3 or xp.shape[2] != a_log.shape[0]:
+        raise ShapeError(f"token stream must be (B, M, E={a_log.shape[0]}), got {xp.shape}")
+    s = tt.linear(xp, bc_w, bc_b)  # (B, M, R + 2N): [dt | B | C]
+    delta = tt.softplus(tt.linear(tt.narrow(s, 2, 0, dt_w.shape[0]), dt_w, dt_b))
+    return selective_scan(xp, delta, a_log, s, d, order)

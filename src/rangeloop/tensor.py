@@ -271,12 +271,6 @@ def neg(a) -> Tensor:
 # unary / activations
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-    return _make_out(data, (a,), lambda g: (g * data,))
-
-
 def silu(a) -> Tensor:
     a = as_tensor(a)
     s = _sigmoid_np(a.data)

@@ -166,9 +166,9 @@ class TestAcceptance:
             m_s = ssm._SCAN_CHUNK + 6
             scan_in = [rng.standard_normal((2, m_s, 3)),
                        rng.uniform(0.05, 0.8, size=(2, m_s, 3)),
-                       -rng.uniform(0.2, 2.0, size=(3, 4)),
-                       rng.standard_normal((2, m_s, 4)),
-                       rng.standard_normal((2, m_s, 4)),
+                       np.log(rng.uniform(0.2, 2.0, size=(3, 4))),
+                       np.concatenate([rng.standard_normal((2, m_s, 4)),
+                                       rng.standard_normal((2, m_s, 4))], axis=2),
                        rng.standard_normal(3)]
             rng.standard_normal((3, 4)), rng.standard_normal((4, 5))  # kept
             es_b = rng.standard_normal((4, 5))
@@ -179,7 +179,6 @@ class TestAcceptance:
                 ("sub", lambda a, b: tt.sub(a, b), [a2, b2]),
                 ("mul", lambda a, b: tt.mul(a, b), [a2, b2]),
                 ("neg", lambda a: tt.neg(a), [a2]),
-                ("exp", lambda a: tt.exp(a), [a2]),
                 ("silu", lambda a: tt.silu(a), [a2]),
                 ("softplus", lambda a: tt.softplus(a), [a2]),
                 ("relu", lambda a: tt.relu(a), [sep]),

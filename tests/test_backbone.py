@@ -111,6 +111,13 @@ class TestBackboneForward:
         with pytest.raises(ShapeError, match=f"{rows} rows, the model expects 8"):
             bb.backbone_forward(T.Tensor(np.zeros((1, 1, rows, 5))), params, model)
 
+    def test_rejects_zero_columns(self):
+        # no tokens: the head would return a descriptor of its biases alone
+        model = tiny_model(h=8, c_final=16)
+        params = backbone_params(model)
+        with pytest.raises(ShapeError, match="no columns"):
+            bb.backbone_forward(T.Tensor(np.zeros((1, 1, 8, 0))), params, model)
+
 
 class TestSppForward:
     def test_single_pool_window_example(self):

@@ -409,6 +409,27 @@ class TestMalformedInputs:
         assert not (tmp_path / "db.omdb").exists()
         assert not (tmp_path / "ckpt" / "final.omck").exists()
 
+    def test_image_without_columns_is_2(self, workspace, tmp_path, capsys):
+        # an 8x0 image: no tokens, so no descriptor
+        ranges = tmp_path / "ranges"
+        ranges.mkdir()
+        io.save_range_image(ranges / "range_0000.omrv", RangeImage(np.zeros((8, 0)), r_max=50.0))
+        assert main(["embed", "--ckpt", str(workspace / "ckpt" / "final.omck"),
+                     "--ranges", str(ranges), "--out", str(tmp_path / "db.omdb")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "no columns" in err
+        assert not (tmp_path / "db.omdb").exists()
+
+    def test_zero_dimension_db_is_2(self, tmp_path, capsys):
+        # 3 entries of dimension 0: every distance would read 0.0
+        db = tmp_path / "empty_dim.omdb"
+        io.save_descriptor_db(db, [0, 1, 2], np.zeros((3, 0)))
+        assert main(["search", "--db", str(db), "--query", str(db), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "dimension 0" in err
+
     @pytest.mark.parametrize("problem, message", [
         ("rows", "9 rows, the model expects 8"), ("missing_scan", "which has no range image"),
         ("columns_one", "scan 4 has 40 columns, the model expects 32"),

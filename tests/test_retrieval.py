@@ -37,6 +37,11 @@ class TestDescriptorDb:
         with pytest.raises(ContractError, match="dimension"):
             rv.DescriptorDb([0], np.zeros((1, 1 << 20)))
 
+    def test_zero_dimension_rejected(self):
+        # with no columns every distance is 0.0 and every ranking a tie
+        with pytest.raises(ContractError, match="dimension 0"):
+            rv.DescriptorDb(range(3), np.zeros((3, 0)))
+
     def test_matrix_is_an_owned_read_only_copy(self):
         mat = np.eye(3)
         db = rv.DescriptorDb(range(3), mat)

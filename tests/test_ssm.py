@@ -271,15 +271,23 @@ class TestSelectiveSsm:
 
 
 def random_scan_inputs(rng, b, m, e, n):
-    """(x, delta, a, b, c, d) for ``selective_scan``."""
+    """(x, delta, a_log, bc, d) for ``selective_scan``; bc is [B | C]."""
     return [
         rng.standard_normal((b, m, e)),
         rng.uniform(0.05, 0.8, size=(b, m, e)),
-        -np.exp(rng.standard_normal((e, n)) * 0.5),
-        rng.standard_normal((b, m, n)),
-        rng.standard_normal((b, m, n)),
+        rng.standard_normal((e, n)) * 0.5,
+        np.concatenate([rng.standard_normal((b, m, n)), rng.standard_normal((b, m, n))],
+                       axis=2),
         rng.standard_normal(e),
     ]
+
+
+def oracle_scan(x, delta, a_log, bc, d):
+    """``scan_sequential`` on Euler operators, with a = -exp(a_log) and
+    bc's trailing B and C columns."""
+    n, p = a_log.shape[1], bc.shape[2]
+    b, c = bc[..., p - 2 * n:p - n], bc[..., p - n:]
+    return ssm.scan_sequential(ssm.discretize(delta, -np.exp(a_log), b, mode="euler"), c, d, x)
 
 
 class TestSelectiveScan:
@@ -287,11 +295,9 @@ class TestSelectiveScan:
     def test_matches_sequential(self, m):
         # 900 is not a multiple of the block length, 64 is exactly one block
         rng = np.random.default_rng(42 + m)
-        x, delta, a, b, c, d = random_scan_inputs(rng, 2, m, 3, 4)
-        dssm = ssm.discretize(delta, a, b, mode="euler")
-        want = ssm.scan_sequential(dssm, c, d, x)
-        got = ssm.selective_scan(x, delta, a, b, c, d).data
-        assert np.max(np.abs(got - want)) < 1e-10
+        arrays = random_scan_inputs(rng, 2, m, 3, 4)
+        got = ssm.selective_scan(*arrays).data
+        assert np.max(np.abs(got - oracle_scan(*arrays))) < 1e-10
 
     @pytest.mark.parametrize("chunk,m", [(3, 10), (ssm._SCAN_CHUNK, ssm._SCAN_CHUNK + 6)])
     def test_gradients_across_blocks(self, chunk, m, monkeypatch):
@@ -315,7 +321,7 @@ class TestSelectiveScan:
 
     @staticmethod
     def _run(arrays, seed):
-        """Output and the six input gradients for the output gradient seed."""
+        """Output and the five input gradients for the output gradient seed."""
         inputs = [T.Tensor(v, requires_grad=True) for v in arrays]
         with T.Tape() as tape:
             y = ssm.selective_scan(*inputs)
@@ -326,23 +332,23 @@ class TestSelectiveScan:
     @pytest.mark.parametrize("m", [7, 70])
     def test_batch_rows_equal_single_calls(self, m):
         # each row of a batch of 3 is the single-row scan bit for bit; with
-        # the output gradient on one row only, so are all six gradients
+        # the output gradient on one row only, so are all five gradients
         rng = np.random.default_rng(42)
-        x, delta, a, b, c, d = random_scan_inputs(rng, 3, m, 3, 4)
+        x, delta, a_log, bc, d = random_scan_inputs(rng, 3, m, 3, 4)
         proj = rng.standard_normal((3, m, 3))
-        y_batch = ssm.selective_scan(x, delta, a, b, c, d).data
+        y_batch = ssm.selective_scan(x, delta, a_log, bc, d).data
         for k in range(3):
-            row = [x[k:k + 1], delta[k:k + 1], a, b[k:k + 1], c[k:k + 1], d]
+            row = [x[k:k + 1], delta[k:k + 1], a_log, bc[k:k + 1], d]
             y1, grads1 = self._run(row, proj[k:k + 1])
             assert np.array_equal(y_batch[k:k + 1], y1)
             seed = np.zeros_like(proj)
             seed[k] = proj[k]
-            _, grads = self._run([x, delta, a, b, c, d], seed)
-            for i in (0, 1, 3, 4):  # per-row inputs: row k, zeros elsewhere
+            _, grads = self._run([x, delta, a_log, bc, d], seed)
+            for i in (0, 1, 3):  # per-row inputs: row k, zeros elsewhere
                 assert np.array_equal(grads[i][k:k + 1], grads1[i])
                 assert not np.any(np.delete(grads[i], k, axis=0))
             assert np.array_equal(grads[2], grads1[2])
-            assert np.array_equal(grads[5], grads1[5])
+            assert np.array_equal(grads[4], grads1[4])
 
     @staticmethod
     def _views(v):
@@ -354,33 +360,29 @@ class TestSelectiveScan:
                 np.ascontiguousarray(v[:, ::-1])[:, ::-1]]
 
     def test_input_layouts_give_same_bits(self):
-        # x, delta, b, c and the output gradient as C-contiguous arrays or as
-        # views: the output and all six gradients are the same bit for bit,
+        # x, delta, bc and the output gradient as C-contiguous arrays or as
+        # views: the output and all five gradients are the same bit for bit,
         # and they are the oracle's; B > 1, E != N and two blocks
         rng = np.random.default_rng(42)
-        x, delta, a, b, c, d = random_scan_inputs(rng, 3, 70, 5, 4)
+        x, delta, a_log, bc, d = random_scan_inputs(rng, 3, 70, 5, 4)
         seed = rng.standard_normal((3, 70, 5))
-        arrays = [x, delta, a, b, c, d]
-
-        def oracle(vals):
-            xo, do, ao, bo, co, dd = vals
-            return ssm.scan_sequential(ssm.discretize(do, ao, bo, mode="euler"), co, dd, xo)
+        arrays = [x, delta, a_log, bc, d]
 
         y0, g0 = self._run(arrays, seed)
-        assert np.max(np.abs(y0 - oracle(arrays))) < 1e-10
+        assert np.max(np.abs(y0 - oracle_scan(*arrays))) < 1e-10
         # each gradient against the oracle's derivative along a random direction
         for i, g in enumerate(g0):
             assert g.shape == arrays[i].shape
             v = rng.standard_normal(g.shape)
             up, down = list(arrays), list(arrays)
             up[i], down[i] = arrays[i] + 1e-6 * v, arrays[i] - 1e-6 * v
-            fd = np.sum(seed * (oracle(up) - oracle(down))) / 2e-6
+            fd = np.sum(seed * (oracle_scan(*up) - oracle_scan(*down))) / 2e-6
             assert abs(fd - np.sum(g * v)) < 1e-6 * (1.0 + abs(fd))
         for k in range(3):
-            views = [self._views(v)[k] for v in (x, delta, b, c)]
+            views = [self._views(v)[k] for v in (x, delta, bc)]
             assert not any(v.flags.c_contiguous for v in views)
-            xv, dv, bv, cv = views
-            y1, g1 = self._run([xv, dv, a, bv, cv, d], seed)
+            xv, dv, bcv = views
+            y1, g1 = self._run([xv, dv, a_log, bcv, d], seed)
             assert np.array_equal(y1, y0)
             for got, want in zip(g1, g0):
                 assert got.shape == want.shape
@@ -406,8 +408,7 @@ class TestSelectiveScan:
         assert -(-m // ssm._block_len(3, 5, 4)) == 3
         rng = np.random.default_rng(42)
         arrays = random_scan_inputs(rng, 3, m, 5, 4)
-        x, delta, a, b, c, d = arrays
-        want = ssm.scan_sequential(ssm.discretize(delta, a, b, mode="euler"), c, d, x)
+        want = oracle_scan(*arrays)
         assert np.max(np.abs(ssm.selective_scan(*arrays).data - want)) < 1e-10
         check_grads(ssm.selective_scan, arrays, rng)
 
@@ -416,7 +417,8 @@ class TestSelectiveScan:
         # decay factors and states is contiguous, and the states are the
         # oracle's h_m
         rng = np.random.default_rng(42)
-        x, delta, a, b, _, _ = random_scan_inputs(rng, 3, 6, 5, 4)
+        x, delta, a_log, bc, _ = random_scan_inputs(rng, 3, 6, 5, 4)
+        a, b = -np.exp(a_log), bc[..., :4]
         bufs = ssm._ScanBuffers(3, 6, 5, 4)
         h0 = np.zeros((3, 4, 5))
         decay, hs = ssm._block_states(h0, x.transpose(1, 0, 2), delta.transpose(1, 0, 2),
@@ -448,6 +450,36 @@ class TestSelectiveScan:
             assert np.array_equal(got_a, want)
             assert np.array_equal(got_b, want)
 
+    @staticmethod
+    def _with_dt_columns(rng, arrays, r):
+        """arrays with r leading step-size columns of random values in bc."""
+        x, delta, a_log, bc, d = arrays
+        dt = rng.standard_normal(bc.shape[:2] + (r,))
+        return [x, delta, a_log, np.concatenate([dt, bc], axis=2), d]
+
+    def test_gradients_with_dt_columns(self, monkeypatch):
+        # bc as selective_ssm hands it over, [dt | B | C], across blocks
+        monkeypatch.setattr(ssm, "_SCAN_CHUNK", 4)
+        rng = np.random.default_rng(42)
+        arrays = self._with_dt_columns(rng, random_scan_inputs(rng, 2, 10, 2, 3), 2)
+        check_grads(ssm.selective_scan, arrays, rng)
+
+    def test_dt_columns_ignored_bit_for_bit(self):
+        # the leading columns get exactly zero gradient, and the output and
+        # every other gradient are those of bc without them, bit for bit
+        rng = np.random.default_rng(42)
+        arrays = random_scan_inputs(rng, 2, 70, 3, 4)
+        wide = self._with_dt_columns(rng, arrays, 2)
+        seed = rng.standard_normal((2, 70, 3))
+        y0, g0 = self._run(arrays, seed)
+        y1, g1 = self._run(wide, seed)
+        assert np.array_equal(y1, y0)
+        assert g1[3].shape == wide[3].shape
+        assert np.array_equal(g1[3][..., :2], np.zeros((2, 70, 2)))
+        g1[3] = g1[3][..., 2:]
+        for got, want in zip(g1, g0):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(42)
         inputs = [T.Tensor(v, requires_grad=True)
@@ -458,16 +490,16 @@ class TestSelectiveScan:
 
     def test_nonpositive_step_rejected(self):
         rng = np.random.default_rng(42)
-        x, delta, a, b, c, d = random_scan_inputs(rng, 1, 4, 2, 3)
+        x, delta, a_log, bc, d = random_scan_inputs(rng, 1, 4, 2, 3)
         delta[0, 2, 1] = 0.0
         with pytest.raises(errors.ContractError):
-            ssm.selective_scan(x, delta, a, b, c, d)
+            ssm.selective_scan(x, delta, a_log, bc, d)
 
     def test_map_shape_mismatch_rejected(self):
         rng = np.random.default_rng(42)
-        x, delta, a, b, c, d = random_scan_inputs(rng, 1, 4, 2, 3)
+        x, delta, a_log, bc, d = random_scan_inputs(rng, 1, 4, 2, 3)
         with pytest.raises(errors.ShapeError):
-            ssm.selective_scan(x, delta, a, b[:, :, :2], c, d)
+            ssm.selective_scan(x, delta, a_log, bc[:, :, 1:], d)  # 2N - 1 columns
 
     @staticmethod
     def _branch_order(name, m, a):
@@ -484,11 +516,11 @@ class TestSelectiveScan:
         order = self._branch_order(name, m, 5)
         rng = np.random.default_rng(42)
         arrays = random_scan_inputs(rng, 2, m, 2, 3)
-        x, delta, a, b, c, d = arrays
-        xo, do, bo, co = (v[:, order] for v in (x, delta, b, c))
+        x, delta, a_log, bc, d = arrays
+        xo, do, bco = (v[:, order] for v in (x, delta, bc))
         want = np.empty_like(x)
-        want[:, order] = ssm.scan_sequential(ssm.discretize(do, a, bo, mode="euler"), co, d, xo)
-        got = ssm.selective_scan(x, delta, a, b, c, d, order).data
+        want[:, order] = oracle_scan(xo, do, a_log, bco, d)
+        got = ssm.selective_scan(x, delta, a_log, bc, d, order).data
         assert np.max(np.abs(got - want)) < 1e-10
         check_grads(lambda *t: ssm.selective_scan(*t, order), arrays, rng)
 
@@ -496,9 +528,9 @@ class TestSelectiveScan:
                                        [0.0, 1.0, 2.0, 3.0], [[0, 1, 2, 3]]])
     def test_non_permutation_order_rejected(self, order):
         rng = np.random.default_rng(42)
-        x, delta, a, b, c, d = random_scan_inputs(rng, 1, 4, 2, 3)
+        arrays = random_scan_inputs(rng, 1, 4, 2, 3)
         with pytest.raises(errors.ContractError):
-            ssm.selective_scan(x, delta, a, b, c, d, order)
+            ssm.selective_scan(*arrays, order)
 
 
 class TestDtRank:

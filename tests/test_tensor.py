@@ -503,14 +503,15 @@ class TestSweep:
         x, c = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
 
         def build(a):
-            y = T.exp(a)
+            y = T.softplus(a)
             s = T.add(y, T.mul(y, T.Tensor(c)))
             return T.tsum(T.mul(s, s)), [y, s]
 
         got, want = self._both(build, [x])
         _assert_same_bits(got[0], want[0])
-        y = np.exp(x)
-        np.testing.assert_allclose(got[0], 2.0 * y * (1.0 + c) ** 2 * y, rtol=1e-12)
+        y = np.logaddexp(0.0, x)
+        np.testing.assert_allclose(got[0], 2.0 * y * (1.0 + c) ** 2 / (1.0 + np.exp(-x)),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("second", ["same array", "view of it"])
     def test_contribution_held_twice_is_not_adopted_twice(self, second):
@@ -632,7 +633,6 @@ class TestGradientChecks:
         rng = np.random.default_rng(42)
         x = rng.standard_normal((4, 5))
         check_grads(T.neg, [x], rng)
-        check_grads(T.exp, [x], rng)
 
     def test_activations(self):
         rng = np.random.default_rng(42)
@@ -804,7 +804,7 @@ class TestCheckGrads:
         rng = np.random.default_rng(42)
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
         with pytest.raises(AssertionError, match="^input 1 got no gradient$"):
-            check_grads(lambda x, y: T.exp(x), [a, b], rng)
+            check_grads(lambda x, y: T.neg(x), [a, b], rng)
 
 
 class TestL2NormalizeZeroRows:
@@ -978,6 +978,13 @@ class TestAdam:
         p.grad = np.array([0.0])
         opt.step()
         np.testing.assert_array_equal(p.data, [2.5])
+
+    @pytest.mark.parametrize("lr", [-1e-3, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_lr(self, lr):
+        # a NaN or infinite rate would make every parameter NaN in one step
+        p = T.Tensor([1.0], requires_grad=True)
+        with pytest.raises(errors.ContractError, match="learning rate"):
+            Adam({"p": p}, lr=lr)
 
     def test_missing_grad_names_parameter(self):
         p = T.Tensor([1.0], requires_grad=True)

@@ -1,5 +1,6 @@
 """Tests for losses, mining, and the training loop."""
 
+import collections
 import csv
 import os
 
@@ -293,8 +294,11 @@ def _toy_dataset(n_scans=6, h=8, w=24, seed=1):
 class TestTrainLoop:
     def test_acceptance_step_tape_size(self):
         # one imtrihard step of the acceptance model (test_06, the benchmark's
-        # training model) on a 1+2+2 tuple records 114 nodes; a hot op split
-        # into many small nodes shows here
+        # training model) on a 1+2+2 tuple records 98 nodes; a hot op split
+        # into many small nodes shows here.  A kind is the op that recorded
+        # the node: each scan reads A_log and its B, C columns itself, so no
+        # exp is recorded and the 8 narrow nodes are the 4 step-size slices
+        # and 4 of the loss
         model = pl.ModelConfig(h=16, w=128, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2),
                                                     (32, 2, 2)),
                                spp_mode="add", olm_n=4, vlad_k=8, mlp_hidden=64, out_dim=32)
@@ -306,7 +310,14 @@ class TestTrainLoop:
         with tt.Tape() as tape:
             desc = tr._forward_tuple(tup, images, params, model, rng)
             tr.tuple_loss(desc, 2, cfg, rng)
-        assert len(tape) == 114
+        kinds = collections.Counter(node.backward.__qualname__.split(".")[0]
+                                    for node in tape._nodes)
+        assert len(tape) == 98
+        assert kinds == {
+            "_conv": 8, "add": 9, "einsum2": 2, "l2_normalize": 3, "layer_norm": 2,
+            "linear": 14, "maxpool1d_circular": 3, "mul": 9, "narrow": 8, "neg": 2,
+            "relu": 1, "reshape": 3, "selective_scan": 4, "silu": 10, "softmax": 1,
+            "softplus": 4, "sub": 3, "take_along": 1, "tmax": 2, "transpose": 6, "tsum": 3}
 
     def test_zero_lr_keeps_parameters_bitwise(self, tmp_path):
         tuples, images = _toy_dataset()
