@@ -8,7 +8,11 @@ return in meters, or the sentinel -1.0 where no point landed.
 Overlap labelling is all-pairs, but on a trajectory almost every pair is two
 sensors too far apart to share a return.  `compute_overlap` settles those
 pairs from the sensor gap and the candidate cloud's radius alone, returning
-the exact 0.0 the reprojection would, and reprojects only the rest.
+the exact 0.0 the reprojection would, and reprojects only the rest; a pair
+it culls costs three column passes over the candidate cloud.  `label_pairs`
+computes each scan's radius once, runs the same test for all pairs as
+array expressions (`pairs_in_reach`), and calls `compute_overlap` only on
+the pairs left uncut.
 """
 
 from __future__ import annotations
@@ -182,6 +186,36 @@ def build_range_image(points: np.ndarray, cfg: ProjectionConfig) -> RangeImage:
     return RangeImage(ranges=img, r_max=cfg.r_max, config=cfg)
 
 
+def _cloud(points) -> np.ndarray:
+    """``points`` as a float64 (N, >=3) array: x, y, z in the first columns."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] < 3:
+        raise ContractError(f"a point cloud must be an (N, >=3) array, got shape {pts.shape}")
+    return pts
+
+
+def _radius(pts: np.ndarray) -> float:
+    """max ||p[:3]|| over a non-empty cloud, from three column passes; NaN
+    or inf when any coordinate is."""
+    sq = np.square(pts[:, 0])
+    sq += np.square(pts[:, 1])
+    sq += np.square(pts[:, 2])
+    return math.sqrt(sq.max())
+
+
+def _out_of_reach(gap, radius, r_max, norm_a, norm_b):
+    """The range-gap test of `compute_overlap` on floats or arrays: True
+    where every point of cloud b lies beyond a's range cap."""
+    slack = 1e-8 * (1.0 + r_max + radius + norm_a + norm_b)
+    return gap - radius > r_max + slack
+
+
+def _query_config(ri: RangeImage) -> ProjectionConfig:
+    if ri.config is None:
+        raise ContractError("overlap needs the query image's projection config")
+    return ri.config
+
+
 def compute_overlap(
     ri_a: RangeImage,
     pose_a: Pose,
@@ -193,7 +227,8 @@ def compute_overlap(
     Cloud b is moved into a's frame through the two poses and projected with
     a's sensor geometry; a pixel of a counts as overlapping when b's image
     holds a return there within the relative range tolerance ``EPS_REL``.  Anchored on the
-    query: overlap(a, b) and overlap(b, a) may differ.
+    query: overlap(a, b) and overlap(b, a) may differ.  Cloud b must be an
+    (N, >=3) array; an empty one overlaps nothing.
 
     Range-gap cull.  Let gap = ||t_a - t_b|| and R_b = max ||p[:3]|| over
     cloud b.  Rotations preserve norms, so every point of b lies at least
@@ -201,9 +236,10 @@ def compute_overlap(
     When gap - R_b > r_max + slack the result is therefore 0.0, and it is
     returned before anything is transformed, projected or counted.  R_b is
     the cloud's own radius, not r_max: a scan file may hold points beyond
-    the range cap.  The slack covers what separates the exact argument from
-    the computed one.  With S = 1 + r_max + R_b + ||t_a|| + ||t_b|| meters
-    and u = 2**-53:
+    the range cap.  A culled pair costs three column passes over cloud b
+    (its squared radius) and a few float operations on the translations.
+    The slack covers what separates the exact argument from the computed
+    one.  With S = 1 + r_max + R_b + ||t_a|| + ||t_b|| meters and u = 2**-53:
 
     * Rotations are orthonormal only to `Pose`'s tolerance, |R^T R - I| <=
       1e-9 entrywise (plus a few u from evaluating the check).  Then
@@ -216,28 +252,35 @@ def compute_overlap(
       most gamma_3 * sqrt(3) ~ 5.2u of the vector norm each) and two
       additions (u each), and the range in `project_points` adds about 2.5u,
       so a computed range is within 15u * S of the exact one.  Computing
-      gap, R_b and the test itself adds at most 10u * S.
+      gap, R_b and the test itself adds at most 10u * S, in either form
+      the code uses.  R_b squared is three rounded squares summed by two
+      rounded additions of non-negative terms (within 3u relative, in any
+      order), and its root halves that and rounds once: R_b is within
+      2.5u * R_b.  The gap rounds three differences (u relative each), then
+      takes either `math.dist`'s norm (under 1 ulp, 2u) or, in
+      `pairs_in_reach`, squares, two additions and a root as for R_b
+      (2.5u): within 3.5u * gap.  As gap + R_b <= S, the two are within
+      3.5u * S together.  The subtraction gap - R_b and the addition
+      r_max + slack round by at most u * S each, the comparison is exact,
+      and ||t_a||, ||t_b|| (from `math.hypot` or a root of squares) enter
+      only the slack, where their error is scaled by 1e-8.  That is at
+      most 6u * S.
 
     slack = 1e-8 * S exceeds delta * gap + 25u * S ~ (1.6e-9 + 2.8e-15) * S
     six times over, so on a culled pair every point of b computes
     r > r_max and the full path would count nothing.  The 1 in S absorbs
     underflow.  A NaN or inf in cloud b makes R_b non-finite, the test is
     False, and the full path runs.  Every early exit returns 0.0, so their
-    order does not change any result.
+    order does not change any result, and neither does a cull decision that
+    a differently rounded test makes the other way.
     """
-    cfg = ri_a.config
-    if cfg is None:
-        raise ContractError("overlap needs the query image's projection config")
-    pts = np.asarray(points_b, dtype=np.float64)
+    cfg = _query_config(ri_a)
+    pts = _cloud(points_b)
     if pts.size == 0:
         return 0.0
-    xyz = pts[:, :3]
-    radius = math.sqrt(np.einsum("ij,ij->i", xyz, xyz).max())
-    t_a, t_b = pose_a.translation, pose_b.translation
-    d = t_a - t_b
-    gap = math.sqrt(d @ d)
-    slack = 1e-8 * (1.0 + cfg.r_max + radius + math.sqrt(t_a @ t_a) + math.sqrt(t_b @ t_b))
-    if gap - radius > cfg.r_max + slack:
+    t_a, t_b = pose_a.translation.tolist(), pose_b.translation.tolist()
+    if _out_of_reach(math.dist(t_a, t_b), _radius(pts), cfg.r_max,
+                     math.hypot(*t_a), math.hypot(*t_b)):
         return 0.0
     valid_a = ri_a.valid
     n_valid = int(valid_a.sum())
@@ -253,17 +296,52 @@ def compute_overlap(
     return float(agree.sum()) / n_valid
 
 
+def pairs_in_reach(images, poses, scans):
+    """The pairs (a, b), a < b, that the range-gap test of `compute_overlap`
+    leaves uncut, in order: only these can overlap.  Of the images only
+    each query's projection config is read; ``poses`` give the sensor
+    positions and ``scans`` the cloud radii.
+
+    Each scan's radius and translation norm are computed once, and the test
+    runs for each query against all its candidates as one array expression,
+    one row at a time so that memory stays linear in the scan count.  An
+    empty cloud gets a NaN radius, so its pairs, like those of a cloud with
+    a NaN or inf point, stay uncut.
+    """
+    n = len(scans)
+    if not len(images) == len(poses) == n:
+        raise ContractError(f"pairs need one length, got {len(images)} images, "
+                            f"{len(poses)} poses and {n} scans")
+    radii = np.array([_radius(c) if len(c) else math.nan for c in map(_cloud, scans)])
+    t = np.array([p.translation for p in poses]).reshape(n, 3)
+    norms = np.sqrt(np.square(t).sum(axis=1))
+    pairs = []
+    for a in range(n - 1):
+        r_max = _query_config(images[a]).r_max
+        gap = np.sqrt(np.square(t[a + 1:] - t[a]).sum(axis=1))
+        far = _out_of_reach(gap, radii[a + 1:], r_max, norms[a], norms[a + 1:])
+        pairs += [(a, b) for b in (np.flatnonzero(~far) + a + 1).tolist()]
+    return pairs
+
+
 def label_pairs(images, poses, scans, ids):
     """Overlap labels for every pair a < b of a scan sequence: the query is
     scan a (``images[a]``, ``poses[a]``), the candidate scan b
-    (``scans[b]``, ``poses[b]``), and ``ids`` names them in the labels."""
+    (``scans[b]``, ``poses[b]``), and ``ids`` names them in the labels.
+    All four must have one length.
+
+    Equal, label for label, to calling `compute_overlap` on each pair, at a
+    fraction of its cost: only the `pairs_in_reach` reach `compute_overlap`,
+    and every other pair is the exact 0.0 its reprojection would give.
+    """
     n = len(ids)
-    return [
-        OverlapLabel(query=ids[a], cand=ids[b],
-                     overlap=compute_overlap(images[a], poses[a], scans[b], poses[b]))
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
+    if len(scans) != n:
+        raise ContractError(f"pairs need one length, got {len(scans)} scans and {n} ids")
+    overlap = {(a, b): compute_overlap(images[a], poses[a], scans[b], poses[b])
+               for a, b in pairs_in_reach(images, poses, scans)}
+    return [OverlapLabel(query=ids[a], cand=ids[b], overlap=overlap.get((a, b), 0.0))
+            for a in range(n)
+            for b in range(a + 1, n)]
 
 
 def build_tuples(labels, threshold: float, k_p: int, k_n: int, seed: int):

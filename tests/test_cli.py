@@ -15,7 +15,8 @@ import pytest
 
 from rangeloop import io
 from rangeloop.cli import main
-from rangeloop.rangeview import RangeImage
+from rangeloop.rangeview import (OverlapLabel, ProjectionConfig, RangeImage,
+                                 build_range_image, compute_overlap)
 
 WORLD_KV = """\
 seed=42
@@ -100,6 +101,19 @@ class TestWorkflow:
         for i in range(4):
             assert table[(i, i + 4)] > 0.3  # revisit of the same place
         assert table[(0, 1)] == 0.0  # different places never overlap
+
+    def test_overlaps_file_is_byte_identical_to_pair_loop(self, workspace, tmp_path):
+        world = workspace / "world"
+        cfg = io.config_from_pairs(ProjectionConfig, io.load_kv_pairs(world / "sensor.kv"))
+        scans = [io.load_scan(world / f"scan_{i:04d}.bin") for i in range(8)]
+        poses = io.load_poses(world / "poses.txt")
+        images = [build_range_image(s, cfg) for s in scans]
+        labels = [OverlapLabel(query=a, cand=b, overlap=compute_overlap(
+                      images[a], poses[a], scans[b], poses[b]))
+                  for a in range(8) for b in range(a + 1, 8)]
+        io.save_labels(tmp_path / "loop.txt", labels)
+        assert ((workspace / "labels.txt").read_bytes()
+                == (tmp_path / "loop.txt").read_bytes())
 
     def test_train_outputs(self, workspace):
         names = {p.name for p in (workspace / "ckpt").iterdir()}

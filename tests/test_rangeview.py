@@ -231,6 +231,22 @@ class TestComputeOverlap:
         want = _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, pose_b, 0.05)
         assert got == want
 
+    @pytest.mark.parametrize("gap", [0.0, 400.0])
+    def test_cloud_without_z_column_is_contract_error(self, gap):
+        # near, the (N, 2) cloud would reach the matmul; far, the cull
+        cfg = default_cfg()
+        ri = build_range_image(np.array([[10.0, 0.0, 0.0]]), cfg)
+        pose_b = Pose(rotation=np.eye(3), translation=np.array([gap, 0.0, 0.0]))
+        with pytest.raises(errors.ContractError, match="N, >=3"):
+            compute_overlap(ri, identity_pose(), np.ones((5, 2)), pose_b)
+
+    @pytest.mark.parametrize("cloud", [np.ones(3), np.zeros(0)])
+    def test_one_dimensional_cloud_is_contract_error(self, cloud):
+        cfg = default_cfg()
+        ri = build_range_image(np.array([[10.0, 0.0, 0.0]]), cfg)
+        with pytest.raises(errors.ContractError, match="N, >=3"):
+            compute_overlap(ri, identity_pose(), cloud, identity_pose())
+
     def test_disjoint_scenes_do_not_overlap(self):
         cfg = default_cfg()
         a = np.array([[10.0, 0.0, 0.0]])
@@ -361,6 +377,42 @@ class TestRangeGapCull:
         assert near == _bruteforce_overlap(ri_a.ranges, cfg, pose_a, pts_b, pose_b, 0.05)
         assert away == clean_away == 0.0
 
+    def test_label_pairs_cull_equals_pair_loop(self, monkeypatch):
+        """Empty, NaN and inf clouds, and the wall pair 1e-5 m either side of
+        the reach boundary: `label_pairs` gives the per-pair labels and
+        reprojects exactly the pairs the per-pair loop does."""
+        cfg, ri_a, pose_a, pts_b, pose_b = self._wall_pair()
+        radius = np.linalg.norm(pts_b, axis=1).max()
+
+        def at(x):
+            return Pose(rotation=pose_b.rotation, translation=np.array([x, 0.0, 0.0]))
+
+        scans, poses = [pose_a.to_local(pose_b.to_world(pts_b))], [pose_a]
+        for past in (1e-5, -1e-5):
+            scans.append(pts_b)
+            poses.append(at(cfg.r_max + radius + past))
+        for bad in (np.nan, np.inf):
+            scans.append(np.concatenate([pts_b[:100], [[1.0, 2.0, bad]], pts_b[100:]]))
+            poses.append(at(400.0))
+        scans += [np.zeros((0, 3)), pts_b, pts_b]
+        poses += [at(10.0), pose_b, at(400.0)]
+        images = [build_range_image(s, cfg) for s in scans]
+        ids = range(len(scans))
+
+        calls = self._count_reprojections(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = [OverlapLabel(query=a, cand=b, overlap=compute_overlap(
+                            images[a], poses[a], scans[b], poses[b]))
+                        for a in ids for b in ids[a + 1:]]
+            loop_calls = list(calls)
+            calls.clear()
+            got = rangeview.label_pairs(images, poses, scans, ids)
+        assert got == expected
+        assert calls == loop_calls
+        assert len(calls) < len(expected)
+        assert got[5].overlap > 0.0  # (0, 6): b reaches back from 120 m
+
     def test_cull_fires_for_exactly_the_cross_place_pairs(self, monkeypatch):
         spec = sw.WorldSpec(seed=3, n_places=5)
         world = sw.generate_world(spec)
@@ -374,6 +426,15 @@ class TestRangeGapCull:
                 compute_overlap(images[a], world.poses[a], world.scans[b], world.poses[b])
                 culled = len(calls) == before
                 assert culled == (world.place_ids[a] != world.place_ids[b]), (a, b)
+
+    def test_pairs_in_reach_are_the_revisit_pairs(self):
+        spec = sw.WorldSpec(seed=3, n_places=5)
+        world = sw.generate_world(spec)
+        images = [build_range_image(s, spec.projection_config()) for s in world.scans]
+        n = len(world.scans)
+        assert rangeview.pairs_in_reach(images, world.poses, world.scans) == [
+            (a, b) for a in range(n) for b in range(a + 1, n)
+            if world.place_ids[a] == world.place_ids[b]]
 
 
 def _bruteforce_overlap(ranges, cfg, pose_a, pts_b, pose_b, eps_rel):
@@ -424,6 +485,41 @@ def test_label_pairs_equals_pair_loop():
     got = rangeview.label_pairs(images, world.poses, world.scans, ids)
     assert got == expected
     assert any(lab.overlap > 0.0 for lab in got)
+
+
+def _small_world():
+    spec = sw.WorldSpec(seed=5, n_places=2, visits_per_place=2, h=8, w=32,
+                        n_obstacles=4)
+    world = sw.generate_world(spec)
+    images = [build_range_image(s, spec.projection_config()) for s in world.scans]
+    return images, list(world.poses), list(world.scans)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_label_pairs_ids_of_another_length_is_contract_error(extra):
+    # one id more than scans, or one fewer (4 scans and 3 ids)
+    images, poses, scans = _small_world()
+    with pytest.raises(errors.ContractError, match="need one length"):
+        rangeview.label_pairs(images, poses, scans, range(len(scans) + extra))
+
+
+@pytest.mark.parametrize("which", ["images", "poses", "scans"])
+def test_label_pairs_short_sequence_is_contract_error(which):
+    images, poses, scans = _small_world()
+    seqs = {"images": images, "poses": poses, "scans": scans}
+    seqs[which] = seqs[which][:-1]
+    with pytest.raises(errors.ContractError, match="need one length"):
+        rangeview.label_pairs(seqs["images"], seqs["poses"], seqs["scans"],
+                              range(len(scans)))
+
+
+@pytest.mark.parametrize("bad", [np.ones((5, 2)), np.ones(3)])
+@pytest.mark.parametrize("at", [0, -1])
+def test_label_pairs_malformed_cloud_is_contract_error(bad, at):
+    images, poses, scans = _small_world()
+    scans[at] = bad
+    with pytest.raises(errors.ContractError, match="N, >=3"):
+        rangeview.label_pairs(images, poses, scans, range(len(scans)))
 
 
 class TestBuildTuples:
