@@ -1,11 +1,13 @@
 """Tour of the synthetic test world: places, revisits, and overlap labels.
 
 Generates a small world of box/cylinder scenes, renders LiDAR scans at
-jittered revisit poses, projects them to range images, and prints the
-overlap matrix that the training pipeline mines its tuples from, with how
-many pairs the labeller culls by the sensor gap and its wall time.  Ends
-with the exact yaw property the whole design rests on: rotating the
-sensor by a whole number of pixel columns rolls the range image.
+jittered revisit poses (printing the wall time and the share of
+(ray, obstacle) tests the caster's azimuth cull keeps), projects them to
+range images, and prints the overlap matrix that the training pipeline
+mines its tuples from, with how many pairs the labeller culls by the
+sensor gap and its wall time.  Ends with the exact yaw property the whole
+design rests on: rotating the sensor by a whole number of pixel columns
+rolls the range image.
 """
 
 import argparse
@@ -27,10 +29,24 @@ def main():
 
     spec = sw.WorldSpec(seed=args.seed, n_places=args.places,
                         visits_per_place=args.visits, h=16, w=128)
+    start = time.perf_counter()
     world = sw.generate_world(spec)
+    elapsed = time.perf_counter() - start
     cfg = spec.projection_config()
     print(f"world: {args.places} places x {args.visits} visits, "
           f"{len(world.scans)} scans, image {cfg.h}x{cfg.w}")
+
+    # each obstacle is tested only against the rays whose azimuth can reach it
+    places = sw.build_places(spec, np.random.default_rng(spec.seed))
+    dirs = sw.beam_directions(cfg)
+    kept = total = 0
+    for pose, pid in zip(world.poses, world.place_ids):
+        mask = sw.reach_mask(pose.translation, dirs @ pose.rotation.T,
+                             places[pid].obstacles)
+        kept += int(mask.sum())
+        total += mask.size
+    print(f"generate_world: {elapsed * 1e3:.1f} ms; the azimuth cull keeps "
+          f"{kept:,} of {total:,} (ray, obstacle) tests ({kept / total:.1%})")
 
     sizes = [len(s) for s in world.scans]
     print(f"returns per scan: min {min(sizes)}, max {max(sizes)}")
@@ -69,7 +85,7 @@ def main():
 
     # the exact yaw property: a sensor rotation by k * (2 pi / w) around
     # the vertical axis rolls the range image by k columns, bit for bit
-    place = sw.build_places(spec, np.random.default_rng(spec.seed))[0]
+    place = places[0]
     pose = world.poses[0]
     k = cfg.w // 4
     yawed = rvw.Pose(rotation=pose.rotation @ _rot_z(2.0 * math.pi * k / cfg.w),

@@ -33,7 +33,8 @@ EPS_REL = 0.05  # overlap: |r_b - r_a| <= EPS_REL * r_a counts as the same retur
 @dataclass(frozen=True)
 class ProjectionConfig:
     """Sensor image geometry: width/height in pixels, vertical field of view
-    split into an upward and a downward half (radians), and the range cap."""
+    split into an upward and a downward half (radians, each at most pi/2),
+    and the range cap."""
 
     w: int
     h: int
@@ -44,12 +45,15 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.w < 2 or self.h < 2:
             raise ConfigError(f"image extents must be >= 2, got {self.w}x{self.h}")
-        # chained comparisons: NaN fails every one of them
-        if (not (0 <= self.f_up < math.inf and 0 <= self.f_down < math.inf)
+        # chained comparisons: NaN fails every one of them.  A half above
+        # pi/2 would cast rows past the zenith or nadir, which the arcsin
+        # pitch of `project_points` folds back onto other rows.
+        half = 0.5 * math.pi
+        if (not (0 <= self.f_up <= half and 0 <= self.f_down <= half)
                 or self.f_up + self.f_down <= 0):
             raise ConfigError(
-                f"vertical field of view must be finite and positive, "
-                f"got up={self.f_up} down={self.f_down}"
+                f"vertical field of view must be positive with each half in "
+                f"[0, pi/2], got up={self.f_up} down={self.f_down}"
             )
         if not 0 < self.r_max < math.inf:
             raise ConfigError(f"r_max must be finite and positive, got {self.r_max}")

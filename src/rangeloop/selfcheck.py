@@ -379,6 +379,70 @@ def check_ray_projection_roundtrip() -> str:
     return f"{len(scan)} points, one pixel each"
 
 
+def exhaustive_scans(spec: sw.WorldSpec, world: sw.WorldData) -> List[np.ndarray]:
+    """The scans of ``world``, generated from ``spec``, cast again visit by
+    visit with the exhaustive loop `synthworld.cast_rays_exhaustive`."""
+    places = sw.build_places(spec, np.random.default_rng(spec.seed))
+    cfg = spec.projection_config()
+    dirs = sw.beam_directions(cfg)
+    scans = []
+    for pose, pid in zip(world.poses, world.place_ids):
+        t = sw.cast_rays_exhaustive(pose.translation, dirs @ pose.rotation.T,
+                                    places[pid].obstacles)
+        scans.append(sw._points(dirs, t[None], cfg.r_max)[0])
+    return scans
+
+
+def grazing_directions(origin: np.ndarray, obstacles, offsets) -> np.ndarray:
+    """Rays from ``origin`` at each offset (radians) beside the azimuth of
+    every box corner and cylinder tangent, level and tilted."""
+    azimuths = []
+    for obs in obstacles:
+        if isinstance(obs, sw.Box):
+            azimuths += [np.arctan2(y - origin[1], x - origin[0])
+                         for x in (obs.lo[0], obs.hi[0]) for y in (obs.lo[1], obs.hi[1])]
+        else:
+            dist = np.hypot(obs.cx - origin[0], obs.cy - origin[1])
+            if dist > abs(obs.radius):
+                bearing = np.arctan2(obs.cy - origin[1], obs.cx - origin[0])
+                half = np.arcsin(abs(obs.radius) / dist)
+                azimuths += [bearing - half, bearing + half]
+    pp, yy = np.meshgrid([0.0, 0.1, -0.1], np.add.outer(azimuths, offsets).ravel(),
+                         indexing="ij")
+    return np.stack([np.cos(pp) * np.cos(yy), np.cos(pp) * np.sin(yy), np.sin(pp)],
+                    axis=-1).reshape(-1, 3)
+
+
+def check_ray_cast_cull() -> str:
+    spec = sw.WorldSpec(seed=2024, n_places=3, visits_per_place=2, h=8, w=64,
+                        place_spacing=120.0)
+    world = sw.generate_world(spec)
+    for k, (got, want) in enumerate(zip(world.scans, exhaustive_scans(spec, world))):
+        if got.shape != want.shape or not np.array_equal(got.view(np.uint64),
+                                                         want.view(np.uint64)):
+            raise AssertionError(f"scan {k} differs from the exhaustive caster")
+    # a box across the -pi/pi seam, a cylinder around the sensor, seeded
+    # boxes and cylinders, and rays within 1e-12 rad and within a few ulp
+    # of every box corner and cylinder tangent
+    rng = np.random.default_rng(11)
+    origin = np.array([0.3, -0.2, 0.5])
+    obstacles = [sw.Box(lo=(-12.0, -1.0, -2.0), hi=(-10.0, 1.0, 3.0)),
+                 sw.Cylinder(cx=0.0, cy=0.0, radius=30.0, z0=-5.0, z1=5.0)]
+    for k, (x, y, size) in enumerate(rng.uniform([-25, -25, 0.3], [25, 25, 3], (24, 3))):
+        obstacles.append(
+            sw.Cylinder(cx=x, cy=y, radius=size, z0=-2.0, z1=2.0) if k % 2 else
+            sw.Box(lo=(x - size, y - 0.5 * size, -2.0), hi=(x + size, y + size, 2.0)))
+    offsets = np.concatenate([[-1e-12, 1e-12], np.linspace(-4e-15, 4e-15, 9)])
+    dirs = np.concatenate([rng.standard_normal((256, 3)),
+                           grazing_directions(origin, obstacles, offsets)])
+    got = sw.cast_rays(origin, dirs, obstacles)
+    want = sw.cast_rays_exhaustive(origin, dirs, obstacles)
+    if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+        raise AssertionError("culled ray casting differs from the exhaustive loop")
+    return (f"{len(world.scans)} scans and {len(dirs)} grazing or random rays "
+            "bit-identical to the exhaustive caster")
+
+
 def check_descriptor_determinism() -> str:
     params, cfg = _toy_model()
     images = _toy_images(cfg, 3)
@@ -421,6 +485,7 @@ CHECKS: Tuple[Tuple[str, Callable[[], str]], ...] = (
     ("search_sort_oracle", check_search_sort_oracle),
     ("overlap_identity", check_overlap_identity),
     ("ray_projection_roundtrip", check_ray_projection_roundtrip),
+    ("ray_cast_cull", check_ray_cast_cull),
     ("descriptor_determinism", check_descriptor_determinism),
     ("checkpoint_roundtrip", check_checkpoint_roundtrip),
 )

@@ -595,13 +595,26 @@ class TestMalformedInputs:
         self._assert_one_line_error(capsys)
         assert not (tmp_path / "labels.txt").exists()
 
-    @pytest.mark.parametrize("key, value", [("r_max", "nan"), ("seed", "-1")])
+    @pytest.mark.parametrize("key, value", [("r_max", "nan"), ("seed", "-1"),
+                                            ("r_max", "5.0")])
     def test_bad_world_spec_is_2(self, tmp_path, capsys, key, value):
         spec = tmp_path / "world.kv"
         spec.write_text(_set_key(WORLD_KV, key, value))
         assert main(["synth", "--spec", str(spec),
                      "--out", str(tmp_path / "world")]) == 2
         self._assert_one_line_error(capsys)
+
+    def test_synth_into_used_directory_is_2(self, tmp_path, capsys):
+        big, small = tmp_path / "big.kv", tmp_path / "small.kv"
+        big.write_text(WORLD_KV)
+        small.write_text(_set_key(WORLD_KV, "n_places", "2"))
+        out = tmp_path / "world"
+        assert main(["synth", "--spec", str(big), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(small), "--out", str(out)]) == 2
+        self._assert_one_line_error(capsys)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("key, value", [("lr", "nan"), ("alpha", "nan"),
                                             ("seed", "-3"), ("loss", "bogus"),

@@ -104,6 +104,13 @@ class TestConfigValidation:
         with pytest.raises(errors.ConfigError):
             ProjectionConfig(w=900, h=64, f_up=0.4, f_down=0.4, r_max=0.0)
 
+    def test_rejects_half_fov_above_half_pi(self):
+        # a row past the zenith or nadir would project back onto another row
+        for up, down in ((2.0, 0.3), (0.3, math.pi / 2 + 1e-12)):
+            with pytest.raises(errors.ConfigError, match="pi/2"):
+                ProjectionConfig(w=900, h=64, f_up=up, f_down=down, r_max=50.0)
+        ProjectionConfig(w=900, h=64, f_up=math.pi / 2, f_down=math.pi / 2, r_max=50.0)
+
 
 class TestBuildRangeImage:
     def test_empty_cloud_all_sentinel(self):

@@ -7,6 +7,7 @@ import pytest
 
 from rangeloop import io
 from rangeloop import rangeview as rvw
+from rangeloop import selfcheck as sc
 from rangeloop import synthworld as sw
 from rangeloop.errors import ConfigError, ContractError
 
@@ -27,6 +28,19 @@ class TestWorldSpec:
             sw.WorldSpec(visits_per_place=0)
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             sw.WorldSpec(seed=-1)
+        with pytest.raises(ConfigError, match="obstacle ring"):
+            sw.WorldSpec(r_max=5.0, place_spacing=11.0)
+        with pytest.raises(ConfigError, match="pi/2"):
+            sw.WorldSpec(f_up=2.0)
+
+    def test_obstacle_ring_bound(self):
+        # the ring's outer radius RING_MAX_FRAC * r_max may not fall below
+        # RING_MIN: 8.1 m is rejected, 8.2 m and the default generate
+        with pytest.raises(ConfigError, match="obstacle ring"):
+            sw.WorldSpec(r_max=8.1, place_spacing=20.0)
+        spec = sw.WorldSpec(r_max=8.2, place_spacing=20.0, n_places=2,
+                            visits_per_place=1, h=4, w=16)
+        assert len(sw.generate_world(spec).scans) == 2
 
     def test_kv_roundtrip(self):
         spec = sw.WorldSpec(n_places=5, r_max=30.0, place_spacing=70.0)
@@ -76,6 +90,159 @@ class TestRayCasting:
         far = sw.Box(lo=(6.0, -1.0, -1.0), hi=(8.0, 1.0, 1.0))
         t = sw.cast_rays(np.zeros(3), np.array([[1.0, 0.0, 0.0]]), [far, near])
         np.testing.assert_allclose(t, [2.0])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+class TestCulledCaster:
+    """`cast_rays` and everything built on it against the exhaustive loop
+    `cast_rays_exhaustive`, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [
+        sw.WorldSpec(),
+        sw.WorldSpec(seed=11, n_places=50, visits_per_place=3),
+        sw.WorldSpec(seed=0, n_places=2, visits_per_place=1, h=64, w=900),
+        sw.WorldSpec(seed=3, n_obstacles=1, n_places=6),
+        sw.WorldSpec(seed=4, f_up=math.pi / 2, f_down=math.pi / 2, n_places=6),
+        sw.WorldSpec(seed=5, n_places=4, n_obstacles=20, h=8, w=64),
+        sw.WorldSpec(seed=6, n_places=5, r_max=9.0, place_spacing=20.0),
+        sw.WorldSpec(seed=7, n_places=3, yaw_jitter=0.0, translation_jitter=0.0),
+    ], ids=["default", "label_world", "64x900", "one_obstacle", "half_pi_fov",
+            "crowded", "small_cap", "no_jitter"])
+    def test_world_equals_exhaustive_scans(self, spec):
+        world = sw.generate_world(spec)
+        want = sc.exhaustive_scans(spec, world)
+        assert len(world.scans) == len(want) == spec.n_places * spec.visits_per_place
+        for got, exp in zip(world.scans, want):
+            _assert_same_bits(got, exp)
+
+    def test_tiny_chunks_change_nothing(self, monkeypatch):
+        # one visit per chunk, tiles of 8 of a place's 12 obstacles and one
+        # ray, pair batches of one test
+        spec = sw.WorldSpec(seed=9, n_places=3, visits_per_place=2, h=8, w=32,
+                            n_obstacles=12)
+        want = sw.generate_world(spec)
+        monkeypatch.setattr(sw, "_CHUNK_ELEMS", 8)
+        got = sw.generate_world(spec)
+        for a, b in zip(got.scans, want.scans):
+            _assert_same_bits(a, b)
+
+    def test_render_scan_with_tilted_rotation(self):
+        spec = sw.WorldSpec(seed=12, n_places=2)
+        place = sw.build_places(spec, np.random.default_rng(spec.seed))[1]
+        axis = np.array([0.3, -0.4, 0.87])
+        axis /= np.linalg.norm(axis)
+        k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+        angle = 0.7
+        rot = np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * k @ k
+        pose = rvw.Pose(rotation=rot, translation=np.array(
+            [place.center[0] + 0.3, place.center[1] - 0.2, 1.5]))
+        dirs = sw.beam_directions(spec.projection_config())
+        got = sw.render_scan(spec, place, pose)
+        t = sw.cast_rays_exhaustive(pose.translation, dirs @ rot.T, place.obstacles)
+        hit = np.isfinite(t) & (t <= spec.r_max)
+        assert hit.sum() > 100
+        want = np.concatenate([dirs[hit] * t[hit, None], np.zeros((hit.sum(), 1))], axis=1)
+        _assert_same_bits(got, want)
+
+    @staticmethod
+    def _check(origin, dirs, obstacles):
+        origin = np.asarray(origin, dtype=float)
+        dirs = np.asarray(dirs, dtype=float)
+        got = sw.cast_rays(origin, dirs, obstacles)
+        want = sw.cast_rays_exhaustive(origin, dirs, obstacles)
+        _assert_same_bits(got, want)
+        return got
+
+    def test_existing_ray_inputs(self):
+        box = sw.Box(lo=(5.0, -1.0, -1.0), hi=(7.0, 1.0, 1.0))
+        self._check(np.zeros(3), [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [box])
+        cyl = sw.Cylinder(cx=4.0, cy=0.0, radius=1.0, z0=-1.0, z1=1.0)
+        self._check(np.zeros(3), [[1.0, 0.0, 0.0]], [cyl])
+        assert self._check([4.0, 0.0, 5.0], [[0.0, 0.0, -1.0]], [cyl])[0] == 4.0
+        near = sw.Box(lo=(2.0, -1.0, -1.0), hi=(3.0, 1.0, 1.0))
+        far = sw.Box(lo=(6.0, -1.0, -1.0), hi=(8.0, 1.0, 1.0))
+        self._check(np.zeros(3), [[1.0, 0.0, 0.0]], [far, near])
+
+    def test_sensor_inside_footprints(self):
+        rng = np.random.default_rng(1)
+        dirs = rng.standard_normal((500, 3))
+        obstacles = [sw.Box(lo=(-1.0, -2.0, 1.0), hi=(3.0, 1.0, 4.0)),
+                     sw.Cylinder(cx=0.5, cy=0.2, radius=2.0, z0=-3.0, z1=-1.0),
+                     sw.Cylinder(cx=9.0, cy=0.0, radius=1.0, z0=-3.0, z1=3.0)]
+        t = self._check(np.zeros(3), dirs, obstacles)
+        assert np.isfinite(t).mean() > 0.5
+
+    def test_obstacle_across_the_azimuth_seam(self):
+        # the box spans bearings near +pi and -pi; rays on both sides hit it
+        box = sw.Box(lo=(-12.0, -1.0, -1.0), hi=(-10.0, 1.0, 1.0))
+        az = np.concatenate([np.linspace(math.pi - 0.2, math.pi, 50),
+                             np.linspace(-math.pi, -math.pi + 0.2, 50)])
+        dirs = np.stack([np.cos(az), np.sin(az), np.zeros_like(az)], axis=1)
+        t = self._check([0.0, 0.0, 0.0], dirs, [box])
+        assert np.isfinite(t[az > 0]).any() and np.isfinite(t[az < 0]).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grazing_rays(self, seed):
+        # rays within 1e-12 rad of box corners and cylinder tangents, and
+        # within a few ulp of the tangents, where rounding decides a hit
+        rng = np.random.default_rng(seed)
+        origin = rng.normal(size=3) * 20.0
+        obstacles = []
+        for k, (x, y, size) in enumerate(rng.uniform([-30, -30, 0.2], [30, 30, 4], (16, 3))):
+            x, y = x + origin[0], y + origin[1]
+            obstacles.append(
+                sw.Cylinder(cx=x, cy=y, radius=size, z0=origin[2] - 3, z1=origin[2] + 3)
+                if k % 2 else
+                sw.Box(lo=(x - size, y - 0.3 * size, origin[2] - 3),
+                       hi=(x + 0.5 * size, y + size, origin[2] + 2)))
+        offsets = np.concatenate([[-1e-12, 1e-12], np.linspace(-4e-15, 4e-15, 9)])
+        dirs = sc.grazing_directions(origin, obstacles, offsets)
+        t = self._check(origin, dirs, obstacles)
+        assert np.isfinite(t).mean() > 0.3
+
+    def test_degenerate_rays_and_obstacles(self):
+        # vertical, zero, tiny, huge and non-finite directions; an obstacle
+        # with a NaN coordinate, one far away, and one at the sensor
+        dirs = np.array([[0, 0, 1], [0, 0, -1], [0, 0, 0], [-0.0, 0.0, 1],
+                         [np.nan, 1, 0], [1, np.nan, 0], [1, 0, np.nan],
+                         [np.inf, 0, 0], [1, 1, np.inf], [1e-300, 1e-300, 1],
+                         [1e-120, 1, 0], [1e200, 1, 0], [1, 0, 0], [0, 1, 0]])
+        obstacles = [sw.Box(lo=(np.nan, -1.0, -1.0), hi=(7.0, 1.0, 1.0)),
+                     sw.Box(lo=(-3.0, 2.0, -1.0), hi=(-1.0, 4.0, 1.0)),
+                     sw.Cylinder(cx=1e6, cy=0.0, radius=2.0, z0=-1.0, z1=1.0),
+                     sw.Cylinder(cx=0.0, cy=0.0, radius=0.0, z0=-1.0, z1=1.0),
+                     sw.Cylinder(cx=0.0, cy=5.0, radius=-1.0, z0=-1.0, z1=1.0)]
+        with np.errstate(all="ignore"):
+            self._check([0.0, 0.0, 0.0], dirs, obstacles)
+            self._check([np.nan, 0.0, 0.0], dirs, obstacles)
+            self._check([0.0, 0.0, 0.0], dirs, [])
+
+    def test_reach_mask_keeps_every_hit(self):
+        spec = sw.WorldSpec(seed=11, n_places=4, visits_per_place=2)
+        world = sw.generate_world(spec)
+        places = sw.build_places(spec, np.random.default_rng(spec.seed))
+        dirs = sw.beam_directions(spec.projection_config())
+        kept = total = 0
+        for pose, pid in zip(world.poses, world.place_ids):
+            obstacles = places[pid].obstacles
+            world_dirs = dirs @ pose.rotation.T
+            mask = sw.reach_mask(pose.translation, world_dirs, obstacles)
+            for obs, row in zip(obstacles, mask):
+                hits = np.isfinite(sw.cast_rays_exhaustive(pose.translation,
+                                                           world_dirs, [obs]))
+                assert row[hits].all()
+            kept += int(mask.sum())
+            total += mask.size
+        assert kept / total < 0.15
 
 
 class TestWorldGeneration:
@@ -198,6 +365,14 @@ class TestSaveWorld:
             [f"scan_{i:04d}.bin" for i in range(8)]
         for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_used_directory_refused(self, tmp_path):
+        sw.save_world(tmp_path, sw.generate_world(SMALL))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        small = sw.WorldSpec(n_places=2, visits_per_place=2, h=8, w=64)
+        with pytest.raises(ContractError, match="scan_"):
+            sw.save_world(tmp_path, sw.generate_world(small))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_roundtrip(self, tmp_path):
         world = sw.generate_world(SMALL)
