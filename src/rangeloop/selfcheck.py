@@ -443,6 +443,41 @@ def check_ray_cast_cull() -> str:
             "bit-identical to the exhaustive caster")
 
 
+def check_clamped_loss_zero_gradient() -> str:
+    """A clamped hinge sends zero to every parameter, the premise on which
+    ``train`` skips the backward of a step whose loss is 0.0.  On the
+    acceptance model (test_06's), a tuple whose positives are copies of the
+    query's image and whose margin is half the gap to its nearest negative reads
+    exactly 0.0 under both losses; the full sweep must then leave every
+    parameter gradient all zeros."""
+    cfg = pl.ModelConfig(h=16, w=128, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2), (32, 2, 2)),
+                         spp_mode="add", olm_n=4, vlad_k=8, mlp_hidden=64, out_dim=32)
+    params = pl.init_model(cfg, seed=42)
+    query, *others = _toy_images(cfg, 3)
+    images = dict(enumerate([query, query, query, *others]))
+    tup = rvw.TrainingTuple(query=0, positives=(1, 2), negatives=(3, 4))
+    for kind in tr.LOSS_KINDS:
+        rng = np.random.default_rng(0)
+        with tt.Tape() as tape:
+            desc = tr._forward_tuple(tup, images, params, cfg, rng)
+            d = np.sum((desc.data[1:] - desc.data[0]) ** 2, axis=1)
+            alpha = 0.5 * float(np.min(d[2:]) - np.max(d[:2]))
+            if not alpha > 0.0:
+                raise AssertionError(f"negatives sit no farther than positives: {d.tolist()}")
+            loss = tr.tuple_loss(desc, 2, tr.TrainConfig(loss=kind, alpha=alpha), rng)
+        if float(loss.data) != 0.0:
+            raise AssertionError(f"{kind} loss of an easy tuple is {float(loss.data)!r}, not 0.0")
+        tt.backward(loss, tape)
+        for name in sorted(params):
+            grad = params[name].grad
+            if grad is None or np.any(grad):
+                raise AssertionError(f"{kind}: a clamped loss sends a nonzero or no "
+                                     f"gradient to {name!r}")
+            params[name].grad = None
+    return (f"{' and '.join(tr.LOSS_KINDS)} read 0.0 on an easy tuple; "
+            f"all {len(params)} gradients zero")
+
+
 def check_descriptor_determinism() -> str:
     params, cfg = _toy_model()
     images = _toy_images(cfg, 3)
@@ -486,6 +521,7 @@ CHECKS: Tuple[Tuple[str, Callable[[], str]], ...] = (
     ("overlap_identity", check_overlap_identity),
     ("ray_projection_roundtrip", check_ray_projection_roundtrip),
     ("ray_cast_cull", check_ray_cast_cull),
+    ("clamped_loss_zero_gradient", check_clamped_loss_zero_gradient),
     ("descriptor_determinism", check_descriptor_determinism),
     ("checkpoint_roundtrip", check_checkpoint_roundtrip),
 )

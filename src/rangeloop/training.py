@@ -10,6 +10,13 @@ squared distance to the query.  Two losses are provided: a paired hinge over
 (positive, negative) couples, and a hard-mining variant that weights the
 worst positive and the best negative, which converges in fewer epochs on the
 same data.
+
+Both losses are hinges that ``relu`` clamps at 0, and a step whose loss is
+exactly 0.0 has only zero gradients: ``relu``'s adjoint masks with input > 0.
+``train`` skips the backward of such a step, drops its tape, and applies
+Adam's zero-gradient update (``Adam.step_zero``), which moves the moments and
+weights bit for bit as ``Adam.step`` does after a sweep that returned zeros.
+The epoch log counts these clamped steps.
 """
 
 from __future__ import annotations
@@ -194,8 +201,11 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
     model_cfg.h by model_cfg.w (checked before anything is written).  max_steps
     caps the total number of optimizer steps (0 means no cap).  Returns the
     per-epoch reports and writes report.csv plus epoch checkpoints under
-    out_dir.
+    out_dir.  A step whose loss is exactly 0.0 runs no backward (see the
+    module docstring).
     """
+    if max_steps < 0:
+        raise ContractError(f"max_steps must be >= 0 (0 means no cap), got {max_steps}")
     check_inputs(tuples, images, model_cfg)
     os.makedirs(out_dir, exist_ok=True)
     train_tuples, val_tuples = split_validation(tuples)
@@ -206,6 +216,7 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_tuples))
         losses = []
+        clamped = 0  # steps whose loss is 0.0 and whose backward is skipped
         for pos, idx in enumerate(order):
             tup = train_tuples[int(idx)]
             try:
@@ -226,8 +237,15 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"tuple {pos} (query {tup.query})"
                 )
-            tt.backward(loss, tape)
-            adam.step()
+            if value > 0.0:
+                tt.backward(loss, tape)
+                adam.step()
+            else:
+                # a clamped hinge: every gradient is zero, so the sweep is
+                # skipped and the unswept tape freed before the update
+                del tape, desc, loss
+                adam.step_zero()
+                clamped += 1
             losses.append(value)
             steps += 1
             if max_steps and steps >= max_steps:
@@ -238,7 +256,8 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
         reports.append(EpochReport(epoch=epoch, mean_loss=mean_loss, val_f1max=f1))
         io.save_checkpoint(os.path.join(out_dir, f"epoch_{epoch:03d}.omck"), params)
         if log:
-            log(f"epoch {epoch}: mean_loss={mean_loss:.6f} val_f1max={f1:.4f}")
+            log(f"epoch {epoch}: mean_loss={mean_loss:.6f} val_f1max={f1:.4f} "
+                f"clamped={clamped}/{len(losses)}")
         if max_steps and steps >= max_steps:
             break
     io.save_checkpoint(os.path.join(out_dir, "final.omck"), params)

@@ -707,4 +707,4 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "checks passed" in proc.stdout
+        assert "18/18 checks passed" in proc.stdout

@@ -429,6 +429,15 @@ class TestTrainLoop:
         # 3 train tuples per epoch: cap lands inside epoch 1
         assert len(reports) == 2
 
+    def test_negative_max_steps_rejected_before_writing(self, tmp_path):
+        # -1 once read as a cap already reached: one step, both checkpoints
+        tuples, images = _toy_dataset()
+        params = pl.init_model(TOY, seed=42)
+        cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=1, seed=3)
+        with pytest.raises(ContractError, match="max_steps must be >= 0"):
+            tr.train(tuples, images, params, TOY, cfg, tmp_path / "run", max_steps=-1)
+        assert not (tmp_path / "run").exists()
+
     def test_validation_split_f1(self, tmp_path):
         # 10+ tuples so one lands in the validation split
         rng = np.random.default_rng(4)
@@ -443,3 +452,105 @@ class TestTrainLoop:
         cfg = tr.TrainConfig(loss="imtrihard", lr=1e-4, epochs=1, seed=3)
         reports = tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
         assert 0.0 <= reports[0].val_f1max <= 1.0
+
+
+class TestClampedSteps:
+    """A step whose hinge is clamped at 0 skips its backward and applies
+    Adam's zero-gradient update; training is bit for bit the always-backward
+    loop."""
+
+    # a small margin and a large rate on the toy set give both kinds of step
+    # in 2 epochs of 3 steps, for either loss
+    CFG = dict(alpha=1e-3, lr=1e-2, epochs=2, seed=3)
+
+    @staticmethod
+    def _reference(tuples, images, params, cfg):
+        """``train``'s loop with the same rng draws, sweeping every tape."""
+        adam = tr.Adam(params, lr=cfg.lr)
+        rng = np.random.default_rng(cfg.seed)
+        train_tuples, _ = tr.split_validation(tuples)
+        losses = []
+        for _ in range(cfg.epochs):
+            for idx in rng.permutation(len(train_tuples)):
+                tup = train_tuples[int(idx)]
+                with tt.Tape() as tape:
+                    desc = tr._forward_tuple(tup, images, params, TOY, rng)
+                    loss = tr.tuple_loss(desc, len(tup.positives), cfg, rng)
+                tt.backward(loss, tape)
+                adam.step()
+                losses.append(float(loss.data))
+        return adam, losses
+
+    @pytest.mark.parametrize("loss", tr.LOSS_KINDS)
+    def test_matches_always_backward_loop(self, tmp_path, monkeypatch, loss):
+        tuples, images = _toy_dataset()
+        cfg = tr.TrainConfig(loss=loss, **self.CFG)
+        ref_params = pl.init_model(TOY, seed=42)
+        ref_adam, ref_losses = self._reference(tuples, images, ref_params, cfg)
+
+        losses = []
+        original = tr.tuple_loss
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            losses.append(float(out.data))
+            return out
+
+        made = []
+
+        class RecordingAdam(tr.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(tr, "tuple_loss", recorded)
+        monkeypatch.setattr(tr, "Adam", RecordingAdam)
+        params = pl.init_model(TOY, seed=42)
+        lines = []
+        tr.train(tuples, images, params, TOY, cfg, tmp_path / "run", log=lines.append)
+        (adam,) = made
+
+        assert np.array(losses).view(np.uint64).tolist() == \
+            np.array(ref_losses).view(np.uint64).tolist()
+        clamped = sum(v == 0.0 for v in losses)
+        assert 0 < clamped < len(losses), losses
+        assert adam.t == ref_adam.t == len(losses)
+        for name in sorted(params):
+            for got, want in ((params[name].data, ref_params[name].data),
+                              (adam.m[name], ref_adam.m[name]),
+                              (adam.v[name], ref_adam.v[name])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+        per_epoch = [sum(v == 0.0 for v in losses[i:i + 3]) for i in (0, 3)]
+        assert [line.split()[-1] for line in lines] == [f"clamped={k}/3" for k in per_epoch]
+
+    def test_skipped_tape_released_before_update(self, tmp_path, monkeypatch):
+        import weakref
+
+        tapes = []
+
+        class WeakTape(tt.Tape):  # a subclass without __slots__ takes weakrefs
+            def __enter__(self):
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        seen = []
+        original = tr.Adam.step_zero
+
+        def step_zero(adam):
+            seen.append(tapes[-1]() is None)
+            original(adam)
+
+        monkeypatch.setattr(tt, "Tape", WeakTape)
+        monkeypatch.setattr(tr.Adam, "step_zero", step_zero)
+        tuples, images = _toy_dataset()
+        params = pl.init_model(TOY, seed=42)
+        cfg = tr.TrainConfig(loss="imtrihard", **self.CFG)
+        tr.train(tuples, images, params, TOY, cfg, tmp_path / "run")
+        assert seen and all(seen)
+
+    def test_selfcheck_guards_the_premise(self):
+        from rangeloop import selfcheck as sc
+        assert dict(sc.CHECKS)["clamped_loss_zero_gradient"] is \
+            sc.check_clamped_loss_zero_gradient
+        assert len(sc.CHECKS) == 18
+        assert "all 57 gradients zero" in sc.check_clamped_loss_zero_gradient()
