@@ -14,7 +14,14 @@ Text formats:
 
 * scan files: raw f32 quadruples (x, y, z, intensity), no header.
 * pose files: one scan per line, 12 floats, row-major 3x4 [R|t].
-* overlap labels: lines "query_idx cand_idx overlap".
+* overlap labels: lines "query_idx cand_idx overlap", the overlap in [0, 1].
+  Read in order, a line (q, c, o) with q != c sets q's overlap with c, and
+  c's overlap with q if nothing has set it yet; a line of a scan with
+  itself is dropped.  So the last line naming a direction wins, and a
+  direction no line names takes the first overlap given for its reverse.
+  `rangeview.overlap_table` is this rule, for training and evaluation.
+* place ids: lines "index place_id", the indices exactly 0..n-1 in any
+  order.
 * configs: "key=value" lines, "#" comments.  One codec serves every config
   dataclass (sensor geometry, world spec, model and training schedule,
   evaluation protocol): its keys and value types are the dataclass fields,
@@ -253,9 +260,11 @@ def load_poses(path) -> List[Pose]:
 
 
 def save_labels(path, labels: Iterable[OverlapLabel]) -> None:
+    """One line per label: integer ids and ``repr(float(overlap))``, so a
+    numpy scalar is written as the Python number it holds."""
     with open(path, "w") as f:
-        for lab in labels:
-            f.write(f"{lab.query} {lab.cand} {lab.overlap!r}\n")
+        for q, c, o in labels:
+            f.write("%d %d %r\n" % (q, c, float(o)))
 
 
 def load_labels(path) -> List[OverlapLabel]:
@@ -285,7 +294,8 @@ def save_place_ids(path, place_ids: Iterable[int]) -> None:
 
 
 def load_place_ids(path) -> List[int]:
-    pairs = []
+    """Place ids in index order; the indices must be exactly 0..n-1."""
+    places = {}
     for ln, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -294,9 +304,14 @@ def load_place_ids(path) -> List[int]:
             idx, pid = (int(t) for t in line.split())
         except ValueError as exc:
             raise ContractError(f"{path}:{ln}: expected 'index place_id': {exc}") from None
-        pairs.append((idx, pid))
-    pairs.sort()
-    return [pid for _, pid in pairs]
+        if idx in places:
+            raise ContractError(f"{path}:{ln}: index {idx} is repeated")
+        places[idx] = pid
+    missing = next((i for i in range(len(places)) if i not in places), None)
+    if missing is not None:
+        raise ContractError(f"{path}: index {missing} is missing (indices must be "
+                            f"0..{len(places) - 1})")
+    return [places[i] for i in range(len(places))]
 
 
 # --------------------------------------------------------------------------

@@ -32,11 +32,10 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        # chunk-sized scratch: two work arrays and a zero gradient, so a step
-        # allocates nothing and keeps no second copy of the model
+        # two chunk-sized scratch arrays: a step allocates nothing and keeps
+        # no second copy of the model
         size = min(CHUNK, max((p.data.size for p in self.params.values()), default=0))
         self._scratch = (np.empty(size), np.empty(size))
-        self._zero = np.zeros(size)
 
     def step(self) -> None:
         """Apply one update from accumulated grads, then zero the grads.
@@ -49,36 +48,15 @@ class Adam:
         missing = [k for k in sorted(self.params) if self.params[k].grad is None]
         if missing:
             raise ContractError(f"adam step with no gradient for parameter {missing[0]!r}")
-        self._update(zero=False)
-        self.zero_grad()
-
-    def step_zero(self) -> None:
-        """Apply one update in which every gradient is zero, with no grads
-        accumulated: the moments decay and the weights move as ``step`` moves
-        them after a backward that returned only zeros.
-
-        The same expression reads g from a zeroed scratch chunk.  That is bit
-        for bit ``step`` on zero grads of either sign: g*g is +0.0 either way,
-        and m is never -0.0 (it starts at +0.0, 0.9 times a nonzero double is
-        nonzero, and an exact cancellation rounds to +0.0), so
-        m*BETA1 + (1-BETA1)*g is the same double for g = +0.0 and -0.0."""
-        held = [k for k in sorted(self.params) if self.params[k].grad is not None]
-        if held:
-            raise ContractError(f"zero-gradient adam step with a gradient for parameter {held[0]!r}")
-        self._update(zero=True)
-
-    def _update(self, zero: bool) -> None:
         self.t += 1
         c1 = 1.0 - BETA1**self.t
         c2 = 1.0 - BETA2**self.t
         num, den = self._scratch
         for name in sorted(self.params):
             p = self.params[name]
-            grad = None if zero else p.grad.reshape(-1)
-            flat = [a.reshape(-1) for a in (p.data, self.m[name], self.v[name])]
+            flat = [a.reshape(-1) for a in (p.data, p.grad, self.m[name], self.v[name])]
             for lo in range(0, p.data.size, CHUNK):
-                w, m, v = (a[lo:lo + CHUNK] for a in flat)
-                g = self._zero[:m.size] if grad is None else grad[lo:lo + CHUNK]
+                w, g, m, v = (a[lo:lo + CHUNK] for a in flat)
                 n, d = num[:m.size], den[:m.size]
                 m *= BETA1
                 m += np.multiply(1.0 - BETA1, g, out=n)
@@ -91,6 +69,7 @@ class Adam:
                 np.sqrt(d, out=d)
                 d += EPS
                 w -= np.divide(n, d, out=n)
+        self.zero_grad()
 
     def zero_grad(self) -> None:
         for p in self.params.values():

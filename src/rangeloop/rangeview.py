@@ -18,9 +18,8 @@ the pairs left uncut.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -118,8 +117,10 @@ class Pose:
         return (world - self.translation) @ self.rotation
 
 
-@dataclass(frozen=True)
-class OverlapLabel:
+class OverlapLabel(NamedTuple):
+    """Scan ``query``'s overlap with scan ``cand``; `overlap_table` reads a
+    list of them."""
+
     query: int
     cand: int
     overlap: float
@@ -348,23 +349,31 @@ def label_pairs(images, poses, scans, ids):
             for b in range(a + 1, n)]
 
 
-def build_tuples(labels, threshold: float, k_p: int, k_n: int, seed: int):
-    """Mine training tuples from overlap labels.
+def overlap_table(labels):
+    """Scan id -> {candidate id: overlap} from a label list, by the rule
+    of the label format in `rangeloop.io`: the one reading of labels, which
+    training and evaluation share.  A scan that no kept label names has no
+    row."""
+    table = {}
+    for q, c, o in labels:
+        if q != c:
+            table.setdefault(q, {})[c] = o
+            table.setdefault(c, {}).setdefault(q, o)
+    return table
 
-    Labels store each unordered pair once; both directions feed the candidate
-    pools.  Candidates above the threshold are positives, the rest negatives;
-    up to k_p / k_n of each are kept by a seeded draw.  Queries lacking either
-    kind of candidate are skipped.
+
+def build_tuples(labels, threshold: float, k_p: int, k_n: int, seed: int):
+    """Mine training tuples from overlap labels, read by `overlap_table`.
+
+    Each scan's candidates above the threshold are positives, the rest
+    negatives; up to k_p / k_n of each are kept by a seeded draw.  Queries
+    lacking either kind of candidate are skipped.
     """
     if not 0.0 < threshold < 1.0:
         raise ContractError(f"threshold must lie in (0, 1), got {threshold}")
     if k_p < 1 or k_n < 1:
         raise ContractError(f"k_p and k_n must be >= 1, got {k_p}, {k_n}")
-    pools = defaultdict(dict)
-    for lab in sorted(labels, key=lambda l: (l.query, l.cand)):
-        if lab.query != lab.cand:
-            pools[lab.query].setdefault(lab.cand, lab.overlap)
-            pools[lab.cand].setdefault(lab.query, lab.overlap)
+    pools = overlap_table(labels)
 
     rng = np.random.default_rng(seed)
     tuples = []

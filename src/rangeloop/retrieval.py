@@ -22,11 +22,11 @@ import io as _stdio
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import io
+from . import io, rangeview
 from .errors import ConfigError, ContractError
 
 
@@ -367,15 +367,6 @@ class EvalProtocol:
             )
 
 
-def overlap_lookup(labels) -> Dict[Tuple[int, int], float]:
-    """Symmetric (a, b) -> overlap map from labeled pairs."""
-    table: Dict[Tuple[int, int], float] = {}
-    for lab in labels:
-        table[(lab.query, lab.cand)] = lab.overlap
-        table.setdefault((lab.cand, lab.query), lab.overlap)
-    return table
-
-
 class _Report:
     """The CSV rows of a report dataclass: one (name, value) per field, in
     field order, with float fields through ``_fmt`` and int fields as they
@@ -408,7 +399,8 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
                       protocol: EvalProtocol) -> LoopClosureReport:
     """Single-trajectory protocol: each query scan searches only scans at
     least `window` frames older.  The rank-1 neighbor's similarity (negative
-    distance) and its truth (overlap above threshold) feed the PR metrics;
+    distance) and its truth (overlap above threshold, as
+    `rangeview.overlap_table` reads the labels) feed the PR metrics;
     recall@1 and recall@1% count queries whose true loops are found.
 
     Read in id order through an argsort index (none when the database is
@@ -416,10 +408,7 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     database; queries go to `_nearest` in blocks, and only
     the top ceil(0.01 * candidates) are ranked, which is all that recall@1
     and recall@1% read."""
-    loops: Dict[int, List[int]] = {}
-    for (a, b), overlap in overlap_lookup(overlaps).items():
-        if overlap > protocol.overlap_threshold:
-            loops.setdefault(a, []).append(b)
+    table = rangeview.overlap_table(overlaps)
     known = set(db.ids)
     perm = np.argsort(db._id_array)
     ids = db._id_array[perm]
@@ -441,8 +430,8 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
         for j, (top, top_dists) in zip(scored.tolist(), found):
             ranked = top.tolist()
             limit = limits[j]
-            truth = {c for c in loops.get(int(ids[block[j]]), ())
-                     if c < limit and c in known}
+            truth = {c for c, o in table.get(int(ids[block[j]]), {}).items()
+                     if o > protocol.overlap_threshold and c < limit and c in known}
             scores.append((-float(top_dists[0]), ranked[0] in truth))
             first_hits.append(_first_hit(ranked, truth))
     n_scored = len(scores)

@@ -13,10 +13,10 @@ same data.
 
 Both losses are hinges that ``relu`` clamps at 0, and a step whose loss is
 exactly 0.0 has only zero gradients: ``relu``'s adjoint masks with input > 0.
-``train`` skips the backward of such a step, drops its tape, and applies
-Adam's zero-gradient update (``Adam.step_zero``), which moves the moments and
-weights bit for bit as ``Adam.step`` does after a sweep that returned zeros.
-The epoch log counts these clamped steps.
+``train`` skips the backward of such a step, drops its tape, and gives
+``Adam.step`` a read-only broadcast zero for every gradient, which moves the
+moments and weights bit for bit as after a sweep that returned zeros.  The
+epoch log counts these clamped steps.
 """
 
 from __future__ import annotations
@@ -239,13 +239,14 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
                 )
             if value > 0.0:
                 tt.backward(loss, tape)
-                adam.step()
             else:
                 # a clamped hinge: every gradient is zero, so the sweep is
                 # skipped and the unswept tape freed before the update
                 del tape, desc, loss
-                adam.step_zero()
+                for p in params.values():
+                    p.grad = np.broadcast_to(0.0, p.shape)
                 clamped += 1
+            adam.step()
             losses.append(value)
             steps += 1
             if max_steps and steps >= max_steps:

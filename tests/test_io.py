@@ -200,6 +200,15 @@ class TestLabelFile:
         io.save_labels(path, labels)
         assert io.load_labels(path) == labels
 
+    def test_numpy_scalars_roundtrip(self, tmp_path):
+        # numpy scalars are written as the Python int and float they hold,
+        # so the file reads back; Python-float labels keep their bytes
+        path = tmp_path / "labels.txt"
+        io.save_labels(path, [OverlapLabel(np.int64(0), np.int32(1), np.float64(0.1)),
+                              OverlapLabel(2, 3, 0.1)])
+        assert path.read_text() == "0 1 0.1\n2 3 0.1\n"
+        assert io.load_labels(path) == [OverlapLabel(0, 1, 0.1), OverlapLabel(2, 3, 0.1)]
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("# header\n\n0 1 0.5\n")
@@ -217,6 +226,17 @@ class TestPlaceIdFile:
         path = tmp_path / "places.txt"
         io.save_place_ids(path, [5, 5, 7, 7, 7])
         assert io.load_place_ids(path) == [5, 5, 7, 7, 7]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 5\n0 7\n3 9\n", r"places\.txt:2: index 0 is repeated"),
+        ("0 5\n2 7\n", r"places\.txt: index 1 is missing"),
+        ("1 5\n-1 7\n", r"places\.txt: index 0 is missing"),
+    ], ids=["repeated", "missing", "negative"])
+    def test_indices_must_be_0_to_n_minus_1(self, tmp_path, text, message):
+        path = tmp_path / "places.txt"
+        path.write_text(text)
+        with pytest.raises(ContractError, match=message):
+            io.load_place_ids(path)
 
     @pytest.mark.parametrize("line", ["1 x", "1 2 3"])
     def test_malformed_line_rejected(self, tmp_path, line):

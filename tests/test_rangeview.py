@@ -15,6 +15,7 @@ from rangeloop.rangeview import (
     build_range_image,
     build_tuples,
     compute_overlap,
+    overlap_table,
     project_points,
     rotate_z,
 )
@@ -527,6 +528,37 @@ def test_label_pairs_malformed_cloud_is_contract_error(bad, at):
     scans[at] = bad
     with pytest.raises(errors.ContractError, match="N, >=3"):
         rangeview.label_pairs(images, poses, scans, range(len(scans)))
+
+
+class TestOverlapTable:
+    def test_label_gives_its_direction_and_its_reverse(self):
+        assert overlap_table([OverlapLabel(0, 1, 0.4)]) == {0: {1: 0.4}, 1: {0: 0.4}}
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_reverse_label_overrides_the_fallback(self, flip):
+        labels = [OverlapLabel(0, 1, 0.4), OverlapLabel(1, 0, 0.7)]
+        table = overlap_table(labels[::-1] if flip else labels)
+        assert table == {0: {1: 0.4}, 1: {0: 0.7}}
+
+    def test_last_label_naming_a_direction_wins(self):
+        table = overlap_table([OverlapLabel(0, 1, 0.4), OverlapLabel(1, 0, 0.7),
+                               OverlapLabel(0, 1, 0.6), OverlapLabel(1, 0, 0.2)])
+        assert table == {0: {1: 0.6}, 1: {0: 0.2}}
+        # no label names 1 -> 0: it keeps the first overlap given for 0 -> 1
+        table = overlap_table([OverlapLabel(0, 1, 0.4), OverlapLabel(0, 1, 0.6)])
+        assert table == {0: {1: 0.6}, 1: {0: 0.4}}
+
+    def test_self_label_dropped(self):
+        assert overlap_table([OverlapLabel(2, 2, 0.9)]) == {}
+        table = overlap_table([OverlapLabel(2, 2, 0.9), OverlapLabel(2, 3, 0.1)])
+        assert table == {2: {3: 0.1}, 3: {2: 0.1}}
+
+    def test_label_is_an_immutable_record(self):
+        lab = OverlapLabel(query=3, cand=5, overlap=0.25)
+        assert (lab.query, lab.cand, lab.overlap) == (3, 5, 0.25)
+        assert [lab] == [OverlapLabel(3, 5, 0.25)] != [OverlapLabel(3, 5, 0.5)]
+        with pytest.raises(AttributeError):
+            lab.overlap = 0.5
 
 
 class TestBuildTuples:

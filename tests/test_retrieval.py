@@ -10,7 +10,7 @@ import pytest
 from rangeloop import io
 from rangeloop import retrieval as rv
 from rangeloop.errors import ConfigError, ContractError
-from rangeloop.rangeview import OverlapLabel
+from rangeloop.rangeview import OverlapLabel, build_tuples
 
 
 class TestDescriptorDb:
@@ -451,8 +451,12 @@ def _recall_oracle(rankings, truths, cut):
 
 def _loop_closure_oracle(db, overlaps, protocol):
     """Loop-based loop-closure protocol: every query fully ranks its
-    candidates and looks up every candidate's overlap."""
-    table = rv.overlap_lookup(overlaps)
+    candidates and looks up every candidate's overlap in a flat table
+    built here, in label order, by the label rule of `rangeloop.io`."""
+    table = {}
+    for lab in overlaps:
+        table[(lab.query, lab.cand)] = lab.overlap
+        table.setdefault((lab.cand, lab.query), lab.overlap)
     id_to_row = {sid: i for i, sid in enumerate(db.ids)}
     order = sorted(db.ids)
     scores, rankings, truths = [], [], []
@@ -545,6 +549,28 @@ def _aliased_trajectory(seed, n_places=40, visits=4, dim=16, quantize=False):
     rows = rng.permutation(n)
     db = rv.DescriptorDb(ids[rows].tolist(), desc[rows])
     return db, labels, positions[rows]
+
+
+def test_training_and_evaluation_read_one_truth():
+    # both directions of a pair at different overlaps, a repeated line and a
+    # self line: a tuple's positives are the candidates eval-loop counts as
+    # the query's true loops, and its negatives the others
+    labels = [OverlapLabel(0, 2, 0.1), OverlapLabel(2, 0, 0.8),
+              OverlapLabel(3, 1, 0.1), OverlapLabel(3, 1, 0.9),
+              OverlapLabel(1, 1, 0.9), OverlapLabel(2, 1, 0.05),
+              OverlapLabel(0, 3, 0.2), OverlapLabel(1, 0, 0.6)]
+    tuples = build_tuples(labels, threshold=0.3, k_p=10, k_n=10, seed=0)
+    assert {t.query for t in tuples} == {0, 1, 2, 3}
+    protocol = rv.EvalProtocol(window=0)
+    for tup in tuples:
+        for c in tup.positives + tup.negatives:
+            if c >= tup.query:
+                continue  # eval-loop searches only older scans
+            # a two-scan database: the query's one candidate is c
+            db = rv.DescriptorDb([c, tup.query], np.eye(2))
+            report = rv.eval_loop_closure(db, labels, protocol)
+            assert report.n_scored == 1
+            assert report.n_positive_queries == (c in tup.positives), (tup.query, c)
 
 
 class TestProtocolsMatchLoopOracles:

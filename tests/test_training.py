@@ -455,9 +455,9 @@ class TestTrainLoop:
 
 
 class TestClampedSteps:
-    """A step whose hinge is clamped at 0 skips its backward and applies
-    Adam's zero-gradient update; training is bit for bit the always-backward
-    loop."""
+    """A step whose hinge is clamped at 0 skips its backward and gives
+    Adam.step broadcast zero gradients; training is bit for bit the
+    always-backward loop."""
 
     # a small margin and a large rate on the toy set give both kinds of step
     # in 2 epochs of 3 steps, for either loss
@@ -533,15 +533,25 @@ class TestClampedSteps:
                 tapes.append(weakref.ref(self))
                 return super().__enter__()
 
-        seen = []
-        original = tr.Adam.step_zero
+        losses = []
+        original_loss = tr.tuple_loss
 
-        def step_zero(adam):
-            seen.append(tapes[-1]() is None)
+        def recorded(*args, **kwargs):
+            out = original_loss(*args, **kwargs)
+            losses.append(float(out.data))
+            return out
+
+        seen = []  # per clamped step's update: is its tape already freed?
+        original = tr.Adam.step
+
+        def step(adam):
+            if losses[-1] == 0.0:
+                seen.append(tapes[-1]() is None)
             original(adam)
 
         monkeypatch.setattr(tt, "Tape", WeakTape)
-        monkeypatch.setattr(tr.Adam, "step_zero", step_zero)
+        monkeypatch.setattr(tr, "tuple_loss", recorded)
+        monkeypatch.setattr(tr.Adam, "step", step)
         tuples, images = _toy_dataset()
         params = pl.init_model(TOY, seed=42)
         cfg = tr.TrainConfig(loss="imtrihard", **self.CFG)
