@@ -105,8 +105,9 @@ def cmd_synth(args) -> int:
 
 def cmd_project(args) -> int:
     cfg = _load_config(rvw.ProjectionConfig, args.config)
-    os.makedirs(args.out, exist_ok=True)
     files = _indexed_files(args.scans, ".bin")
+    io.refuse_used_dir(args.out, "*.omrv")
+    os.makedirs(args.out, exist_ok=True)
     for idx, path in files:
         ri = rvw.build_range_image(io.load_scan(path), cfg)
         io.save_range_image(os.path.join(args.out, f"range_{idx:04d}.omrv"), ri)

@@ -1,6 +1,7 @@
 """On-disk formats.
 
-Binary formats are little-endian with a 4-byte ASCII magic:
+Every binary format but the scan file starts with a 4-byte ASCII magic and
+a little-endian header, both checked before the payload is read:
 
 * checkpoint ("OMCK"): u32 tensor count, then per tensor a u16 name byte
   length, the UTF-8 name, u8 ndim, u32 dims, and the f32 payload.
@@ -9,10 +10,12 @@ Binary formats are little-endian with a 4-byte ASCII magic:
   finite and positive and every pixel finite.
 * descriptor database ("OMDB"): u32 count, u32 dim, then per entry a u32
   scan id and dim f32 values.
+* scan file: raw f32 quadruples (x, y, z, intensity), no magic or header.
 
-Text formats:
+Every text format is UTF-8 (bytes that do not decode are a contract
+violation), ends a line at "\n", "\r\n" or "\r", and skips blank lines and
+lines that start with "#":
 
-* scan files: raw f32 quadruples (x, y, z, intensity), no header.
 * pose files: one scan per line, 12 floats, row-major 3x4 [R|t].
 * overlap labels: lines "query_idx cand_idx overlap", the overlap in [0, 1].
   Read in order, a line (q, c, o) with q != c sets q's overlap with c, and
@@ -20,24 +23,21 @@ Text formats:
   itself is dropped.  So the last line naming a direction wins, and a
   direction no line names takes the first overlap given for its reverse.
   `rangeview.overlap_table` is this rule, for training and evaluation.
-* place ids: lines "index place_id", the indices exactly 0..n-1 in any
-  order.
-* configs: "key=value" lines, "#" comments.  One codec serves every config
-  dataclass (sensor geometry, world spec, model and training schedule,
-  evaluation protocol): its keys and value types are the dataclass fields,
-  so a new field is in the file format with no second edit.  A key may
-  appear once, except a tuple field's (``stage``), which takes one
-  comma-separated tuple per line; unknown keys, repeated keys, values that
-  do not parse and non-finite floats are contract violations.
-
-Pose, label, place-id and config files are read as UTF-8; bytes that do not
-decode are a contract violation.
+* place ids: lines "index place_id", the indices exactly 0..n-1, any order.
+* configs: "key=value" lines.  One codec serves every config dataclass
+  (sensor geometry, world spec, model and training schedule, evaluation
+  protocol): its keys and value types are the dataclass fields, so a new
+  field is in the file format with no second edit.  A key may appear once,
+  except a tuple field's (``stage``), which takes one comma-separated tuple
+  per line; unknown keys, repeated keys, values that do not parse and
+  non-finite floats are contract violations.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import pathlib
 import struct
 import typing
 from typing import Dict, Iterable, List, Tuple
@@ -53,28 +53,50 @@ MAGIC_RANGE = b"OMRV"
 MAGIC_DB = b"OMDB"
 
 
-def _expect_magic(raw: bytes, magic: bytes, path) -> None:
+def refuse_used_dir(out_dir, pattern: str) -> None:
+    """Refuse an output directory holding files that match ``pattern``,
+    before anything is written: those a smaller run leaves would stay."""
+    used = list(pathlib.Path(out_dir).glob(pattern))
+    if used:
+        raise ContractError(f"{out_dir} already holds {len(used)} {pattern} files; "
+                            "write to a new directory")
+
+
+def _read_binary(path, magic: bytes, header: str):
+    """A binary file's bytes and its `struct` ``header`` fields, which
+    follow the magic; a wrong magic or a short header is refused."""
+    raw = pathlib.Path(path).read_bytes()
+    end = 4 + struct.calcsize(header)
     if raw[:4] != magic:
-        raise ContractError(
-            f"{path}: expected magic {magic.decode()!r}, found {raw[:4]!r}"
-        )
+        raise ContractError(f"{path}: expected magic {magic.decode()!r}, found {raw[:4]!r}")
+    if len(raw) < end:
+        raise ContractError(f"{path}: truncated header ({len(raw)} of {end} bytes)")
+    return raw, struct.unpack_from(header, raw, 4)
+
+
+def _f64(payload: np.ndarray) -> np.ndarray:
+    """f32 as float64, a signalling NaN as a quiet one without a warning."""
+    with np.errstate(invalid="ignore"):
+        return payload.astype(np.float64)
 
 
 def _read_text(path) -> str:
-    """A text file's contents with "\r\n" and "\r" read as "\n", as a
-    text-mode read gives them; bytes that are not UTF-8 are a contract
-    violation, not a crash.  Split lines on "\n" only: `str.splitlines`
-    also breaks at form feeds and other separators that `str.split` treats
-    as blanks inside a line."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    """A text file's contents, "\r\n" and "\r" read as "\n"; not UTF-8 is refused."""
     try:
-        text = raw.decode("utf-8")
+        text = pathlib.Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ContractError(
-            f"{path}: not a UTF-8 text file (byte {exc.start}: {exc.reason})"
-        ) from None
+        raise ContractError(f"{path}: not a UTF-8 text file "
+                            f"(byte {exc.start}: {exc.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _lines(text: str) -> Iterable[Tuple[int, str]]:
+    """(line number, stripped line) for each line neither blank nor a "#"
+    comment; only "\n" ends a line, not the blanks `str.splitlines` splits at."""
+    for ln, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield ln, line
 
 
 # --------------------------------------------------------------------------
@@ -103,14 +125,10 @@ def save_checkpoint(path, params) -> None:
 
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    _expect_magic(raw, MAGIC_CKPT, path)
-    off = 4
+    raw, (count,) = _read_binary(path, MAGIC_CKPT, "<I")
+    off = 8
     out: Dict[str, np.ndarray] = {}
     try:
-        (count,) = struct.unpack_from("<I", raw, off)
-        off += 4
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", raw, off)
             off += 2
@@ -125,7 +143,7 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             n = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(shape)
             off += 4 * n
-            out[name] = arr.astype(np.float64)
+            out[name] = _f64(arr)
     except ContractError:
         raise
     except (struct.error, ValueError) as exc:
@@ -147,12 +165,7 @@ def save_range_image(path, ri: RangeImage) -> None:
 
 
 def load_range_image(path) -> RangeImage:
-    with open(path, "rb") as f:
-        raw = f.read()
-    _expect_magic(raw, MAGIC_RANGE, path)
-    if len(raw) < 16:
-        raise ContractError(f"{path}: truncated header ({len(raw)} of 16 bytes)")
-    h, w, r_max = struct.unpack_from("<IIf", raw, 4)
+    raw, (h, w, r_max) = _read_binary(path, MAGIC_RANGE, "<IIf")
     if not 0.0 < r_max < math.inf:
         raise ContractError(f"{path}: r_max must be finite and > 0, got {r_max!r}")
     n = h * w
@@ -196,16 +209,11 @@ def save_descriptor_db(path, ids: Iterable[int], descriptors: np.ndarray) -> Non
 
 
 def load_descriptor_db(path) -> Tuple[List[int], np.ndarray]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    _expect_magic(raw, MAGIC_DB, path)
-    if len(raw) < 12:
-        raise ContractError(f"{path}: truncated header ({len(raw)} of 12 bytes)")
-    count, dim = struct.unpack_from("<II", raw, 4)
+    raw, (count, dim) = _read_binary(path, MAGIC_DB, "<II")
     if len(raw) != 12 + count * (4 + 4 * dim):
         raise ContractError(f"{path}: size does not match {count}x{dim} header")
     entries = np.frombuffer(raw, dtype=_db_dtype(path, dim), count=count, offset=12)
-    return entries["id"].tolist(), entries["v"].astype(np.float64)
+    return entries["id"].tolist(), _f64(entries["v"])
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +235,7 @@ def load_scan(path) -> np.ndarray:
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 4 != 0:
         raise ContractError(f"{path}: byte length is not a multiple of 16")
-    return raw.reshape(-1, 4).astype(np.float64)
+    return _f64(raw.reshape(-1, 4))
 
 
 def save_poses(path, poses: Iterable[Pose]) -> None:
@@ -241,20 +249,14 @@ def save_poses(path, poses: Iterable[Pose]) -> None:
 
 def load_poses(path) -> List[Pose]:
     poses = []
-    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
+    for ln, line in _lines(_read_text(path)):
+        try:  # ContractError is a ValueError: each gets the path:line prefix
             vals = [float(t) for t in line.split()]
-        except ValueError as exc:
-            raise ContractError(f"{path}:{ln}: {exc}") from None
-        if len(vals) != 12:
-            raise ContractError(f"{path}:{ln}: expected 12 floats, got {len(vals)}")
-        m = np.array(vals).reshape(3, 4)
-        try:
+            if len(vals) != 12:
+                raise ContractError(f"expected 12 floats, got {len(vals)}")
+            m = np.array(vals).reshape(3, 4)
             poses.append(Pose(rotation=m[:, :3], translation=m[:, 3]))
-        except ContractError as exc:
+        except ValueError as exc:
             raise ContractError(f"{path}:{ln}: {exc}") from None
     return poses
 
@@ -269,16 +271,12 @@ def save_labels(path, labels: Iterable[OverlapLabel]) -> None:
 
 def load_labels(path) -> List[OverlapLabel]:
     labels = []
-    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _lines(_read_text(path)):
         parts = line.split()
         if len(parts) != 3:
             raise ContractError(f"{path}:{ln}: expected 'query cand overlap'")
         try:
-            lab = OverlapLabel(query=int(parts[0]), cand=int(parts[1]),
-                               overlap=float(parts[2]))
+            lab = OverlapLabel(int(parts[0]), int(parts[1]), float(parts[2]))
         except ValueError as exc:
             raise ContractError(f"{path}:{ln}: {exc}") from None
         if not 0.0 <= lab.overlap <= 1.0:  # NaN fails too
@@ -296,10 +294,7 @@ def save_place_ids(path, place_ids: Iterable[int]) -> None:
 def load_place_ids(path) -> List[int]:
     """Place ids in index order; the indices must be exactly 0..n-1."""
     places = {}
-    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _lines(_read_text(path)):
         try:
             idx, pid = (int(t) for t in line.split())
         except ValueError as exc:
@@ -321,10 +316,7 @@ def load_place_ids(path) -> List[int]:
 def parse_kv_pairs(text: str) -> List[Tuple[str, str]]:
     """Ordered (key, value) pairs; keys may repeat (e.g. one stage per line)."""
     out: List[Tuple[str, str]] = []
-    for ln, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _lines(text):
         if "=" not in line:
             raise ContractError(f"line {ln}: expected key=value, got {line!r}")
         key, val = line.split("=", 1)

@@ -105,7 +105,8 @@ class Pose:
             )
         if not (np.isfinite(r).all() and np.isfinite(t).all()):
             raise ContractError("pose has a non-finite entry")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
+        # an entry above 2 fails the product test, which it could overflow
+        if np.abs(r).max() > 2.0 or np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
             raise ContractError("pose rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ContractError("pose rotation is not proper (det != +1)")
@@ -319,13 +320,14 @@ def pairs_in_reach(images, poses, scans):
                             f"{len(poses)} poses and {n} scans")
     radii = np.array([_radius(c) if len(c) else math.nan for c in map(_cloud, scans)])
     t = np.array([p.translation for p in poses]).reshape(n, 3)
-    norms = np.sqrt(np.square(t).sum(axis=1))
     pairs = []
-    for a in range(n - 1):
-        r_max = _query_config(images[a]).r_max
-        gap = np.sqrt(np.square(t[a + 1:] - t[a]).sum(axis=1))
-        far = _out_of_reach(gap, radii[a + 1:], r_max, norms[a], norms[a + 1:])
-        pairs += [(a, b) for b in (np.flatnonzero(~far) + a + 1).tolist()]
+    with np.errstate(over="ignore"):  # an inf gap or norm leaves its pair uncut
+        norms = np.sqrt(np.square(t).sum(axis=1))
+        for a in range(n - 1):
+            r_max = _query_config(images[a]).r_max
+            gap = np.sqrt(np.square(t[a + 1:] - t[a]).sum(axis=1))
+            far = _out_of_reach(gap, radii[a + 1:], r_max, norms[a], norms[a + 1:])
+            pairs += [(a, b) for b in (np.flatnonzero(~far) + a + 1).tolist()]
     return pairs
 
 

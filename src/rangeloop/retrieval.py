@@ -472,11 +472,12 @@ def _pose_distances(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
     For two columns numpy's reduce is the plain sum dx**2 + dy**2, computed
     here over (b, n) planes, without a reduce over a length-2 axis; for
     three or more it is not a left-to-right sum, and the reduce is kept."""
-    if positions.shape[1] != 2:
-        return np.sqrt(np.sum((positions - queries[:, None]) ** 2, axis=2))
-    d = np.square(positions[:, 0] - queries[:, :1])
-    d += np.square(positions[:, 1] - queries[:, 1:])
-    return np.sqrt(d, out=d)
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        if positions.shape[1] != 2:
+            return np.sqrt(np.sum((positions - queries[:, None]) ** 2, axis=2))
+        d = np.square(positions[:, 0] - queries[:, :1])
+        d += np.square(positions[:, 1] - queries[:, 1:])
+        return np.sqrt(d, out=d)
 
 
 def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,

@@ -67,7 +67,6 @@ products of the coordinates stay finite, which the `_HUGE` bounds ensure.
 
 from __future__ import annotations
 
-import glob
 import math
 import os
 from dataclasses import dataclass
@@ -76,7 +75,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from . import io
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .rangeview import Pose, ProjectionConfig
 
 # obstacle centres lie on a ring around each place centre, from RING_MIN
@@ -484,12 +483,7 @@ def save_world(out_dir, world: WorldData) -> None:
     """scan_%04d.bin raw clouds, poses.txt, places.txt under out_dir.  A
     directory that already holds scan_*.bin files is refused before anything
     is written: scans a smaller world does not overwrite would stay behind."""
-    stale = glob.glob(os.path.join(glob.escape(str(out_dir)), "scan_*.bin"))
-    if stale:
-        raise ContractError(
-            f"{out_dir} already holds {len(stale)} scan_*.bin files; "
-            "write the world to a new directory"
-        )
+    io.refuse_used_dir(out_dir, "scan_*.bin")
     os.makedirs(out_dir, exist_ok=True)
     for i, scan in enumerate(world.scans):
         io.save_scan(os.path.join(out_dir, f"scan_{i:04d}.bin"), scan)

@@ -616,6 +616,22 @@ class TestMalformedInputs:
         self._assert_one_line_error(capsys)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_project_into_used_directory_is_2(self, workspace, tmp_path, capsys):
+        # images a smaller world does not overwrite would outnumber its poses
+        small = tmp_path / "small.kv"
+        small.write_text(_set_key(WORLD_KV, "n_places", "2"))
+        assert main(["synth", "--spec", str(small), "--out", str(tmp_path / "world")]) == 0
+        out = tmp_path / "ranges"
+        sensor = str(workspace / "world" / "sensor.kv")
+        assert main(["project", "--scans", str(workspace / "world"),
+                     "--config", sensor, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["project", "--scans", str(tmp_path / "world"),
+                     "--config", sensor, "--out", str(out)]) == 2
+        self._assert_one_line_error(capsys)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("key, value", [("lr", "nan"), ("alpha", "nan"),
                                             ("seed", "-3"), ("loss", "bogus"),
                                             ("olm_n", "0"), ("vlad_k", "0"),

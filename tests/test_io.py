@@ -1,16 +1,19 @@
 """Round trips and error handling for every on-disk format."""
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from rangeloop import io
+from rangeloop.cli import _split_config
 from rangeloop.errors import ConfigError, ContractError
-from rangeloop.pipeline import ModelConfig
-from rangeloop.rangeview import OverlapLabel, Pose, ProjectionConfig, RangeImage
-from rangeloop.retrieval import EvalProtocol
+from rangeloop.pipeline import ModelConfig, init_model, load_model
+from rangeloop.rangeview import (OverlapLabel, Pose, ProjectionConfig, RangeImage,
+                                 build_range_image, rotate_z)
+from rangeloop.retrieval import DescriptorDb, EvalProtocol
 from rangeloop.synthworld import WorldSpec
 from rangeloop.tensor import Tensor
 from rangeloop.training import TrainConfig
@@ -50,6 +53,12 @@ class TestCheckpoint:
         path = tmp_path / "junk.omck"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ContractError, match="OMCK"):
+            io.load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "m.omck"
+        path.write_bytes(b"OMCK\x01\x00")
+        with pytest.raises(ContractError, match=r"truncated header \(6 of 8 bytes\)"):
             io.load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -185,6 +194,12 @@ class TestPoseFile:
         for got, want in zip(back, poses):
             np.testing.assert_array_equal(got.rotation, want.rotation)
             np.testing.assert_array_equal(got.translation, want.translation)
+
+    def test_comments_and_blanks_skipped(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text("# r00 r01 r02 tx ...\n\n1 0 0 5 0 1 0 6 0 0 1 7\n  # end\n")
+        (pose,) = io.load_poses(path)
+        assert pose.translation.tolist() == [5.0, 6.0, 7.0]
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -386,3 +401,151 @@ class TestConfigCodec:
 def test_config_built_in_code_rejects_non_finite_float(cfg, field, value):
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, **{field: value})
+
+
+# --------------------------------------------------------------------------
+# signalling NaNs in f32 payloads
+
+
+def _poke_signalling_nan(path, offset):
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = struct.pack("<I", 0x7F800001)
+    path.write_bytes(bytes(raw))
+
+
+class TestSignallingNaNPayload:
+    """A float32 signalling NaN reads as a quiet NaN, without numpy's
+    invalid-cast warning, and then meets the checks any NaN meets."""
+
+    def test_scan_point_is_dropped_by_the_projection(self, tmp_path):
+        path = tmp_path / "scan.bin"
+        io.save_scan(path, np.array([[1.0, 2.0, 3.0, 0.5], [4.0, -5.0, 0.5, 0.5]]))
+        _poke_signalling_nan(path, 0)
+        scan = io.load_scan(path)
+        assert np.isnan(scan[0, 0]) and scan[1].tolist() == [4.0, -5.0, 0.5, 0.5]
+        cfg = ProjectionConfig(w=32, h=8, f_up=0.3, f_down=0.3, r_max=50.0)
+        np.testing.assert_array_equal(build_range_image(scan, cfg).ranges,
+                                      build_range_image(scan[1:], cfg).ranges)
+
+    def test_descriptor_db_is_rejected_as_non_finite(self, tmp_path):
+        path = tmp_path / "db.omdb"
+        io.save_descriptor_db(path, [7, 9], np.eye(2))
+        _poke_signalling_nan(path, 16)  # entry 0's first value
+        ids, desc = io.load_descriptor_db(path)
+        assert ids == [7, 9] and np.isnan(desc[0, 0])
+        with pytest.raises(ContractError, match="non-finite"):
+            DescriptorDb.load(path)
+
+    def test_checkpoint_is_rejected_as_non_finite(self, tmp_path):
+        cfg = ModelConfig(h=8, w=32, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2)),
+                          olm_n=2, vlad_k=4, mlp_hidden=16, out_dim=8)
+        path = tmp_path / "m.omck"
+        io.save_checkpoint(path, init_model(cfg, seed=0))
+        _poke_signalling_nan(path, path.stat().st_size - 4)  # the last tensor's last value
+        arrays = io.load_checkpoint(path)
+        assert np.isnan(arrays[max(arrays)].flat[-1])
+        with pytest.raises(ContractError, match="is not finite"):
+            load_model(path, cfg)
+
+
+# --------------------------------------------------------------------------
+# mutation sweep: every loader returns or raises ContractError, and the
+# suite's warning filter turns any numpy RuntimeWarning into a failure
+
+
+def _sweep(path, variants, load):
+    """Write each variant to path and load it; the cases that raised
+    anything but ContractError, with what they raised."""
+    failures = []
+    for name, data in variants:
+        path.write_bytes(data)
+        try:
+            load(path)
+        except ContractError:
+            pass
+        except Exception as exc:  # anything else is a finding
+            failures.append((name, data, repr(exc)))
+    return failures
+
+
+# bits 0x7F000001: one flip of bit 23 makes this float32 a signalling NaN
+_NEAR_SNAN = float(np.frombuffer(struct.pack("<I", 0x7F000001), dtype="<f4")[0])
+
+_BINARY_FORMATS = {
+    "omck": (lambda p: io.save_checkpoint(p, {"w": np.array([[1.0, -2.0, _NEAR_SNAN],
+                                                             [0.5, 0.0, 3.0]]),
+                                              "g": np.float64(2.5)}),
+             io.load_checkpoint),
+    "omrv": (lambda p: io.save_range_image(p, RangeImage(
+        ranges=np.array([[1.0, -1.0, 2.5], [3.0, 49.0, -1.0]]), r_max=50.0)),
+             io.load_range_image),
+    "omdb": (lambda p: io.save_descriptor_db(p, [3, 1], np.array([[1.0, _NEAR_SNAN, -0.5],
+                                                                  [0.0, 2.0, 1.0]])),
+             DescriptorDb.load),
+    "bin": (lambda p: io.save_scan(p, np.array([[1.0, 2.0, 3.0, 0.5],
+                                                [_NEAR_SNAN, -4.0, 0.25, 1.0],
+                                                [7.0, 0.0, -1.0, 0.0]])),
+            io.load_scan),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(_BINARY_FORMATS))
+def test_binary_mutation_sweep(tmp_path, suffix):
+    """Every truncation and every single-bit flip of a small valid file."""
+    save, load = _BINARY_FORMATS[suffix]
+    path = tmp_path / f"file.{suffix}"
+    save(path)
+    raw = path.read_bytes()
+    load(path)
+    variants = [(f"first {n} bytes", raw[:n]) for n in range(len(raw))]
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append((f"bit {bit} flipped", bytes(flipped)))
+    assert _sweep(path, variants, load) == []
+
+
+_TOKENS = ["0", "-1", "99999999999999999999", "1e308", "nan", "inf", "x", "", "#", "\u00e9"]
+
+
+def _config_format(*cfgs):
+    """(save, load) of a config file holding each of ``cfgs``; one class is
+    read by `config_from_pairs`, model plus training as `train` reads them."""
+    pairs = [pair for cfg in cfgs for pair in io.config_pairs(cfg)]
+    cls = type(cfgs[0])
+    load = (_split_config if len(cfgs) > 1 else
+            lambda path: io.config_from_pairs(cls, io.load_kv_pairs(path)))
+    return lambda path: io.save_kv(path, pairs), load
+
+
+_TEXT_FORMATS = {
+    "poses": (lambda p: io.save_poses(p, [
+        Pose(rotation=rotate_z(np.eye(3), 0.3), translation=np.array([1.5, -2.0, 0.25])),
+        Pose(rotation=np.eye(3), translation=np.array([0.0, 30.0, -1.0]))]),
+              io.load_poses),
+    "labels": (lambda p: io.save_labels(p, [OverlapLabel(0, 1, 0.75), OverlapLabel(1, 0, 0.5),
+                                            OverlapLabel(2, 3, 0.0)]),
+               io.load_labels),
+    "places": (lambda p: io.save_place_ids(p, [0, 0, 1, 2]), io.load_place_ids),
+    "ProjectionConfig": _config_format(WorldSpec().projection_config()),
+    "WorldSpec": _config_format(WorldSpec(n_places=3, visits_per_place=2, h=8, w=32)),
+    "ModelConfig+TrainConfig": _config_format(
+        ModelConfig(h=4, w=32, stages=((8, 2, 2), (16, 2, 2)), olm_n=2, vlad_k=4,
+                    mlp_hidden=16, out_dim=8), TrainConfig()),
+    "EvalProtocol": _config_format(EvalProtocol(kind="place_recognition")),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TEXT_FORMATS))
+def test_text_mutation_sweep(tmp_path, kind):
+    """Every token of a small valid file (a run of characters other than
+    blanks, "=" and ","), swapped in turn for each of `_TOKENS`."""
+    save, load = _TEXT_FORMATS[kind]
+    path = tmp_path / "file.txt"
+    save(path)
+    text = path.read_text()
+    load(path)
+    spans = [m.span() for m in re.finditer(r"[^\s=,]+", text)]
+    variants = [(f"token {i} -> {new!r}", (text[:a] + new + text[b:]).encode("utf-8"))
+                for i, (a, b) in enumerate(spans) for new in _TOKENS]
+    assert _sweep(path, variants, load) == []

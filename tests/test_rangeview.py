@@ -188,6 +188,14 @@ class TestPose:
         with pytest.raises(errors.ContractError, match="non-finite"):
             Pose(**fields)
 
+    @pytest.mark.parametrize("entry", [1e308, -1e200])
+    def test_rejects_huge_rotation_entry_without_overflow(self, entry):
+        # R^T R would overflow; an entry above 2 fails that test anyway
+        r = np.eye(3)
+        r[1, 0] = entry
+        with pytest.raises(errors.ContractError, match="not orthonormal"):
+            Pose(rotation=r, translation=np.zeros(3))
+
     def test_world_local_roundtrip(self):
         rng = np.random.default_rng(42)
         ang = 0.7
@@ -443,6 +451,16 @@ class TestRangeGapCull:
         assert rangeview.pairs_in_reach(images, world.poses, world.scans) == [
             (a, b) for a in range(n) for b in range(a + 1, n)
             if world.place_ids[a] == world.place_ids[b]]
+
+    def test_overflowing_gap_stays_uncut_and_overlap_culls_it(self):
+        # the squared gap and norm overflow to inf, so pairs_in_reach cannot
+        # cut; compute_overlap's own test then returns 0.0 for each pair
+        images, poses, scans = _small_world()
+        poses[1] = Pose(rotation=poses[1].rotation, translation=np.array([1e308, 0.0, 0.0]))
+        pairs = rangeview.pairs_in_reach(images, poses, scans)
+        assert {(0, 1), (1, 2), (1, 3)} <= set(pairs)
+        for a, b in [(0, 1), (1, 2), (1, 3)]:
+            assert compute_overlap(images[a], poses[a], scans[b], poses[b]) == 0.0
 
 
 def _bruteforce_overlap(ranges, cfg, pose_a, pts_b, pose_b, eps_rel):

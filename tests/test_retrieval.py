@@ -663,6 +663,15 @@ class TestPoseDistances:
         assert got.shape == (17, 300)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_distance_past_the_float_range_is_inf(self, width):
+        positions = np.zeros((2, width))
+        positions[1, 0] = 1.0
+        queries = np.zeros((1, width))
+        queries[0, -1] = 1e308
+        got = rv._pose_distances(positions, queries)
+        assert got.tolist() == [[math.inf, math.inf]]
+
 
 class TestPlaceRecognition:
     def test_identical_sessions_ar1(self):
@@ -701,6 +710,15 @@ class TestPlaceRecognition:
         assert report.ar1 == pytest.approx(0.5)
         assert report.ar5 == 1.0
         assert report.ar20 == 1.0
+
+    def test_far_query_has_no_positive(self):
+        db = rv.DescriptorDb(range(3), np.eye(3))
+        pos = np.array([[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
+        far = pos.copy()
+        far[1] = [-1e308, 0.0]
+        protocol = rv.EvalProtocol(kind="place_recognition", distance_threshold=10.0)
+        report = rv.eval_place_recognition(db, db, pos, far, protocol)
+        assert (report.excluded, report.ar1) == (1, 1.0)
 
     def test_position_count_mismatch(self):
         db = rv.DescriptorDb(range(3), np.eye(3))
