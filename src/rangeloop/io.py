@@ -58,8 +58,8 @@ def refuse_used_dir(out_dir, pattern: str) -> None:
     before anything is written: those a smaller run leaves would stay."""
     used = list(pathlib.Path(out_dir).glob(pattern))
     if used:
-        raise ContractError(f"{out_dir} already holds {len(used)} {pattern} files; "
-                            "write to a new directory")
+        raise ContractError(f"{out_dir} already holds {len(used)} {pattern} files "
+                            f"(first: {min(used).name}); write to a new directory")
 
 
 def _read_binary(path, magic: bytes, header: str):
@@ -235,7 +235,9 @@ def load_scan(path) -> np.ndarray:
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 4 != 0:
         raise ContractError(f"{path}: byte length is not a multiple of 16")
-    return _f64(raw.reshape(-1, 4))
+    scan = _f64(raw.reshape(-1, 4))
+    scan.flags.writeable = False
+    return scan
 
 
 def save_poses(path, poses: Iterable[Pose]) -> None:

@@ -8,16 +8,17 @@ return in meters, or the sentinel -1.0 where no point landed.
 Overlap labelling is all-pairs, but on a trajectory almost every pair is two
 sensors too far apart to share a return.  `compute_overlap` settles those
 pairs from the sensor gap and the candidate cloud's radius alone, returning
-the exact 0.0 the reprojection would, and reprojects only the rest; a pair
-it culls costs three column passes over the candidate cloud.  `label_pairs`
-computes each scan's radius once, runs the same test for all pairs as
-array expressions (`pairs_in_reach`), and calls `compute_overlap` only on
-the pairs left uncut.
+the exact 0.0 the reprojection would, and reprojects only the rest.  The
+radius costs three column passes over a writeable cloud on every call, and
+over a read-only one, as the package returns, only the first time.
+`label_pairs` runs the same test for all pairs as array expressions
+(`pairs_in_reach`) and reprojects only the pairs left uncut.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -27,6 +28,7 @@ from .errors import ConfigError, ContractError
 
 SENTINEL = -1.0
 EPS_REL = 0.05  # overlap: |r_b - r_a| <= EPS_REL * r_a counts as the same return
+_RADII = {}  # id(cloud) -> (weak reference to the cloud, its radius): see `_radius`
 
 
 @dataclass(frozen=True)
@@ -202,11 +204,25 @@ def _cloud(points) -> np.ndarray:
 
 def _radius(pts: np.ndarray) -> float:
     """max ||p[:3]|| over a non-empty cloud, from three column passes; NaN
-    or inf when any coordinate is."""
+    or inf when any coordinate is.  When no writeable array reaches the
+    cloud's memory (the cloud and each ``.base`` up its chain are read-only
+    arrays, the last owning its data), the radius is kept in `_RADII` until
+    the cloud dies, and read back while that holds and the entry's weak
+    reference names this cloud.  Any other cloud is measured every call."""
+    a, key = pts, id(pts)
+    while isinstance(a, np.ndarray) and not a.flags.writeable and a.base is not None:
+        a = a.base
+    sealed = isinstance(a, np.ndarray) and not a.flags.writeable
+    kept = sealed and _RADII.get(key)
+    if kept and kept[0]() is pts:
+        return kept[1]
     sq = np.square(pts[:, 0])
     sq += np.square(pts[:, 1])
     sq += np.square(pts[:, 2])
-    return math.sqrt(sq.max())
+    radius = math.sqrt(sq.max())
+    if sealed:
+        _RADII[key] = (weakref.ref(pts, lambda _: _RADII.pop(key, None)), radius)
+    return radius
 
 
 def _out_of_reach(gap, radius, r_max, norm_a, norm_b):
@@ -242,10 +258,10 @@ def compute_overlap(
     When gap - R_b > r_max + slack the result is therefore 0.0, and it is
     returned before anything is transformed, projected or counted.  R_b is
     the cloud's own radius, not r_max: a scan file may hold points beyond
-    the range cap.  A culled pair costs three column passes over cloud b
-    (its squared radius) and a few float operations on the translations.
-    The slack covers what separates the exact argument from the computed
-    one.  With S = 1 + r_max + R_b + ||t_a|| + ||t_b|| meters and u = 2**-53:
+    the range cap.  A culled pair costs a few float operations, and three
+    column passes over b unless `_radius` kept its radius.  The slack covers
+    what separates the exact argument from the computed one.  With
+    S = 1 + r_max + R_b + ||t_a|| + ||t_b|| meters and u = 2**-53:
 
     * Rotations are orthonormal only to `Pose`'s tolerance, |R^T R - I| <=
       1e-9 entrywise (plus a few u from evaluating the check).  Then

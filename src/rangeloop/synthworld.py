@@ -433,11 +433,12 @@ def visit_pose(spec: WorldSpec, place: Place, rng: np.random.Generator) -> Pose:
 def _points(dirs: np.ndarray, t: np.ndarray, r_max: float) -> List[np.ndarray]:
     """One (k, 4) sensor-frame cloud, zero intensity, per row of ``t``,
     (V, n): the rays with a hit distance in (0, r_max], in ray order.  The
-    clouds are consecutive row blocks of one array."""
+    clouds are read-only consecutive row blocks of one read-only array."""
     hit = np.isfinite(t) & (t <= r_max)
     flat = np.flatnonzero(hit)
     pts = np.zeros((flat.size, 4))
     pts[:, :3] = np.take(dirs, flat % t.shape[1], axis=0) * t.ravel()[flat, None]
+    pts.flags.writeable = False
     return np.split(pts, np.cumsum(hit.sum(axis=1))[:-1])
 
 
@@ -481,9 +482,9 @@ def generate_world(spec: WorldSpec) -> WorldData:
 
 def save_world(out_dir, world: WorldData) -> None:
     """scan_%04d.bin raw clouds, poses.txt, places.txt under out_dir.  A
-    directory that already holds scan_*.bin files is refused before anything
-    is written: scans a smaller world does not overwrite would stay behind."""
-    io.refuse_used_dir(out_dir, "scan_*.bin")
+    directory that already holds *.bin files is refused before anything is
+    written: `rangeloop project` would read them as scans of this world."""
+    io.refuse_used_dir(out_dir, "*.bin")
     os.makedirs(out_dir, exist_ok=True)
     for i, scan in enumerate(world.scans):
         io.save_scan(os.path.join(out_dir, f"scan_{i:04d}.bin"), scan)

@@ -616,6 +616,17 @@ class TestMalformedInputs:
         self._assert_one_line_error(capsys)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_synth_beside_another_bin_file_is_2(self, tmp_path, capsys):
+        # `project` reads every *.bin under --scans as a scan of the world
+        spec = tmp_path / "world.kv"
+        spec.write_text(WORLD_KV)
+        out = tmp_path / "world"
+        out.mkdir()
+        (out / "old_0009.bin").write_bytes(bytes(16))
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        self._assert_one_line_error(capsys)
+        assert [p.name for p in out.iterdir()] == ["old_0009.bin"]
+
     def test_project_into_used_directory_is_2(self, workspace, tmp_path, capsys):
         # images a smaller world does not overwrite would outnumber its poses
         small = tmp_path / "small.kv"

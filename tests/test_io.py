@@ -169,6 +169,14 @@ class TestScanFile:
         back = io.load_scan(path)
         np.testing.assert_array_equal(back, [[1.0, 2.0, 3.0, 0.0]])
 
+    def test_loaded_scan_is_read_only(self, tmp_path):
+        path = tmp_path / "scan.bin"
+        io.save_scan(path, np.ones((3, 4)))
+        scan = io.load_scan(path)
+        assert scan.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            scan[0, 0] = 2.0
+
     def test_ragged_byte_length_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 20)

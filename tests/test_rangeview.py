@@ -1,12 +1,15 @@
 """Projection geometry, overlap ground truth, and tuple mining."""
 
+import dataclasses
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from rangeloop import errors, rangeview
+from rangeloop import errors, io, rangeview
 from rangeloop import synthworld as sw
 from rangeloop.rangeview import (
     OverlapLabel,
@@ -546,6 +549,150 @@ def test_label_pairs_malformed_cloud_is_contract_error(bad, at):
     scans[at] = bad
     with pytest.raises(errors.ContractError, match="N, >=3"):
         rangeview.label_pairs(images, poses, scans, range(len(scans)))
+
+
+def _read_only(points):
+    """A copy of ``points`` that owns its data and is read-only."""
+    cloud = np.array(points, dtype=np.float64)
+    cloud.flags.writeable = False
+    return cloud
+
+
+class TestRadiusMemo:
+    """`_radius` keeps the radius of a read-only cloud that owns its memory,
+    or views a read-only owner, and measures every other cloud afresh."""
+
+    @staticmethod
+    def _near_b():
+        """The wall pair, and a cloud of four points around b's sensor:
+        120 m from a, so the pair is culled while no point reaches a."""
+        cfg, ri_a, pose_a, pts_b, pose_b = TestRangeGapCull._wall_pair()
+        near = np.full((4, 3), 0.5)
+        assert compute_overlap(ri_a, pose_a, near, pose_b) == 0.0
+        return cfg, ri_a, pose_a, pts_b, pose_b, near
+
+    @staticmethod
+    def _reach_a(cfg, ri_a, pose_a, pts_b, pose_b, cloud):
+        """The overlap of cloud, and the oracle's, once one of its points is
+        a point of the wall."""
+        got = compute_overlap(ri_a, pose_a, cloud, pose_b)
+        return got, _bruteforce_overlap(ri_a.ranges, cfg, pose_a, cloud, pose_b, 0.05)
+
+    def test_writeable_cloud_is_never_remembered(self):
+        cfg, ri_a, pose_a, pts_b, pose_b, cloud = self._near_b()
+        assert id(cloud) not in rangeview._RADII
+        cloud[0] = pts_b[200]
+        got, want = self._reach_a(cfg, ri_a, pose_a, pts_b, pose_b, cloud)
+        assert got == want > 0.0
+        assert id(cloud) not in rangeview._RADII
+
+    def test_read_only_view_of_a_writeable_owner_is_not_remembered(self):
+        cfg, ri_a, pose_a, pts_b, pose_b, owner = self._near_b()
+        view = owner[:]
+        view.flags.writeable = False
+        assert compute_overlap(ri_a, pose_a, view, pose_b) == 0.0
+        assert id(view) not in rangeview._RADII
+        owner[0] = pts_b[200]
+        got, want = self._reach_a(cfg, ri_a, pose_a, pts_b, pose_b, view)
+        assert got == want > 0.0
+
+    def test_owner_made_writeable_again_is_measured_afresh(self):
+        cfg, ri_a, pose_a, pts_b, pose_b, owner = self._near_b()
+        owner.flags.writeable = False
+        view = owner[1:]
+        assert compute_overlap(ri_a, pose_a, view, pose_b) == 0.0
+        assert id(view) in rangeview._RADII
+        owner.flags.writeable = True
+        owner[1] = pts_b[200]
+        got, want = self._reach_a(cfg, ri_a, pose_a, pts_b, pose_b, view)
+        assert got == want > 0.0
+
+    def test_view_of_a_read_only_owner_is_remembered(self):
+        owner = _read_only(np.arange(12.0).reshape(4, 3))
+        view = owner[1:]
+        assert not view.flags.owndata
+        rangeview._radius(view)
+        assert rangeview._RADII[id(view)][0]() is view
+
+    def test_hit_returns_the_three_pass_float(self):
+        rng = np.random.default_rng(3)
+        points = rng.standard_normal((1000, 4)) * rng.uniform(1e-3, 1e3, size=(1000, 1))
+        cloud = _read_only(points)
+        measured = rangeview._radius(points.copy())
+        assert rangeview._radius(cloud) == measured
+        ref, kept = rangeview._RADII[id(cloud)]
+        assert ref() is cloud and kept == measured
+        rangeview._RADII[id(cloud)] = (ref, -1.0)  # a hit reads the entry back
+        assert rangeview._radius(cloud) == -1.0
+        rangeview._RADII[id(cloud)] = (ref, kept)
+        assert rangeview._radius(cloud) == measured
+
+    def test_entry_naming_another_cloud_is_not_read(self):
+        cloud, other = _read_only(np.ones((2, 3))), _read_only(np.zeros((2, 3)))
+        rangeview._RADII[id(cloud)] = (weakref.ref(other), -1.0)
+        assert rangeview._radius(cloud) == math.sqrt(3.0)
+        assert rangeview._RADII[id(cloud)][0]() is cloud
+
+    def test_entries_go_with_their_clouds(self):
+        spec = sw.WorldSpec(seed=0, n_places=3, visits_per_place=2, h=8, w=32,
+                            n_obstacles=4)
+        cfg = spec.projection_config()
+        gc.collect()
+        before = len(rangeview._RADII)
+        for seed in range(20):
+            world = sw.generate_world(dataclasses.replace(spec, seed=seed))
+            images = [build_range_image(s, cfg) for s in world.scans]
+            rangeview.label_pairs(images, world.poses, world.scans, range(len(images)))
+            assert {id(s) for s in world.scans} <= set(rangeview._RADII)
+        gc.collect()
+        assert len(rangeview._RADII) - before <= len(world.scans)
+        del world, images
+        gc.collect()
+        assert all(ref() is not None for ref, _ in rangeview._RADII.values())
+        assert len(rangeview._RADII) <= before
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cloud_is_reprojected_on_every_call(self, monkeypatch, bad):
+        # without its last point the cloud is culled; with it, never
+        cfg, ri_a, pose_a, pts_b, pose_b, near = self._near_b()
+        points = np.concatenate([near, [[bad, 0.0, 0.0]]])
+        want = compute_overlap(ri_a, pose_a, points, pose_b)
+        cloud = _read_only(points)
+        calls = TestRangeGapCull._count_reprojections(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [compute_overlap(ri_a, pose_a, cloud, pose_b) for _ in range(2)]
+        assert got == [want, want]
+        assert calls == [len(cloud)] * 2
+
+    def test_empty_read_only_cloud_overlaps_nothing_and_is_not_kept(self):
+        ri_a = TestRangeGapCull._wall_pair()[1]
+        cloud = _read_only(np.zeros((0, 4)))
+        assert compute_overlap(ri_a, identity_pose(), cloud, identity_pose()) == 0.0
+        assert id(cloud) not in rangeview._RADII
+
+
+@pytest.mark.parametrize("spec", [
+    sw.WorldSpec(seed=4101, n_places=50, visits_per_place=3),
+    sw.WorldSpec(seed=11, visits_per_place=3),
+], ids=["label_world", "seed11"])
+def test_read_only_clouds_label_as_writeable_copies(tmp_path, spec):
+    # generated clouds are read-only, so their radii are kept; writeable
+    # copies are measured on every call: the label files agree byte for byte
+    world = sw.generate_world(spec)
+    cfg = spec.projection_config()
+    images = [build_range_image(s, cfg) for s in world.scans]
+    ids = range(len(images))
+    files = []
+    for scans in (world.scans, [s.copy() for s in world.scans]):
+        loop = [OverlapLabel(a, b, compute_overlap(images[a], world.poses[a],
+                                                   scans[b], world.poses[b]))
+                for a in ids for b in ids if a < b]
+        for labels in (loop, rangeview.label_pairs(images, world.poses, scans, ids)):
+            files.append(tmp_path / f"labels_{len(files)}.txt")
+            io.save_labels(files[-1], labels)
+    assert len({f.read_bytes() for f in files}) == 1
+    assert any(lab.overlap > 0.0 for lab in loop)
 
 
 class TestOverlapTable:

@@ -294,6 +294,28 @@ class TestWorldGeneration:
         np.testing.assert_array_equal(img.ranges[v, u], r)
 
 
+class TestReadOnlyClouds:
+    """Generated clouds are read-only views of a read-only owner, so
+    `rangeview._radius` measures each of them once."""
+
+    @staticmethod
+    def _assert_read_only(scan):
+        for array in (scan, scan.base):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        rvw._radius(scan)
+        assert rvw._RADII[id(scan)][0]() is scan
+
+    def test_generated_scans(self):
+        for scan in sw.generate_world(SMALL).scans:
+            self._assert_read_only(scan)
+
+    def test_rendered_scan(self):
+        place = sw.build_places(SMALL, np.random.default_rng(SMALL.seed))[0]
+        pose = rvw.Pose(rotation=np.eye(3), translation=np.array([*place.center, 0.0]))
+        self._assert_read_only(sw.render_scan(SMALL, place, pose))
+
+
 class TestOverlapStructure:
     def test_zero_jitter_revisits_are_identical(self):
         spec = sw.WorldSpec(n_places=3, visits_per_place=2, yaw_jitter=0.0,
