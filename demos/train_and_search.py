@@ -32,11 +32,12 @@ def main():
               for i, s in enumerate(world.scans)}
     print(f"world: {len(world.scans)} scans over {spec.n_places} places")
 
-    labels = rvw.label_pairs(images, world.poses, world.scans,
-                             range(len(world.scans)))
+    n = len(world.scans)
+    labels = rvw.label_pairs(images, world.poses, world.scans, range(n))
     tuples = rvw.build_tuples(labels, threshold=0.3, k_p=2, k_n=2,
-                              seed=args.seed)
-    print(f"labels: {len(labels)} pairs, tuples: {len(tuples)}")
+                              seed=args.seed, ids=sorted(images))
+    print(f"labels: {n * (n - 1) // 2} pairs, {len(labels)} overlapping, "
+          f"tuples: {len(tuples)}")
 
     model = pl.ModelConfig(h=8, w=64, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2)),
                            spp_mode="add", olm_n=2, vlad_k=4, mlp_hidden=32,

@@ -75,9 +75,11 @@ def main():
     labels = rvw.label_pairs(images, world.poses, world.scans, range(n))
     elapsed = time.perf_counter() - start
     uncut = len(rvw.pairs_in_reach(images, world.poses, world.scans))
-    print(f"\nlabel_pairs: {len(labels)} pairs, {len(labels) - uncut} culled by the "
-          f"range gap, {uncut} reprojected, {elapsed * 1e3:.1f} ms")
-    tuples = rvw.build_tuples(labels, threshold=0.3, k_p=2, k_n=2, seed=args.seed)
+    pairs = n * (n - 1) // 2
+    print(f"\nlabel_pairs: {pairs} pairs, {pairs - uncut} culled by the range gap, "
+          f"{uncut} reprojected, {len(labels)} overlapping, {elapsed * 1e3:.1f} ms")
+    tuples = rvw.build_tuples(labels, threshold=0.3, k_p=2, k_n=2, seed=args.seed,
+                              ids=range(n))
     print(f"mined {len(tuples)} training tuples at threshold 0.3")
     t = tuples[0]
     print(f"first tuple: query {t.query}, positives {t.positives}, "

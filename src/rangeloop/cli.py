@@ -125,7 +125,8 @@ def cmd_overlaps(args) -> int:
     images = [rvw.build_range_image(s, cfg) for s in scans]
     labels = rvw.label_pairs(images, poses, scans, [i for i, _ in files])
     io.save_labels(args.out, labels)
-    print(f"labeled {len(labels)} pairs to {args.out}")
+    n = len(files)
+    print(f"labeled {n * (n - 1) // 2} pairs to {args.out}, {len(labels)} of them overlapping")
     return 0
 
 
@@ -135,7 +136,7 @@ def cmd_train(args) -> int:
     images = dict(zip(ids, images_list))
     labels = io.load_labels(args.labels)
     tuples = rvw.build_tuples(labels, train_cfg.overlap_threshold,
-                              train_cfg.k_p, train_cfg.k_n, train_cfg.seed)
+                              train_cfg.k_p, train_cfg.k_n, train_cfg.seed, ids=ids)
     if not tuples:
         raise ContractError("no training tuples survive the overlap threshold")
     tr.check_inputs(tuples, images, model_cfg)

@@ -22,7 +22,8 @@ lines that start with "#":
   c's overlap with q if nothing has set it yet; a line of a scan with
   itself is dropped.  So the last line naming a direction wins, and a
   direction no line names takes the first overlap given for its reverse.
-  `rangeview.overlap_table` is this rule, for training and evaluation.
+  A pair that no line names has overlap 0.0.  `rangeview.overlap_table` is
+  this rule, for training and evaluation.
 * place ids: lines "index place_id", the indices exactly 0..n-1, any order.
 * configs: "key=value" lines.  One codec serves every config dataclass
   (sensor geometry, world spec, model and training schedule, evaluation

@@ -12,7 +12,7 @@ the exact 0.0 the reprojection would, and reprojects only the rest.  The
 radius costs three column passes over a writeable cloud on every call, and
 over a read-only one, as the package returns, only the first time.
 `label_pairs` runs the same test for all pairs as array expressions
-(`pairs_in_reach`) and reprojects only the pairs left uncut.
+(`pairs_in_reach`) and labels the overlapping ones of the pairs left uncut.
 """
 
 from __future__ import annotations
@@ -348,23 +348,23 @@ def pairs_in_reach(images, poses, scans):
 
 
 def label_pairs(images, poses, scans, ids):
-    """Overlap labels for every pair a < b of a scan sequence: the query is
-    scan a (``images[a]``, ``poses[a]``), the candidate scan b
-    (``scans[b]``, ``poses[b]``), and ``ids`` names them in the labels.
-    All four must have one length.
+    """Overlap labels of a scan sequence, in pair order, for the pairs a < b
+    whose overlap is above 0.0: by the zero rule of `rangeloop.io` the rest
+    need none.  The query is scan a (``images[a]``, ``poses[a]``), the
+    candidate scan b (``scans[b]``, ``poses[b]``), and ``ids`` names them
+    in the labels.  All four must have one length.
 
-    Equal, label for label, to calling `compute_overlap` on each pair, at a
-    fraction of its cost: only the `pairs_in_reach` reach `compute_overlap`,
-    and every other pair is the exact 0.0 its reprojection would give.
+    Equal, label for label, to calling `compute_overlap` on each pair and
+    keeping the overlaps above 0.0, at a fraction of its cost: only the
+    `pairs_in_reach` reach `compute_overlap`, and every other pair is the
+    exact 0.0 its reprojection would give.
     """
     n = len(ids)
     if len(scans) != n:
         raise ContractError(f"pairs need one length, got {len(scans)} scans and {n} ids")
-    overlap = {(a, b): compute_overlap(images[a], poses[a], scans[b], poses[b])
-               for a, b in pairs_in_reach(images, poses, scans)}
-    return [OverlapLabel(query=ids[a], cand=ids[b], overlap=overlap.get((a, b), 0.0))
-            for a in range(n)
-            for b in range(a + 1, n)]
+    overlaps = ((a, b, compute_overlap(images[a], poses[a], scans[b], poses[b]))
+                for a, b in pairs_in_reach(images, poses, scans))
+    return [OverlapLabel(ids[a], ids[b], o) for a, b, o in overlaps if o > 0.0]
 
 
 def overlap_table(labels):
@@ -380,24 +380,27 @@ def overlap_table(labels):
     return table
 
 
-def build_tuples(labels, threshold: float, k_p: int, k_n: int, seed: int):
+def build_tuples(labels, threshold: float, k_p: int, k_n: int, seed: int, ids=None):
     """Mine training tuples from overlap labels, read by `overlap_table`.
 
-    Each scan's candidates above the threshold are positives, the rest
-    negatives; up to k_p / k_n of each are kept by a seeded draw.  Queries
-    lacking either kind of candidate are skipped.
+    A query's candidates are the scans the labels name and ``ids``, the
+    scans a run may draw from; a pair no label names has overlap 0.0.  Those
+    above the threshold are positives, the rest negatives; up to k_p / k_n
+    of each are kept by a seeded draw.  Queries lacking either kind are skipped.
     """
     if not 0.0 < threshold < 1.0:
         raise ContractError(f"threshold must lie in (0, 1), got {threshold}")
     if k_p < 1 or k_n < 1:
         raise ContractError(f"k_p and k_n must be >= 1, got {k_p}, {k_n}")
     pools = overlap_table(labels)
+    scans = sorted({*pools, *(() if ids is None else ids)})  # not int64: ids may be huge
 
     rng = np.random.default_rng(seed)
     tuples = []
     for q in sorted(pools):
         pos = sorted(c for c, o in pools[q].items() if o > threshold)
-        neg = sorted(c for c, o in pools[q].items() if o <= threshold)
+        taken = {q, *pos}
+        neg = [c for c in scans if c not in taken] if pos else []
         if not pos or not neg:
             continue
         pos_pick = [pos[i] for i in rng.permutation(len(pos))[:k_p]]

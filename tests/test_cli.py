@@ -16,7 +16,7 @@ import pytest
 from rangeloop import io
 from rangeloop.cli import main
 from rangeloop.rangeview import (OverlapLabel, ProjectionConfig, RangeImage,
-                                 build_range_image, compute_overlap)
+                                 build_range_image, compute_overlap, overlap_table)
 
 WORLD_KV = """\
 seed=42
@@ -82,6 +82,19 @@ def _stdout_csv(capsys):
     return list(csv.reader(stdio.StringIO(capsys.readouterr().out)))
 
 
+def _pair_loop_labels(workspace):
+    """The workspace world's label for every pair a < b, one
+    `compute_overlap` call each, zeros included."""
+    world = workspace / "world"
+    cfg = io.config_from_pairs(ProjectionConfig, io.load_kv_pairs(world / "sensor.kv"))
+    scans = [io.load_scan(world / f"scan_{i:04d}.bin") for i in range(8)]
+    poses = io.load_poses(world / "poses.txt")
+    images = [build_range_image(s, cfg) for s in scans]
+    return [OverlapLabel(query=a, cand=b, overlap=compute_overlap(
+                images[a], poses[a], scans[b], poses[b]))
+            for a in range(8) for b in range(a + 1, 8)]
+
+
 class TestWorkflow:
     def test_synth_outputs(self, workspace):
         names = {p.name for p in (workspace / "world").iterdir()}
@@ -96,22 +109,15 @@ class TestWorkflow:
 
     def test_revisit_labels_exceed_threshold(self, workspace):
         labels = io.load_labels(workspace / "labels.txt")
-        table = {(l.query, l.cand): l.overlap for l in labels}
-        assert len(labels) == 28  # all unordered pairs of 8 scans
-        for i in range(4):
-            assert table[(i, i + 4)] > 0.3  # revisit of the same place
-        assert table[(0, 1)] == 0.0  # different places never overlap
+        # one label per overlapping pair: the revisit of each place
+        assert [(l.query, l.cand) for l in labels] == [(i, i + 4) for i in range(4)]
+        assert all(l.overlap > 0.3 for l in labels)
+        # different places never overlap: no label names (0, 1), so it is 0.0
+        assert 1 not in overlap_table(labels)[0]
 
     def test_overlaps_file_is_byte_identical_to_pair_loop(self, workspace, tmp_path):
-        world = workspace / "world"
-        cfg = io.config_from_pairs(ProjectionConfig, io.load_kv_pairs(world / "sensor.kv"))
-        scans = [io.load_scan(world / f"scan_{i:04d}.bin") for i in range(8)]
-        poses = io.load_poses(world / "poses.txt")
-        images = [build_range_image(s, cfg) for s in scans]
-        labels = [OverlapLabel(query=a, cand=b, overlap=compute_overlap(
-                      images[a], poses[a], scans[b], poses[b]))
-                  for a in range(8) for b in range(a + 1, 8)]
-        io.save_labels(tmp_path / "loop.txt", labels)
+        labels = _pair_loop_labels(workspace)
+        io.save_labels(tmp_path / "loop.txt", [lab for lab in labels if lab.overlap > 0.0])
         assert ((workspace / "labels.txt").read_bytes()
                 == (tmp_path / "loop.txt").read_bytes())
 
@@ -239,6 +245,45 @@ class TestSearchCommand:
         assert main(["search", "--db", str(db_path), "--query", str(empty),
                      "--k", "1"]) == 0
         assert _stdout_csv(capsys) == [["query_id", "rank", "candidate_id", "distance"]]
+
+
+class TestSparseLabels:
+    @pytest.mark.parametrize("cleared", [(), ((3, 7),)])
+    def test_dense_file_and_its_sparse_form_agree(self, workspace, tmp_path, capsys, cleared):
+        # a pair no label names has overlap 0.0, so dropping the zero lines
+        # changes neither the trained weights nor the loop-closure reports;
+        # with a revisit cleared, no line of the sparse file names scans 3
+        # and 7, and train still draws them as negatives from its images
+        dense = [lab._replace(overlap=0.0) if (lab.query, lab.cand) in cleared else lab
+                 for lab in _pair_loop_labels(workspace)]
+        files = {"dense": dense, "sparse": [lab for lab in dense if lab.overlap > 0.0]}
+        # a wider margin than the workspace's: with a revisit cleared, every
+        # step would clamp there, and weights that never move compare equal
+        config = tmp_path / "config.kv"
+        config.write_text(_set_key(CONFIG_KV, "alpha", "1.0"))
+        outs = {}
+        for name, labels in files.items():
+            path = tmp_path / f"{name}.txt"
+            io.save_labels(path, labels)
+            ck = tmp_path / f"ckpt_{name}"
+            assert main(["train", "--config", str(config),
+                         "--data", str(workspace / "ranges"),
+                         "--labels", str(path), "--out", str(ck)]) == 0
+            capsys.readouterr()
+            reports = []
+            for window in (0, 3):
+                proto = tmp_path / f"loop_{window}.kv"
+                proto.write_text(f"kind=loop_closure\nwindow={window}\n")
+                assert main(["eval-loop", "--db", str(workspace / "db.omdb"),
+                             "--poses", str(workspace / "world" / "poses.txt"),
+                             "--labels", str(path), "--protocol", str(proto)]) == 0
+                reports.append(capsys.readouterr().out)
+            outs[name] = ((ck / "final.omck").read_bytes(),
+                          (ck / "report.csv").read_bytes(), reports)
+        assert len(files["sparse"]) == 4 - len(cleared)
+        report = list(csv.reader(stdio.StringIO(outs["dense"][1].decode())))
+        assert float(report[1][1]) > 0.0  # epoch 0's mean loss: the weights moved
+        assert outs["sparse"] == outs["dense"]
 
 
 class TestDeterminism:
@@ -668,6 +713,21 @@ class TestMalformedInputs:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "query 0" in err and "scan 99" in err
         assert not (tmp_path / "ckpt" / "final.omck").exists()
+
+    @pytest.mark.parametrize("line", ["0 99999999999999999999 0.9\n",
+                                      "99999999999999999999 0 0.9\n"])
+    def test_label_naming_an_id_beyond_int64_is_2(self, workspace, tmp_path, capsys, line):
+        # ids stay Python ints on the way to the check that names the scan
+        labels = tmp_path / "labels.txt"
+        labels.write_text((workspace / "labels.txt").read_text() + line)
+        out = tmp_path / "ckpt"
+        assert main(["train", "--config", str(workspace / "config.kv"),
+                     "--data", str(workspace / "ranges"),
+                     "--labels", str(labels), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "scan 99999999999999999999" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("which, keep", [("a", 0), ("b", 5)])
     def test_pose_count_mismatch_eval_place_is_2(self, workspace, tmp_path, capsys,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rangeloop import errors, io, rangeview
+from rangeloop import retrieval as rt
 from rangeloop import synthworld as sw
 from rangeloop.rangeview import (
     OverlapLabel,
@@ -398,8 +399,8 @@ class TestRangeGapCull:
 
     def test_label_pairs_cull_equals_pair_loop(self, monkeypatch):
         """Empty, NaN and inf clouds, and the wall pair 1e-5 m either side of
-        the reach boundary: `label_pairs` gives the per-pair labels and
-        reprojects exactly the pairs the per-pair loop does."""
+        the reach boundary: `label_pairs` gives the per-pair labels above
+        0.0 and reprojects exactly the pairs the per-pair loop does."""
         cfg, ri_a, pose_a, pts_b, pose_b = self._wall_pair()
         radius = np.linalg.norm(pts_b, axis=1).max()
 
@@ -421,16 +422,17 @@ class TestRangeGapCull:
         calls = self._count_reprojections(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected = [OverlapLabel(query=a, cand=b, overlap=compute_overlap(
-                            images[a], poses[a], scans[b], poses[b]))
-                        for a in ids for b in ids[a + 1:]]
+            loop = [OverlapLabel(query=a, cand=b, overlap=compute_overlap(
+                        images[a], poses[a], scans[b], poses[b]))
+                    for a in ids for b in ids[a + 1:]]
             loop_calls = list(calls)
             calls.clear()
             got = rangeview.label_pairs(images, poses, scans, ids)
-        assert got == expected
+        assert got == [lab for lab in loop if lab.overlap > 0.0]
         assert calls == loop_calls
-        assert len(calls) < len(expected)
-        assert got[5].overlap > 0.0  # (0, 6): b reaches back from 120 m
+        assert len(calls) < len(loop)
+        overlap = {(q, c): o for q, c, o in got}
+        assert overlap[(0, 6)] > 0.0  # b reaches back from 120 m
 
     def test_cull_fires_for_exactly_the_cross_place_pairs(self, monkeypatch):
         spec = sw.WorldSpec(seed=3, n_places=5)
@@ -510,10 +512,11 @@ def test_label_pairs_equals_pair_loop():
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
             ov = compute_overlap(images[a], world.poses[a], world.scans[b], world.poses[b])
-            expected.append(OverlapLabel(query=ids[a], cand=ids[b], overlap=ov))
+            if ov > 0.0:  # a pair no label names has overlap 0.0
+                expected.append(OverlapLabel(query=ids[a], cand=ids[b], overlap=ov))
     got = rangeview.label_pairs(images, world.poses, world.scans, ids)
     assert got == expected
-    assert any(lab.overlap > 0.0 for lab in got)
+    assert got
 
 
 def _small_world():
@@ -688,11 +691,12 @@ def test_read_only_clouds_label_as_writeable_copies(tmp_path, spec):
         loop = [OverlapLabel(a, b, compute_overlap(images[a], world.poses[a],
                                                    scans[b], world.poses[b]))
                 for a in ids for b in ids if a < b]
+        loop = [lab for lab in loop if lab.overlap > 0.0]
         for labels in (loop, rangeview.label_pairs(images, world.poses, scans, ids)):
             files.append(tmp_path / f"labels_{len(files)}.txt")
             io.save_labels(files[-1], labels)
     assert len({f.read_bytes() for f in files}) == 1
-    assert any(lab.overlap > 0.0 for lab in loop)
+    assert loop
 
 
 class TestOverlapTable:
@@ -730,11 +734,10 @@ class TestBuildTuples:
     def test_threshold_splits_candidates(self):
         labels = [OverlapLabel(0, 1, 0.9), OverlapLabel(0, 2, 0.1)]
         tuples = build_tuples(labels, threshold=0.3, k_p=6, k_n=6, seed=0)
-        assert len(tuples) == 1
-        tup = tuples[0]
-        assert tup.query == 0
-        assert tup.positives == (1,)
-        assert tup.negatives == (2,)
+        assert [(t.query, t.positives, t.negatives) for t in tuples] == [
+            (0, (1,), (2,)),
+            (1, (0,), (2,)),  # no label names (1, 2): overlap 0.0
+        ]
 
     def test_mirrored_pairs_feed_both_queries(self):
         labels = [
@@ -774,3 +777,34 @@ class TestBuildTuples:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(errors.ContractError):
             build_tuples([], threshold=1.5, k_p=1, k_n=1, seed=0)
+
+    def test_scan_no_label_names_is_a_negative(self):
+        labels = [OverlapLabel(0, 1, 0.9), OverlapLabel(0, 3, 0.1)]
+        for ids, negatives in ((None, {3}), ([2, 1, 0], {2, 3})):
+            tuples = build_tuples(labels, threshold=0.3, k_p=6, k_n=6, seed=0, ids=ids)
+            got = {t.query: (t.positives, set(t.negatives)) for t in tuples}
+            assert got == {0: ((1,), negatives), 1: ((0,), negatives)}
+
+
+@pytest.mark.parametrize("seed", [42, 7, 4101])
+def test_dense_labels_and_their_sparse_form_agree(seed):
+    # the pair loop writes every pair, `label_pairs` only the overlapping
+    # ones: tuples and loop-closure reports are the same from either list
+    spec = sw.WorldSpec(seed=seed)
+    world = sw.generate_world(spec)
+    images = [build_range_image(s, spec.projection_config()) for s in world.scans]
+    n = len(images)
+    dense = [OverlapLabel(a, b, compute_overlap(images[a], world.poses[a],
+                                                world.scans[b], world.poses[b]))
+             for a in range(n) for b in range(a + 1, n)]
+    sparse = rangeview.label_pairs(images, world.poses, world.scans, range(n))
+    assert 0 < len(sparse) < len(dense)
+    for k_n in (2, 6):
+        tuples = build_tuples(dense, 0.3, k_p=2, k_n=k_n, seed=seed)
+        assert tuples
+        assert build_tuples(sparse, 0.3, k_p=2, k_n=k_n, seed=seed, ids=range(n)) == tuples
+    db = rt.DescriptorDb(range(n), np.random.default_rng(seed).normal(size=(n, 16)))
+    for window in (0, 3, 30):
+        protocol = rt.EvalProtocol(window=window)
+        report = rt.eval_loop_closure(db, dense, protocol)
+        assert rt.eval_loop_closure(db, sparse, protocol).rows() == report.rows()
