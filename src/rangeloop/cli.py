@@ -51,12 +51,6 @@ def _indexed_files(dir_path: str, suffix: str) -> List[Tuple[int, str]]:
     return sorted(out)
 
 
-def _load_images(dir_path: str) -> Tuple[List[int], List[rvw.RangeImage]]:
-    files = _indexed_files(dir_path, ".omrv")
-    ids = [i for i, _ in files]
-    return ids, [io.load_range_image(p) for _, p in files]
-
-
 def _load_config(cls, path: str):
     return io.config_from_pairs(cls, io.load_kv_pairs(path))
 
@@ -132,11 +126,10 @@ def cmd_overlaps(args) -> int:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _split_config(args.config)
-    ids, images_list = _load_images(args.data)
-    images = dict(zip(ids, images_list))
+    images = {i: io.load_range_image(p) for i, p in _indexed_files(args.data, ".omrv")}
     labels = io.load_labels(args.labels)
     tuples = rvw.build_tuples(labels, train_cfg.overlap_threshold,
-                              train_cfg.k_p, train_cfg.k_n, train_cfg.seed, ids=ids)
+                              train_cfg.k_p, train_cfg.k_n, train_cfg.seed, ids=list(images))
     if not tuples:
         raise ContractError("no training tuples survive the overlap threshold")
     tr.check_inputs(tuples, images, model_cfg)
@@ -151,8 +144,10 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     cfg = _model_config_near(args.ckpt, args.config)
     params = pl.load_model(args.ckpt, cfg)
-    ids, images = _load_images(args.ranges)
-    descriptors = pl.describe_images(images, params, cfg)
+    ids, paths = zip(*_indexed_files(args.ranges, ".omrv"))
+    io.check_db_ids(ids)  # before any forward
+    # each image is read when it is described, so one is held at a time
+    descriptors = pl.describe_images((io.load_range_image(p) for p in paths), params, cfg)
     io.save_descriptor_db(args.out, ids, descriptors)
     print(f"embedded {len(ids)} scans ({cfg.out_dim}-dim) to {args.out}")
     return 0

@@ -41,7 +41,7 @@ import math
 import pathlib
 import struct
 import typing
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -189,6 +189,14 @@ def _db_dtype(path, dim: int) -> np.dtype:
     return np.dtype([("id", "<u4"), ("v", "<f4", (dim,))])
 
 
+def check_db_ids(ids: Sequence[int]) -> None:
+    """The ids an ``.omdb`` file can hold: unique, each in a u32 field."""
+    if len(set(ids)) != len(ids):
+        raise ContractError("descriptor ids must be unique")
+    if any(not 0 <= i <= 0xFFFFFFFF for i in ids):
+        raise ContractError("descriptor ids must fit in an unsigned 32-bit field")
+
+
 def save_descriptor_db(path, ids: Iterable[int], descriptors: np.ndarray) -> None:
     ids = list(ids)
     desc = np.asarray(descriptors, dtype="<f4")
@@ -196,10 +204,7 @@ def save_descriptor_db(path, ids: Iterable[int], descriptors: np.ndarray) -> Non
         raise ContractError(
             f"descriptor table {desc.shape} does not match {len(ids)} ids"
         )
-    if len(set(ids)) != len(ids):
-        raise ContractError("descriptor ids must be unique")
-    if any(not 0 <= i <= 0xFFFFFFFF for i in ids):
-        raise ContractError("descriptor ids must fit in an unsigned 32-bit field")
+    check_db_ids(ids)
     entries = np.empty(len(ids), dtype=_db_dtype(path, desc.shape[1]))
     entries["id"] = ids
     entries["v"] = desc

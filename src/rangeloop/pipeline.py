@@ -212,7 +212,7 @@ def prepare_batch(images) -> tt.Tensor:
 
 def describe_images(images, params: dict, cfg: ModelConfig,
                     bypass_olm: bool = False) -> np.ndarray:
-    """Eval-mode descriptors for a list of RangeImage, one forward per scan."""
+    """Eval-mode descriptors for an iterable of RangeImage, one forward each."""
     rows = []
     for ri in images:
         out = model_forward(prepare_batch([ri]), params, cfg, bypass_olm=bypass_olm)

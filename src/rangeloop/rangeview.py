@@ -17,6 +17,7 @@ over a read-only one, as the package returns, only the first time.
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass
@@ -399,12 +400,14 @@ def build_tuples(labels, threshold: float, k_p: int, k_n: int, seed: int, ids=No
     tuples = []
     for q in sorted(pools):
         pos = sorted(c for c, o in pools[q].items() if o > threshold)
-        taken = {q, *pos}
-        neg = [c for c in scans if c not in taken] if pos else []
-        if not pos or not neg:
+        # the negatives are the scans but q and its positives, at these ranks
+        ranks = sorted(bisect.bisect_left(scans, c) for c in (q, *pos))
+        skips = [r - t for t, r in enumerate(ranks)]  # negatives before each rank
+        if not pos or len(ranks) == len(scans):
             continue
         pos_pick = [pos[i] for i in rng.permutation(len(pos))[:k_p]]
-        neg_pick = [neg[i] for i in rng.permutation(len(neg))[:k_n]]
+        neg_pick = [scans[i + bisect.bisect_right(skips, i)]
+                    for i in rng.permutation(len(scans) - len(ranks))[:k_n].tolist()]
         tuples.append(
             TrainingTuple(query=q, positives=tuple(pos_pick), negatives=tuple(neg_pick))
         )

@@ -1,10 +1,11 @@
 """Descriptor database, nearest-neighbor search, and evaluation protocols.
 
 Retrieval is exact k-NN without an index structure.  One kernel,
-`_nearest`, serves `db_search`, `db_search_all` (`rangeloop search`) and
-both protocols.  It takes a block of queries and ranks every database row
-for the whole block with one float32 matrix product over a float32 image of
-the database, scaled by a power of two so that no cast can overflow.  It
+`_nearest`, serves `db_search_all` (`rangeloop search`) and both protocols,
+and `db_search` is one block of it.  Each query's candidates are a prefix
+of the database.  The kernel ranks the queries `_QUERY_BLOCK` at a time,
+a block's candidates with one float32 matrix product over a float32 image
+of the database, scaled by a power of two so that no cast can overflow.  It
 keeps the rows within a proven rounding bound of each query's k-th value
 and recomputes those with the direct float64 distance formula, so the ids,
 distances and tie order it returns are exactly those of a full sort of the
@@ -22,7 +23,7 @@ import io as _stdio
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import ConfigError, ContractError
 
 _I64 = np.iinfo(np.int64)
 _MAX_DIM = 1 << 20  # the search's rounding bound assumes (D + 3) 2**-24 < 0.07
-_QUERY_BLOCK = 32  # queries per filter GEMM in the protocols and db_search_all
+_QUERY_BLOCK = 32  # queries per filter GEMM in `_nearest`
 
 
 class DescriptorDb:
@@ -46,7 +47,7 @@ class DescriptorDb:
     def __init__(self, ids: Sequence[int], descriptors: np.ndarray):
         self._adopt(ids, np.array(descriptors, dtype=np.float64))
 
-    def _adopt(self, ids: Sequence[int], descriptors: np.ndarray) -> None:
+    def _adopt(self, ids: Sequence[int], descriptors: np.ndarray) -> "DescriptorDb":
         """Validate and take ownership of a float64 matrix no one else holds."""
         ids = [int(i) for i in ids]
         if descriptors.ndim != 2:
@@ -70,6 +71,7 @@ class DescriptorDb:
         self.descriptors = descriptors
         self._id_array = np.asarray(ids, dtype=np.int64)
         self._image = None
+        return self
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -83,10 +85,12 @@ class DescriptorDb:
 
     @classmethod
     def load(cls, path) -> "DescriptorDb":
-        ids, descriptors = io.load_descriptor_db(path)
-        db = cls.__new__(cls)
-        db._adopt(ids, descriptors)  # the decoded matrix is a fresh float64 array
-        return db
+        return cls._adopting(*io.load_descriptor_db(path))
+
+    @classmethod
+    def _adopting(cls, ids: Sequence[int], descriptors: np.ndarray) -> "DescriptorDb":
+        """A database over a fresh float64 matrix, taken without a copy."""
+        return cls.__new__(cls)._adopt(ids, descriptors)
 
     def _filter_image(self) -> Tuple[np.ndarray, int, np.ndarray, float]:
         """(image, ex, norms, largest norm): the matrix times 2**-ex in
@@ -115,15 +119,24 @@ def _exponent(a: np.ndarray) -> int:
     return math.frexp(max(hi, -lo))[1]
 
 
-def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
-             rows: Optional[np.ndarray] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """For each row q of the (b, D) block of queries: (ids, distances) of
-    the ks[i] database rows nearest to it among its candidates, ascending by
-    the direct distance sqrt(sum((x - q)**2)), equal distances by lower id:
-    exactly the first ks[i] of a full sort.  Row i's candidates are the
-    first counts[i] >= 1 entries of rows, an index array into the database,
-    or of the database's own order when rows is None.  A query with a NaN
-    or infinite entry raises ContractError.
+def _nearest(db: DescriptorDb, queries: np.ndarray, which: Sequence[int], counts,
+             ks) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield, for each query q = queries[which[i]], (ids, distances) of the
+    ks[i] rows nearest to it among the first counts[i] >= 1 rows of the
+    database, ascending by the direct distance sqrt(sum((x - q)**2)), equal
+    distances by lower id: exactly the first ks[i] of a full sort.  A query
+    with a NaN or infinite entry raises ContractError.  The queries are
+    gathered and ranked _QUERY_BLOCK at a time, each block's temporaries
+    freed before the next is ranked."""
+    for start in range(0, len(which), _QUERY_BLOCK):
+        block = slice(start, start + _QUERY_BLOCK)
+        yield from _nearest_block(db, queries[which[block]], counts[block], ks[block])
+
+
+def _nearest_block(db: DescriptorDb, queries: np.ndarray, counts,
+                   ks) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """`_nearest` for the (b, D) block of queries, row i's candidates being
+    the first counts[i] rows of the database.
 
     Filter: let ex and eq be `_exponent` of the database and of the block,
     and e = max(ex, eq, -536).  The image holds a = fl32(2^-ex x) and the
@@ -169,9 +182,9 @@ def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
 
     Refine: the kept rows are recomputed with the direct formula, so each
     distance is bit-identical to a full computation, and ordered by
-    np.lexsort((ids, d, query)).  Only the kernel's result depends on the
-    bound, not on the GEMM's rounding, so the GEMM runs over the candidate
-    prefix alone when rows is None.
+    np.lexsort((ids, d, query)).  The result depends on the bound, not on
+    the GEMM's rounding, so the GEMM reads only the longest candidate
+    prefix, and how the queries are blocked changes nothing.
     """
     image, ex, norms, x_max = db._filter_image()
     b, dim = queries.shape
@@ -186,15 +199,11 @@ def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
     qimage *= -2.0 ** (ex + eq - 2 * e + 1)
     ks = [min(k, c) for k, c in zip(ks, counts)]
     kmax = max(ks)
-    width = max(counts)
-    n = len(norms) if rows is not None else width  # rows past a prefix are never read
+    width = max(counts)  # rows past the longest prefix are never read
     # everything above is set up before the GEMM streams the image through
     # the cache
-    f = image[:n] @ qimage
-    f += norms[:n, None] if e == ex else norms[:n, None] * 2.0 ** (2 * (ex - e))
-    if rows is not None:
-        rows = rows[:width]
-        f = f[rows]
+    f = image[:width] @ qimage
+    f += norms[:width, None] if e == ex else norms[:width, None] * 2.0 ** (2 * (ex - e))
     # (b, width), a query's values contiguous: np.partition is about 3x
     # faster along a contiguous axis; for b = 1 this is a view
     f = np.ascontiguousarray(f.T)
@@ -208,8 +217,6 @@ def _nearest(db: DescriptorDb, queries: np.ndarray, counts, ks,
     block = np.arange(b)
     f_k = f_k[block, np.subtract(ks, 1)] + tau
     qi, cols = np.divmod(np.flatnonzero(f <= f_k[:, None]), width)  # qi ascends
-    if rows is not None:
-        cols = rows[cols]
     diff = db.descriptors[cols]
     diff -= queries[qi]
     with (np.errstate(over="ignore") if dim.bit_length() + 2 + 2 * e > 1023
@@ -238,25 +245,21 @@ def db_search(db: DescriptorDb, query: np.ndarray, k: int) -> List[Tuple[int, fl
     distances rank by lower id."""
     query = np.asarray(query, dtype=np.float64).reshape(1, -1)
     _check_search(db, query, k)
-    ids, dists = _nearest(db, query, [len(db)], [k])[0]
+    ids, dists = _nearest_block(db, query, [len(db)], [k])[0]
     return list(zip(ids.tolist(), dists.tolist()))
 
 
 def db_search_all(db: DescriptorDb, queries: np.ndarray,
                   k: int) -> List[List[Tuple[int, float]]]:
-    """db_search for every row of the (m, D) matrix queries, one kernel call
-    per block of _QUERY_BLOCK rows.  The arguments are checked also when
-    there are no rows."""
+    """db_search for every row of the (m, D) matrix queries, in one kernel
+    call.  The arguments are checked also when there are no rows."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ContractError(f"query matrix must be 2-d, got {queries.shape}")
     _check_search(db, queries, k)
-    out = []
-    for start in range(0, len(queries), _QUERY_BLOCK):
-        block = queries[start:start + _QUERY_BLOCK]
-        for ids, dists in _nearest(db, block, [len(db)] * len(block), [k] * len(block)):
-            out.append(list(zip(ids.tolist(), dists.tolist())))
-    return out
+    m = len(queries)
+    return [list(zip(ids.tolist(), dists.tolist()))
+            for ids, dists in _nearest(db, queries, range(m), [len(db)] * m, [k] * m)]
 
 
 # --------------------------------------------------------------------------
@@ -403,37 +406,33 @@ def eval_loop_closure(db: DescriptorDb, overlaps,
     `rangeview.overlap_table` reads the labels) feed the PR metrics;
     recall@1 and recall@1% count queries whose true loops are found.
 
-    Read in id order through an argsort index (none when the database is
-    stored in id order), each query's candidates are a prefix of the
-    database; queries go to `_nearest` in blocks, and only
-    the top ceil(0.01 * candidates) are ranked, which is all that recall@1
-    and recall@1% read."""
+    Each query's candidates are a prefix of the database read in id order:
+    the database itself when it is stored so, else a sorted copy.  Only the
+    top ceil(0.01 * candidates) are ranked, which is all that recall@1 and
+    recall@1% read."""
     table = rangeview.overlap_table(overlaps)
     known = set(db.ids)
-    perm = np.argsort(db._id_array)
-    ids = db._id_array[perm]
-    rows = None if np.array_equal(ids, db._id_array) else perm  # in id order: no gather
+    order = np.argsort(db._id_array)
+    if np.any(order != np.arange(len(db))):
+        db = DescriptorDb._adopting(db._id_array[order].tolist(), db.descriptors[order])
+    ids = db.ids
     queries = range(0, len(ids), protocol.query_step)
+    # candidates are ids < q - window, the first m in id order; the limits
+    # stay Python ints, as int64 they could wrap
+    limits = [ids[q] - protocol.window for q in queries]
+    m = np.searchsorted(db._id_array, [max(limit, ids[0]) for limit in limits])
+    scored = np.flatnonzero(m).tolist()
+    m = m[scored]
+    found = _nearest(db, db.descriptors, [queries[j] for j in scored], m.tolist(),
+                     np.ceil(0.01 * m).astype(np.int64).tolist())
     scores = []
     first_hits: List[Optional[float]] = []
-    for start in range(0, len(queries), _QUERY_BLOCK):
-        block = np.asarray(queries[start:start + _QUERY_BLOCK])
-        # candidates are ids < q - window, the first m in id order
-        limits = [int(ids[qi]) - protocol.window for qi in block]
-        m = np.searchsorted(ids, [max(limit, int(ids[0])) for limit in limits])
-        scored = np.flatnonzero(m)
-        if scored.size == 0:
-            continue
-        m = m[scored]
-        found = _nearest(db, db.descriptors[perm[block[scored]]], m.tolist(),
-                         np.ceil(0.01 * m).astype(np.int64).tolist(), rows)
-        for j, (top, top_dists) in zip(scored.tolist(), found):
-            ranked = top.tolist()
-            limit = limits[j]
-            truth = {c for c, o in table.get(int(ids[block[j]]), {}).items()
-                     if o > protocol.overlap_threshold and c < limit and c in known}
-            scores.append((-float(top_dists[0]), ranked[0] in truth))
-            first_hits.append(_first_hit(ranked, truth))
+    for j, (top, top_dists) in zip(scored, found):
+        ranked = top.tolist()
+        truth = {c for c, o in table.get(ids[queries[j]], {}).items()
+                 if o > protocol.overlap_threshold and c < limits[j] and c in known}
+        scores.append((-float(top_dists[0]), ranked[0] in truth))
+        first_hits.append(_first_hit(ranked, truth))
     n_scored = len(scores)
     # recall@1% reads each query's whole ranking, its top ceil(0.01 m)
     recall1, excl = _recall(first_hits, 1)
@@ -496,25 +495,23 @@ def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,
         raise ContractError(
             f"{query_positions.shape[0]} query positions for {len(query_db)} descriptors"
         )
-    rows = np.arange(0, len(db), protocol.db_step)
-    ids = db._id_array[rows]
-    sub_pos = db_positions[rows]
-    order = rows if protocol.db_step > 1 else None  # step 1 reads the database in place
+    if protocol.db_step > 1:  # the sampled rows, searched as a database of their own
+        rows = np.arange(0, len(db), protocol.db_step)
+        db = DescriptorDb._adopting(db._id_array[rows].tolist(), db.descriptors[rows])
+        db_positions = db_positions[rows]
     q_rows = range(0, len(query_db), protocol.query_step)
-    first_hits: List[Optional[float]] = []
+    truths = []  # each query's true positives, as an id array
     for start in range(0, len(q_rows), _QUERY_BLOCK):
-        block = np.asarray(q_rows[start:start + _QUERY_BLOCK])
-        pose_d = _pose_distances(sub_pos, query_positions[block])
-        truths = [set(ids[near].tolist()) for near in pose_d < protocol.distance_threshold]
-        # a query without a true positive is excluded and never searched
-        searched = [j for j, truth in enumerate(truths) if truth]
-        hits: List[Optional[float]] = [None] * len(block)
-        if searched:
-            found = _nearest(db, query_db.descriptors[block[searched]],
-                             [len(rows)] * len(searched), [20] * len(searched), order)
-            for j, (top, _) in zip(searched, found):
-                hits[j] = _first_hit(top.tolist(), truths[j])
-        first_hits += hits
+        block = query_positions[q_rows[start:start + _QUERY_BLOCK]]
+        pose_d = _pose_distances(db_positions, block)
+        truths += [db._id_array[near] for near in pose_d < protocol.distance_threshold]
+    # a query without a true positive is excluded and never searched
+    searched = [j for j, truth in enumerate(truths) if truth.size]
+    found = _nearest(db, query_db.descriptors, [q_rows[j] for j in searched],
+                     [len(db)] * len(searched), [20] * len(searched))
+    first_hits: List[Optional[float]] = [None] * len(q_rows)
+    for j, (top, _) in zip(searched, found):
+        first_hits[j] = _first_hit(top.tolist(), set(truths[j].tolist()))
     ar1, excluded = _recall(first_hits, 1)
     ar5, _ = _recall(first_hits, 5)
     ar20, _ = _recall(first_hits, 20)

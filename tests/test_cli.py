@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from rangeloop import io
+from rangeloop import pipeline as pl
 from rangeloop.cli import main
 from rangeloop.rangeview import (OverlapLabel, ProjectionConfig, RangeImage,
                                  build_range_image, compute_overlap, overlap_table)
@@ -479,6 +480,25 @@ class TestMalformedInputs:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "no columns" in err
         assert not (tmp_path / "db.omdb").exists()
+
+    def test_id_beyond_u32_is_2_before_any_forward(self, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        ranges = tmp_path / "ranges"
+        ranges.mkdir()
+        for src in sorted((workspace / "ranges").iterdir()):
+            (ranges / src.name).write_bytes(src.read_bytes())
+        (ranges / "range_4294967296.omrv").write_bytes(src.read_bytes())
+        forwards = []
+        original = pl.model_forward
+        monkeypatch.setattr(pl, "model_forward",
+                            lambda *a, **kw: forwards.append(1) or original(*a, **kw))
+        assert main(["embed", "--ckpt", str(workspace / "ckpt" / "final.omck"),
+                     "--ranges", str(ranges), "--out", str(tmp_path / "db.omdb")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "unsigned 32-bit" in err
+        assert not (tmp_path / "db.omdb").exists()
+        assert forwards == []
 
     def test_zero_dimension_db_is_2(self, tmp_path, capsys):
         # 3 entries of dimension 0: every distance would read 0.0

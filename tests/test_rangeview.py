@@ -785,6 +785,40 @@ class TestBuildTuples:
             got = {t.query: (t.positives, set(t.negatives)) for t in tuples}
             assert got == {0: ((1,), negatives), 1: ((0,), negatives)}
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_negatives_match_the_plain_pool(self, seed):
+        # the negatives are drawn by index into the sorted scans without the
+        # query and its positives; the pool written out gives the same
+        # tuples, also when the positives hold the first and last scans
+        rng = np.random.default_rng(seed)
+        scans = sorted(set(rng.integers(-2**62, 2**62, 40).tolist()))
+        labels = [OverlapLabel(scans[a], scans[b], float(o)) for a, b, o in
+                  zip(rng.integers(0, 40, 120), rng.integers(0, 40, 120), rng.random(120))]
+        labels += [OverlapLabel(scans[0], scans[-1], 0.9), OverlapLabel(scans[1], scans[0], 0.8),
+                   OverlapLabel(scans[-2], scans[-1], 0.7)]
+        for ids in (None, scans[::3] + [2**70, -2**70]):
+            for k_n in (1, 5, 100):
+                want = _tuples_from_plain_pools(labels, 0.5, 40, k_n, seed, ids)
+                for end in (scans[0], scans[-1]):
+                    assert any(end in t.positives for t in want)
+                assert build_tuples(labels, 0.5, k_p=40, k_n=k_n, seed=seed, ids=ids) == want
+
+
+def _tuples_from_plain_pools(labels, threshold, k_p, k_n, seed, ids):
+    """build_tuples with each query's negatives listed in full."""
+    table = overlap_table(labels)
+    scans = sorted({*table, *(ids or ())})
+    rng = np.random.default_rng(seed)
+    tuples = []
+    for q in sorted(table):
+        pos = sorted(c for c, o in table[q].items() if o > threshold)
+        neg = [c for c in scans if c != q and c not in pos]
+        if pos and neg:
+            tuples.append(rangeview.TrainingTuple(
+                query=q, positives=tuple(pos[i] for i in rng.permutation(len(pos))[:k_p]),
+                negatives=tuple(neg[i] for i in rng.permutation(len(neg))[:k_n])))
+    return tuples
+
 
 @pytest.mark.parametrize("seed", [42, 7, 4101])
 def test_dense_labels_and_their_sparse_form_agree(seed):

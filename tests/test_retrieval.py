@@ -210,7 +210,7 @@ class TestNearestKernel:
         mat = np.round(rng.normal(size=(200, 8)) * 2) / 2
         db = rv.DescriptorDb(range(200), mat)
         for m in (1, 2, 50, 199):
-            (got_ids, got_d), = rv._nearest(db, mat[199][None], [m], [3])
+            (got_ids, got_d), = rv._nearest(db, mat, [199], [m], [3])
             want = _full_sort(mat[:m], list(range(m)), mat[199], 3)
             assert list(zip(got_ids.tolist(), got_d.tolist())) == want
 
@@ -415,6 +415,18 @@ class TestLoopClosure:
         report = rv.eval_loop_closure(db, labels, protocol)
         assert report.n_scored == 10  # queries 10..19
         assert report.recall1 == 1.0
+
+    def test_ids_at_the_bottom_of_the_int64_range(self):
+        # ids - window stays a Python int: as int64 the limits of the first
+        # queries would wrap to the top of the range and admit every scan
+        low = [-2**63 + i for i in range(6)]
+        labels = [OverlapLabel(query=low[5], cand=low[0], overlap=0.9)]
+        protocol = rv.EvalProtocol(window=3)
+        for rows in (range(6), [3, 0, 5, 1, 4, 2]):
+            db = rv.DescriptorDb([low[r] for r in rows], np.eye(6)[list(rows)])
+            report = rv.eval_loop_closure(db, labels, protocol)
+            assert report.n_scored == 2  # low[4] and low[5]
+            assert report.rows() == _loop_closure_oracle(db, labels, protocol).rows()
 
     def test_deterministic(self):
         db, labels = _cluster_db()
