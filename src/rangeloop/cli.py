@@ -144,8 +144,13 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     cfg = _model_config_near(args.ckpt, args.config)
     params = pl.load_model(args.ckpt, cfg)
-    ids, paths = zip(*_indexed_files(args.ranges, ".omrv"))
-    io.check_db_ids(ids)  # before any forward
+    files = _indexed_files(args.ranges, ".omrv")
+    for i, path in files:  # each id checked before any forward, to name its file
+        try:
+            io.check_db_ids([i])
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
+    ids, paths = zip(*files)
     # each image is read when it is described, so one is held at a time
     descriptors = pl.describe_images((io.load_range_image(p) for p in paths), params, cfg)
     io.save_descriptor_db(args.out, ids, descriptors)

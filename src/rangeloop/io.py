@@ -12,6 +12,9 @@ a little-endian header, both checked before the payload is read:
   scan id and dim f32 values.
 * scan file: raw f32 quadruples (x, y, z, intensity), no magic or header.
 
+Every file is written whole or not at all: a temporary file beside it
+takes its bytes and replaces it only once all are written.
+
 Every text format is UTF-8 (bytes that do not decode are a contract
 violation), ends a line at "\n", "\r\n" or "\r", and skips blank lines and
 lines that start with "#":
@@ -37,7 +40,9 @@ lines that start with "#":
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import os
 import pathlib
 import struct
 import typing
@@ -52,6 +57,9 @@ from .tensor import Tensor
 MAGIC_CKPT = b"OMCK"
 MAGIC_RANGE = b"OMRV"
 MAGIC_DB = b"OMDB"
+# the header after each magic, for `_read_binary` and `_write_binary`
+_HEADERS = {MAGIC_CKPT: struct.Struct("<I"), MAGIC_RANGE: struct.Struct("<IIf"),
+            MAGIC_DB: struct.Struct("<II")}
 
 
 def refuse_used_dir(out_dir, pattern: str) -> None:
@@ -63,16 +71,42 @@ def refuse_used_dir(out_dir, pattern: str) -> None:
                             f"(first: {min(used).name}); write to a new directory")
 
 
-def _read_binary(path, magic: bytes, header: str):
-    """A binary file's bytes and its `struct` ``header`` fields, which
-    follow the magic; a wrong magic or a short header is refused."""
+def _write(path, chunks: Iterable[bytes]) -> None:
+    """The one place a file is opened for writing: ``chunks`` go to a hidden
+    ".tmp" file beside ``path``, renamed to it once all are written and
+    removed if any fails.  No reader's glob or suffix matches that name."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:  # after the rename, only a failed write leaves the temporary
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+
+
+def _write_binary(path, magic: bytes, fields, *payload) -> None:
+    """``magic``, its header holding ``fields``, then the payload chunks."""
+    _write(path, (magic, _HEADERS[magic].pack(*fields), *payload))
+
+
+def _write_text(path, lines: Iterable[str]) -> None:
+    """UTF-8, each line ended by "\n", encoded 1,024 lines at a time (not per line: slower)."""
+    lines = iter(lines)
+    blocks = iter(lambda: list(itertools.islice(lines, 1024)), [])
+    _write(path, (("\n".join(block) + "\n").encode("utf-8") for block in blocks))
+
+
+def _read_binary(path, magic: bytes):
+    """A binary file's bytes, its header fields and the offset of its
+    payload; a wrong magic or a short header is refused."""
     raw = pathlib.Path(path).read_bytes()
-    end = 4 + struct.calcsize(header)
+    end = 4 + _HEADERS[magic].size
     if raw[:4] != magic:
         raise ContractError(f"{path}: expected magic {magic.decode()!r}, found {raw[:4]!r}")
     if len(raw) < end:
         raise ContractError(f"{path}: truncated header ({len(raw)} of {end} bytes)")
-    return raw, struct.unpack_from(header, raw, 4)
+    return raw, _HEADERS[magic].unpack_from(raw, 4), end
 
 
 def _f64(payload: np.ndarray) -> np.ndarray:
@@ -107,27 +141,21 @@ def _lines(text: str) -> Iterable[Tuple[int, str]]:
 def save_checkpoint(path, params) -> None:
     """Write named tensors (Tensor or ndarray values); names are sorted so
     output is byte-deterministic."""
-    chunks = [MAGIC_CKPT, struct.pack("<I", len(params))]
-    for name in sorted(params):
-        value = params[name]
+    chunks = []
+    for name, value in sorted(params.items()):
         data = np.asarray(value.data if isinstance(value, Tensor) else value, dtype="<f4")
         name_b = name.encode("utf-8")
         if len(name_b) > 0xFFFF:
             raise ContractError(f"tensor name too long: {name[:32]}...")
         if data.ndim > 0xFF:
             raise ContractError(f"tensor {name} has too many dims: {data.ndim}")
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<B", data.ndim))
-        chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        chunks.append(data.tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+        chunks += [struct.pack(f"<H{len(name_b)}sB{data.ndim}I", len(name_b), name_b,
+                               data.ndim, *data.shape), data.tobytes()]
+    _write_binary(path, MAGIC_CKPT, (len(params),), *chunks)
 
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:
-    raw, (count,) = _read_binary(path, MAGIC_CKPT, "<I")
-    off = 8
+    raw, (count,), off = _read_binary(path, MAGIC_CKPT)
     out: Dict[str, np.ndarray] = {}
     try:
         for _ in range(count):
@@ -159,20 +187,18 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
 
 
 def save_range_image(path, ri: RangeImage) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC_RANGE)
-        f.write(struct.pack("<IIf", ri.h, ri.w, ri.r_max))
-        f.write(np.asarray(ri.ranges, dtype="<f4").tobytes())
+    _write_binary(path, MAGIC_RANGE, (ri.h, ri.w, ri.r_max),
+                  np.asarray(ri.ranges, dtype="<f4").tobytes())
 
 
 def load_range_image(path) -> RangeImage:
-    raw, (h, w, r_max) = _read_binary(path, MAGIC_RANGE, "<IIf")
+    raw, (h, w, r_max), off = _read_binary(path, MAGIC_RANGE)
     if not 0.0 < r_max < math.inf:
         raise ContractError(f"{path}: r_max must be finite and > 0, got {r_max!r}")
     n = h * w
-    if len(raw) != 16 + 4 * n:
+    if len(raw) != off + 4 * n:
         raise ContractError(f"{path}: size does not match {h}x{w} header")
-    ranges = np.frombuffer(raw, dtype="<f4", count=n, offset=16).reshape(h, w)
+    ranges = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(h, w)
     if not np.isfinite(ranges).all():
         raise ContractError(f"{path}: a range pixel is not finite")
     return RangeImage(ranges=ranges.astype(np.float64), r_max=float(r_max))
@@ -193,32 +219,28 @@ def check_db_ids(ids: Sequence[int]) -> None:
     """The ids an ``.omdb`` file can hold: unique, each in a u32 field."""
     if len(set(ids)) != len(ids):
         raise ContractError("descriptor ids must be unique")
-    if any(not 0 <= i <= 0xFFFFFFFF for i in ids):
-        raise ContractError("descriptor ids must fit in an unsigned 32-bit field")
+    bad = next((i for i in ids if not 0 <= i <= 0xFFFFFFFF), None)
+    if bad is not None:
+        raise ContractError(f"descriptor id {bad} does not fit in an unsigned 32-bit field")
 
 
 def save_descriptor_db(path, ids: Iterable[int], descriptors: np.ndarray) -> None:
     ids = list(ids)
     desc = np.asarray(descriptors, dtype="<f4")
     if desc.ndim != 2 or len(ids) != desc.shape[0]:
-        raise ContractError(
-            f"descriptor table {desc.shape} does not match {len(ids)} ids"
-        )
+        raise ContractError(f"descriptor table {desc.shape} does not match {len(ids)} ids")
     check_db_ids(ids)
     entries = np.empty(len(ids), dtype=_db_dtype(path, desc.shape[1]))
     entries["id"] = ids
     entries["v"] = desc
-    with open(path, "wb") as f:
-        f.write(MAGIC_DB)
-        f.write(struct.pack("<II", desc.shape[0], desc.shape[1]))
-        f.write(entries.tobytes())
+    _write_binary(path, MAGIC_DB, desc.shape, entries.tobytes())
 
 
 def load_descriptor_db(path) -> Tuple[List[int], np.ndarray]:
-    raw, (count, dim) = _read_binary(path, MAGIC_DB, "<II")
-    if len(raw) != 12 + count * (4 + 4 * dim):
+    raw, (count, dim), off = _read_binary(path, MAGIC_DB)
+    if len(raw) != off + count * (4 + 4 * dim):
         raise ContractError(f"{path}: size does not match {count}x{dim} header")
-    entries = np.frombuffer(raw, dtype=_db_dtype(path, dim), count=count, offset=12)
+    entries = np.frombuffer(raw, dtype=_db_dtype(path, dim), count=count, offset=off)
     return entries["id"].tolist(), _f64(entries["v"])
 
 
@@ -233,8 +255,7 @@ def save_scan(path, points: np.ndarray) -> None:
         raise ContractError(f"scan must be (N, 3) or (N, 4), got {pts.shape}")
     if pts.shape[1] == 3:
         pts = np.concatenate([pts, np.zeros((pts.shape[0], 1))], axis=1)
-    with open(path, "wb") as f:
-        f.write(pts.astype("<f4").tobytes())
+    _write(path, [pts.astype("<f4").tobytes()])
 
 
 def load_scan(path) -> np.ndarray:
@@ -247,12 +268,8 @@ def load_scan(path) -> np.ndarray:
 
 
 def save_poses(path, poses: Iterable[Pose]) -> None:
-    lines = []
-    for p in poses:
-        m = np.concatenate([p.rotation, p.translation[:, None]], axis=1)
-        lines.append(" ".join(repr(float(x)) for x in m.reshape(-1)))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(path, (" ".join(repr(float(x)) for x in np.concatenate(
+        [p.rotation, p.translation[:, None]], axis=1).reshape(-1)) for p in poses))
 
 
 def load_poses(path) -> List[Pose]:
@@ -272,9 +289,7 @@ def load_poses(path) -> List[Pose]:
 def save_labels(path, labels: Iterable[OverlapLabel]) -> None:
     """One line per label: integer ids and ``repr(float(overlap))``, so a
     numpy scalar is written as the Python number it holds."""
-    with open(path, "w") as f:
-        for q, c, o in labels:
-            f.write("%d %d %r\n" % (q, c, float(o)))
+    _write_text(path, ("%d %d %r" % (q, c, float(o)) for q, c, o in labels))
 
 
 def load_labels(path) -> List[OverlapLabel]:
@@ -294,9 +309,7 @@ def load_labels(path) -> List[OverlapLabel]:
 
 
 def save_place_ids(path, place_ids: Iterable[int]) -> None:
-    with open(path, "w") as f:
-        for i, pid in enumerate(place_ids):
-            f.write(f"{i} {pid}\n")
+    _write_text(path, (f"{i} {pid}" for i, pid in enumerate(place_ids)))
 
 
 def load_place_ids(path) -> List[int]:
@@ -339,9 +352,7 @@ def load_kv_pairs(path) -> List[Tuple[str, str]]:
 def save_kv(path, entries) -> None:
     """entries: a mapping or an iterable of (key, value) pairs."""
     pairs = entries.items() if hasattr(entries, "items") else entries
-    with open(path, "w") as f:
-        for key, val in pairs:
-            f.write(f"{key}={val}\n")
+    _write_text(path, (f"{key}={val}" for key, val in pairs))
 
 
 def _config_keys(cls):

@@ -28,6 +28,9 @@ import numpy as np
 from .errors import ConfigError, ContractError
 
 SENTINEL = -1.0
+# float32's normal range, as Python floats: a comparison with an f32 scalar
+# would cast the other side to f32 and warn on overflow
+_F32_MIN, _F32_MAX = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
 EPS_REL = 0.05  # overlap: |r_b - r_a| <= EPS_REL * r_a counts as the same return
 _RADII = {}  # id(cloud) -> (weak reference to the cloud, its radius): see `_radius`
 
@@ -57,8 +60,9 @@ class ProjectionConfig:
                 f"vertical field of view must be positive with each half in "
                 f"[0, pi/2], got up={self.f_up} down={self.f_down}"
             )
-        if not 0 < self.r_max < math.inf:
-            raise ConfigError(f"r_max must be finite and positive, got {self.r_max}")
+        if not _F32_MIN <= self.r_max <= _F32_MAX:  # a range image stores r_max as f32
+            raise ConfigError(f"r_max must be a normal float32, in [{_F32_MIN!r}, "
+                              f"{_F32_MAX!r}], got {self.r_max}")
 
     @property
     def f(self) -> float:

@@ -63,6 +63,8 @@ float maximum.
 
 Directions are converted to float64, and the argument assumes squares and
 products of the coordinates stay finite, which the `_HUGE` bounds ensure.
+`WorldSpec` keeps every place and sensor within `_HUGE` meters of the
+origin, so the exhaustive tests of a generated world stay finite too.
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ class WorldSpec:
             raise ConfigError(f"need at least 2 places, got {self.n_places}")
         if self.visits_per_place < 1:
             raise ConfigError(f"visits per place must be >= 1, got {self.visits_per_place}")
-        if not (0 <= self.yaw_jitter < math.inf and 0 <= self.translation_jitter < math.inf):
-            raise ConfigError("jitters must be finite and >= 0")
+        # a draw spans [-jitter, jitter], twice the jitter
+        if not (0 <= 2 * self.yaw_jitter < math.inf
+                and 0 <= 2 * self.translation_jitter < math.inf):
+            raise ConfigError("jitters must be >= 0 and finite when doubled")
         if self.n_obstacles < 1:
             raise ConfigError("a place needs at least one obstacle")
         self.projection_config()  # sensor validation
@@ -126,6 +130,13 @@ class WorldSpec:
             raise ConfigError(
                 f"place spacing {self.place_spacing} must be finite and exceed "
                 f"twice the range cap {self.r_max} so places stay mutually invisible"
+            )
+        # the caster squares coordinates: see the module docstring's end
+        extent = math.ceil(math.sqrt(self.n_places)) * self.place_spacing
+        if not extent + self.translation_jitter < _HUGE:
+            raise ConfigError(
+                f"place spacing {self.place_spacing} and translation jitter "
+                f"{self.translation_jitter} reach beyond {_HUGE:g} m of the origin"
             )
 
     def projection_config(self) -> ProjectionConfig:

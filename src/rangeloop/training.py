@@ -21,7 +21,6 @@ epoch log counts these clamped steps.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -267,8 +266,8 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
 
 
 def write_report(path, reports) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "mean_loss", "val_f1max"])
-        for r in reports:
-            w.writerow([r.epoch, repr(r.mean_loss), repr(r.val_f1max)])
+    """A CSV header, then one row per epoch; no field needs quoting, and a
+    row ends in "\r\n" as the `csv` module ends it."""
+    rows = [("epoch", "mean_loss", "val_f1max")]
+    rows += [(str(r.epoch), repr(r.mean_loss), repr(r.val_f1max)) for r in reports]
+    io._write_text(path, (",".join(row) + "\r" for row in rows))

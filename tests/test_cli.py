@@ -496,7 +496,7 @@ class TestMalformedInputs:
                      "--ranges", str(ranges), "--out", str(tmp_path / "db.omdb")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
-        assert "unsigned 32-bit" in err
+        assert "unsigned 32-bit" in err and "range_4294967296.omrv" in err
         assert not (tmp_path / "db.omdb").exists()
         assert forwards == []
 
@@ -668,6 +668,32 @@ class TestMalformedInputs:
         assert main(["synth", "--spec", str(spec),
                      "--out", str(tmp_path / "world")]) == 2
         self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("settings", [
+        {"r_max": "3.5e38", "place_spacing": "1e39"}, {"yaw_jitter": "1e308"},
+        {"translation_jitter": "1e308"}, {"translation_jitter": "1e300"},
+        {"place_spacing": "1e308"}], ids=lambda s: ",".join(f"{k}={v}" for k, v in s.items()))
+    def test_world_spec_beyond_float_range_is_2(self, tmp_path, capsys, settings):
+        # each once ended in a traceback, a numpy warning or a sensor.kv
+        # that `project` could not use
+        text = WORLD_KV
+        for key, value in settings.items():
+            text = _set_key(text, key, value)
+        spec = tmp_path / "world.kv"
+        spec.write_text(text)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "world")]) == 2
+        self._assert_one_line_error(capsys)
+        assert not (tmp_path / "world").exists()
+
+    def test_sensor_r_max_beyond_float32_project_is_2(self, workspace, tmp_path, capsys):
+        # the .omrv header stores r_max as f32
+        config = tmp_path / "sensor.kv"
+        config.write_text(_set_key((workspace / "world" / "sensor.kv").read_text(),
+                                   "r_max", "1e39"))
+        assert main(["project", "--scans", str(workspace / "world"),
+                     "--config", str(config), "--out", str(tmp_path / "ranges")]) == 2
+        self._assert_one_line_error(capsys)
+        assert not (tmp_path / "ranges").exists()
 
     def test_synth_into_used_directory_is_2(self, tmp_path, capsys):
         big, small = tmp_path / "big.kv", tmp_path / "small.kv"

@@ -147,6 +147,10 @@ class TestDescriptorDbFile:
         with pytest.raises(ContractError):
             io.save_descriptor_db(tmp_path / "d.omdb", [bad], np.zeros((1, 4)))
 
+    def test_refusal_names_the_first_id_outside_u32(self):
+        with pytest.raises(ContractError, match=r"^descriptor id 4294967296 does not fit"):
+            io.check_db_ids([7, 2**32, -1])
+
     def test_huge_dimension_in_header_rejected(self, tmp_path):
         path = tmp_path / "d.omdb"
         path.write_bytes(b"OMDB" + struct.pack("<II", 0, 0xFFFFFFFF))
@@ -231,6 +235,15 @@ class TestLabelFile:
                               OverlapLabel(2, 3, 0.1)])
         assert path.read_text() == "0 1 0.1\n2 3 0.1\n"
         assert io.load_labels(path) == [OverlapLabel(0, 1, 0.1), OverlapLabel(2, 3, 0.1)]
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_one_line_per_label_across_write_chunks(self, tmp_path, n):
+        # lines are written 1,024 to a chunk: no line is lost or doubled at
+        # a chunk's edge, and no labels write an empty file
+        labels = [OverlapLabel(i, i + 1, 1.0 / (i + 1)) for i in range(n)]
+        path = tmp_path / "labels.txt"
+        io.save_labels(path, labels)
+        assert path.read_text() == "".join("%d %d %r\n" % lab for lab in labels)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -409,6 +422,47 @@ class TestConfigCodec:
 def test_config_built_in_code_rejects_non_finite_float(cfg, field, value):
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, **{field: value})
+
+
+# --------------------------------------------------------------------------
+# every output is whole or absent
+
+
+def _labels_then_failure(n):
+    """n labels, then a failure part-way through the write."""
+    for i in range(n):
+        yield OverlapLabel(i, i + 1, 0.5)
+    raise RuntimeError("payload failed")
+
+
+class TestWholeOrAbsent:
+    def test_failed_write_leaves_no_file_and_no_temporary(self, tmp_path):
+        with pytest.raises(RuntimeError, match="payload failed"):
+            io.save_labels(tmp_path / "labels.txt", _labels_then_failure(1000))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        io.save_labels(path, [OverlapLabel(0, 1, 0.25)])
+        old = path.read_bytes()
+        with pytest.raises(RuntimeError, match="payload failed"):
+            io.save_labels(path, _labels_then_failure(1000))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.txt"]
+
+    @pytest.mark.parametrize("name", ["scan_0000.bin", "range_0000.omrv", "db.omdb"])
+    def test_temporary_matches_no_reader_pattern(self, tmp_path, name):
+        # `refuse_used_dir` globs *.bin and *.omrv, `cli._indexed_files`
+        # filters names by suffix: a temporary must match neither
+        seen = []
+
+        def chunks():
+            seen.extend(p.name for p in tmp_path.iterdir())
+            yield b"x"
+
+        io._write(tmp_path / name, chunks())
+        assert len(seen) == 1 and not seen[0].endswith((".bin", ".omrv", ".omdb"))
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,18 @@ class TestConfigValidation:
         with pytest.raises(errors.ConfigError):
             ProjectionConfig(w=900, h=64, f_up=0.4, f_down=0.4, r_max=0.0)
 
+    def test_range_cap_must_fit_a_float32(self):
+        # a range image's header stores r_max as f32: the cap lies in f32's
+        # normal range, whose ends are kept and whose neighbours are refused
+        # (1e-50 once wrote images whose header read back as r_max 0.0)
+        f32 = np.finfo(np.float32)
+        for r_max in (float(f32.tiny), float(f32.max)):
+            ProjectionConfig(w=900, h=64, f_up=0.4, f_down=0.4, r_max=r_max)
+        for r_max in (math.nextafter(float(f32.max), math.inf), 1e39,
+                      math.nextafter(float(f32.tiny), 0.0), 1e-50):
+            with pytest.raises(errors.ConfigError, match="float32"):
+                ProjectionConfig(w=900, h=64, f_up=0.4, f_down=0.4, r_max=r_max)
+
     def test_rejects_half_fov_above_half_pi(self):
         # a row past the zenith or nadir would project back onto another row
         for up, down in ((2.0, 0.3), (0.3, math.pi / 2 + 1e-12)):

@@ -33,6 +33,28 @@ class TestWorldSpec:
         with pytest.raises(ConfigError, match="pi/2"):
             sw.WorldSpec(f_up=2.0)
 
+    @pytest.mark.parametrize("key", ["yaw_jitter", "translation_jitter"])
+    def test_jitter_whose_span_overflows_rejected(self, key):
+        # a draw spans [-jitter, jitter]: twice the jitter must be finite
+        with pytest.raises(ConfigError, match="jitters"):
+            sw.WorldSpec(**{key: 1e308})
+        assert sw.WorldSpec(yaw_jitter=8.9e307).yaw_jitter == 8.9e307
+
+    @pytest.mark.parametrize("key, value", [("translation_jitter", 1e300),
+                                            ("place_spacing", 1e308),
+                                            ("place_spacing", 1e100)])
+    def test_world_beyond_huge_rejected(self, key, value):
+        # the caster squares coordinates; beyond _HUGE meters they overflow
+        with pytest.raises(ConfigError, match="of the origin"):
+            sw.WorldSpec(**{key: value})
+
+    def test_world_just_inside_huge_generates_quietly(self):
+        # 2 places in 2 columns: extent 2 * spacing + jitter stays below 1e100
+        spec = sw.WorldSpec(n_places=2, visits_per_place=1, h=4, w=16,
+                            place_spacing=4e99, translation_jitter=1e99)
+        world = sw.generate_world(spec)  # a RuntimeWarning fails the suite
+        assert len(world.scans) == 2
+
     def test_obstacle_ring_bound(self):
         # the ring's outer radius RING_MAX_FRAC * r_max may not fall below
         # RING_MIN: 8.1 m is rejected, 8.2 m and the default generate
