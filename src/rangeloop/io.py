@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ContractError
-from .rangeview import OverlapLabel, Pose, RangeImage
+from .rangeview import OverlapLabel, Pose, RangeImage, immutable
 from .tensor import Tensor
 
 MAGIC_CKPT = b"OMCK"
@@ -259,12 +259,12 @@ def save_scan(path, points: np.ndarray) -> None:
 
 
 def load_scan(path) -> np.ndarray:
+    """An (N, 4) float64 cloud, immutable (`rangeview.immutable`): edit a
+    ``.copy()``."""
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 4 != 0:
         raise ContractError(f"{path}: byte length is not a multiple of 16")
-    scan = _f64(raw.reshape(-1, 4))
-    scan.flags.writeable = False
-    return scan
+    return immutable(_f64(raw.reshape(-1, 4)))
 
 
 def save_poses(path, poses: Iterable[Pose]) -> None:

@@ -9,8 +9,8 @@ Overlap labelling is all-pairs, but on a trajectory almost every pair is two
 sensors too far apart to share a return.  `compute_overlap` settles those
 pairs from the sensor gap and the candidate cloud's radius alone, returning
 the exact 0.0 the reprojection would, and reprojects only the rest.  The
-radius costs three column passes over a writeable cloud on every call, and
-over a read-only one, as the package returns, only the first time.
+radius costs three column passes over a cloud on every call, and over an
+immutable one (`immutable`), as the package returns, only the first time.
 `label_pairs` runs the same test for all pairs as array expressions
 (`pairs_in_reach`) and labels the overlapping ones of the pairs left uncut.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -94,18 +94,28 @@ class RangeImage:
         return (x / self.r_max)[None, :, :]
 
 
+def immutable(a) -> np.ndarray:
+    """A float64 copy of ``a`` over a `bytes` buffer.  Python cannot change
+    a `bytes` object, and numpy refuses to make this array, or any view of
+    it, writeable; edit a ``.copy()``."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.frombuffer(a.tobytes(), dtype=np.float64).reshape(a.shape)
+
+
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform from sensor frame to world frame."""
+    """Rigid transform from sensor frame to world frame.  It holds immutable
+    copies (`immutable`) of the arrays it is given, and its translation once
+    more as Python floats, ``xyz``, with their norm ``norm``."""
 
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
+    xyz: tuple = field(init=False, repr=False, compare=False)
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64)
         t = np.asarray(self.translation, dtype=np.float64)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ContractError(
                 f"pose needs a 3x3 rotation and 3-vector, got {r.shape} and {t.shape}"
@@ -117,6 +127,11 @@ class Pose:
             raise ContractError("pose rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ContractError("pose rotation is not proper (det != +1)")
+        xyz = tuple(t.tolist())
+        object.__setattr__(self, "rotation", immutable(r))
+        object.__setattr__(self, "translation", immutable(t))
+        object.__setattr__(self, "xyz", xyz)
+        object.__setattr__(self, "norm", math.hypot(*xyz))
 
     def to_world(self, points: np.ndarray) -> np.ndarray:
         return points[:, :3] @ self.rotation.T + self.translation
@@ -174,19 +189,40 @@ def project_points(points: np.ndarray, cfg: ProjectionConfig):
         z = np.zeros(0)
         return z.astype(int), z.astype(int), z, z.astype(bool)
     x, y, zc = pts[:, 0], pts[:, 1], pts[:, 2]
-    r = np.sqrt(x * x + y * y + zc * zc)
-    hit = (r > 0.0) & (r <= cfg.r_max)
-    # a miss is read as the forward ray (1, 0, 0); hits keep their values
-    x, y, zc = np.where(hit, x, 1.0), np.where(hit, y, 0.0), np.where(hit, zc, 0.0)
-    safe_r = np.where(hit, r, 1.0)
+    r = x * x
+    r += y * y
+    r += zc * zc
+    np.sqrt(r, out=r)
+    hit = r > 0.0
+    hit &= r <= cfg.r_max
+    safe_r = r
+    if not hit.all():
+        # a miss is read as the forward ray (1, 0, 0); hits keep their values
+        x, y, zc = np.where(hit, x, 1.0), np.where(hit, y, 0.0), np.where(hit, zc, 0.0)
+        safe_r = np.where(hit, r, 1.0)
 
-    u = np.floor(0.5 * (1.0 - np.arctan2(y, x) / np.pi) * cfg.w).astype(np.int64)
+    # arctan2 lies in [-pi, pi], so the column lies in [0, w]: only -pi, the
+    # seam seen from below, reaches w, and it wraps to column 0 as +pi does
+    col = np.arctan2(y, x)
+    col /= np.pi
+    np.subtract(1.0, col, out=col)
+    col *= 0.5
+    col *= cfg.w
+    u = np.floor(col, out=col).astype(np.int64)
     u[u == cfg.w] = 0
-    u = np.clip(u, 0, cfg.w - 1)
 
-    pitch = np.arcsin(np.clip(zc / safe_r, -1.0, 1.0))
-    v = np.floor((1.0 - (pitch + cfg.f_up) / cfg.f) * cfg.h).astype(np.int64)
-    valid = hit & (v >= 0) & (v < cfg.h)
+    sin = zc / safe_r  # past +-1 where z * z is subnormal and r rounds below |z|
+    np.maximum(sin, -1.0, out=sin)
+    np.minimum(sin, 1.0, out=sin)
+    pitch = np.arcsin(sin, out=sin)
+    pitch += cfg.f_up
+    pitch /= cfg.f
+    np.subtract(1.0, pitch, out=pitch)
+    pitch *= cfg.h
+    v = np.floor(pitch, out=pitch).astype(np.int64)
+    valid = v >= 0
+    valid &= v < cfg.h
+    valid &= hit
     return u, v, r, valid
 
 
@@ -194,8 +230,10 @@ def build_range_image(points: np.ndarray, cfg: ProjectionConfig) -> RangeImage:
     """Project a cloud; pixel collisions keep the smallest range."""
     img = np.full((cfg.h, cfg.w), np.inf)
     u, v, r, valid = project_points(points, cfg)
-    np.minimum.at(img, (v[valid], u[valid]), r[valid])
-    img[~np.isfinite(img)] = SENTINEL
+    v *= cfg.w
+    v += u  # the flat pixel index
+    np.minimum.at(img.reshape(-1), v[valid], r[valid])
+    img[img == np.inf] = SENTINEL
     return RangeImage(ranges=img, r_max=cfg.r_max, config=cfg)
 
 
@@ -209,23 +247,23 @@ def _cloud(points) -> np.ndarray:
 
 def _radius(pts: np.ndarray) -> float:
     """max ||p[:3]|| over a non-empty cloud, from three column passes; NaN
-    or inf when any coordinate is.  When no writeable array reaches the
-    cloud's memory (the cloud and each ``.base`` up its chain are read-only
-    arrays, the last owning its data), the radius is kept in `_RADII` until
-    the cloud dies, and read back while that holds and the entry's weak
-    reference names this cloud.  Any other cloud is measured every call."""
-    a, key = pts, id(pts)
-    while isinstance(a, np.ndarray) and not a.flags.writeable and a.base is not None:
-        a = a.base
-    sealed = isinstance(a, np.ndarray) and not a.flags.writeable
-    kept = sealed and _RADII.get(key)
-    if kept and kept[0]() is pts:
+    or inf when any coordinate is.  The radius of a cloud whose ``.base``
+    chain ends in a `bytes` object, as `immutable` makes, cannot change: it
+    is kept in `_RADII` until the cloud dies, and read back while the
+    entry's weak reference names this cloud.  Any other cloud is measured
+    every call."""
+    key = id(pts)
+    kept = _RADII.get(key)
+    if kept is not None and kept[0]() is pts:
         return kept[1]
     sq = np.square(pts[:, 0])
     sq += np.square(pts[:, 1])
     sq += np.square(pts[:, 2])
     radius = math.sqrt(sq.max())
-    if sealed:
+    owner = pts
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if isinstance(owner, bytes):
         _RADII[key] = (weakref.ref(pts, lambda _: _RADII.pop(key, None)), radius)
     return radius
 
@@ -305,22 +343,23 @@ def compute_overlap(
     pts = _cloud(points_b)
     if pts.size == 0:
         return 0.0
-    t_a, t_b = pose_a.translation.tolist(), pose_b.translation.tolist()
-    if _out_of_reach(math.dist(t_a, t_b), _radius(pts), cfg.r_max,
-                     math.hypot(*t_a), math.hypot(*t_b)):
+    if _out_of_reach(math.dist(pose_a.xyz, pose_b.xyz), _radius(pts), cfg.r_max,
+                     pose_a.norm, pose_b.norm):
         return 0.0
     valid_a = ri_a.valid
-    n_valid = int(valid_a.sum())
+    n_valid = np.count_nonzero(valid_a)
     if n_valid == 0:
         return 0.0
     # an inf coordinate meets inf * 0 in the products; the projection drops
     # that row, so the invalid-value warning would be noise
     with np.errstate(invalid="ignore"):
         local_a = pose_a.to_local(pose_b.to_world(pts))
-    proj = build_range_image(local_a, cfg)
-    close = np.abs(proj.ranges - ri_a.ranges) <= EPS_REL * ri_a.ranges
-    agree = valid_a & proj.valid & close
-    return float(agree.sum()) / n_valid
+    ranges_b = build_range_image(local_a, cfg).ranges
+    gap = ranges_b - ri_a.ranges
+    agree = np.abs(gap, out=gap) <= EPS_REL * ri_a.ranges
+    agree &= valid_a
+    agree &= ranges_b > 0.0
+    return np.count_nonzero(agree) / n_valid
 
 
 def pairs_in_reach(images, poses, scans):

@@ -78,7 +78,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError
-from .rangeview import Pose, ProjectionConfig
+from .rangeview import Pose, ProjectionConfig, immutable
 
 # obstacle centres lie on a ring around each place centre, from RING_MIN
 # meters out to RING_MAX_FRAC of the range cap
@@ -444,13 +444,13 @@ def visit_pose(spec: WorldSpec, place: Place, rng: np.random.Generator) -> Pose:
 def _points(dirs: np.ndarray, t: np.ndarray, r_max: float) -> List[np.ndarray]:
     """One (k, 4) sensor-frame cloud, zero intensity, per row of ``t``,
     (V, n): the rays with a hit distance in (0, r_max], in ray order.  The
-    clouds are read-only consecutive row blocks of one read-only array."""
+    clouds are consecutive row blocks of one immutable array
+    (`rangeview.immutable`)."""
     hit = np.isfinite(t) & (t <= r_max)
     flat = np.flatnonzero(hit)
     pts = np.zeros((flat.size, 4))
     pts[:, :3] = np.take(dirs, flat % t.shape[1], axis=0) * t.ravel()[flat, None]
-    pts.flags.writeable = False
-    return np.split(pts, np.cumsum(hit.sum(axis=1))[:-1])
+    return np.split(immutable(pts), np.cumsum(hit.sum(axis=1))[:-1])
 
 
 def render_scan(spec: WorldSpec, place: Place, pose: Pose,

@@ -177,7 +177,8 @@ class TestScanFile:
         path = tmp_path / "scan.bin"
         io.save_scan(path, np.ones((3, 4)))
         scan = io.load_scan(path)
-        assert scan.flags.owndata
+        with pytest.raises(ValueError):
+            scan.flags.writeable = True
         with pytest.raises(ValueError, match="read-only"):
             scan[0, 0] = 2.0
 

@@ -96,6 +96,75 @@ class TestProjectPoint:
         np.testing.assert_array_equal(r[keep], wr)
 
 
+def _project_points_reference(points, cfg):
+    """`project_points` as it read before its passes were fused: every mask
+    applied, u clamped, the pitch clipped with `np.clip`."""
+    pts = np.asarray(points, dtype=np.float64)
+    x, y, zc = pts[:, 0], pts[:, 1], pts[:, 2]
+    r = np.sqrt(x * x + y * y + zc * zc)
+    hit = (r > 0.0) & (r <= cfg.r_max)
+    x, y, zc = np.where(hit, x, 1.0), np.where(hit, y, 0.0), np.where(hit, zc, 0.0)
+    safe_r = np.where(hit, r, 1.0)
+    u = np.floor(0.5 * (1.0 - np.arctan2(y, x) / np.pi) * cfg.w).astype(np.int64)
+    u[u == cfg.w] = 0
+    u = np.clip(u, 0, cfg.w - 1)
+    pitch = np.arcsin(np.clip(zc / safe_r, -1.0, 1.0))
+    v = np.floor((1.0 - (pitch + cfg.f_up) / cfg.f) * cfg.h).astype(np.int64)
+    valid = hit & (v >= 0) & (v < cfg.h)
+    return u, v, r, valid
+
+
+class TestProjectionPinned:
+    """`project_points` returns the reference's (u, v, r, valid) bit for bit,
+    on both sides of its all-hit shortcut."""
+
+    @staticmethod
+    def _assert_pinned(points, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project_points(points, cfg)
+        with np.errstate(invalid="ignore"):
+            want = _project_points_reference(points, cfg)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        return got
+
+    @pytest.mark.parametrize("fov", [np.radians(45.0), math.pi])
+    def test_all_hit_cloud(self, fov):
+        cfg = default_cfg(fov=fov)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-28.0, 28.0, size=(5000, 4))
+        assert self._assert_pinned(pts, cfg)[3].any()
+        r = np.sqrt(np.square(pts[:, :3]).sum(axis=1))
+        assert ((r > 0.0) & (r <= cfg.r_max)).all()
+
+    def test_cloud_with_misses_nan_and_inf_rows(self):
+        cfg = default_cfg()
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-60.0, 60.0, size=(5000, 3))
+        pts[::97] = 0.0
+        pts[1::89, 0] = np.nan
+        pts[2::83, 1] = np.inf
+        pts[3::79, 2] = -np.inf
+        u, v, r, valid = self._assert_pinned(pts, cfg)
+        assert valid.any() and not valid.all()
+
+    def test_seam_points_land_in_column_zero(self):
+        cfg = default_cfg()
+        seam = np.array([[-10.0, 0.0, 0.0], [-10.0, -0.0, 0.0]])
+        assert np.arctan2(seam[:, 1], seam[:, 0]).tolist() == [math.pi, -math.pi]
+        u, _, _, valid = self._assert_pinned(seam, cfg)
+        assert valid.all() and u.tolist() == [0, 0]
+
+    def test_pitch_ratio_rounding_past_one(self):
+        # z * z is subnormal, so r = sqrt(z * z) rounds below |z|
+        pts = np.array([[0.0, 0.0, 1e-160], [0.0, 0.0, -1e-160], [10.0, 0.0, 0.0]])
+        r = np.sqrt(np.square(pts).sum(axis=1))
+        assert (np.abs(pts[:2, 2]) / r[:2] > 1.0).all()
+        for fov in (np.radians(45.0), math.pi):
+            self._assert_pinned(pts, default_cfg(fov=fov))
+
+
 class TestConfigValidation:
     def test_rejects_tiny_image(self):
         with pytest.raises(errors.ConfigError):
@@ -223,6 +292,24 @@ class TestPose:
         pts = rng.standard_normal((50, 3))
         back = pose.to_local(pose.to_world(pts))
         np.testing.assert_allclose(back, pts, atol=1e-12)
+
+    def test_pose_owns_its_arrays(self):
+        rotation, translation = _rot_z(0.4), np.array([1.0, -2.0, 0.5])
+        pose = Pose(rotation=rotation, translation=translation)
+        want = pose.rotation.copy(), pose.translation.copy()
+        rotation[:] = np.eye(3)
+        translation[:] = 7.0
+        assert pose.rotation.tobytes() == want[0].tobytes()
+        assert pose.translation.tobytes() == want[1].tobytes()
+        assert pose.xyz == (1.0, -2.0, 0.5) and pose.norm == math.hypot(1.0, -2.0, 0.5)
+
+    def test_pose_arrays_cannot_be_made_writeable(self):
+        pose = Pose(rotation=np.eye(3), translation=np.array([1.0, 2.0, 3.0]))
+        for array in (pose.rotation, pose.translation, pose.translation[1:]):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestComputeOverlap:
@@ -566,16 +653,10 @@ def test_label_pairs_malformed_cloud_is_contract_error(bad, at):
         rangeview.label_pairs(images, poses, scans, range(len(scans)))
 
 
-def _read_only(points):
-    """A copy of ``points`` that owns its data and is read-only."""
-    cloud = np.array(points, dtype=np.float64)
-    cloud.flags.writeable = False
-    return cloud
-
-
 class TestRadiusMemo:
-    """`_radius` keeps the radius of a read-only cloud that owns its memory,
-    or views a read-only owner, and measures every other cloud afresh."""
+    """`_radius` keeps the radius of a cloud over a `bytes` buffer
+    (`rangeview.immutable`), or of a view of one, and measures every other
+    cloud afresh, read-only or not."""
 
     @staticmethod
     def _near_b():
@@ -612,27 +693,48 @@ class TestRadiusMemo:
         assert got == want > 0.0
 
     def test_owner_made_writeable_again_is_measured_afresh(self):
+        # numpy lets a read-only owner be made writeable again, so neither
+        # it nor its views are remembered
         cfg, ri_a, pose_a, pts_b, pose_b, owner = self._near_b()
         owner.flags.writeable = False
         view = owner[1:]
         assert compute_overlap(ri_a, pose_a, view, pose_b) == 0.0
-        assert id(view) in rangeview._RADII
+        assert id(view) not in rangeview._RADII
         owner.flags.writeable = True
         owner[1] = pts_b[200]
         got, want = self._reach_a(cfg, ri_a, pose_a, pts_b, pose_b, view)
         assert got == want > 0.0
 
+    def test_owner_edited_and_made_read_only_again_overlaps_as_the_oracle_says(self):
+        # the cloud moves from around b's sensor onto the wall a sees: a
+        # radius kept from before the edit would cull the pair to 0.0
+        cfg, ri_a, pose_a, pts_b, pose_b = TestRangeGapCull._wall_pair()
+        owner = np.full(pts_b.shape, 0.5)
+        owner.flags.writeable = False
+        assert compute_overlap(ri_a, pose_a, owner, pose_b) == 0.0
+        owner.flags.writeable = True
+        owner[:] = pts_b
+        owner.flags.writeable = False
+        got, want = self._reach_a(cfg, ri_a, pose_a, pts_b, pose_b, owner)
+        assert got == want == 1.0
+
+    def test_immutable_cloud_and_its_views_cannot_be_made_writeable(self):
+        cloud = rangeview.immutable(np.arange(12.0).reshape(4, 3))
+        for array in (cloud, cloud[1:], cloud.base):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
     def test_view_of_a_read_only_owner_is_remembered(self):
-        owner = _read_only(np.arange(12.0).reshape(4, 3))
+        owner = rangeview.immutable(np.arange(12.0).reshape(4, 3))
         view = owner[1:]
-        assert not view.flags.owndata
+        assert not view.flags.owndata and not view.flags.writeable
         rangeview._radius(view)
         assert rangeview._RADII[id(view)][0]() is view
 
     def test_hit_returns_the_three_pass_float(self):
         rng = np.random.default_rng(3)
         points = rng.standard_normal((1000, 4)) * rng.uniform(1e-3, 1e3, size=(1000, 1))
-        cloud = _read_only(points)
+        cloud = rangeview.immutable(points)
         measured = rangeview._radius(points.copy())
         assert rangeview._radius(cloud) == measured
         ref, kept = rangeview._RADII[id(cloud)]
@@ -643,7 +745,8 @@ class TestRadiusMemo:
         assert rangeview._radius(cloud) == measured
 
     def test_entry_naming_another_cloud_is_not_read(self):
-        cloud, other = _read_only(np.ones((2, 3))), _read_only(np.zeros((2, 3)))
+        cloud = rangeview.immutable(np.ones((2, 3)))
+        other = rangeview.immutable(np.zeros((2, 3)))
         rangeview._RADII[id(cloud)] = (weakref.ref(other), -1.0)
         assert rangeview._radius(cloud) == math.sqrt(3.0)
         assert rangeview._RADII[id(cloud)][0]() is cloud
@@ -672,7 +775,7 @@ class TestRadiusMemo:
         cfg, ri_a, pose_a, pts_b, pose_b, near = self._near_b()
         points = np.concatenate([near, [[bad, 0.0, 0.0]]])
         want = compute_overlap(ri_a, pose_a, points, pose_b)
-        cloud = _read_only(points)
+        cloud = rangeview.immutable(points)
         calls = TestRangeGapCull._count_reprojections(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -682,7 +785,7 @@ class TestRadiusMemo:
 
     def test_empty_read_only_cloud_overlaps_nothing_and_is_not_kept(self):
         ri_a = TestRangeGapCull._wall_pair()[1]
-        cloud = _read_only(np.zeros((0, 4)))
+        cloud = rangeview.immutable(np.zeros((0, 4)))
         assert compute_overlap(ri_a, identity_pose(), cloud, identity_pose()) == 0.0
         assert id(cloud) not in rangeview._RADII
 
@@ -692,7 +795,7 @@ class TestRadiusMemo:
     sw.WorldSpec(seed=11, visits_per_place=3),
 ], ids=["label_world", "seed11"])
 def test_read_only_clouds_label_as_writeable_copies(tmp_path, spec):
-    # generated clouds are read-only, so their radii are kept; writeable
+    # generated clouds are immutable, so their radii are kept; writeable
     # copies are measured on every call: the label files agree byte for byte
     world = sw.generate_world(spec)
     cfg = spec.projection_config()

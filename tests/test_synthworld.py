@@ -317,14 +317,17 @@ class TestWorldGeneration:
 
 
 class TestReadOnlyClouds:
-    """Generated clouds are read-only views of a read-only owner, so
-    `rangeview._radius` measures each of them once."""
+    """Generated clouds are views of one immutable array
+    (`rangeview.immutable`), so `rangeview._radius` measures each of them
+    once."""
 
     @staticmethod
     def _assert_read_only(scan):
         for array in (scan, scan.base):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
         rvw._radius(scan)
         assert rvw._RADII[id(scan)][0]() is scan
 
