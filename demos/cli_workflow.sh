@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full command-line workflow against a synthetic world, start to finish:
-# generate scans, project, label, train, embed, search, evaluate, selfcheck.
+# generate scans, project, label, train, embed, search, evaluate both
+# protocols, selfcheck, bench.
 # Needs the package installed (pip install -e . --no-build-isolation).
 set -e
 
@@ -56,5 +57,15 @@ EOF
 rangeloop eval-loop --db "$WORK/db.omdb" --poses "$WORK/world/poses.txt" \
     --labels "$WORK/labels.txt" --protocol "$WORK/protocol.kv"
 
+# the trajectory as both sessions of the cross-session protocol
+cat > "$WORK/place.kv" <<EOF
+kind=place_recognition
+distance_threshold=10.0
+EOF
+rangeloop eval-place --db "$WORK/db.omdb" --query-db "$WORK/db.omdb" \
+    --poses-a "$WORK/world/poses.txt" --poses-b "$WORK/world/poses.txt" \
+    --protocol "$WORK/place.kv"
+
 rangeloop selfcheck
+rangeloop bench --ckpt "$WORK/ckpt/final.omck" --reps 1
 echo "workflow complete; artifacts in $WORK"

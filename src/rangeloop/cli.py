@@ -12,7 +12,6 @@ input detected during processing.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -74,12 +73,6 @@ def _model_config_near(ckpt: str, explicit: str | None) -> pl.ModelConfig:
             "next to the checkpoint"
         )
     return _load_config(pl.ModelConfig, path)
-
-
-def _csv_out(rows) -> None:
-    w = csv.writer(sys.stdout)
-    for row in rows:
-        w.writerow(row)
 
 
 # --------------------------------------------------------------------------
@@ -163,11 +156,10 @@ def cmd_search(args) -> int:
     queries = rt.DescriptorDb.load(args.query)
     if queries.dim != db.dim:
         raise ContractError(f"query dim {queries.dim} != database dim {db.dim}")
-    rows = [("query_id", "rank", "candidate_id", "distance")]
-    for qid, hits in zip(queries.ids, rt.db_search_all(db, queries.descriptors, args.k)):
-        for rank, (cid, dist) in enumerate(hits, start=1):
-            rows.append((qid, rank, cid, repr(dist)))
-    _csv_out(rows)
+    rows = ((qid, rank, cid, dist)
+            for qid, hits in zip(queries.ids, rt.db_search_all(db, queries.descriptors, args.k))
+            for rank, (cid, dist) in enumerate(hits, start=1))
+    sys.stdout.write(io.report_text(("query_id", "rank", "candidate_id", "distance"), rows))
     return 0
 
 
@@ -181,7 +173,7 @@ def cmd_eval_loop(args) -> int:
     if protocol.kind != "loop_closure":
         raise ContractError(f"protocol kind {protocol.kind!r} is not loop_closure")
     report = rt.eval_loop_closure(db, labels, protocol)
-    _csv_out([("metric", "value"), *report.rows()])
+    sys.stdout.write(io.report_text(("metric", "value"), report.rows()))
     return 0
 
 
@@ -201,7 +193,7 @@ def cmd_eval_place(args) -> int:
             f"protocol kind {protocol.kind!r} is not place_recognition"
         )
     report = rt.eval_place_recognition(db, query_db, pos_a, pos_b, protocol)
-    _csv_out([("metric", "value"), *report.rows()])
+    sys.stdout.write(io.report_text(("metric", "value"), report.rows()))
     return 0
 
 
@@ -217,7 +209,7 @@ def cmd_bench(args) -> int:
     cfg = _model_config_near(args.ckpt, args.config)
     params = pl.load_model(args.ckpt, cfg)
     rows = rt.bench(params, cfg, reps=args.reps)
-    sys.stdout.write(rt.bench_to_csv(rows))
+    sys.stdout.write(io.report_text(rt.BenchRow, rows))
     return 0
 
 

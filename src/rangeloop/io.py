@@ -27,7 +27,6 @@ lines that start with "#":
   direction no line names takes the first overlap given for its reverse.
   A pair that no line names has overlap 0.0.  `rangeview.overlap_table` is
   this rule, for training and evaluation.
-* place ids: lines "index place_id", the indices exactly 0..n-1, any order.
 * configs: "key=value" lines.  One codec serves every config dataclass
   (sensor geometry, world spec, model and training schedule, evaluation
   protocol): its keys and value types are the dataclass fields, so a new
@@ -35,6 +34,11 @@ lines that start with "#":
   except a tuple field's (``stage``), which takes one comma-separated tuple
   per line; unknown keys, repeated keys, values that do not parse and
   non-finite floats are contract violations.
+
+Reports (the training report, and what ``search``, ``eval-loop``,
+``eval-place`` and ``bench`` print) are CSV text written by `report_text`
+and read by no code here: comma-separated cells, each row ended by "\r\n",
+a float as ``repr(float(x))`` so that it reads back to the same double.
 """
 
 from __future__ import annotations
@@ -308,28 +312,6 @@ def load_labels(path) -> List[OverlapLabel]:
     return labels
 
 
-def save_place_ids(path, place_ids: Iterable[int]) -> None:
-    _write_text(path, (f"{i} {pid}" for i, pid in enumerate(place_ids)))
-
-
-def load_place_ids(path) -> List[int]:
-    """Place ids in index order; the indices must be exactly 0..n-1."""
-    places = {}
-    for ln, line in _lines(_read_text(path)):
-        try:
-            idx, pid = (int(t) for t in line.split())
-        except ValueError as exc:
-            raise ContractError(f"{path}:{ln}: expected 'index place_id': {exc}") from None
-        if idx in places:
-            raise ContractError(f"{path}:{ln}: index {idx} is repeated")
-        places[idx] = pid
-    missing = next((i for i in range(len(places)) if i not in places), None)
-    if missing is not None:
-        raise ContractError(f"{path}: index {missing} is missing (indices must be "
-                            f"0..{len(places) - 1})")
-    return [places[i] for i in range(len(places))]
-
-
 # --------------------------------------------------------------------------
 # key=value configs
 
@@ -413,3 +395,29 @@ def config_pairs(cfg) -> List[Tuple[str, str]]:
         else:
             out.append((key, str(value)))
     return out
+
+
+# --------------------------------------------------------------------------
+# CSV reports
+
+
+def report_cell(x) -> str:
+    """A report cell: a bool as 0 or 1, a float as ``repr(float(x))``, so a
+    numpy float64 is written as the Python number it holds, anything else
+    as ``str``."""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, float):
+        return repr(float(x))
+    return str(x)
+
+
+def report_text(header, rows) -> str:
+    """A CSV report: ``header``, then ``rows``, each row's cells through
+    `report_cell`, joined by "," and ended by "\r\n"; no report cell needs
+    quoting.  A dataclass as ``header`` gives its field names, and each of
+    ``rows`` is then one of its instances."""
+    if dataclasses.is_dataclass(header):
+        names = [f.name for f in dataclasses.fields(header)]
+        header, rows = names, ([getattr(r, name) for name in names] for r in rows)
+    return "".join(",".join(map(report_cell, row)) + "\r\n" for row in (header, *rows))

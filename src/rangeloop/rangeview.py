@@ -102,16 +102,17 @@ def immutable(a) -> np.ndarray:
     return np.frombuffer(a.tobytes(), dtype=np.float64).reshape(a.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid transform from sensor frame to world frame.  It holds immutable
     copies (`immutable`) of the arrays it is given, and its translation once
-    more as Python floats, ``xyz``, with their norm ``norm``."""
+    more as Python floats, ``xyz``, with their norm ``norm``.  Poses compare
+    and hash by identity: arrays have no truth value to compare by."""
 
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
-    xyz: tuple = field(init=False, repr=False, compare=False)
-    norm: float = field(init=False, repr=False, compare=False)
+    xyz: tuple = field(init=False, repr=False)
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64)
@@ -164,15 +165,6 @@ class TrainingTuple:
             )
         if self.query in self.positives or self.query in self.negatives:
             raise ContractError(f"query {self.query} appears among its own candidates")
-
-
-def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate a cloud about the sensor's vertical axis (counterclockwise)."""
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    out = points.copy()
-    out[:, :3] = points[:, :3] @ rot.T
-    return out
 
 
 def project_points(points: np.ndarray, cfg: ProjectionConfig):

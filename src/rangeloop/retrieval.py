@@ -18,8 +18,6 @@ database session, scored by pose distance).
 from __future__ import annotations
 
 import contextlib
-import csv
-import io as _stdio
 import math
 import time
 from dataclasses import dataclass, fields
@@ -372,14 +370,15 @@ class EvalProtocol:
 
 class _Report:
     """The CSV rows of a report dataclass: one (name, value) per field, in
-    field order, with float fields through ``_fmt`` and int fields as they
-    are."""
+    field order, with float fields as `io.report_cell` writes a float and
+    int fields as they are."""
 
     def rows(self):
         # this module's annotations are strings (``from __future__ import
         # annotations``), so a float field's type reads "float"
         values = ((f, getattr(self, f.name)) for f in fields(self))
-        return [(f.name, _fmt(v) if f.type in (float, "float") else v) for f, v in values]
+        return [(f.name, io.report_cell(float(v)) if f.type in (float, "float") else v)
+                for f, v in values]
 
 
 @dataclass(frozen=True)
@@ -392,10 +391,6 @@ class LoopClosureReport(_Report):
     recall1: float
     recall1pct: float
     excluded: int  # scored queries with no true loop (excluded from recalls)
-
-
-def _fmt(x: float) -> str:
-    return "nan" if isinstance(x, float) and math.isnan(x) else repr(float(x))
 
 
 def eval_loop_closure(db: DescriptorDb, overlaps,
@@ -496,7 +491,8 @@ def eval_place_recognition(db: DescriptorDb, query_db: DescriptorDb,
             f"{query_positions.shape[0]} query positions for {len(query_db)} descriptors"
         )
     if protocol.db_step > 1:  # the sampled rows, searched as a database of their own
-        rows = np.arange(0, len(db), protocol.db_step)
+        # a range: np.arange makes a float array of a step past the int64 range
+        rows = range(0, len(db), protocol.db_step)
         db = DescriptorDb._adopting(db._id_array[rows].tolist(), db.descriptors[rows])
         db_positions = db_positions[rows]
     q_rows = range(0, len(query_db), protocol.query_step)
@@ -606,15 +602,3 @@ def bench(params, model_cfg, reps: int = 10, db_size: int = 1000,
         rows.append(_timing_row(f"{name}_m{scan_len}", _time(run, reps)))
     return rows
 
-
-BENCH_HEADER = ["name", "mean_s", "median_s", "p95_s", "reps", "low_confidence"]
-
-
-def bench_to_csv(rows: List[BenchRow]) -> str:
-    buf = _stdio.StringIO()
-    w = csv.writer(buf)
-    w.writerow(BENCH_HEADER)
-    for r in rows:
-        w.writerow([r.name, repr(r.mean_s), repr(r.median_s), repr(r.p95_s),
-                    r.reps, int(r.low_confidence)])
-    return buf.getvalue()

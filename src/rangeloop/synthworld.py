@@ -453,13 +453,11 @@ def _points(dirs: np.ndarray, t: np.ndarray, r_max: float) -> List[np.ndarray]:
     return np.split(immutable(pts), np.cumsum(hit.sum(axis=1))[:-1])
 
 
-def render_scan(spec: WorldSpec, place: Place, pose: Pose,
-                dirs: np.ndarray = None) -> np.ndarray:
+def render_scan(spec: WorldSpec, place: Place, pose: Pose) -> np.ndarray:
     """Ray-cast one scan: (n, 4) hit points in the sensor frame, zero
     intensity.  Ranges of returned points are in (0, r_max]."""
     cfg = spec.projection_config()
-    if dirs is None:
-        dirs = beam_directions(cfg)
+    dirs = beam_directions(cfg)
     t = cast_rays(pose.translation, dirs @ pose.rotation.T, place.obstacles)
     return _points(dirs, t[None], cfg.r_max)[0]
 
@@ -492,7 +490,7 @@ def generate_world(spec: WorldSpec) -> WorldData:
 
 
 def save_world(out_dir, world: WorldData) -> None:
-    """scan_%04d.bin raw clouds, poses.txt, places.txt under out_dir.  A
+    """scan_%04d.bin raw clouds and poses.txt under out_dir.  A
     directory that already holds *.bin files is refused before anything is
     written: `rangeloop project` would read them as scans of this world."""
     io.refuse_used_dir(out_dir, "*.bin")
@@ -500,4 +498,3 @@ def save_world(out_dir, world: WorldData) -> None:
     for i, scan in enumerate(world.scans):
         io.save_scan(os.path.join(out_dir, f"scan_{i:04d}.bin"), scan)
     io.save_poses(os.path.join(out_dir, "poses.txt"), world.poses)
-    io.save_place_ids(os.path.join(out_dir, "places.txt"), world.place_ids)

@@ -261,13 +261,6 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
         if max_steps and steps >= max_steps:
             break
     io.save_checkpoint(os.path.join(out_dir, "final.omck"), params)
-    write_report(os.path.join(out_dir, "report.csv"), reports)
+    io._write(os.path.join(out_dir, "report.csv"),
+              [io.report_text(EpochReport, reports).encode()])
     return reports
-
-
-def write_report(path, reports) -> None:
-    """A CSV header, then one row per epoch; no field needs quoting, and a
-    row ends in "\r\n" as the `csv` module ends it."""
-    rows = [("epoch", "mean_loss", "val_f1max")]
-    rows += [(str(r.epoch), repr(r.mean_loss), repr(r.val_f1max)) for r in reports]
-    io._write_text(path, (",".join(row) + "\r" for row in rows))

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import dataclasses
 import io as stdio
 import os
 import resource
@@ -15,6 +16,7 @@ import pytest
 
 from rangeloop import io
 from rangeloop import pipeline as pl
+from rangeloop import retrieval as rt
 from rangeloop.cli import main
 from rangeloop.rangeview import (OverlapLabel, ProjectionConfig, RangeImage,
                                  build_range_image, compute_overlap, overlap_table)
@@ -99,8 +101,7 @@ def _pair_loop_labels(workspace):
 class TestWorkflow:
     def test_synth_outputs(self, workspace):
         names = {p.name for p in (workspace / "world").iterdir()}
-        assert {"poses.txt", "places.txt", "sensor.kv",
-                "scan_0000.bin", "scan_0007.bin"} <= names
+        assert {"poses.txt", "sensor.kv", "scan_0000.bin", "scan_0007.bin"} <= names
 
     def test_project_outputs(self, workspace):
         ranges = sorted(p.name for p in (workspace / "ranges").iterdir())
@@ -195,6 +196,81 @@ class TestWorkflow:
                      "--protocol", str(proto)]) == 0
         report = dict(_stdout_csv(capsys)[1:])
         assert report["n_queries"] == "0"
+
+    def test_db_step_past_the_int64_range_samples_row_0(self, workspace, tmp_path, capsys):
+        out = []
+        for step in (2 ** 63, 8):  # the database holds 8 scans
+            proto = tmp_path / f"place_{step}.kv"
+            proto.write_text(f"kind=place_recognition\ndb_step={step}\n")
+            assert main(["eval-place", "--db", str(workspace / "db.omdb"),
+                         "--query-db", str(workspace / "db.omdb"),
+                         "--poses-a", str(workspace / "world" / "poses.txt"),
+                         "--poses-b", str(workspace / "world" / "poses.txt"),
+                         "--protocol", str(proto)]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1]
+
+
+class TestReportBytes:
+    """The exact text of every report: comma-separated cells, each row
+    ended by "\r\n", floats as ``repr``, bools as 0 or 1."""
+
+    @staticmethod
+    def _metric_lines(report):
+        floats = {f.name for f in dataclasses.fields(report) if f.type in (float, "float")}
+        return "metric,value\r\n" + "".join(
+            f"{name},{repr(float(value)) if name in floats else value}\r\n"
+            for name, value in dataclasses.asdict(report).items())
+
+    def test_train_report(self, workspace):
+        raw = (workspace / "ckpt" / "report.csv").read_bytes()
+        mean_loss = raw.split(b"\r\n")[1].split(b",")[1].decode()
+        assert raw == (b"epoch,mean_loss,val_f1max\r\n"
+                       + f"0,{float(mean_loss)!r},nan\r\n".encode())
+
+    def test_search(self, workspace, capsys):
+        assert main(["search", "--db", str(workspace / "db.omdb"),
+                     "--query", str(workspace / "db.omdb"), "--k", "3"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "query_id,rank,candidate_id,distance\r\n0,1,0,0.0\r\n")
+
+    def test_eval_loop(self, workspace, tmp_path, capsys):
+        proto = tmp_path / "loop.kv"
+        proto.write_text("kind=loop_closure\nwindow=3\n")
+        assert main(["eval-loop", "--db", str(workspace / "db.omdb"),
+                     "--poses", str(workspace / "world" / "poses.txt"),
+                     "--labels", str(workspace / "labels.txt"),
+                     "--protocol", str(proto)]) == 0
+        report = rt.eval_loop_closure(rt.DescriptorDb.load(workspace / "db.omdb"),
+                                      io.load_labels(workspace / "labels.txt"),
+                                      rt.EvalProtocol(window=3))
+        assert capsys.readouterr().out == self._metric_lines(report)
+
+    def test_eval_place(self, workspace, tmp_path, capsys):
+        proto = tmp_path / "place.kv"
+        proto.write_text("kind=place_recognition\nquery_step=2\n")
+        assert main(["eval-place", "--db", str(workspace / "db.omdb"),
+                     "--query-db", str(workspace / "db.omdb"),
+                     "--poses-a", str(workspace / "world" / "poses.txt"),
+                     "--poses-b", str(workspace / "world" / "poses.txt"),
+                     "--protocol", str(proto)]) == 0
+        db = rt.DescriptorDb.load(workspace / "db.omdb")
+        xy = np.array([p.translation[:2] for p in
+                       io.load_poses(workspace / "world" / "poses.txt")])
+        report = rt.eval_place_recognition(
+            db, db, xy, xy, rt.EvalProtocol(kind="place_recognition", query_step=2))
+        assert capsys.readouterr().out == self._metric_lines(report)
+
+    def test_bench_header(self, workspace, capsys):
+        assert main(["bench", "--ckpt", str(workspace / "ckpt" / "final.omck"),
+                     "--reps", "1"]) == 0
+        lines = capsys.readouterr().out.split("\r\n")
+        assert lines[0] == "name,mean_s,median_s,p95_s,reps,low_confidence"
+        assert lines[-1] == "" and len(lines) == 8
+        for line in lines[1:-1]:
+            name, *floats, reps, low = line.split(",")
+            assert [repr(float(x)) for x in floats] == floats
+            assert (reps, low) == ("1", "1")
 
 
 class TestSearchCommand:

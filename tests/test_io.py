@@ -12,9 +12,9 @@ from rangeloop.cli import _split_config
 from rangeloop.errors import ConfigError, ContractError
 from rangeloop.pipeline import ModelConfig, init_model, load_model
 from rangeloop.rangeview import (OverlapLabel, Pose, ProjectionConfig, RangeImage,
-                                 build_range_image, rotate_z)
+                                 build_range_image)
 from rangeloop.retrieval import DescriptorDb, EvalProtocol
-from rangeloop.synthworld import WorldSpec
+from rangeloop.synthworld import WorldSpec, _rot_z
 from rangeloop.tensor import Tensor
 from rangeloop.training import TrainConfig
 
@@ -258,33 +258,7 @@ class TestLabelFile:
             io.load_labels(path)
 
 
-class TestPlaceIdFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "places.txt"
-        io.save_place_ids(path, [5, 5, 7, 7, 7])
-        assert io.load_place_ids(path) == [5, 5, 7, 7, 7]
-
-    @pytest.mark.parametrize("text, message", [
-        ("0 5\n0 7\n3 9\n", r"places\.txt:2: index 0 is repeated"),
-        ("0 5\n2 7\n", r"places\.txt: index 1 is missing"),
-        ("1 5\n-1 7\n", r"places\.txt: index 0 is missing"),
-    ], ids=["repeated", "missing", "negative"])
-    def test_indices_must_be_0_to_n_minus_1(self, tmp_path, text, message):
-        path = tmp_path / "places.txt"
-        path.write_text(text)
-        with pytest.raises(ContractError, match=message):
-            io.load_place_ids(path)
-
-    @pytest.mark.parametrize("line", ["1 x", "1 2 3"])
-    def test_malformed_line_rejected(self, tmp_path, line):
-        path = tmp_path / "places.txt"
-        path.write_text(f"0 4\n{line}\n")
-        with pytest.raises(ContractError, match=r"places\.txt:2: "):
-            io.load_place_ids(path)
-
-
-@pytest.mark.parametrize("load", [io.load_kv_pairs, io.load_poses,
-                                  io.load_labels, io.load_place_ids])
+@pytest.mark.parametrize("load", [io.load_kv_pairs, io.load_poses, io.load_labels])
 def test_text_loader_rejects_undecodable_bytes(tmp_path, load):
     path = tmp_path / "file.txt"
     path.write_bytes(b"0 1 0.5\n\xff\xfe\x00\x80\n")
@@ -301,9 +275,6 @@ def test_text_loaders_break_lines_only_at_newlines(tmp_path):
     path.write_bytes(b"0 1\x0c0.5\r\n2 3\x0b0.25\r4 5 x\n")
     with pytest.raises(ContractError, match=r"labels\.txt:3: "):
         io.load_labels(path)
-    path = tmp_path / "places.txt"
-    path.write_bytes(b"1\x0c8\r\n0\x1c7\n")
-    assert io.load_place_ids(path) == [7, 8]
     path = tmp_path / "poses.txt"
     path.write_bytes(b"1 0 0 5\x0c0 1 0 6\xc2\x850 0 1 7\r\n")
     (pose,) = io.load_poses(path)
@@ -583,13 +554,12 @@ def _config_format(*cfgs):
 
 _TEXT_FORMATS = {
     "poses": (lambda p: io.save_poses(p, [
-        Pose(rotation=rotate_z(np.eye(3), 0.3), translation=np.array([1.5, -2.0, 0.25])),
+        Pose(rotation=_rot_z(0.3), translation=np.array([1.5, -2.0, 0.25])),
         Pose(rotation=np.eye(3), translation=np.array([0.0, 30.0, -1.0]))]),
               io.load_poses),
     "labels": (lambda p: io.save_labels(p, [OverlapLabel(0, 1, 0.75), OverlapLabel(1, 0, 0.5),
                                             OverlapLabel(2, 3, 0.0)]),
                io.load_labels),
-    "places": (lambda p: io.save_place_ids(p, [0, 0, 1, 2]), io.load_place_ids),
     "ProjectionConfig": _config_format(WorldSpec().projection_config()),
     "WorldSpec": _config_format(WorldSpec(n_places=3, visits_per_place=2, h=8, w=32)),
     "ModelConfig+TrainConfig": _config_format(

@@ -21,7 +21,6 @@ from rangeloop.rangeview import (
     compute_overlap,
     overlap_table,
     project_points,
-    rotate_z,
 )
 
 
@@ -223,7 +222,7 @@ class TestBuildRangeImage:
         pts = _cloud_away_from_pixel_edges(rng, cfg, n=4000)
         base = build_range_image(pts, cfg)
         for k in (1, 17, 450):
-            rot = rotate_z(pts, 2.0 * np.pi * k / cfg.w)
+            rot = pts @ _rot_z(2.0 * np.pi * k / cfg.w).T
             shifted = build_range_image(rot, cfg)
             want_valid = np.roll(base.valid, -k, axis=1)
             np.testing.assert_array_equal(shifted.valid, want_valid)
@@ -310,6 +309,12 @@ class TestPose:
                 array.flags.writeable = True
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+    def test_poses_compare_and_hash_by_identity(self):
+        a = Pose(rotation=np.eye(3), translation=np.zeros(3))
+        b = Pose(rotation=np.eye(3), translation=np.zeros(3))
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert a == a and (a == b) is False and a != b
 
 
 class TestComputeOverlap:

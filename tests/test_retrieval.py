@@ -782,8 +782,8 @@ class TestBench:
         params, cfg = self._tiny()
         rows = rv.bench(params, cfg, reps=3, db_size=50, scan_len=16)
         assert not any(r.low_confidence for r in rows)
-        parsed = list(csv.reader(StringIO(rv.bench_to_csv(rows))))
-        assert parsed[0] == rv.BENCH_HEADER
+        parsed = list(csv.reader(StringIO(io.report_text(rv.BenchRow, rows))))
+        assert parsed[0] == ["name", "mean_s", "median_s", "p95_s", "reps", "low_confidence"]
         assert len(parsed) == len(rows) + 1
         for row, r in zip(parsed[1:], rows):
             assert row == [r.name, repr(r.mean_s), repr(r.median_s), repr(r.p95_s),

@@ -408,7 +408,7 @@ class TestSaveWorld:
         sw.save_world(dir_a, world)
         sw.save_world(dir_b, sw.generate_world(SMALL))
         names = sorted(p.name for p in dir_a.iterdir())
-        assert names == ["places.txt", "poses.txt"] + \
+        assert names == ["poses.txt"] + \
             [f"scan_{i:04d}.bin" for i in range(8)]
         for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
@@ -429,4 +429,3 @@ class TestSaveWorld:
         np.testing.assert_array_equal(scan, want)
         poses = io.load_poses(tmp_path / "poses.txt")
         np.testing.assert_array_equal(poses[3].rotation, world.poses[3].rotation)
-        assert io.load_place_ids(tmp_path / "places.txt") == world.place_ids
