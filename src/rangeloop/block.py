@@ -11,7 +11,12 @@ orientations are step orders of one stream, not copies of it: a circular
 convolution commutes with a rotation, and with a reversal once its taps are
 mirrored (``conv1d_circular(reverse=True)``), so only the scan runs in the
 branch's order.  The branch outputs, gated by SiLU(z), are summed,
-projected back and added to the input (residual).
+projected back and added to the input (residual).  The branches share
+their inputs and nothing else until that sum, so a block whose branch
+convolutions are large (``_CONCURRENT_MACS``) runs them side by side with
+``tt.concurrent`` and adds their outputs in ``DIRECTIONS`` order as they
+arrive: the sum, the tape and every gradient are the serial ones, bit for
+bit.
 
 Parameters live in the model's name -> Tensor dict: block i's tensors under
 "olm.L<i>" (e.g. "olm.L0.lin_x.weight"), each branch's convolution and scan
@@ -32,6 +37,7 @@ transposed back, is channels-last again.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,6 +50,16 @@ if TYPE_CHECKING:
     from .pipeline import ModelConfig
 
 DIRECTIONS = ("forward", "forward_shifted", "backward", "backward_shifted")
+
+# The four branches run concurrently (``tt.concurrent``) from this many
+# branch-convolution multiply-adds, B*M*E*E*k, on.  Break-even, measured on a
+# 2-vCPU Xeon VM with one BLAS thread, median of 30 alternating taped
+# forward+backward passes of one block: 0.96x at 7.9e6 (the acceptance
+# model's 5-scan tuple: E=64, M=128), 1.00x at 1.3e7 (E=512, M=16), 1.08x
+# at 1.6e7 (E=64, B=10).  A paper-size scan (E=512, M=900) is 7.1e8 and
+# runs its eval forward 1.58x faster.  Below, the branches run in order on
+# the calling thread: the thread hand-offs cost more than they overlap.
+_CONCURRENT_MACS = 15_000_000
 
 
 def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
@@ -73,8 +89,8 @@ def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
     gate = tt.silu(z)
 
     xt = tt.transpose(x, (0, 2, 1))
-    total = None
-    for name in DIRECTIONS:
+
+    def branch(name):
         order = np.roll(np.arange(m), -a if name.endswith("shifted") else 0)
         reverse = name.startswith("backward")
         stream = tt.silu(tt.conv1d_circular(xt, p(f"{name}.conv1d.weight"),
@@ -82,7 +98,16 @@ def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
         xp = tt.transpose(stream, (0, 2, 1))
         y = ssm.selective_ssm(xp, params, f"{prefix}.{name}",
                               order[::-1] if reverse else order)
-        gated = tt.mul(y, gate)
+        return tt.mul(y, gate)
+
+    branches = [partial(branch, name) for name in DIRECTIONS]
+    o, c, k = p(f"{DIRECTIONS[0]}.conv1d.weight").shape
+    if t_prev.shape[0] * m * o * c * k >= _CONCURRENT_MACS:
+        results = tt.concurrent(branches)
+    else:
+        results = (fn() for fn in branches)
+    total = None
+    for gated in results:
         total = gated if total is None else tt.add(total, gated)
 
     return tt.add(tt.linear(total, p("lin_T.weight"), p("lin_T.bias")), t_prev)

@@ -212,12 +212,13 @@ def prepare_batch(images) -> tt.Tensor:
 
 def describe_images(images, params: dict, cfg: ModelConfig,
                     bypass_olm: bool = False) -> np.ndarray:
-    """Eval-mode descriptors for an iterable of RangeImage, one forward each."""
+    """Eval-mode descriptors for an iterable of RangeImage, one forward each:
+    an (n, cfg.out_dim) array, (0, cfg.out_dim) for no images."""
     rows = []
     for ri in images:
         out = model_forward(prepare_batch([ri]), params, cfg, bypass_olm=bypass_olm)
         rows.append(out.data[0])
-    return np.stack(rows, axis=0)
+    return np.stack(rows, axis=0) if rows else np.zeros((0, cfg.out_dim))
 
 
 # --------------------------------------------------------------------------

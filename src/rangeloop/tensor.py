@@ -41,6 +41,14 @@ Design notes:
   selective scan) is saved only under ``_recording``.  This is exact because
   no tensor is mutated between a forward and its backward: optimizers update
   after ``backward``.
+* Fork-join: ``concurrent`` runs independent callables on a shared thread
+  pool, each worker under a fresh sub-tape when the caller's tape records,
+  and splices each sub-tape's nodes into the caller's tape in call order as
+  it yields that callable's result.  A node's adjoint reads only its own
+  inputs, so the spliced tape is node for node the one a serial loop
+  records, and the backward and every gradient are the serial ones.  numpy
+  releases the GIL in its large loops and BLAS calls, so the callables
+  overlap where those dominate.
 
 Tensors are immutable after construction except for the ``grad`` buffer and
 optimizer updates to leaf parameters.  A tape is single-threaded; independent
@@ -49,7 +57,9 @@ tapes may live on different threads.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import threading
 
 import numpy as np
@@ -199,6 +209,78 @@ def _make_out(data, inputs, adjoint):
     if track:
         active_tape()._nodes.append(_Node(out, inputs, adjoint))
     return out
+
+
+# --------------------------------------------------------------------------
+# fork-join
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor():
+    """The module's thread pool, started on first use: one thread per
+    usable CPU at most, each started only when a task finds none idle."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # ~6 ms: not at import
+
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="rangeloop")
+    return _pool
+
+
+def _run(ctx, fn, record: bool):
+    """One callable on a pool thread, in the caller's context (numpy's
+    error state included); with ``record``, under a fresh sub-tape whose
+    nodes it returns with the result."""
+    _tls.pooled = True
+    if not record:
+        return ctx.run(fn), ()
+    with Tape() as sub:
+        out = ctx.run(fn)
+    return out, sub._nodes
+
+
+def concurrent(fns):
+    """Run the independent callables ``fns`` side by side and yield their
+    results in call order, each as soon as it and those before it are done.
+
+    While the caller's tape records, the nodes each callable records are
+    appended to that tape just before its result is yielded, so ops the
+    caller records between results land where a serial loop would put them.
+    The first callable to fail, in call order, raises its exception here,
+    after the rest are cancelled or have finished.  With one usable CPU or
+    one callable, or on a pool thread (a nested call), the callables run in
+    order on the calling thread.
+    """
+    fns = list(fns)
+    if min(len(fns), _usable_cpus()) < 2 or getattr(_tls, "pooled", False):
+        for fn in fns:
+            yield fn()
+        return
+    tape = active_tape()
+    pool = _executor()
+    futures = [pool.submit(_run, contextvars.copy_context(), fn, tape is not None)
+               for fn in fns]
+    try:
+        for future in futures:
+            out, nodes = future.result()
+            if tape is not None:
+                tape._nodes.extend(nodes)
+            yield out
+    finally:
+        for future in futures:
+            if not future.cancel():
+                future.exception()  # wait: no branch outlives the call
 
 
 # --------------------------------------------------------------------------

@@ -206,6 +206,9 @@ class TestAcceptance:
                  [x3, gain, beta]),
                 ("softmax", lambda x: tt.softmax(x, axis=-1), [x3]),
                 ("l2_normalize", lambda x: tt.l2_normalize(x, axis=-1), [x3]),
+                # two ops recorded on worker threads, spliced into the tape
+                ("concurrent", lambda a, b: tt.add(*tt.concurrent(
+                    [lambda: tt.mul(a, b), lambda: tt.silu(b)])), [a2, b2]),
                 ("selective_scan", ssm.selective_scan, scan_in),
                 ("selective_scan",
                  lambda *t: ssm.selective_scan(*t, np.roll(np.arange(m_s), -5)[::-1]),

@@ -9,7 +9,8 @@ from rangeloop import block as bk
 from rangeloop import pipeline as pl
 from rangeloop import ssm
 from rangeloop import tensor as tt
-from rangeloop.errors import ConfigError, ShapeError
+from rangeloop.errors import ConfigError, ContractError, ShapeError
+from rangeloop.rangeview import RangeImage
 
 
 def _model(d, l=1):
@@ -270,3 +271,77 @@ class TestNaming:
         assert "olm.final_norm.bias" in names
         # 8 block-level + 4 directions * 8 per block, + 2 final
         assert len(names) == 2 * (8 + 4 * 8) + 2
+
+
+# the acceptance model of test_06
+ACCEPTANCE = pl.ModelConfig(h=16, w=128, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2),
+                                                 (32, 2, 2)),
+                            spp_mode="add", olm_n=4, vlad_k=8, mlp_hidden=64, out_dim=32)
+
+
+def _range_images(n, seed):
+    rng = np.random.default_rng(seed)
+    images = []
+    for _ in range(n):
+        r = rng.uniform(1.0, 40.0, size=(ACCEPTANCE.h, ACCEPTANCE.w))
+        r[rng.random(size=r.shape) < 0.2] = -1.0
+        images.append(RangeImage(r, r_max=50.0))
+    return images
+
+
+class TestConcurrentBranches:
+    """The acceptance model with its four branches run in order on the
+    calling thread (the size rule at infinity) and through ``tt.concurrent``
+    (at 0): the same bits, the same tape, the same errors."""
+
+    def _serial(self, monkeypatch):
+        monkeypatch.setattr(bk, "_CONCURRENT_MACS", np.inf)
+
+    def _concurrent(self, monkeypatch, workers=2):
+        monkeypatch.setattr(bk, "_CONCURRENT_MACS", 0)
+        monkeypatch.setattr(tt, "_usable_cpus", lambda: workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_eval_descriptors_bit_equal(self, monkeypatch, workers):
+        params = pl.init_model(ACCEPTANCE, seed=42)
+        images = _range_images(3, seed=1)
+        self._serial(monkeypatch)
+        want = pl.describe_images(images, params, ACCEPTANCE)
+        self._concurrent(monkeypatch, workers)
+        np.testing.assert_array_equal(pl.describe_images(images, params, ACCEPTANCE), want)
+
+    def test_taped_step_records_the_serial_tape_and_gradients(self, monkeypatch):
+        x = pl.prepare_batch(_range_images(5, seed=2))
+        g = np.random.default_rng(3).standard_normal((5, ACCEPTANCE.out_dim))
+
+        def step():
+            params = pl.init_model(ACCEPTANCE, seed=42)
+            with tt.Tape() as tape:
+                out = pl.model_forward(x, params, ACCEPTANCE, rng=np.random.default_rng(4))
+                loss = tt.tsum(tt.mul(out, tt.Tensor(g)))
+            kinds = [node.backward.__qualname__ for node in tape._nodes]
+            tt.backward(loss, tape)
+            return kinds, {name: t.grad for name, t in params.items()}
+
+        self._serial(monkeypatch)
+        want_kinds, want_grads = step()
+        self._concurrent(monkeypatch)
+        kinds, grads = step()
+        assert kinds == want_kinds
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, want_grads[name], err_msg=name)
+
+    def test_failing_branch_raises_the_serial_error(self, monkeypatch):
+        params = pl.init_model(ACCEPTANCE, seed=42)
+        # softplus of the step-size head underflows to 0 in one branch only
+        params["olm.L0.backward.proj_Δ.bias"].data[...] = -1e4
+        images = _range_images(1, seed=1)
+        self._serial(monkeypatch)
+        with pytest.raises(ContractError) as want:
+            pl.describe_images(images, params, ACCEPTANCE)
+        self._concurrent(monkeypatch)
+        with pytest.raises(ContractError) as got:
+            pl.describe_images(images, params, ACCEPTANCE)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == "step sizes must be strictly positive"

@@ -1,6 +1,10 @@
 """Tests for model assembly, checkpoints, and config files."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,10 @@ class TestForward:
         batched = pl.model_forward(pl.prepare_batch(images), params, TOY).data
         np.testing.assert_allclose(per_scan, batched, atol=1e-12)
 
+    def test_describe_no_images(self):
+        out = pl.describe_images([], pl.init_model(TOY, seed=42), TOY)
+        assert out.shape == (0, TOY.out_dim) and out.dtype == np.float64
+
     def test_gradients_reach_every_parameter(self):
         params = pl.init_model(TOY, seed=42)
         x = pl.prepare_batch(_toy_images(1, np.random.default_rng(1)))
@@ -301,3 +309,16 @@ class TestCheckpoint:
         # a renamed or reshaped tensor orphans every saved .omck file
         params = pl.init_model(TOY, seed=0)
         assert sorted((n, t.shape) for n, t in params.items()) == TOY_LAYOUT
+
+
+def test_import_starts_no_thread_pool():
+    # the fork-join pool of tensor.concurrent starts on first use, so
+    # importing the model costs no thread and no concurrent.futures import
+    code = ("import sys, threading\n"
+            "import rangeloop.pipeline\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]

@@ -1108,3 +1108,125 @@ class TestDeterminism:
         a, b = run(), run()
         for got, want in zip(a, b):
             np.testing.assert_array_equal(got, want)
+
+
+class TestConcurrent:
+    """``concurrent`` on two workers, whatever this host's CPU count."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+
+    def test_results_in_call_order(self):
+        import threading
+
+        first_may_finish = threading.Event()
+
+        def slow():
+            assert first_may_finish.wait(10)
+            return "first"
+
+        def fast():
+            first_may_finish.set()
+            return "second"
+
+        assert list(T.concurrent([slow, fast])) == ["first", "second"]
+
+    def test_workers_run_off_the_calling_thread(self):
+        import threading
+
+        names = list(T.concurrent([lambda: threading.current_thread().name] * 2))
+        assert threading.current_thread().name not in names
+
+    def test_one_cpu_runs_in_order_on_the_calling_thread(self, monkeypatch):
+        import threading
+
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+        here = threading.current_thread()
+        assert list(T.concurrent([threading.current_thread] * 3)) == [here] * 3
+
+    def test_nested_call_runs_on_the_worker(self):
+        inner = [lambda: 1, lambda: 2]
+        outer = [lambda: list(T.concurrent(inner))] * 3
+        assert list(T.concurrent(outer)) == [[1, 2]] * 3
+
+    def test_first_failure_in_call_order_raises_after_the_rest(self):
+        import threading
+        import time
+
+        done = []
+        late = threading.Event()
+
+        def fails_late():
+            assert late.wait(10)
+            raise ValueError("branch one")
+
+        def fails_early():
+            late.set()
+            raise KeyError("branch two")
+
+        def runs_on():
+            time.sleep(0.05)
+            done.append(True)
+
+        with pytest.raises(ValueError, match="branch one"):
+            list(T.concurrent([lambda: 0, fails_late, fails_early, runs_on]))
+        # the call returns once no callable is left running: the last one
+        # has finished or was cancelled before it started
+        seen = list(done)
+        time.sleep(0.1)
+        assert done == seen
+
+    def test_callables_see_the_callers_numpy_error_state(self):
+        one = np.ones(3)
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                list(T.concurrent([lambda: one / 0.0] * 2))
+
+    def test_tape_is_the_serial_one(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal((4, 4)) for _ in range(3)]
+
+        def run(parallel):
+            a, b, c = (T.Tensor(x, requires_grad=True) for x in arrays)
+            fns = [lambda: T.mul(T.silu(a), b), lambda: T.add(b, c),
+                   lambda: T.linear(c, T.Tensor(arrays[0].T))]
+            with T.Tape() as tape:
+                results = T.concurrent(fns) if parallel else (f() for f in fns)
+                total = None
+                for r in results:
+                    total = r if total is None else T.add(total, r)
+                loss = T.tsum(T.mul(total, total))
+            kinds = [n.backward.__qualname__ for n in tape._nodes]
+            T.backward(loss, tape)
+            return total.data, kinds, [t.grad for t in (a, b, c)]
+
+        (y0, k0, g0), (y1, k1, g1) = run(False), run(True)
+        np.testing.assert_array_equal(y1, y0)
+        assert k1 == k0 and len(k0) == 8
+        for got, want in zip(g1, g0):
+            np.testing.assert_array_equal(got, want)
+
+    def test_many_workers_switching_often_keep_the_serial_tape(self, monkeypatch):
+        import sys
+
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(T, "_pool", None)  # a pool of 8 for this test alone
+        a = T.Tensor(np.arange(6.0), requires_grad=True)
+        fns = [lambda i=i: T.silu(T.mul(T.add(a, float(i)), a)) for i in range(16)]
+
+        def tape_values(results):
+            with T.Tape() as tape:
+                for _ in results:
+                    pass
+            return [node.out.data.tolist() for node in tape._nodes]
+
+        want = tape_values(f() for f in fns)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert tape_values(T.concurrent(fns)) == want
+        finally:
+            sys.setswitchinterval(interval)
+            T._pool.shutdown()
