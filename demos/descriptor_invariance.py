@@ -5,9 +5,10 @@ image.  The backbone convolves only along the height axis, so the token
 sequence shifts along with the input (equivariance).  The aggregation head
 sums over positions in a permutation-proof order, so its descriptor does
 not move at all (invariance).  The sequence-mixing stack in between is
-where exactness ends and training takes over: this script measures the
-descriptor drift under shifts with the stack bypassed, freshly initialized,
-and trained for robustness via random shift augmentation.
+where exactness ends and training takes over.  This script trains
+nothing: it prints the backbone's equivariance gap and the head's
+invariance for a freshly initialised model, then the descriptor drift under
+input column shifts with the stack bypassed and with the untrained stack.
 """
 
 import argparse

@@ -3,11 +3,13 @@
     python3 demos/train_step.py --size acceptance|paper --steps N
 
 Each step is a taped forward, ``tt.backward`` and ``Adam.step`` on random
-range images; the script prints each phase's wall time and the tape's node
-count per step, the count per op kind, then ``ru_maxrss`` of its own
-process.  A node's kind is the op that recorded it, the first part of its
-adjoint's ``__qualname__`` (``linear.<locals>.fn`` is ``linear``), read
-before ``backward`` spends the tape.  Run it in a fresh process to read a
+range images.  The mixing blocks' start offsets are drawn as
+``training.train`` draws them: one per block, before the forward and the
+loss's draws.  The script prints them with each phase's wall time and the
+tape's node count per step, the count per op kind, then ``ru_maxrss`` of
+its own process.  A node's kind is the op that recorded it, the first part
+of its adjoint's ``__qualname__`` (``linear.<locals>.fn`` is ``linear``),
+read before ``backward`` spends the tape.  Run it in a fresh process to read a
 step's peak memory.
 
 * ``acceptance``: the acceptance model (16x128 images, 32-d descriptor) on
@@ -67,9 +69,10 @@ def main():
           f"batch {batch.shape[0]} of {model.h}x{model.w}")
 
     for step in range(args.steps):
+        offsets = [int(rng.integers(0, model.w)) for _ in range(model.olm_blocks)]
         t0 = time.perf_counter()
         with tt.Tape() as tape:
-            desc = pl.model_forward(batch, params, model, rng=rng)
+            desc = pl.model_forward(batch, params, model, offsets)
             if args.size == "acceptance":
                 loss = tr.tuple_loss(desc, 2, tcfg, rng)
             else:
@@ -83,7 +86,7 @@ def main():
         t3 = time.perf_counter()
         print(f"step {step}: loss {float(loss.data):.6f}, forward {t1 - t0:.3f} s, "
               f"backward {t2 - t1:.3f} s, adam {t3 - t2:.3f} s, "
-              f"tape nodes {len(tape)}")
+              f"tape nodes {len(tape)}, offsets {offsets}")
         print("  nodes by kind: " + ", ".join(f"{k} {n}" for k, n in sorted(kinds.items())))
 
     # ru_maxrss is KiB on Linux and bytes on macOS

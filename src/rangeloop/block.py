@@ -2,11 +2,11 @@
 
 Each block normalizes the incoming token sequence, projects it to a widened
 stream x and a gate stream z, then runs four branches over x, each a
-circular convolution and a selective state-space scan: as-is, rotated by a
-random start offset, reversed, and rotated-then-reversed.  The rotation
-models the unknown heading a revisited place is seen from; training with a
-random offset per step teaches the scan to tolerate it, and at evaluation
-the offset is pinned to 0 so descriptors are deterministic.  The four
+circular convolution and a selective state-space scan: as-is, rotated to
+start at a given offset, reversed, and rotated-then-reversed.  The rotation
+models the unknown heading a revisited place is seen from; ``training``
+draws each block's offset at random per step to teach the scan to tolerate
+it, and the eval forward uses 0; the block draws nothing.  The four
 orientations are step orders of one stream, not copies of it: a circular
 convolution commutes with a rotation, and with a reversal once its taps are
 mirrored (``conv1d_circular(reverse=True)``), so only the scan runs in the
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import ssm
 from . import tensor as tt
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 if TYPE_CHECKING:
     from .pipeline import ModelConfig
@@ -62,14 +62,13 @@ DIRECTIONS = ("forward", "forward_shifted", "backward", "backward_shifted")
 _CONCURRENT_MACS = 15_000_000
 
 
-def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
+def olm_forward(t_prev: tt.Tensor, params: dict, offset: int = 0,
                 prefix: str = "olm.L0") -> tt.Tensor:
     """One mixing block, its tensors read from params under prefix:
     (B, M, D) -> (B, M, D), with D the rows of its "lin_x.weight".
 
-    A generator makes it a training forward: exactly one integer is drawn
-    from rng (the start offset, shared by both rotated branches).  With rng
-    None (eval) nothing is drawn and the offset is 0.
+    Both rotated branches start their scan at position ``offset`` mod M;
+    0 is the eval forward.
     """
     def p(name):
         return params[f"{prefix}.{name}"]
@@ -85,13 +84,12 @@ def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
     tp = tt.layer_norm(t_prev, p("norm.gain"), p("norm.bias"))
     x = tt.linear(tp, p("lin_x.weight"), p("lin_x.bias"))
     z = tt.linear(tp, p("lin_z.weight"), p("lin_z.bias"))
-    a = int(rng.integers(0, m)) if rng is not None else 0
     gate = tt.silu(z)
 
     xt = tt.transpose(x, (0, 2, 1))
 
     def branch(name):
-        order = np.roll(np.arange(m), -a if name.endswith("shifted") else 0)
+        order = np.roll(np.arange(m), -offset if name.endswith("shifted") else 0)
         reverse = name.startswith("backward")
         stream = tt.silu(tt.conv1d_circular(xt, p(f"{name}.conv1d.weight"),
                                             p(f"{name}.conv1d.bias"), reverse))
@@ -114,10 +112,13 @@ def olm_forward(t_prev: tt.Tensor, params: dict, rng: np.random.Generator,
 
 
 def olm_stack(t0: tt.Tensor, params: dict, cfg: ModelConfig,
-              rng: np.random.Generator) -> tt.Tensor:
-    """All cfg.olm_blocks blocks in order, then a final per-position
-    normalization."""
+              offsets=None) -> tt.Tensor:
+    """All cfg.olm_blocks blocks in order, block i at offsets[i] (None: all 0,
+    the eval forward), then a final per-position normalization."""
+    offsets = (0,) * cfg.olm_blocks if offsets is None else offsets
+    if len(offsets) != cfg.olm_blocks:
+        raise ContractError(f"need one start offset per mixing block, got {len(offsets)}")
     x = t0
-    for i in range(cfg.olm_blocks):
-        x = olm_forward(x, params, rng, f"olm.L{i}")
+    for i, offset in enumerate(offsets):
+        x = olm_forward(x, params, offset, f"olm.L{i}")
     return tt.layer_norm(x, params["olm.final_norm.gain"], params["olm.final_norm.bias"])

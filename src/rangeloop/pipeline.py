@@ -188,19 +188,19 @@ def init_model(cfg: ModelConfig, seed: int) -> dict:
             for name, shape, init in param_layout(cfg)}
 
 
-def model_forward(x, params: dict, cfg: ModelConfig,
-                  rng: np.random.Generator = None,
+def model_forward(x, params: dict, cfg: ModelConfig, offsets=None,
                   bypass_olm: bool = False) -> tt.Tensor:
     """(B, 1, H, W) scaled range images -> (B, out_dim) unit descriptors.
 
-    A generator makes it a training forward: each mixing block draws its
-    start offset from rng.  rng None is the eval forward, offset 0.
-    bypass_olm skips the mixing stack entirely, leaving the exactly
-    shift-invariant backbone+aggregation path.
+    offsets holds one start offset per mixing block, the position its
+    rotated branches scan from (a training forward; ``training`` draws
+    them).  offsets None is the eval forward, every offset 0.  bypass_olm
+    skips the mixing stack entirely, leaving the exactly shift-invariant
+    backbone+aggregation path.
     """
     tokens = bb.backbone_forward(x, params, cfg)
     if not bypass_olm:
-        tokens = bk.olm_stack(tokens, params, cfg, rng)
+        tokens = bk.olm_stack(tokens, params, cfg, offsets)
     return dsc.gdg_forward(tokens, params)
 
 

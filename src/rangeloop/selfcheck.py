@@ -170,11 +170,11 @@ def check_recurrence_convolution_duality() -> str:
 
 
 def check_branch_order_identity() -> str:
-    """Each mixing-block branch alone, at offset 0 and a drawn one, is bit for
-    bit ``take_along`` into its step order, conv and scan as is, and back."""
+    """Each mixing-block branch alone, at offsets 0 and 9, is bit for bit
+    ``take_along`` into its step order, conv and scan as is, and back."""
     params, cfg = _toy_model()
     p = {k.removeprefix("olm.L0."): t for k, t in params.items()}
-    m, drawn = 11, int(np.random.default_rng(0).integers(0, 11))  # 9
+    m = 11
     x = tt.Tensor(np.random.default_rng(42).standard_normal((1, m, cfg.token_dim)))
     tp = tt.layer_norm(x, p["norm.gain"], p["norm.bias"])
     xs = tt.linear(tp, p["lin_x.weight"], p["lin_x.bias"])
@@ -182,8 +182,8 @@ def check_branch_order_identity() -> str:
     for keep in ob.DIRECTIONS:
         alone = {k: tt.Tensor(np.zeros(t.shape)) if ".conv1d." in k and f".{keep}." not in k
                  else t for k, t in params.items()}
-        for a, rng in ((0, None), (drawn, np.random.default_rng(0))):
-            got = ob.olm_forward(x, alone, rng).data
+        for a in (0, 9):
+            got = ob.olm_forward(x, alone, a).data
             order = (np.arange(m) + (a if keep.endswith("shifted") else 0)) % m
             order = order[::-1] if keep.startswith("backward") else order
             xo = tt.transpose(tt.take_along(xs, order[None, :, None], axis=1), (0, 2, 1))
@@ -194,7 +194,7 @@ def check_branch_order_identity() -> str:
             want = tt.add(tt.linear(tt.mul(y, gate), p["lin_T.weight"], p["lin_T.bias"]), x)
             if not np.array_equal(got, want.data):
                 raise AssertionError(f"{keep} branch at offset {a} differs from the composition")
-    return f"exact for {len(ob.DIRECTIONS)} directions at offsets 0 and {drawn}"
+    return f"exact for {len(ob.DIRECTIONS)} directions at offsets 0 and 9"
 
 
 def check_zero_block_passthrough() -> str:
@@ -202,7 +202,7 @@ def check_zero_block_passthrough() -> str:
     for value in params.values():
         value.data[...] = 0.0
     x = tt.Tensor(np.random.default_rng(7).standard_normal((2, 6, cfg.token_dim)))
-    out = ob.olm_forward(x, params, None)  # eval mode consumes no rng
+    out = ob.olm_forward(x, params)
     if not np.array_equal(out.data, x.data):
         raise AssertionError("zero-weight block is not an exact identity")
     return "bitwise identity"
@@ -459,7 +459,7 @@ def check_clamped_loss_zero_gradient() -> str:
     for kind in tr.LOSS_KINDS:
         rng = np.random.default_rng(0)
         with tt.Tape() as tape:
-            desc = tr._forward_tuple(tup, images, params, cfg, rng)
+            desc = tr._forward_tuple(tup, images, params, cfg, [int(rng.integers(0, cfg.w))])
             d = np.sum((desc.data[1:] - desc.data[0]) ** 2, axis=1)
             alpha = 0.5 * float(np.min(d[2:]) - np.max(d[:2]))
             if not alpha > 0.0:

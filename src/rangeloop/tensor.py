@@ -344,11 +344,6 @@ def mul(a, b) -> Tensor:
     return _make_out(a.data * b.data, (a, b), fn)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _make_out(-a.data, (a,), lambda g: (-g,))
-
-
 # --------------------------------------------------------------------------
 # unary / activations
 
@@ -503,24 +498,28 @@ def tmean(a, axis=None) -> Tensor:
     return mul(tsum(a, axis=axes), 1.0 / count)
 
 
-def tmax(a, axis=None) -> Tensor:
-    """Max reduction; subgradient routes to the first maximal element.
-    ``axis=None`` reduces the flattened array."""
+def _extreme(a, axis, reduce, arg) -> Tensor:
+    """reduce over axis (None: flattened); arg picks the subgradient's element."""
     a = as_tensor(a)
     src, ax = (a.data.reshape(-1), 0) if axis is None else (a.data, axis % a.ndim)
 
     def fn(g):
-        idx = np.expand_dims(np.argmax(src, axis=ax), ax)
+        idx = np.expand_dims(arg(src, axis=ax), ax)
         out = np.zeros(src.shape)
         np.put_along_axis(out, idx, np.expand_dims(g, ax), axis=ax)
         return (out.reshape(a.shape),)
 
-    return _make_out(src.max(axis=ax), (a,), fn)
+    return _make_out(reduce(src, axis=ax), (a,), fn)
+
+
+def tmax(a, axis=None) -> Tensor:
+    """Max reduction; subgradient routes to the first maximal element (or NaN)."""
+    return _extreme(a, axis, np.max, np.argmax)
 
 
 def tmin(a, axis=None) -> Tensor:
-    """Min reduction; subgradient routes to the first minimal element."""
-    return neg(tmax(neg(a), axis=axis))
+    """Min reduction; subgradient routes to the first minimal element (or NaN)."""
+    return _extreme(a, axis, np.min, np.argmin)
 
 
 # --------------------------------------------------------------------------

@@ -149,13 +149,12 @@ def split_validation(tuples):
     return list(tuples[:-n_val]), list(tuples[-n_val:])
 
 
-def _forward_tuple(tup, images, params, cfg: pl.ModelConfig,
-                   rng: np.random.Generator) -> tt.Tensor:
-    """The model's (1+P+N, D) descriptor matrix of a tuple: the query, then
-    its positives, then its negatives."""
+def _forward_tuple(tup, images, params, cfg: pl.ModelConfig, offsets=None) -> tt.Tensor:
+    """The model's (1+P+N, D) descriptor matrix of a tuple: the query, its
+    positives, then its negatives; offsets as for ``pl.model_forward``."""
     ids = [tup.query, *tup.positives, *tup.negatives]
     return pl.model_forward(pl.prepare_batch([images[i] for i in ids]), params,
-                            cfg, rng=rng)
+                            cfg, offsets)
 
 
 def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
@@ -166,7 +165,7 @@ def validation_f1max(val_tuples, images, params, cfg: pl.ModelConfig):
 
     scores = []
     for tup in val_tuples:
-        desc = _forward_tuple(tup, images, params, cfg, rng=None).data
+        desc = _forward_tuple(tup, images, params, cfg).data
         d = np.sum((desc[1:] - desc[0]) ** 2, axis=1)
         n_p = len(tup.positives)
         scores.extend((-float(v), i < n_p) for i, v in enumerate(d))
@@ -200,8 +199,8 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
     model_cfg.h by model_cfg.w (checked before anything is written).  max_steps
     caps the total number of optimizer steps (0 means no cap).  Returns the
     per-epoch reports and writes report.csv plus epoch checkpoints under
-    out_dir.  A step whose loss is exactly 0.0 runs no backward (see the
-    module docstring).
+    out_dir.  Each step draws its blocks' start offsets, then the loss its
+    shuffles; one whose loss is exactly 0.0 runs no backward (module docstring).
     """
     if max_steps < 0:
         raise ContractError(f"max_steps must be >= 0 (0 means no cap), got {max_steps}")
@@ -218,9 +217,10 @@ def train(tuples, images, params: dict, model_cfg: pl.ModelConfig,
         clamped = 0  # steps whose loss is 0.0 and whose backward is skipped
         for pos, idx in enumerate(order):
             tup = train_tuples[int(idx)]
+            offsets = [int(rng.integers(0, model_cfg.w)) for _ in range(model_cfg.olm_blocks)]
             try:
                 with tt.Tape() as tape:
-                    desc = _forward_tuple(tup, images, params, model_cfg, rng)
+                    desc = _forward_tuple(tup, images, params, model_cfg, offsets)
                     loss = tuple_loss(desc, len(tup.positives), cfg, rng)
             except (DegenerateInputError, ContractError) as exc:
                 # A value contract tripped by an optimizer update (for

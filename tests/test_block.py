@@ -55,23 +55,23 @@ class TestBlockForward:
         rng = np.random.default_rng(42)
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(rng.normal(size=(2, 6, 4)))
-        out = bk.olm_forward(x, params, None)
+        out = bk.olm_forward(x, params)
         assert out.shape == (2, 6, 4)
 
     def test_rejects_wrong_channel_count(self):
         model = _model(4)
         params = _init(model, 42, "olm.L0.")
         with pytest.raises(ShapeError):
-            bk.olm_forward(tt.Tensor(np.zeros((1, 6, 5))), params, None)
+            bk.olm_forward(tt.Tensor(np.zeros((1, 6, 5))), params)
         with pytest.raises(ShapeError):
-            bk.olm_forward(tt.Tensor(np.zeros((6, 5))), params, None)
+            bk.olm_forward(tt.Tensor(np.zeros((6, 5))), params)
 
     def test_zero_weights_pass_input_through_exactly(self):
         model = _model(3)
         rng = np.random.default_rng(42)
         params = _zero_block(_init(model, 42, "olm.L0."))
         x = tt.Tensor(rng.normal(size=(2, 5, 3)))
-        out = bk.olm_forward(x, params, None)
+        out = bk.olm_forward(x, params)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_weights_jacobian_is_identity(self):
@@ -82,39 +82,29 @@ class TestBlockForward:
         x = tt.Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
         proj = rng.normal(size=(1, 4, 3))
         with tt.Tape() as tape:
-            out = bk.olm_forward(x, params, None)
+            out = bk.olm_forward(x, params)
             loss = tt.tsum(tt.mul(out, tt.Tensor(proj)))
         tt.backward(loss, tape)
         np.testing.assert_array_equal(x.grad, proj)
 
     def test_eval_mode_is_deterministic_and_skips_rng(self):
-        # no generator is the eval forward: the offset-0 training forward
+        # the default offset is the eval forward: offset 0, and M is 0 mod M
         model = _model(4)
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
-        out_a = bk.olm_forward(x, params, None)
-        out_b = bk.olm_forward(x, params, None)
+        out_a = bk.olm_forward(x, params)
+        out_b = bk.olm_forward(x, params)
         np.testing.assert_array_equal(out_a.data, out_b.data)
-        seed = next(s for s in range(40) if np.random.default_rng(s).integers(0, 8) == 0)
-        zero = bk.olm_forward(x, params, np.random.default_rng(seed))
-        np.testing.assert_array_equal(out_a.data, zero.data)
-
-    def test_train_mode_draws_exactly_one_offset(self):
-        model = _model(4)
-        params = _init(model, 42, "olm.L0.")
-        x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
-        rng = np.random.default_rng(7)
-        bk.olm_forward(x, params, rng)
-        ref = np.random.default_rng(7)
-        ref.integers(0, 8)
-        assert int(rng.integers(0, 1 << 30)) == int(ref.integers(0, 1 << 30))
+        for offset in (0, 8, -8):
+            zero = bk.olm_forward(x, params, offset)
+            np.testing.assert_array_equal(out_a.data, zero.data)
 
     def test_train_mode_seed_determinism(self):
         model = _model(4)
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(2, 9, 4)))
-        out_a = bk.olm_forward(x, params, np.random.default_rng(5))
-        out_b = bk.olm_forward(x, params, np.random.default_rng(5))
+        out_a = bk.olm_forward(x, params, 6)
+        out_b = bk.olm_forward(x, params, 6)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_train_offset_changes_output(self):
@@ -122,11 +112,8 @@ class TestBlockForward:
         model = _model(4)
         params = _init(model, 42, "olm.L0.")
         x = tt.Tensor(np.random.default_rng(1).normal(size=(1, 16, 4)))
-        draws = {int(np.random.default_rng(s).integers(0, 16)): s for s in range(40)}
-        assert 0 in draws and len(draws) > 1
-        base = bk.olm_forward(x, params, np.random.default_rng(draws[0])).data
-        other_seed = next(s for a, s in draws.items() if a != 0)
-        other = bk.olm_forward(x, params, np.random.default_rng(other_seed)).data
+        base = bk.olm_forward(x, params, 0).data
+        other = bk.olm_forward(x, params, 5).data
         assert np.abs(base - other).max() > 1e-8
 
     def test_gate_nullity(self):
@@ -137,7 +124,7 @@ class TestBlockForward:
         params["olm.L0.lin_z.weight"].data[...] = 0.0
         params["olm.L0.lin_z.bias"].data[...] = -60.0
         x = tt.Tensor(rng.normal(size=(1, 8, 4)))
-        out = bk.olm_forward(x, params, None)
+        out = bk.olm_forward(x, params)
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def _single_branch_reference(self, x, params, name, a):
@@ -175,14 +162,14 @@ class TestBlockForward:
                 params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
                 params[f"olm.L0.{name}.conv1d.bias"].data[...] = 0.0
         x = np.random.default_rng(3).normal(size=(1, 7, 4))
-        got = bk.olm_forward(tt.Tensor(x), params, None).data
+        got = bk.olm_forward(tt.Tensor(x), params).data
         want = self._single_branch_reference(x, params, keep, a=0)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("keep", ["forward_shifted", "backward_shifted"])
     def test_shifted_branch_uses_drawn_offset(self, keep):
         # Train mode with only one rotated branch alive must match the
-        # reference composition evaluated at the drawn offset.
+        # reference composition evaluated at the given offset, taken mod M.
         model = _model(4)
         params = _init(model, 42, "olm.L0.")
         for name in bk.DIRECTIONS:
@@ -190,12 +177,10 @@ class TestBlockForward:
                 params[f"olm.L0.{name}.conv1d.weight"].data[...] = 0.0
                 params[f"olm.L0.{name}.conv1d.bias"].data[...] = 0.0
         x = np.random.default_rng(3).normal(size=(1, 11, 4))
-        seed = 12345
-        a = int(np.random.default_rng(seed).integers(0, 11))
-        assert a != 0
-        got = bk.olm_forward(tt.Tensor(x), params, np.random.default_rng(seed)).data
-        want = self._single_branch_reference(x, params, keep, a=a)
-        np.testing.assert_array_equal(got, want)
+        want = self._single_branch_reference(x, params, keep, a=7)
+        for offset in (7, 7 + 11, 7 - 11):
+            got = bk.olm_forward(tt.Tensor(x), params, offset).data
+            np.testing.assert_array_equal(got, want)
 
     def test_gradients(self):
         model = _model(4)
@@ -205,7 +190,7 @@ class TestBlockForward:
         arrays += [init[n].data.copy() for n in names]
 
         def op(x, *weights):
-            return bk.olm_forward(x, dict(zip(names, weights)), np.random.default_rng(9))
+            return bk.olm_forward(x, dict(zip(names, weights)), 3)
 
         check_grads(op, arrays, np.random.default_rng(11))
 
@@ -241,16 +226,27 @@ class TestStack:
         b = bk.olm_stack(x, params, model, None).data
         np.testing.assert_array_equal(a, b)
 
-    def test_stack_train_consumes_one_draw_per_block(self):
+    def test_stack_gives_block_i_offset_i(self):
         model = _model(4, l=3)
         params = _init(model, 42, "olm.")
         x = tt.Tensor(np.random.default_rng(2).normal(size=(1, 10, 4)))
-        rng = np.random.default_rng(6)
-        bk.olm_stack(x, params, model, rng)
-        ref = np.random.default_rng(6)
-        for _ in range(3):
-            ref.integers(0, 10)
-        assert int(rng.integers(0, 1 << 30)) == int(ref.integers(0, 1 << 30))
+        got = bk.olm_stack(x, params, model, [3, 0, 7]).data
+        want = x
+        for i, offset in enumerate((3, 0, 7)):
+            want = bk.olm_forward(want, params, offset, f"olm.L{i}")
+        want = tt.layer_norm(want, params["olm.final_norm.gain"],
+                             params["olm.final_norm.bias"])
+        np.testing.assert_array_equal(got, want.data)
+        np.testing.assert_array_equal(bk.olm_stack(x, params, model, [0, 0, 0]).data,
+                                      bk.olm_stack(x, params, model).data)
+
+    @pytest.mark.parametrize("offsets", [[], [1, 2], [1, 2, 3, 4]])
+    def test_stack_needs_one_offset_per_block(self, offsets):
+        model = _model(4, l=3)
+        params = _init(model, 42, "olm.")
+        x = tt.Tensor(np.random.default_rng(2).normal(size=(1, 10, 4)))
+        with pytest.raises(ContractError, match="one start offset per mixing block"):
+            bk.olm_stack(x, params, model, offsets)
 
 
 class TestNaming:
@@ -317,7 +313,7 @@ class TestConcurrentBranches:
         def step():
             params = pl.init_model(ACCEPTANCE, seed=42)
             with tt.Tape() as tape:
-                out = pl.model_forward(x, params, ACCEPTANCE, rng=np.random.default_rng(4))
+                out = pl.model_forward(x, params, ACCEPTANCE, [92])
                 loss = tt.tsum(tt.mul(out, tt.Tensor(g)))
             kinds = [node.backward.__qualname__ for node in tape._nodes]
             tt.backward(loss, tape)

@@ -165,17 +165,14 @@ class TestForward:
         b = pl.model_forward(x, params, TOY).data
         np.testing.assert_array_equal(a, b)
 
-    def test_generator_selects_train_forward(self):
-        # a generator draws one start offset per mixing block over the W
-        # tokens; no generator is the eval forward, which draws nothing
+    def test_offsets_select_train_forward(self):
+        # one start offset per mixing block; no offsets is the eval forward,
+        # every offset 0
         params = pl.init_model(TOY, seed=42)
         x = pl.prepare_batch(_toy_images(1, np.random.default_rng(1)))
-        rng = np.random.default_rng(3)
-        pl.model_forward(x, params, TOY, rng=rng)
-        ref = np.random.default_rng(3)
-        for _ in range(TOY.olm_blocks):
-            ref.integers(0, TOY.w)
-        assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
+        eval_out = pl.model_forward(x, params, TOY).data
+        np.testing.assert_array_equal(pl.model_forward(x, params, TOY, [0]).data, eval_out)
+        assert np.abs(pl.model_forward(x, params, TOY, [32]).data - eval_out).max() > 1e-8
 
     def test_bypass_olm_differs_from_full(self):
         params = pl.init_model(TOY, seed=42)
@@ -211,7 +208,7 @@ class TestForward:
         params = pl.init_model(TOY, seed=42)
         x = pl.prepare_batch(_toy_images(1, np.random.default_rng(1)))
         with tt.Tape() as tape:
-            out = pl.model_forward(x, params, TOY, rng=np.random.default_rng(3))
+            out = pl.model_forward(x, params, TOY, [32])
             loss = tt.tsum(tt.mul(out, out))
         tt.backward(loss, tape)
         missing = [n for n, t in params.items() if t.grad is None]

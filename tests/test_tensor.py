@@ -560,7 +560,7 @@ class TestSweep:
         c = np.array([-0.0, 0.0, -0.0, -1.0])
 
         def build(a):
-            y = T.neg(T.neg(a))
+            y = T.mul(T.mul(a, -1.0), -1.0)
             p, q = T.mul(y, T.Tensor(c)), T.mul(a, T.Tensor(c))
             return T.tsum(T.add(p, q)), [y, p, q]
 
@@ -592,7 +592,8 @@ class TestSweep:
             params = pl.init_model(model, seed=42)
             step_rng = np.random.default_rng(0)
             with T.Tape() as tape:
-                desc = tr._forward_tuple(tup, images, params, model, step_rng)
+                offsets = [int(step_rng.integers(0, 128))]
+                desc = tr._forward_tuple(tup, images, params, model, offsets)
                 loss = tr.tuple_loss(desc, 2, cfg, step_rng)
             sweep(loss, tape)
             grads.append({k: p.grad for k, p in params.items()})
@@ -628,11 +629,6 @@ class TestGradientChecks:
         rng = np.random.default_rng(42)
         check_grads(T.mul, [np.array(0.7), np.array([1.3])], rng)
         check_grads(T.sub, [np.array([1.3]), np.array(0.7)], rng)
-
-    def test_unary(self):
-        rng = np.random.default_rng(42)
-        x = rng.standard_normal((4, 5))
-        check_grads(T.neg, [x], rng)
 
     def test_activations(self):
         rng = np.random.default_rng(42)
@@ -701,6 +697,18 @@ class TestGradientChecks:
             loss = T.tsum(T.tmax(x, axis=1))
         T.backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("op, reduce, first", [(T.tmax, np.max, 0), (T.tmin, np.min, 1)])
+    def test_extrema_one_node_first_extreme_or_nan(self, op, reduce, first):
+        # one node each; a tie or a NaN routes to its first occurrence
+        for row, pick in (([5.0, 2.0, 5.0, 2.0], first), ([1.0, np.nan, 3.0, np.nan], 1)):
+            x = T.Tensor(row, requires_grad=True)
+            with T.Tape() as tape:
+                out = op(x)
+            assert len(tape) == 1
+            np.testing.assert_array_equal(out.data, reduce(row))
+            T.backward(out, tape)
+            np.testing.assert_array_equal(x.grad, np.eye(4)[pick])
 
     def test_shape_manipulation(self):
         rng = np.random.default_rng(42)
@@ -804,7 +812,7 @@ class TestCheckGrads:
         rng = np.random.default_rng(42)
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
         with pytest.raises(AssertionError, match="^input 1 got no gradient$"):
-            check_grads(lambda x, y: T.neg(x), [a, b], rng)
+            check_grads(lambda x, y: T.mul(x, -1.0), [a, b], rng)
 
 
 class TestL2NormalizeZeroRows:

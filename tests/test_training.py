@@ -294,11 +294,11 @@ def _toy_dataset(n_scans=6, h=8, w=24, seed=1):
 class TestTrainLoop:
     def test_acceptance_step_tape_size(self):
         # one imtrihard step of the acceptance model (test_06, the benchmark's
-        # training model) on a 1+2+2 tuple records 98 nodes; a hot op split
+        # training model) on a 1+2+2 tuple records 96 nodes; a hot op split
         # into many small nodes shows here.  A kind is the op that recorded
         # the node: each scan reads A_log and its B, C columns itself, so no
         # exp is recorded and the 8 narrow nodes are the 4 step-size slices
-        # and 4 of the loss
+        # and 4 of the loss; the loss's max and min are one _extreme node each
         model = pl.ModelConfig(h=16, w=128, stages=((8, 2, 2), (16, 2, 2), (16, 2, 2),
                                                     (32, 2, 2)),
                                spp_mode="add", olm_n=4, vlad_k=8, mlp_hidden=64, out_dim=32)
@@ -308,16 +308,45 @@ class TestTrainLoop:
         tup = TrainingTuple(query=0, positives=(1, 2), negatives=(3, 4))
         rng = np.random.default_rng(0)
         with tt.Tape() as tape:
-            desc = tr._forward_tuple(tup, images, params, model, rng)
+            desc = tr._forward_tuple(tup, images, params, model, [int(rng.integers(0, 128))])
             tr.tuple_loss(desc, 2, cfg, rng)
         kinds = collections.Counter(node.backward.__qualname__.split(".")[0]
                                     for node in tape._nodes)
-        assert len(tape) == 98
+        assert len(tape) == 96
         assert kinds == {
-            "_conv": 8, "add": 9, "einsum2": 2, "l2_normalize": 3, "layer_norm": 2,
-            "linear": 14, "maxpool1d_circular": 3, "mul": 9, "narrow": 8, "neg": 2,
+            "_conv": 8, "_extreme": 2, "add": 9, "einsum2": 2, "l2_normalize": 3,
+            "layer_norm": 2, "linear": 14, "maxpool1d_circular": 3, "mul": 9, "narrow": 8,
             "relu": 1, "reshape": 3, "selective_scan": 4, "silu": 10, "softmax": 1,
-            "softplus": 4, "sub": 3, "take_along": 1, "tmax": 2, "transpose": 6, "tsum": 3}
+            "softplus": 4, "sub": 3, "take_along": 1, "transpose": 6, "tsum": 3}
+
+    def test_step_draws_offsets_then_loss_permutations(self, tmp_path, monkeypatch):
+        # one generator: each epoch's tuple order, then per step one start
+        # offset per mixing block in block order, then the triplet loss's
+        # positive and negative shuffles
+        model = pl.ModelConfig(h=8, w=24, stages=((8, 2, 2), (16, 2, 2), (32, 2, 2)),
+                               olm_blocks=2, olm_n=2, vlad_k=4, mlp_hidden=16, out_dim=8)
+        tuples, images = _toy_dataset()
+        cfg = tr.TrainConfig(loss="triplet", lr=1e-4, epochs=2, seed=3)
+        seen = []
+        original = tr._forward_tuple
+
+        def recorded(tup, images, params, cfg, offsets=None):
+            seen.append((tup.query, list(offsets)))
+            return original(tup, images, params, cfg, offsets)
+
+        monkeypatch.setattr(tr, "_forward_tuple", recorded)
+        tr.train(tuples, images, pl.init_model(model, seed=42), model, cfg, tmp_path / "run")
+
+        ref = np.random.default_rng(cfg.seed)
+        want = []
+        for _ in range(cfg.epochs):
+            for idx in ref.permutation(len(tuples)):
+                tup = tuples[int(idx)]
+                want.append((tup.query, [int(ref.integers(0, model.w)) for _ in range(2)]))
+                ref.permutation(len(tup.positives))
+                ref.permutation(len(tup.negatives))
+        assert seen == want
+        assert len({a for _, offsets in seen for a in offsets}) > 1
 
     def test_zero_lr_keeps_parameters_bitwise(self, tmp_path):
         tuples, images = _toy_dataset()
@@ -474,7 +503,8 @@ class TestClampedSteps:
             for idx in rng.permutation(len(train_tuples)):
                 tup = train_tuples[int(idx)]
                 with tt.Tape() as tape:
-                    desc = tr._forward_tuple(tup, images, params, TOY, rng)
+                    offsets = [int(rng.integers(0, TOY.w))]
+                    desc = tr._forward_tuple(tup, images, params, TOY, offsets)
                     loss = tr.tuple_loss(desc, len(tup.positives), cfg, rng)
                 tt.backward(loss, tape)
                 adam.step()
